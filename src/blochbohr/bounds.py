@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, PoleError
 from .extremal import ExtremalSpec, extremal_coefficients
-from .norms import (A_MAX, avkhadiev_majorant_closed_form, weighted_bloch_norm,
-                    weighted_bloch_seminorm)
+from .norms import A_MAX, avkhadiev_majorant_closed_form, weighted_bloch_seminorm
 from .search import GridSpec, bisect_root, golden_max, grid_golden_max
 from .series import TruncatedSeries, circle_norms, coefficient_sum, majorant, scale_argument
 from .weights import Weight, builtin_weight

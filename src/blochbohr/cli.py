@@ -19,15 +19,15 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import (ScanReport, SolverConfig, bombieri_m_infty, cauchy_chain_check,
+from .bounds import (SolverConfig, bombieri_m_infty, cauchy_chain_check,
                      mobius_majorant_sup, theorem1_optimize, theorem1_root,
                      theorem4_expression, theorem4_sup, theorem4_upper_bound,
                      theorem5_ratios)
 from .errors import BlochBohrError
 from .extremal import verify_sharpness
-from .norms import A_MAX, weighted_bloch_norm, weighted_radial_sup
+from .norms import A_MAX, RadialSupReport, _series_radial_sup, weighted_bloch_norm
 from .search import GridSpec
-from .series import TruncatedSeries, eval_series
+from .series import TruncatedSeries
 from .weights import (criterion_check, find_admissible_r0, h_profile,
                       weight_from_token)
 
@@ -301,7 +301,7 @@ def _cmd_norms(cfg: RunConfig, args) -> int:
     w = weight_from_token(args.weight)
     grid = _grid(cfg)
     norm = weighted_bloch_norm(series, w, grid)
-    sup = weighted_radial_sup(lambda z: eval_series(series, z).value, w, grid)
+    sup = RadialSupReport(*_series_radial_sup(series, w, grid), grid=grid)
     report = {"command": "norms", "weight": args.weight, "bloch_norm": norm,
               "radial_sup": sup.to_json_dict()}
     _render(cfg, report,

@@ -3,10 +3,12 @@
 The extremal family is the Mobius map
 f(z) = (z/r0 - e^{i phi}/sqrt(2)) / (1 - e^{-i phi} z / (sqrt(2) r0)),
 a degree-1 Blaschke factor with zero of modulus 1/sqrt(2) composed with
-z/r0.  Its coefficient moduli obey |a_n| r0^n = (1/sqrt(2))^{n+1}, its
-circle sup has the closed form (r/r0 + 1/sqrt(2)) / (1 + r/(sqrt(2) r0))
-(attained at theta = pi + phi), and its majorant sum at radius r/sqrt(2)
-is (1/sqrt(2)) / (1 - r/(2 r0)).
+z/r0.  Its coefficient moduli obey |a_n| r0^n = (1/sqrt(2))^{n+1}; for
+r <= r0 its circle sup has the closed form
+(r/r0 + 1/sqrt(2)) / (1 + r/(sqrt(2) r0)), attained at theta = pi + phi
+(for r > r0 the same expression is the circle minimum, and the maximum
+sits at theta = phi); its majorant sum at radius r/sqrt(2) is
+(1/sqrt(2)) / (1 - r/(2 r0)).
 
 For a weight that passes the admissibility criterion at r0, the weighted
 suprema of the majorant side and of the sup side coincide, both attained
@@ -106,9 +108,12 @@ def extremal_coefficients(spec: ExtremalSpec) -> TruncatedSeries:
 
 
 def extremal_sup_modulus(r0: float, r):
-    """max_theta |f(r e^{i theta})| = (r/r0 + 1/sqrt(2)) / (1 + r/(sqrt(2) r0)).
+    """(r/r0 + 1/sqrt(2)) / (1 + r/(sqrt(2) r0)) = |f(r e^{i (pi + phi)})|.
 
-    The maximum sits at theta = pi + phi and does not depend on phi.
+    This is the circle maximum max_theta |f(r e^{i theta})| only for
+    r <= r0.  For r > r0 it is the circle minimum, and the maximum sits at
+    theta = phi (at r0 = 0.8, r = 0.85: maximum 1.42901, this value
+    1.01045).  The value does not depend on phi.
     """
     if not R0_MIN - 1e-12 <= r0 <= 1.0:
         raise ParameterDomainError(f"anchor r0 must lie in [1/sqrt(2), 1], got {r0}")

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import (BlochBohrError, DivergenceRegionError, EvaluatorDomainError,
                      ParameterDomainError, PoleError)
-from .search import GridSpec, golden_max, grid_golden_max
-from .series import (TruncatedSeries, _angle_count, _check_certified, _horner,
-                     circle_sup, derivative)
+from .search import GridSpec, grid_golden_max, scan_polish
+from .series import (TruncatedSeries, _angle_count, _check_certified, circle_sup,
+                     derivative)
 from .weights import Weight
 
 A_MAX = 1.0 / np.sqrt(3.0)
@@ -64,6 +64,26 @@ def _batch_circle_max(coeffs: np.ndarray, radii: np.ndarray,
     return out
 
 
+def _radial_sup(rough: np.ndarray, circle_max: Callable, w: Weight,
+                grid: GridSpec) -> tuple[float, float, float]:
+    """sup_r w(r) circle_max(r) -> (value, witness_r, witness_theta).
+
+    ``rough`` holds the unpolished circle maxima on ``grid.radii()``; they
+    pick the radial bracket.  ``circle_max(r)`` returns the polished
+    (max, theta) at one radius.  Ties resolve to the smallest witness radius.
+    """
+    thetas = {}
+
+    def weighted(r: float) -> float:
+        sup, thetas[r] = circle_max(r)
+        return float(w(r)) * sup
+
+    radii = grid.radii()
+    r, v = scan_polish(weighted, radii, np.asarray(w(radii)) * rough, rescore=True,
+                       refine=grid.refine, tol=grid.refine_tol)
+    return v, r, thetas[r]
+
+
 def _series_radial_sup(s: TruncatedSeries, w: Weight,
                        grid: GridSpec) -> tuple[float, float, float]:
     """sup_r w(r) max_theta |f(r e^{i theta})| -> (value, witness_r, witness_theta).
@@ -77,26 +97,8 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight,
         x, v = grid_golden_max(profile, grid.r_min, grid.r_max, grid.r_points,
                                refine=grid.refine, tol=grid.refine_tol)
         return v, x, 0.0
-
-    radii = grid.radii()
-    rough = np.asarray(w(radii)) * _batch_circle_max(s.coeffs, radii, grid.theta_points)
-    i = int(np.argmax(rough))
-
-    def polished(r: float) -> tuple[float, float]:
-        sup, theta = circle_sup(s, float(r), grid)
-        return float(w(float(r))) * sup, theta
-
-    best_r = float(radii[i])
-    best_v, best_theta = polished(best_r)
-    if grid.refine:
-        lo = float(radii[max(i - 1, 0)])
-        hi = float(radii[min(i + 1, radii.size - 1)])
-        if hi > lo:
-            xr, vr = golden_max(lambda r: polished(r)[0], lo, hi, tol=grid.refine_tol)
-            if vr > best_v:
-                best_r = xr
-                best_v, best_theta = polished(xr)
-    return best_v, best_r, best_theta
+    rough = _batch_circle_max(s.coeffs, grid.radii(), grid.theta_points)
+    return _radial_sup(rough, lambda r: circle_sup(s, r, grid), w, grid)
 
 
 def weighted_bloch_seminorm(s: TruncatedSeries, w: Weight,
@@ -162,38 +164,16 @@ def weighted_radial_sup(evaluator: Callable, w: Weight,
         rr = radii[start:start + chunk]
         z = rr[:, None] * np.exp(1j * angles)[None, :]
         rough[start:start + chunk] = np.abs(_call_evaluator(evaluator, z)).max(axis=1)
-    weighted = np.asarray(w(radii)) * rough
-    i = int(np.argmax(weighted))
 
     def circle_max(r: float) -> tuple[float, float]:
-        vals = np.abs(_call_evaluator(evaluator, r * np.exp(1j * angles)))
-        j = int(np.argmax(vals))
-        theta, sup = float(angles[j]), float(vals[j])
-        if grid.refine and angles.size >= 2:
-            step = angles[1] - angles[0] if angles.size > 1 else np.pi
-            f = lambda th: np.abs(_call_evaluator(
-                evaluator, np.asarray(r * np.exp(1j * th), dtype=complex)))
-            th_r, sup_r = golden_max(f, theta - step, theta + step, tol=grid.refine_tol)
-            if sup_r > sup:
-                theta, sup = th_r % (2.0 * np.pi), sup_r
+        f = lambda th: np.abs(_call_evaluator(
+            evaluator, np.asarray(r * np.exp(1j * th), dtype=complex)))
+        theta, sup = scan_polish(f, angles, period=2.0 * np.pi,
+                                 refine=grid.refine, tol=grid.refine_tol)
         return sup, theta
 
-    def weighted_at(r: float) -> tuple[float, float]:
-        sup, theta = circle_max(float(r))
-        return float(w(float(r))) * sup, theta
-
-    best_r = float(radii[i])
-    best_v, best_theta = weighted_at(best_r)
-    if grid.refine:
-        lo = float(radii[max(i - 1, 0)])
-        hi = float(radii[min(i + 1, radii.size - 1)])
-        if hi > lo:
-            xr, vr = golden_max(lambda r: weighted_at(r)[0], lo, hi, tol=grid.refine_tol)
-            if vr > best_v:
-                best_r = xr
-                best_v, best_theta = weighted_at(xr)
-    return RadialSupReport(value=best_v, witness_r=best_r,
-                           witness_theta=best_theta, grid=grid)
+    value, r, theta = _radial_sup(rough, circle_max, w, grid)
+    return RadialSupReport(value=value, witness_r=r, witness_theta=theta, grid=grid)
 
 
 def _check_a(a):

@@ -1,10 +1,13 @@
 """Grid plans and 1-D search primitives.
 
-Every supremum in the library is computed the same way: a uniform grid scan
-followed by local polish of the best bracket.  Maximization polish uses
-golden-section search, minimization polish (for worst criterion margins)
-uses plain trisection.  Root-finding is bracketed bisection with an explicit
-sign-change check, converging on the residual rather than the bracket width.
+Every grid supremum in the library (and the worst criterion margin, an
+infimum) goes through one primitive, ``scan_polish``: a uniform grid scan,
+then local polish of the best grid point's bracket, golden-section search
+for a maximum and plain trisection for a minimum.  On the angle circle the
+bracket wraps around; elsewhere it is clipped to the grid.  (The Theorem 1
+optimum in ``bounds`` keeps its own scan, which first checks for a single
+peak.)  Root-finding is bracketed bisection with an explicit sign-change
+check, converging on the residual rather than the bracket width.
 """
 
 from __future__ import annotations
@@ -156,23 +159,40 @@ def bisect_root(g: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
     raise ConvergenceError(f"no convergence to |g| <= {abs_tol:.3g} in {max_iter} iterations")
 
 
+def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = False,
+                period: float | None = None, rescore: bool = False,
+                refine: bool = True, tol: float = 1e-12) -> tuple[float, float]:
+    """Best point of f on the uniform grid ``xs``, polished; returns (x, value).
+
+    ``values`` are f already computed on ``xs``; without them f is called
+    once on the whole array.  The grid winner is the argmax (argmin when
+    ``minimize``), ties going to the smallest argument; with ``rescore`` the
+    values are only a cheap stand-in (an unpolished profile) and f scores
+    the winner.  Its bracket of one step either side is polished by
+    ``golden_max`` (``trisect_min``).  The bracket wraps around when ``xs``
+    covers one ``period`` (the angle circle), the witness then reduced to
+    [0, period), and is clipped to the grid otherwise.  The polished point
+    is kept only when strictly better, so plateau witnesses stay put.
+    """
+    vals = np.asarray(f(xs) if values is None else values, dtype=float)
+    i = int(np.argmin(vals) if minimize else np.argmax(vals))
+    best_x = float(xs[i])
+    best_f = _feval(f, best_x) if rescore else float(vals[i])
+    if not refine or len(xs) < 2:
+        return best_x, best_f
+    if period is None:
+        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
+    else:
+        step = float(xs[1] - xs[0])
+        a, b = best_x - step, best_x + step
+    if b > a:
+        x, fx = (trisect_min if minimize else golden_max)(f, a, b, tol=tol)
+        if (fx < best_f) if minimize else (fx > best_f):
+            best_x, best_f = (x if period is None else x % period), fx
+    return best_x, best_f
+
+
 def grid_golden_max(f: Callable, lo: float, hi: float, n_points: int,
                     refine: bool = True, tol: float = 1e-12) -> tuple[float, float]:
-    """Maximize on [lo, hi]: uniform n-point scan, then golden polish.
-
-    ``f`` must accept numpy arrays.  Ties on the grid resolve to the smallest
-    argument; the polished value is used only when it strictly improves on
-    the grid, which keeps plateau witnesses deterministic.
-    """
-    xs = np.linspace(lo, hi, n_points)
-    vals = np.asarray(f(xs), dtype=float)
-    i = int(np.argmax(vals))
-    best_x, best_f = float(xs[i]), float(vals[i])
-    if refine and n_points >= 2:
-        a = float(xs[max(i - 1, 0)])
-        b = float(xs[min(i + 1, n_points - 1)])
-        if b > a:
-            xr, fr = golden_max(f, a, b, tol=tol)
-            if fr > best_f:
-                best_x, best_f = xr, fr
-    return best_x, best_f
+    """Maximize an array-accepting f on [lo, hi]: an n-point ``scan_polish``."""
+    return scan_polish(f, np.linspace(lo, hi, n_points), refine=refine, tol=tol)

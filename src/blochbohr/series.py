@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceRegionError, ParameterDomainError
-from .search import GridSpec, golden_max
+from .search import GridSpec, scan_polish
 
 #: largest |z| at which a series without tail data may be evaluated
 UNCERTIFIED_RADIUS = 0.9
@@ -216,7 +216,9 @@ def eval_series(s: TruncatedSeries, z) -> SeriesValue:
 
     ``z`` may be a scalar or an array; the certified region is checked at
     the largest modulus present.  Without tail data the result is flagged
-    uncertified (tail_bound None) and |z| must stay within 0.9.
+    uncertified (tail_bound None) and |z| must stay within 0.9.  With a
+    nonzero tail the bound also covers the rounding of the partial sum, so
+    value +- tail_bound encloses f(z); polynomials report 0.
     """
     z = np.asarray(z, dtype=complex)
     radius = float(np.max(np.abs(z))) if z.size else 0.0
@@ -228,6 +230,11 @@ def eval_series(s: TruncatedSeries, z) -> SeriesValue:
         return SeriesValue(value, None)
     x = s.tail_rho * np.abs(z)
     bound = s.tail_m * x ** (s.order + 1) / (1.0 - x)
+    if s.tail_rho > 0.0 and s.tail_m > 0.0:
+        # a geometric tail can equal this bound, so add the complex Horner
+        # rounding bound gamma_{4(N+1)} sum |a_n| |z|^n (4 u = 2 eps)
+        k = 2.0 * s.coeffs.size * np.finfo(float).eps
+        bound = bound + k / (1.0 - k) * _horner(np.abs(s.coeffs), np.abs(z)).real
     if z.ndim == 0:
         bound = float(bound)
     return SeriesValue(value, bound)
@@ -267,25 +274,19 @@ def values_on_angle_grid(s: TruncatedSeries, r: float,
 def circle_sup(s: TruncatedSeries, r: float, grid: GridSpec) -> tuple[float, float]:
     """max_theta |f(r e^{i theta})| with its witness angle.
 
-    Uniform angle scan, then golden-section polish of the best bracket.
-    Series with real nonnegative coefficients peak at theta = 0 exactly
-    (their circle maximum is the coefficient sum), so they skip the scan.
+    FFT angle scan, then golden-section polish of the best bracket, which
+    wraps around the 0/2 pi seam.  Series with real nonnegative
+    coefficients peak at theta = 0 exactly (their circle maximum is the
+    coefficient sum), so they skip the scan.
     """
     _check_certified(s, r, "circle scan")
     if s.is_nonnegative:
         return coefficient_sum(s, r), 0.0
     angles, values = values_on_angle_grid(s, r, grid.theta_points)
-    mods = np.abs(values)
-    j = int(np.argmax(mods))
-    best_theta, best = float(angles[j]), float(mods[j])
-    if grid.refine and angles.size >= 2:
-        step = angles[1] - angles[0]
-        f = lambda th: np.abs(_horner(s.coeffs, r * np.exp(1j * th)))
-        theta_r, sup_r = golden_max(f, best_theta - step, best_theta + step,
-                                    tol=grid.refine_tol)
-        if sup_r > best:
-            best_theta, best = theta_r % (2.0 * np.pi), sup_r
-    return best, best_theta
+    theta, sup = scan_polish(lambda th: np.abs(_horner(s.coeffs, r * np.exp(1j * th))),
+                             angles, np.abs(values), period=2.0 * np.pi,
+                             refine=grid.refine, tol=grid.refine_tol)
+    return sup, theta
 
 
 def circle_norms(s: TruncatedSeries, r: float, grid: GridSpec | None = None) -> CircleNorms:

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import ParameterDomainError, ZeroDenominatorError
-from .search import GridSpec, bisect_root, trisect_min
+from .search import GridSpec, scan_polish
 
 SQRT2 = float(np.sqrt(2.0))
 R0_MIN = 1.0 / SQRT2
@@ -186,17 +186,8 @@ def criterion_check(w: Weight, r0: float, grid: GridSpec | None = None,
     def margin(r):
         return criterion_bound(r, r0) - w(r) / w0
 
-    radii = grid.radii()
-    values = np.asarray(margin(radii), dtype=float)
-    i = int(np.argmin(values))
-    worst_r, worst = float(radii[i]), float(values[i])
-    if grid.refine:
-        lo = float(radii[max(i - 1, 0)])
-        hi = float(radii[min(i + 1, radii.size - 1)])
-        if hi > lo:
-            xr, mr = trisect_min(margin, lo, hi, tol=grid.refine_tol)
-            if mr < worst:
-                worst_r, worst = xr, mr
+    worst_r, worst = scan_polish(margin, grid.radii(), minimize=True,
+                                 refine=grid.refine, tol=grid.refine_tol)
     passed = worst >= -tol
     return CriterionReport(r0=r0, passed=passed, worst_margin=worst,
                            violation_witness=None if passed else worst_r)

@@ -174,6 +174,7 @@ class TestNormsCommand:
         assert code == 0
         report = json.loads(out)
         assert abs(report["bloch_norm"] - 32.0 / 27.0) < 1e-9
+        assert report["radial_sup"]["witness_theta"] == 0.0
 
     def test_series_file(self, capsys, tmp_path):
         path = tmp_path / "series.json"

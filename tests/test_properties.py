@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochbohr import (GridSpec, TruncatedSeries, builtin_weight,
@@ -79,6 +79,7 @@ def test_criterion_invariant_under_positive_scaling(c, kind, r0):
 @given(st.floats(min_value=0.05, max_value=0.9),
        st.floats(min_value=0.05, max_value=0.95),
        st.floats(min_value=0.1, max_value=2.0))
+@example(q=0.80250135770242, x=0.7591631150995447, m=1.875)
 def test_geometric_tail_bound_is_rigorous(q, x, m):
     # partial sum + certified bound must cover the closed form m/(1-qz)
     n = 30

@@ -3,6 +3,7 @@ import pytest
 
 from blochbohr import (ConvergenceError, GridSpec, NoSignChangeError, bisect_root,
                        golden_max, grid_golden_max, trisect_min)
+from blochbohr.search import scan_polish
 
 
 def test_golden_max_quadratic():
@@ -48,11 +49,60 @@ def test_grid_golden_max_vectorized():
     assert abs(fx - 1.0) < 1e-12
 
 
-def test_grid_golden_max_plateau_reports_smallest():
+@pytest.mark.parametrize("scan", [
+    lambda f, lo, hi, n: grid_golden_max(f, lo, hi, n),
+    lambda f, lo, hi, n: scan_polish(f, np.linspace(lo, hi, n)),
+    lambda f, lo, hi, n: scan_polish(f, np.linspace(lo, hi, n), minimize=True),
+], ids=["grid_golden_max", "scan_polish", "scan_polish_minimize"])
+def test_grid_golden_max_plateau_reports_smallest(scan):
     f = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    x, fx = grid_golden_max(f, 0.2, 0.9, 32)
+    x, fx = scan(f, 0.2, 0.9, 32)
     assert x == 0.2
     assert fx == 1.0
+
+
+def test_scan_polish_periodic_bracket_wraps_below_zero():
+    # the maximum sits just below theta = 0, so the grid winner is theta = 0
+    # and only a bracket reaching past the seam can find it
+    shift = 1e-3
+    angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    f = lambda th: np.cos(np.asarray(th) + shift)
+    theta, fx = scan_polish(f, angles, period=2.0 * np.pi)
+    assert abs(theta - (2.0 * np.pi - shift)) < 1e-7
+    assert abs(fx - 1.0) < 1e-13
+    # clipped to the grid, the same scan stops at the grid point
+    x, fx_clipped = scan_polish(f, angles)
+    assert x == 0.0 and fx_clipped == np.cos(shift)
+
+
+def test_scan_polish_uses_supplied_values_without_recomputing():
+    xs = np.linspace(0.0, 3.0, 64)
+    calls = []
+
+    def f(x):
+        calls.append(np.ndim(x))
+        return np.sin(x)
+
+    x, fx = scan_polish(f, xs, np.sin(xs))
+    assert calls and all(ndim == 0 for ndim in calls)
+    assert abs(x - np.pi / 2) < 5e-8
+    assert abs(fx - 1.0) < 1e-12
+    # without polish the supplied grid value is returned as it is
+    calls.clear()
+    values = np.sin(xs) + 1.0
+    x, fx = scan_polish(f, xs, values, refine=False)
+    assert calls == [] and fx == values.max() and x == xs[np.argmax(values)]
+    # a stand-in profile only picks the winner, which f itself then scores
+    x, fx = scan_polish(f, xs, values, rescore=True, refine=False)
+    assert calls == [0] and fx == np.sin(x)
+
+
+def test_scan_polish_minimizes_a_kink():
+    c = 0.3141592
+    x, fx = scan_polish(lambda x: np.abs(np.asarray(x) - c), np.linspace(0.0, 1.0, 11),
+                        minimize=True)
+    assert abs(x - c) < 1e-10
+    assert 0.0 <= fx < 1e-10
 
 
 def test_gridspec_validation():
