@@ -5,9 +5,11 @@ For every exponent s in (0, 1) the radius r(s) solves
     log(1 - r^{2s}) = (r^{2(1-s)} - 1) / r^{2(1-s)},
 
 and each r(s) is a valid lower bound for the Bohr radius from the Bloch
-space to bounded functions.  Maximizing over s gives 0.563777 at
-s = 0.333771; the special case s = 1/2 reduces to the older equation
-1 - r + r log(1 - r) = 0 with root 0.55356.
+space to bounded functions.  Maximizing over s gives 0.5637769 at
+s = 0.3337112 (the envelope condition reduces the maximization to
+2 ln r + r^-2 = 2; the paper prints s = 0.333771, which looks like a
+transposition of 0.333711); the special case s = 1/2 reduces to the older
+equation 1 - r + r log(1 - r) = 0 with root 0.55356.
 """
 
 import numpy as np

@@ -3,8 +3,11 @@
 * ``theorem1_root`` / ``theorem1_optimize``: the lower bound for the
   Bloch-to-bounded Bohr radius.  For each exponent s in (0, 1) the radius
   solves log(1 - r^{2s}) = (r^{2(1-s)} - 1) / r^{2(1-s)}; maximizing the
-  root over s gives r* = 0.563777 at s* = 0.333771.  At s = 1/2 the
-  equation reduces to 1 - r + r log(1 - r) = 0 with root 0.55356.
+  root over s gives r* = 0.5637769 at s* = 0.3337112, where the envelope
+  condition reduces the problem to 2 ln r + r^{-2} = 2 (the paper prints
+  s* = 0.333771, which looks like a transposition of 0.333711).  At
+  s = 1/2 the equation reduces to 1 - r + r log(1 - r) = 0 with root
+  0.55356.
 * ``cauchy_chain_check``: the three-term Cauchy-Schwarz chain
   w(r) R sum |a_n| (Rr)^n <= w(r) ||f||_L2 R/sqrt(1-R^2)
   <= w(r) ||f||_Linf R/sqrt(1-R^2), tight multiplier 1 at R = 1/sqrt(2).
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import ParameterDomainError, PoleError
 from .extremal import ExtremalSpec, extremal_coefficients
 from .norms import A_MAX, avkhadiev_majorant_closed_form, weighted_bloch_seminorm
-from .search import GridSpec, bisect_root, golden_max, grid_golden_max
+from .search import GridSpec, bisect_flag, bisect_root, grid_golden_max
 from .series import TruncatedSeries, circle_norms, coefficient_sum, majorant, scale_argument
 from .weights import Weight, builtin_weight
 
@@ -96,49 +99,23 @@ def theorem1_root(s: float, cfg: SolverConfig | None = None) -> float:
                        abs_tol=cfg.abs_tol, max_iter=cfg.max_iter)
 
 
-def _theorem1_roots_vector(ss: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Simultaneous bisection of the radius equation over an exponent grid.
-
-    The residual is strictly decreasing in r, so the sign at the midpoint
-    steers every lane independently.
-    """
-    lo = np.full(ss.shape, cfg.bracket[0])
-    hi = np.full(ss.shape, cfg.bracket[1])
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        positive = _t1_residual(mid, ss) > 0.0
-        lo = np.where(positive, mid, lo)
-        hi = np.where(positive, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def theorem1_optimize(cfg: SolverConfig | None = None,
-                      scan_points: int = 1000) -> tuple[float, float]:
+def theorem1_optimize(cfg: SolverConfig | None = None) -> tuple[float, float]:
     """Maximize the radius of ``theorem1_root`` over the exponent s.
 
-    Coarse scan on a ~1e-3-step grid, then golden-section polish once the
-    scan confirms a single local maximum; with several comparable maxima
-    the raw scan winner is returned.  Returns (s_star, r_star).
+    Write F(r, s) = log(1 - r^{2s}) - 1 + r^{-2(1-s)}, so that r(s) solves
+    F = 0.  At the maximizer dr/ds = -F_s/F_r vanishes, hence F_s = 0:
+    -2 ln r r^{2s}/(1 - r^{2s}) + 2 ln r r^{-2(1-s)} = 0, which gives
+    1 - r^{2s} = r^2.  Substituting r^{2s} = 1 - r^2 into F = 0 leaves
+    g(r) = 2 ln r + r^{-2} - 2 = 0; g' = 2(r^2 - 1)/r^3 < 0 on (0, 1), so
+    the root r* is unique, and s* = ln(1 - r*^2)/(2 ln r*).  F(r*, s*)
+    equals g(r*), driven below cfg.abs_tol by bisection on cfg.bracket.
+    Returns (s_star, r_star).
     """
     cfg = cfg or SolverConfig()
-    ss = np.linspace(S_CLIP[0], S_CLIP[1], scan_points)
-    rs = _theorem1_roots_vector(ss, cfg)
-    top = int(np.argmax(rs))
-
-    interior = np.zeros(ss.size, dtype=bool)
-    interior[1:-1] = (rs[1:-1] >= rs[:-2]) & (rs[1:-1] >= rs[2:])
-    peaks = np.flatnonzero(interior)
-    contenders = [i for i in peaks if rs[i] >= rs[top] - 1e-9]
-    clusters = 1 + int(np.sum(np.diff(contenders) > 1)) if contenders else 0
-    if clusters != 1:
-        return float(ss[top]), float(rs[top])
-
-    lo = float(ss[max(top - 1, 0)])
-    hi = float(ss[min(top + 1, ss.size - 1)])
-    s_star, r_star = golden_max(lambda s: theorem1_root(float(s), cfg), lo, hi,
-                                tol=1e-10)
-    if r_star < rs[top]:
-        return float(ss[top]), float(rs[top])
+    lo, hi = cfg.bracket
+    r_star = bisect_root(lambda r: 2.0 * np.log(r) + r ** -2.0 - 2.0, lo, hi,
+                         abs_tol=cfg.abs_tol, max_iter=cfg.max_iter)
+    s_star = np.log(1.0 - r_star * r_star) / (2.0 * np.log(r_star))
     return float(s_star), float(r_star)
 
 
@@ -215,33 +192,25 @@ def theorem4_upper_bound(cfg: SolverConfig | None = None, a_points: int = 200,
     r_grid = np.linspace(0.0, 1.0, r_points)
     samples = 0
 
-    def best_over_a(scale: float) -> tuple[float, float, float]:
+    def exceeds(scale: float) -> tuple[float, float, float] | None:
         nonlocal samples
         table = theorem4_expression(a_grid[:, None], scale, r_grid[None, :])
         samples += table.size
-        i, j = np.unravel_index(int(np.argmax(table)), table.shape)
+        i, _ = np.unravel_index(int(np.argmax(table)), table.shape)
         a_star = float(a_grid[i])
         value, r_star = theorem4_sup(a_star, scale, r_points)
-        return value, a_star, r_star
+        return (value, a_star, r_star) if value > EXCEED_THRESHOLD else None
 
     lo, hi = cfg.bracket
-    v_lo, _, _ = best_over_a(lo)
-    if v_lo > EXCEED_THRESHOLD:
+    if exceeds(lo) is not None:
         raise ParameterDomainError(
             f"bracket low end {lo} already exceeds 1; lower it")
-    v_hi, a_hi, r_hi = best_over_a(hi)
-    if v_hi <= EXCEED_THRESHOLD:
+    found = exceeds(hi)
+    if found is None:
         raise ParameterDomainError(
             f"bracket high end {hi} does not exceed 1; raise it")
-    for _ in range(cfg.max_iter):
-        if hi - lo <= cfg.abs_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        value, a_mid, r_mid = best_over_a(mid)
-        if value > EXCEED_THRESHOLD:
-            hi, v_hi, a_hi, r_hi = mid, value, a_mid, r_mid
-        else:
-            lo = mid
+    hi, (v_hi, a_hi, r_hi) = bisect_flag(exceeds, lo, hi, found,
+                                         cfg.abs_tol, cfg.max_iter)
     return ScanReport(best_value=v_hi,
                       best_params={"R": hi, "a": a_hi, "r": r_hi},
                       exceeded_threshold=True, samples=samples)

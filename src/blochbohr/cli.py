@@ -39,7 +39,6 @@ DEFAULT_PROBE_SCALES = (0.3, 0.5, 1.0 / SQRT2, 0.9)
 class RunConfig:
     """Parsed global options of one CLI invocation."""
 
-    command: str
     fmt: str
     out: Optional[str]
     tol: Optional[float]
@@ -82,23 +81,28 @@ def _deliver(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _render(cfg: RunConfig, report: dict, header: list[str], rows: list[list]) -> None:
+def _render(cfg: RunConfig, report: dict, header: list[str],
+            rows: Optional[list[list]] = None) -> None:
+    """Write the report as JSON, or as CSV with the ``header`` columns.
+
+    Without ``rows`` the CSV rows are read from the report: one per item of
+    ``report["entries"]``, or else one from the report itself.
+    """
     if cfg.fmt == "json":
         _deliver(cfg, _json(report))
-    else:
-        _deliver(cfg, _csv(header, rows))
+        return
+    if rows is None:
+        rows = [[item[key] for key in header]
+                for item in report.get("entries", [report])]
+    _deliver(cfg, _csv(header, rows))
 
 
-def _solver_config(cfg: RunConfig, **overrides) -> SolverConfig:
-    if cfg.tol is not None:
-        overrides["abs_tol"] = cfg.tol
-    return SolverConfig(**overrides)
+def _solver_config(cfg: RunConfig) -> SolverConfig:
+    return SolverConfig() if cfg.tol is None else SolverConfig(abs_tol=cfg.tol)
 
 
-def _grid(cfg: RunConfig, **overrides) -> GridSpec:
-    if cfg.grid is not None:
-        overrides["r_points"] = cfg.grid
-    return GridSpec(**overrides)
+def _grid(cfg: RunConfig) -> GridSpec:
+    return GridSpec() if cfg.grid is None else GridSpec(r_points=cfg.grid)
 
 
 def _cmd_theorem1(cfg: RunConfig, args) -> int:
@@ -107,13 +111,13 @@ def _cmd_theorem1(cfg: RunConfig, args) -> int:
         s_star, r_star = theorem1_optimize(solver)
         report = {"command": "theorem1", "optimize": True,
                   "s_star": s_star, "r_star": r_star}
-        _render(cfg, report, ["s_star", "r_star"], [[s_star, r_star]])
+        _render(cfg, report, ["s_star", "r_star"])
         return 0
     if args.s is None:
         raise BlochBohrError("theorem1 needs --s <value> or --optimize")
     root = theorem1_root(args.s, solver)
     report = {"command": "theorem1", "s": args.s, "r": root}
-    _render(cfg, report, ["s", "r"], [[args.s, root]])
+    _render(cfg, report, ["s", "r"])
     return 0
 
 
@@ -130,9 +134,7 @@ def _cmd_theorem4(cfg: RunConfig, args) -> int:
                   "witness_r": scan.best_params["r"],
                   "samples": scan.samples}
         _render(cfg, report,
-                ["upper_bound", "best_value", "witness_a", "witness_r", "samples"],
-                [[scan.best_params["R"], scan.best_value, scan.best_params["a"],
-                  scan.best_params["r"], scan.samples]])
+                ["upper_bound", "best_value", "witness_a", "witness_r", "samples"])
         return 0
     if args.a is None or args.R is None:
         raise BlochBohrError("theorem4 needs --a and --R, or --search")
@@ -140,8 +142,7 @@ def _cmd_theorem4(cfg: RunConfig, args) -> int:
     exceeded = value > 1.0 + 1e-9
     report = {"command": "theorem4", "a": args.a, "R": args.R,
               "sup_r": value, "witness_r": witness, "exceeded": exceeded}
-    _render(cfg, report, ["a", "R", "sup_r", "witness_r", "exceeded"],
-            [[args.a, args.R, value, witness, exceeded]])
+    _render(cfg, report, ["a", "R", "sup_r", "witness_r", "exceeded"])
     return 0
 
 
@@ -173,8 +174,7 @@ def _cmd_theorem2_check(cfg: RunConfig, args) -> int:
               "max_chain_violation": float(worst),
               "passed": passed}
     _render(cfg, report,
-            ["max_expression_at_sqrt2", "chain_samples", "max_chain_violation", "passed"],
-            [[max_expr, args.samples, worst, passed]])
+            ["max_expression_at_sqrt2", "chain_samples", "max_chain_violation", "passed"])
     return 0 if passed else 1
 
 
@@ -183,7 +183,6 @@ def _cmd_theorem5_probe(cfg: RunConfig, args) -> int:
     grid = None
     if cfg.grid is not None:
         grid = GridSpec(r_points=cfg.grid, theta_points=1024)
-    rows = []
     entries = []
     all_positive = True
     for scale in scales:
@@ -192,12 +191,11 @@ def _cmd_theorem5_probe(cfg: RunConfig, args) -> int:
         bound = scale / float(np.sqrt(1.0 - scale * scale))
         gap = bound - ratios[best_name]
         all_positive = all_positive and gap > 0.0
-        rows.append([scale, bound, ratios[best_name], best_name, gap])
         entries.append({"R": scale, "bound": bound, "best_ratio": ratios[best_name],
                         "best_member": best_name, "gap": gap})
     report = {"command": "theorem5-probe", "entries": entries,
               "all_gaps_positive": all_positive}
-    _render(cfg, report, ["R", "bound", "best_ratio", "best_member", "gap"], rows)
+    _render(cfg, report, ["R", "bound", "best_ratio", "best_member", "gap"])
     return 0
 
 
@@ -206,17 +204,15 @@ def _cmd_bombieri(cfg: RunConfig, args) -> int:
         radii = [float(args.r)]
     else:
         radii = list(np.linspace(1.0 / 3.0, 1.0 / SQRT2, cfg.grid or 20))
-    rows = []
     entries = []
     for r in radii:
         closed = bombieri_m_infty(r)
         realized = mobius_majorant_sup(r)
         cauchy = 1.0 / float(np.sqrt(1.0 - r * r))
-        rows.append([r, closed, realized, cauchy])
         entries.append({"r": r, "m_infty": closed, "mobius_sup": realized,
                         "cauchy_bound": cauchy})
     report = {"command": "bombieri", "entries": entries}
-    _render(cfg, report, ["r", "m_infty", "mobius_sup", "cauchy_bound"], rows)
+    _render(cfg, report, ["r", "m_infty", "mobius_sup", "cauchy_bound"])
     return 0
 
 
@@ -232,33 +228,28 @@ def _cmd_weight_check(cfg: RunConfig, args) -> int:
                   "passed": rep.passed, "worst_margin": rep.worst_margin,
                   "violation_witness": rep.violation_witness}
         _render(cfg, report,
-                ["weight", "r0", "passed", "worst_margin", "violation_witness"],
-                [[args.weight, rep.r0, rep.passed, rep.worst_margin,
-                  rep.violation_witness]])
+                ["weight", "r0", "passed", "worst_margin", "violation_witness"])
         return 0
     found = find_admissible_r0(w, grid=grid, tol=tol)
     if found is None:
         report = {"command": "weight-check", "weight": args.weight,
                   "found": False, "r0": None}
-        _render(cfg, report, ["weight", "found", "r0"],
-                [[args.weight, False, None]])
+        _render(cfg, report, ["weight", "found", "r0"])
         return 0
     r0, rep = found
     report = {"command": "weight-check", "weight": args.weight, "found": True,
               "r0": r0, "passed": rep.passed, "worst_margin": rep.worst_margin}
-    _render(cfg, report, ["weight", "found", "r0", "passed", "worst_margin"],
-            [[args.weight, True, r0, rep.passed, rep.worst_margin]])
+    _render(cfg, report, ["weight", "found", "r0", "passed", "worst_margin"])
     return 0
 
 
 def _cmd_h_profile(cfg: RunConfig, args) -> int:
     n = args.n or cfg.grid or 512
     table = h_profile(args.r0, n_points=n)
-    rows = [list(row) for row in table]
     report = {"command": "h-profile", "r0": args.r0,
               "columns": ["r", "omega1", "omega2", "h"],
               "rows": [[float(v) for v in row] for row in table]}
-    _render(cfg, report, ["r", "omega1", "omega2", "h"], rows)
+    _render(cfg, report, report["columns"], report["rows"])
     return 0
 
 
@@ -283,9 +274,7 @@ def _cmd_sharpness(cfg: RunConfig, args) -> int:
                   passed=passed)
     _render(cfg, report,
             ["weight", "r0", "lhs_sup", "rhs_sup", "lhs_witness_r",
-             "rhs_witness_r", "relative_gap", "passed"],
-            [[args.weight, rep.r0, rep.lhs_sup, rep.rhs_sup, rep.lhs_witness_r,
-              rep.rhs_witness_r, rep.relative_gap, passed]])
+             "rhs_witness_r", "relative_gap", "passed"])
     return 0 if passed else 1
 
 
@@ -396,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(command=args.command, fmt=args.format, out=args.out,
-                    tol=args.tol, grid=args.grid)
+    cfg = RunConfig(fmt=args.format, out=args.out, tol=args.tol, grid=args.grid)
     try:
         return args.handler(cfg, args)
     except BlochBohrError as exc:

@@ -25,7 +25,7 @@ from .errors import (DivergenceRegionError, ParameterDomainError, PoleError,
                      PreconditionError)
 from .search import GridSpec, grid_golden_max
 from .series import DEFAULT_ORDER, TruncatedSeries, _check_certified, derivative, _horner
-from .weights import R0_MIN, SQRT2, Weight, criterion_check
+from .weights import SQRT2, Weight, _check_r0, criterion_check
 
 #: scan grid for sharpness verification (closed forms are cheap)
 SHARPNESS_GRID = GridSpec(r_points=10_000, r_max=1.0 - 1e-6)
@@ -40,9 +40,7 @@ class ExtremalSpec:
     truncation: int = DEFAULT_ORDER
 
     def __post_init__(self) -> None:
-        if not R0_MIN - 1e-12 <= self.r0 <= 1.0:
-            raise ParameterDomainError(
-                f"extremal anchor r0 must lie in [1/sqrt(2), 1], got {self.r0}")
+        _check_r0(self.r0)
         if self.truncation < 1:
             raise ParameterDomainError("truncation order must be >= 1")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * np.pi))
@@ -115,8 +113,7 @@ def extremal_sup_modulus(r0: float, r):
     theta = phi (at r0 = 0.8, r = 0.85: maximum 1.42901, this value
     1.01045).  The value does not depend on phi.
     """
-    if not R0_MIN - 1e-12 <= r0 <= 1.0:
-        raise ParameterDomainError(f"anchor r0 must lie in [1/sqrt(2), 1], got {r0}")
+    _check_r0(r0)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ParameterDomainError("radius must be nonnegative")
@@ -128,8 +125,7 @@ def extremal_sup_modulus(r0: float, r):
 
 def extremal_majorant_sum(r0: float, r):
     """sum |a_n| (r/sqrt(2))^n = (1/sqrt(2)) / (1 - r/(2 r0)) for r < 2 r0."""
-    if not R0_MIN - 1e-12 <= r0 <= 1.0:
-        raise ParameterDomainError(f"anchor r0 must lie in [1/sqrt(2), 1], got {r0}")
+    _check_r0(r0)
     r = np.asarray(r, dtype=float)
     if np.any(r == 2.0 * r0):
         raise PoleError(f"majorant sum has a pole at r = 2 r0 = {2.0 * r0:.6g}")

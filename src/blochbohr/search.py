@@ -4,10 +4,10 @@ Every grid supremum in the library (and the worst criterion margin, an
 infimum) goes through one primitive, ``scan_polish``: a uniform grid scan,
 then local polish of the best grid point's bracket, golden-section search
 for a maximum and plain trisection for a minimum.  On the angle circle the
-bracket wraps around; elsewhere it is clipped to the grid.  (The Theorem 1
-optimum in ``bounds`` keeps its own scan, which first checks for a single
-peak.)  Root-finding is bracketed bisection with an explicit sign-change
-check, converging on the residual rather than the bracket width.
+bracket wraps around; elsewhere it is clipped to the grid.  Root-finding
+is bracketed bisection with an explicit sign-change check, converging on
+the residual rather than the bracket width (``bisect_root``); a pass/fail
+threshold is bisected on the verdict alone (``bisect_flag``).
 """
 
 from __future__ import annotations
@@ -157,6 +157,27 @@ def bisect_root(g: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
             raise ConvergenceError(
                 f"bracket exhausted at {mid} with residual {gm:.3g} > {abs_tol:.3g}")
     raise ConvergenceError(f"no convergence to |g| <= {abs_tol:.3g} in {max_iter} iterations")
+
+
+def bisect_flag(test: Callable, lo: float, hi: float, found, tol: float,
+                max_iter: int):
+    """Sharpen a pass/fail threshold on [lo, hi] by bisection on the verdict.
+
+    ``test(x)`` returns a result when x passes and None when it fails; lo
+    must fail and hi must pass with result ``found``.  Halves the bracket
+    until ``hi - lo <= tol`` or ``max_iter`` halvings, and returns the
+    passing end with its result, (hi, result).
+    """
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        result = test(mid)
+        if result is None:
+            lo = mid
+        else:
+            hi, found = mid, result
+    return hi, found
 
 
 def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = False,

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import ParameterDomainError, ZeroDenominatorError
-from .search import GridSpec, scan_polish
+from .search import GridSpec, bisect_flag, scan_polish
 
 SQRT2 = float(np.sqrt(2.0))
 R0_MIN = 1.0 / SQRT2
@@ -224,20 +224,9 @@ def find_admissible_r0(w: Weight, r0_points: int = 100,
         if report is None:
             previous_fail = float(r0)
             continue
-        best = (float(r0), report)
         if previous_fail is None:
-            return best
-        lo, hi = previous_fail, float(r0)
-        for _ in range(60):
-            if hi - lo <= 1e-12:
-                break
-            mid = 0.5 * (lo + hi)
-            mid_report = check(mid)
-            if mid_report is None:
-                lo = mid
-            else:
-                hi, best = mid, (mid, mid_report)
-        return best
+            return float(r0), report
+        return bisect_flag(check, previous_fail, float(r0), report, 1e-12, 60)
     return None
 
 

@@ -9,7 +9,7 @@ from blochbohr import (GridSpec, NoSignChangeError, ParameterDomainError,
                        mobius_series, theorem1_optimize, theorem1_root,
                        theorem4_expression, theorem4_sup, theorem4_upper_bound,
                        theorem5_gap, theorem5_ratios, weighted_bloch_norm)
-from blochbohr.bounds import ProbeFunction, _t1_residual
+from blochbohr.bounds import S_CLIP, ProbeFunction, _t1_residual
 from conftest import random_polynomial
 
 SQRT2 = np.sqrt(2.0)
@@ -52,15 +52,32 @@ class TestTheorem1Optimize:
         assert abs(r_star - 0.563777) < 1e-5
         assert abs(s_star - 0.333771) < 1e-3
 
+    def test_envelope_optimum_pinned(self):
+        # root of 2 ln r + r^-2 = 2 and s* = ln(1 - r*^2) / (2 ln r*)
+        s_star, r_star = theorem1_optimize()
+        assert abs(s_star - 0.3337112243) < 1e-8
+        assert abs(r_star - 0.5637769354) < 1e-9
+
+    def test_envelope_point_solves_the_root_equation(self):
+        s_star, r_star = theorem1_optimize()
+        assert abs(_t1_residual(r_star, s_star)) <= 1e-9
+        assert r_star ** (2.0 * s_star) == pytest.approx(1.0 - r_star ** 2, abs=1e-12)
+
     def test_dominates_prior_constant(self):
         _, r_star = theorem1_optimize()
         assert r_star >= theorem1_root(0.5)
 
     def test_argmax_property(self):
+        # an independent scan of r(s) never beats the envelope optimum and
+        # its best grid point comes within the grid's quadratic loss of it
         _, r_star = theorem1_optimize()
-        rng = np.random.default_rng(13)
-        for s in rng.uniform(0.01, 0.99, size=50):
-            assert r_star >= theorem1_root(float(s)) - 1e-9
+        roots = [theorem1_root(float(s)) for s in np.linspace(S_CLIP[0], S_CLIP[1], 2001)]
+        assert max(roots) <= r_star + 1e-9
+        assert max(roots) >= r_star - 1e-7
+
+    def test_bad_bracket(self):
+        with pytest.raises(NoSignChangeError):
+            theorem1_optimize(SolverConfig(bracket=(0.6, 0.99)))
 
 
 class TestCoefficientBound:
