@@ -24,7 +24,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +45,10 @@ EXCEED_THRESHOLD = 1.0 + 1e-9
 #: lean scan grid for probe-family norms (margins there are large)
 PROBE_GRID = GridSpec(r_points=1024, theta_points=1024)
 
+#: parameter and radial sample counts of the Theorem 4 scans
+THEOREM4_A_POINTS = 200
+THEOREM4_R_POINTS = 2048
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -64,6 +68,10 @@ class SolverConfig:
             raise ParameterDomainError("max_iter must be >= 1")
 
 
+#: bisection settings of ``theorem4_upper_bound``: scales in (1/sqrt(2), 0.7691)
+THEOREM4_SEARCH = SolverConfig(abs_tol=1e-5, bracket=(1.0 / np.sqrt(2.0), 0.7691))
+
+
 @dataclass(frozen=True)
 class ScanReport:
     """Result of a parameter scan: best point found and threshold verdict."""
@@ -74,8 +82,7 @@ class ScanReport:
     samples: int
 
     def to_json_dict(self) -> dict:
-        return {"best_value": self.best_value, "best_params": dict(self.best_params),
-                "exceeded_threshold": self.exceeded_threshold, "samples": self.samples}
+        return asdict(self)
 
 
 def _t1_residual(r, s):
@@ -169,7 +176,20 @@ def theorem4_expression(a, scale: float, r):
     return out
 
 
-def theorem4_sup(a: float, scale: float, r_points: int = 2048,
+def theorem4_table(scale: float, a_points: int = THEOREM4_A_POINTS,
+                   r_points: int = THEOREM4_R_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    """``theorem4_expression`` on the (a, r) scan grid -> (a_grid, table).
+
+    a runs over (0, 1/sqrt(3)) and r over [0, 1], each with at least 2 points.
+    """
+    if min(a_points, r_points) < 2:
+        raise ParameterDomainError(f"a scan needs at least 2 points, got {a_points} x {r_points}")
+    a_grid = np.linspace(1e-6, A_MAX - 1e-9, a_points)
+    r_grid = np.linspace(0.0, 1.0, r_points)
+    return a_grid, theorem4_expression(a_grid[:, None], scale, r_grid[None, :])
+
+
+def theorem4_sup(a: float, scale: float, r_points: int = THEOREM4_R_POINTS,
                  refine: bool = True) -> tuple[float, float]:
     """sup over r in [0, 1] of ``theorem4_expression`` -> (value, witness_r)."""
     x, v = grid_golden_max(lambda r: theorem4_expression(a, scale, r),
@@ -177,24 +197,23 @@ def theorem4_sup(a: float, scale: float, r_points: int = 2048,
     return v, x
 
 
-def theorem4_upper_bound(cfg: SolverConfig | None = None, a_points: int = 200,
-                         r_points: int = 2048) -> ScanReport:
+def theorem4_upper_bound(cfg: SolverConfig | None = None,
+                         a_points: int = THEOREM4_A_POINTS,
+                         r_points: int = THEOREM4_R_POINTS) -> ScanReport:
     """Least scale R (by bisection) at which some a pushes the sup past 1.
 
     Any such R is an upper bound for the Bloch-space Bohr radius.  The
     expression grows monotonically in R, so bisection on the exceedance
-    flag is valid.  The default bracket is (1/sqrt(2), 0.7691).  The report
+    flag is valid; ``cfg`` defaults to ``THEOREM4_SEARCH``.  The report
     carries the certificate at the returned scale: best_params holds
     (R, a, r) and best_value the expression value there.
     """
-    cfg = cfg or SolverConfig(abs_tol=1e-5, bracket=(1.0 / np.sqrt(2.0), 0.7691))
-    a_grid = np.linspace(1e-6, A_MAX - 1e-9, a_points)
-    r_grid = np.linspace(0.0, 1.0, r_points)
+    cfg = cfg or THEOREM4_SEARCH
     samples = 0
 
     def exceeds(scale: float) -> tuple[float, float, float] | None:
         nonlocal samples
-        table = theorem4_expression(a_grid[:, None], scale, r_grid[None, :])
+        a_grid, table = theorem4_table(scale, a_points, r_points)
         samples += table.size
         i, _ = np.unravel_index(int(np.argmax(table)), table.shape)
         a_star = float(a_grid[i])

@@ -13,36 +13,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
-from .bounds import (SolverConfig, bombieri_m_infty, cauchy_chain_check,
-                     mobius_majorant_sup, theorem1_optimize, theorem1_root,
-                     theorem4_expression, theorem4_sup, theorem4_upper_bound,
-                     theorem5_ratios)
-from .errors import BlochBohrError
+from .bounds import (EXCEED_THRESHOLD, PROBE_GRID, THEOREM4_A_POINTS,
+                     THEOREM4_R_POINTS, THEOREM4_SEARCH, SolverConfig,
+                     bombieri_m_infty, cauchy_chain_check, mobius_majorant_sup,
+                     theorem1_optimize, theorem1_root, theorem4_sup, theorem4_table,
+                     theorem4_upper_bound, theorem5_ratios)
+from .errors import BlochBohrError, ParameterDomainError
 from .extremal import verify_sharpness
-from .norms import A_MAX, RadialSupReport, _series_radial_sup, weighted_bloch_norm
+from .norms import RadialSupReport, _series_radial_sup, weighted_bloch_norm
 from .search import GridSpec
 from .series import TruncatedSeries
-from .weights import (criterion_check, find_admissible_r0, h_profile,
+from .weights import (CRITERION_GRID, CRITERION_TOL, PROFILE_POINTS, SQRT2,
+                      criterion_check, find_admissible_r0, h_profile,
                       weight_from_token)
 
-SQRT2 = float(np.sqrt(2.0))
 DEFAULT_PROBE_SCALES = (0.3, 0.5, 1.0 / SQRT2, 0.9)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed global options of one CLI invocation."""
-
-    fmt: str
-    out: Optional[str]
-    tol: Optional[float]
-    grid: Optional[int]
 
 
 def _fmt9(x) -> str:
@@ -74,83 +64,72 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _deliver(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+def _deliver(args, text: str) -> None:
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _render(cfg: RunConfig, report: dict, header: list[str],
-            rows: Optional[list[list]] = None) -> None:
+def _render(args, report: dict, header: list[str],
+            rows: list[list] | None = None) -> None:
     """Write the report as JSON, or as CSV with the ``header`` columns.
 
     Without ``rows`` the CSV rows are read from the report: one per item of
     ``report["entries"]``, or else one from the report itself.
     """
-    if cfg.fmt == "json":
-        _deliver(cfg, _json(report))
+    if args.format == "json":
+        _deliver(args, _json(report))
         return
     if rows is None:
         rows = [[item[key] for key in header]
                 for item in report.get("entries", [report])]
-    _deliver(cfg, _csv(header, rows))
+    _deliver(args, _csv(header, rows))
 
 
-def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig() if cfg.tol is None else SolverConfig(abs_tol=cfg.tol)
-
-
-def _grid(cfg: RunConfig) -> GridSpec:
-    return GridSpec() if cfg.grid is None else GridSpec(r_points=cfg.grid)
-
-
-def _cmd_theorem1(cfg: RunConfig, args) -> int:
-    solver = _solver_config(cfg)
+def _cmd_theorem1(args) -> int:
+    solver = SolverConfig(abs_tol=args.tol)
     if args.optimize:
         s_star, r_star = theorem1_optimize(solver)
         report = {"command": "theorem1", "optimize": True,
                   "s_star": s_star, "r_star": r_star}
-        _render(cfg, report, ["s_star", "r_star"])
+        _render(args, report, ["s_star", "r_star"])
         return 0
     if args.s is None:
         raise BlochBohrError("theorem1 needs --s <value> or --optimize")
     root = theorem1_root(args.s, solver)
     report = {"command": "theorem1", "s": args.s, "r": root}
-    _render(cfg, report, ["s", "r"])
+    _render(args, report, ["s", "r"])
     return 0
 
 
-def _cmd_theorem4(cfg: RunConfig, args) -> int:
-    r_points = cfg.grid or 2048
+def _cmd_theorem4(args) -> int:
     if args.search:
-        solver = SolverConfig(abs_tol=cfg.tol or 1e-5,
-                              bracket=(1.0 / SQRT2, 0.7691))
-        scan = theorem4_upper_bound(solver, r_points=r_points)
+        scan = theorem4_upper_bound(replace(THEOREM4_SEARCH, abs_tol=args.tol),
+                                    r_points=args.grid)
         report = {"command": "theorem4", "search": True,
                   "upper_bound": scan.best_params["R"],
                   "best_value": scan.best_value,
                   "witness_a": scan.best_params["a"],
                   "witness_r": scan.best_params["r"],
                   "samples": scan.samples}
-        _render(cfg, report,
+        _render(args, report,
                 ["upper_bound", "best_value", "witness_a", "witness_r", "samples"])
         return 0
     if args.a is None or args.R is None:
         raise BlochBohrError("theorem4 needs --a and --R, or --search")
-    value, witness = theorem4_sup(args.a, args.R, r_points)
-    exceeded = value > 1.0 + 1e-9
+    value, witness = theorem4_sup(args.a, args.R, args.grid)
+    exceeded = value > EXCEED_THRESHOLD
     report = {"command": "theorem4", "a": args.a, "R": args.R,
               "sup_r": value, "witness_r": witness, "exceeded": exceeded}
-    _render(cfg, report, ["a", "R", "sup_r", "witness_r", "exceeded"])
+    _render(args, report, ["a", "R", "sup_r", "witness_r", "exceeded"])
     return 0
 
 
-def _cmd_theorem2_check(cfg: RunConfig, args) -> int:
-    tol = cfg.tol or 1e-9
-    a_grid = np.linspace(1e-6, A_MAX - 1e-9, args.a_points)
-    r_grid = np.linspace(0.0, 1.0, cfg.grid or 2048)
-    table = theorem4_expression(a_grid[:, None], 1.0 / SQRT2, r_grid[None, :])
+def _cmd_theorem2_check(args) -> int:
+    if args.samples < 1:
+        raise ParameterDomainError(f"--samples must be at least 1, got {args.samples}")
+    _, table = theorem4_table(1.0 / SQRT2, args.a_points, args.grid)
     max_expr = float(table.max())
 
     rng = np.random.default_rng(args.seed)
@@ -167,22 +146,20 @@ def _cmd_theorem2_check(cfg: RunConfig, args) -> int:
         r = float(rng.uniform(0.05, 0.95))
         v1, v2, v3 = cauchy_chain_check(series, w, scale, r)
         worst = max(worst, v1 - v2, v2 - v3)
-    passed = bool(max_expr <= 1.0 + 1e-9 and worst <= tol)
+    passed = bool(max_expr <= EXCEED_THRESHOLD and worst <= args.tol)
     report = {"command": "theorem2-check",
               "max_expression_at_sqrt2": max_expr,
               "chain_samples": args.samples,
               "max_chain_violation": float(worst),
               "passed": passed}
-    _render(cfg, report,
+    _render(args, report,
             ["max_expression_at_sqrt2", "chain_samples", "max_chain_violation", "passed"])
     return 0 if passed else 1
 
 
-def _cmd_theorem5_probe(cfg: RunConfig, args) -> int:
+def _cmd_theorem5_probe(args) -> int:
     scales = args.R or list(DEFAULT_PROBE_SCALES)
-    grid = None
-    if cfg.grid is not None:
-        grid = GridSpec(r_points=cfg.grid, theta_points=1024)
+    grid = replace(PROBE_GRID, r_points=args.grid)
     entries = []
     all_positive = True
     for scale in scales:
@@ -195,15 +172,14 @@ def _cmd_theorem5_probe(cfg: RunConfig, args) -> int:
                         "best_member": best_name, "gap": gap})
     report = {"command": "theorem5-probe", "entries": entries,
               "all_gaps_positive": all_positive}
-    _render(cfg, report, ["R", "bound", "best_ratio", "best_member", "gap"])
+    _render(args, report, ["R", "bound", "best_ratio", "best_member", "gap"])
     return 0
 
 
-def _cmd_bombieri(cfg: RunConfig, args) -> int:
-    if args.r is not None:
-        radii = [float(args.r)]
-    else:
-        radii = list(np.linspace(1.0 / 3.0, 1.0 / SQRT2, cfg.grid or 20))
+def _cmd_bombieri(args) -> int:
+    if args.r is None and args.grid < 1:
+        raise ParameterDomainError(f"--grid must be at least 1, got {args.grid}")
+    radii = [args.r] if args.r is not None else np.linspace(1.0 / 3.0, 1.0 / SQRT2, args.grid)
     entries = []
     for r in radii:
         closed = bombieri_m_infty(r)
@@ -212,58 +188,50 @@ def _cmd_bombieri(cfg: RunConfig, args) -> int:
         entries.append({"r": r, "m_infty": closed, "mobius_sup": realized,
                         "cauchy_bound": cauchy})
     report = {"command": "bombieri", "entries": entries}
-    _render(cfg, report, ["r", "m_infty", "mobius_sup", "cauchy_bound"])
+    _render(args, report, ["r", "m_infty", "mobius_sup", "cauchy_bound"])
     return 0
 
 
-def _cmd_weight_check(cfg: RunConfig, args) -> int:
+def _cmd_weight_check(args) -> int:
     w = weight_from_token(args.weight)
-    tol = cfg.tol if cfg.tol is not None else 1e-12
-    grid = None
-    if cfg.grid is not None:
-        grid = GridSpec(r_points=cfg.grid, r_max=1.0 - 1e-6)
+    grid = replace(CRITERION_GRID, r_points=args.grid)
     if args.r0 is not None:
-        rep = criterion_check(w, args.r0, grid=grid, tol=tol)
+        rep = criterion_check(w, args.r0, grid=grid, tol=args.tol)
         report = {"command": "weight-check", "weight": args.weight, "r0": rep.r0,
                   "passed": rep.passed, "worst_margin": rep.worst_margin,
                   "violation_witness": rep.violation_witness}
-        _render(cfg, report,
+        _render(args, report,
                 ["weight", "r0", "passed", "worst_margin", "violation_witness"])
         return 0
-    found = find_admissible_r0(w, grid=grid, tol=tol)
+    found = find_admissible_r0(w, grid=grid, tol=args.tol)
     if found is None:
         report = {"command": "weight-check", "weight": args.weight,
                   "found": False, "r0": None}
-        _render(cfg, report, ["weight", "found", "r0"])
+        _render(args, report, ["weight", "found", "r0"])
         return 0
     r0, rep = found
     report = {"command": "weight-check", "weight": args.weight, "found": True,
               "r0": r0, "passed": rep.passed, "worst_margin": rep.worst_margin}
-    _render(cfg, report, ["weight", "found", "r0", "passed", "worst_margin"])
+    _render(args, report, ["weight", "found", "r0", "passed", "worst_margin"])
     return 0
 
 
-def _cmd_h_profile(cfg: RunConfig, args) -> int:
-    n = args.n or cfg.grid or 512
-    table = h_profile(args.r0, n_points=n)
+def _cmd_h_profile(args) -> int:
+    table = h_profile(args.r0, n_points=args.n)
     report = {"command": "h-profile", "r0": args.r0,
               "columns": ["r", "omega1", "omega2", "h"],
               "rows": [[float(v) for v in row] for row in table]}
-    _render(cfg, report, report["columns"], report["rows"])
+    _render(args, report, report["columns"], report["rows"])
     return 0
 
 
-def _cmd_sharpness(cfg: RunConfig, args) -> int:
+def _cmd_sharpness(args) -> int:
     w = weight_from_token(args.weight)
-    grid = None
-    if cfg.grid is not None:
-        grid = GridSpec(r_points=cfg.grid, r_max=1.0 - 1e-6)
-    rep = verify_sharpness(w, args.r0, grid=grid)
-    gap_tol = cfg.tol if cfg.tol is not None else 1e-9
+    rep = verify_sharpness(w, args.r0, grid=replace(CRITERION_GRID, r_points=args.grid))
     witness_tol = 2.0 * rep.grid_step
     witnesses_ok = (abs(rep.lhs_witness_r - rep.r0) <= witness_tol
                     and abs(rep.rhs_witness_r - rep.r0) <= witness_tol)
-    passed = rep.relative_gap <= gap_tol and witnesses_ok
+    passed = rep.relative_gap <= args.tol and witnesses_ok
     verdict = "PASS" if passed else "FAIL"
     # human-readable verdict on stderr; stdout carries only the report
     sys.stderr.write(
@@ -272,13 +240,13 @@ def _cmd_sharpness(cfg: RunConfig, args) -> int:
         f"relative gap {rep.relative_gap:.3e})\n")
     report = dict(rep.to_json_dict(), command="sharpness", weight=args.weight,
                   passed=passed)
-    _render(cfg, report,
+    _render(args, report,
             ["weight", "r0", "lhs_sup", "rhs_sup", "lhs_witness_r",
              "rhs_witness_r", "relative_gap", "passed"])
     return 0 if passed else 1
 
 
-def _cmd_norms(cfg: RunConfig, args) -> int:
+def _cmd_norms(args) -> int:
     if args.series:
         series = TruncatedSeries.from_json_dict(
             json.loads(Path(args.series).read_text()))
@@ -288,15 +256,21 @@ def _cmd_norms(cfg: RunConfig, args) -> int:
     else:
         raise BlochBohrError("norms needs --series <path> or --coeffs <list>")
     w = weight_from_token(args.weight)
-    grid = _grid(cfg)
+    grid = GridSpec(r_points=args.grid)
     norm = weighted_bloch_norm(series, w, grid)
     sup = RadialSupReport(*_series_radial_sup(series, w, grid), grid=grid)
     report = {"command": "norms", "weight": args.weight, "bloch_norm": norm,
               "radial_sup": sup.to_json_dict()}
-    _render(cfg, report,
+    _render(args, report,
             ["weight", "bloch_norm", "sup_value", "witness_r", "witness_theta"],
             [[args.weight, norm, sup.value, sup.witness_r, sup.witness_theta]])
     return 0
+
+
+def _option(p: argparse.ArgumentParser, flag: str, default, what: str) -> None:
+    """A numeric option of the type of its ``default``, shown in the help."""
+    p.add_argument(flag, type=type(default), default=default,
+                   help=f"{what} (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
     shared.add_argument("--out", metavar="PATH", help="write output to a file")
-    shared.add_argument("--tol", type=float, help="override the main tolerance")
-    shared.add_argument("--grid", type=int, metavar="COUNT",
-                        help="override the main scan resolution")
 
     parser = argparse.ArgumentParser(
         prog="blochbohr",
@@ -319,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, help="exponent in (0, 1)")
     p.add_argument("--optimize", action="store_true",
                    help="maximize the root over the exponent")
+    _option(p, "--tol", SolverConfig.abs_tol, "residual tolerance of the root bisection")
     p.set_defaults(handler=_cmd_theorem1)
 
     p = sub.add_parser("theorem4", parents=[shared],
@@ -327,15 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, help="majorant scale")
     p.add_argument("--search", action="store_true",
                    help="bisect for the least scale exceeding 1")
+    _option(p, "--grid", THEOREM4_R_POINTS, "radial samples of each sup scan")
+    _option(p, "--tol", THEOREM4_SEARCH.abs_tol, "scale tolerance of --search")
     p.set_defaults(handler=_cmd_theorem4)
 
     p = sub.add_parser("theorem2-check", parents=[shared],
                        help="consistency of the sqrt(2) lower bound and the "
                             "Cauchy-Schwarz chain")
-    p.add_argument("--samples", type=int, default=200,
-                   help="random chain samples (default 200)")
-    p.add_argument("--a-points", type=int, default=200,
-                   help="parameter grid for the scale-1/sqrt(2) scan")
+    _option(p, "--samples", 200, "random chain samples")
+    _option(p, "--a-points", THEOREM4_A_POINTS,
+            "parameter samples of the scale-1/sqrt(2) scan")
+    _option(p, "--grid", THEOREM4_R_POINTS, "radial samples of the scale-1/sqrt(2) scan")
+    _option(p, "--tol", 1e-9, "largest admissible chain violation")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_theorem2_check)
 
@@ -343,12 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="strictness probe of the Bloch majorant bound")
     p.add_argument("--R", type=float, action="append",
                    help="scale to probe (repeatable; default four canonical scales)")
+    _option(p, "--grid", PROBE_GRID.r_points, "radial samples of each seminorm scan")
     p.set_defaults(handler=_cmd_theorem5_probe)
 
     p = sub.add_parser("bombieri", parents=[shared],
                        help="closed form and Mobius realization of the bounded-"
                             "function majorant supremum")
     p.add_argument("--r", type=float, help="single radius in [1/3, 1/sqrt(2)]")
+    _option(p, "--grid", 20, "radii on [1/3, 1/sqrt(2)] when --r is omitted")
     p.set_defaults(handler=_cmd_bombieri)
 
     p = sub.add_parser("weight-check", parents=[shared],
@@ -357,18 +334,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="standard | constant | example2:r0=..,alpha=.. | "
                         "example3:r0=..,alpha=..")
     p.add_argument("--r0", type=float, help="anchor radius; omit to auto-search")
+    _option(p, "--grid", CRITERION_GRID.r_points, "radial samples of the criterion scan")
+    _option(p, "--tol", CRITERION_TOL, "margin a pass tolerates below 0")
     p.set_defaults(handler=_cmd_weight_check)
 
     p = sub.add_parser("h-profile", parents=[shared],
                        help="tabulate the criterion bounds and their minimum")
     p.add_argument("--r0", type=float, required=True)
-    p.add_argument("--n", type=int, help="sample count (default 512)")
+    _option(p, "--n", PROFILE_POINTS, "sample count")
     p.set_defaults(handler=_cmd_h_profile)
 
     p = sub.add_parser("sharpness", parents=[shared],
                        help="verify the sharpness identity for a weight at r0")
     p.add_argument("--weight", required=True)
     p.add_argument("--r0", type=float, required=True)
+    _option(p, "--grid", CRITERION_GRID.r_points, "radial samples of every scan")
+    _option(p, "--tol", 1e-9, "largest relative gap of a PASS")
     p.set_defaults(handler=_cmd_sharpness)
 
     p = sub.add_parser("norms", parents=[shared],
@@ -378,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", metavar="LIST",
                    help="inline real polynomial coefficients, comma-separated")
     p.add_argument("--weight", default="standard")
+    _option(p, "--grid", GridSpec.r_points, "radial samples of both scans")
     p.set_defaults(handler=_cmd_norms)
     return parser
 
@@ -385,9 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(fmt=args.format, out=args.out, tol=args.tol, grid=args.grid)
     try:
-        return args.handler(cfg, args)
+        return args.handler(args)
     except BlochBohrError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

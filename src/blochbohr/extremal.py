@@ -17,7 +17,7 @@ at r0; ``verify_sharpness`` checks this numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,10 +25,7 @@ from .errors import (DivergenceRegionError, ParameterDomainError, PoleError,
                      PreconditionError)
 from .search import GridSpec, grid_golden_max
 from .series import DEFAULT_ORDER, TruncatedSeries, _check_certified, derivative, _horner
-from .weights import SQRT2, Weight, _check_r0, criterion_check
-
-#: scan grid for sharpness verification (closed forms are cheap)
-SHARPNESS_GRID = GridSpec(r_points=10_000, r_max=1.0 - 1e-6)
+from .weights import CRITERION_GRID, SQRT2, Weight, _check_r0, criterion_check
 
 
 @dataclass(frozen=True)
@@ -65,11 +62,7 @@ class SharpnessReport:
     grid_step: float
 
     def to_json_dict(self) -> dict:
-        return {"lhs_sup": self.lhs_sup, "rhs_sup": self.rhs_sup,
-                "lhs_witness_r": self.lhs_witness_r,
-                "rhs_witness_r": self.rhs_witness_r,
-                "relative_gap": self.relative_gap,
-                "r0": self.r0, "grid_step": self.grid_step}
+        return asdict(self)
 
 
 def extremal_eval(spec: ExtremalSpec, z):
@@ -194,7 +187,7 @@ def verify_sharpness(w: Weight, r0: float,
     criterion holds, both witnesses equal r0 and the relative gap vanishes
     up to rounding.
     """
-    grid = grid or SHARPNESS_GRID
+    grid = grid or CRITERION_GRID
     report = criterion_check(w, r0, grid=grid)
     if not report.passed:
         raise PreconditionError(

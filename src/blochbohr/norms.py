@@ -14,7 +14,7 @@ C(a) (n+1)(n/2 - a^2/(1-a^2)) a^n and the closed form of its majorant sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,8 +40,7 @@ class RadialSupReport:
     grid: GridSpec
 
     def to_json_dict(self) -> dict:
-        return {"value": self.value, "witness_r": self.witness_r,
-                "witness_theta": self.witness_theta, "grid": self.grid.to_dict()}
+        return asdict(self)
 
 
 def _abs_coeff_sum(mods: np.ndarray, r) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, NoSignChangeError
+from .errors import ConvergenceError, NoSignChangeError, ParameterDomainError
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -39,12 +39,12 @@ class GridSpec:
     refine_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.r_points < 2 or self.theta_points < 1:
-            raise ValueError("grid needs at least 2 radial and 1 angular point")
+        if self.r_points < 2 or self.theta_points < 2:
+            raise ParameterDomainError("grid needs at least 2 radial and 2 angular points")
         if not 0.0 <= self.r_min < self.r_max:
-            raise ValueError("grid requires 0 <= r_min < r_max")
+            raise ParameterDomainError("grid requires 0 <= r_min < r_max")
         if self.refine_tol <= 0.0:
-            raise ValueError("refine_tol must be positive")
+            raise ParameterDomainError("refine_tol must be positive")
 
     def radii(self) -> np.ndarray:
         return np.linspace(self.r_min, self.r_max, self.r_points)
@@ -195,11 +195,13 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
     [0, period), and is clipped to the grid otherwise.  The polished point
     is kept only when strictly better, so plateau witnesses stay put.
     """
+    if len(xs) < 2:
+        raise ParameterDomainError(f"a scan needs at least 2 points, got {len(xs)}")
     vals = np.asarray(f(xs) if values is None else values, dtype=float)
     i = int(np.argmin(vals) if minimize else np.argmax(vals))
     best_x = float(xs[i])
     best_f = _feval(f, best_x) if rescore else float(vals[i])
-    if not refine or len(xs) < 2:
+    if not refine:
         return best_x, best_f
     if period is None:
         a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])

@@ -26,6 +26,9 @@ CRITERION_GRID = GridSpec(r_points=10_000, r_max=1.0 - 1e-6)
 #: equality in the criterion is admissible, so passing tolerates tiny rounding
 CRITERION_TOL = 1e-12
 
+#: default sample count of ``h_profile``
+PROFILE_POINTS = 512
+
 
 @dataclass(frozen=True)
 class Weight:
@@ -153,15 +156,17 @@ def _check_r0(r0: float) -> float:
     return float(r0)
 
 
+def _omegas(r, r0: float):
+    return 2.0 - r / r0, (SQRT2 * r0 + r) / (SQRT2 * r + r0)
+
+
 def criterion_bound(r, r0: float):
     """h(r) = min(2 - r/r0, (sqrt(2) r0 + r)/(sqrt(2) r + r0))."""
     r0 = _check_r0(r0)
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ParameterDomainError("criterion bound is evaluated on [0, 1)")
-    w1 = 2.0 - arr / r0
-    w2 = (SQRT2 * r0 + arr) / (SQRT2 * arr + r0)
-    out = np.minimum(w1, w2)
+    out = np.minimum(*_omegas(arr, r0))
     if arr.ndim == 0:
         return float(out)
     return out
@@ -230,7 +235,7 @@ def find_admissible_r0(w: Weight, r0_points: int = 100,
     return None
 
 
-def h_profile(r0: float, n_points: int = 512, r_max: float = 1.0 - 1e-6,
+def h_profile(r0: float, n_points: int = PROFILE_POINTS, r_max: float = 1.0 - 1e-6,
               include_r0: bool = True) -> np.ndarray:
     """Tabulate (r, omega1, omega2, h) for plotting.
 
@@ -244,6 +249,5 @@ def h_profile(r0: float, n_points: int = 512, r_max: float = 1.0 - 1e-6,
     radii = np.linspace(0.0, r_max, n_points)
     if include_r0 and r0 <= r_max:
         radii = np.union1d(radii, [r0])
-    w1 = 2.0 - radii / r0
-    w2 = (SQRT2 * r0 + radii) / (SQRT2 * radii + r0)
+    w1, w2 = _omegas(radii, r0)
     return np.column_stack([radii, w1, w2, np.minimum(w1, w2)])

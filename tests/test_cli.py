@@ -1,9 +1,16 @@
+import inspect
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blochbohr.cli import main
+from blochbohr.bounds import (PROBE_GRID, THEOREM4_A_POINTS, THEOREM4_R_POINTS,
+                              THEOREM4_SEARCH, SolverConfig, theorem4_sup,
+                              theorem4_upper_bound)
+from blochbohr.cli import build_parser, main
+from blochbohr.search import GridSpec
+from blochbohr.weights import CRITERION_GRID, CRITERION_TOL, h_profile
 
 SQRT2 = np.sqrt(2.0)
 
@@ -251,3 +258,93 @@ class TestParser:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "m_infty" in proc.stdout
+
+
+class TestOptionDefaults:
+    """Every --grid/--tol defaults to the library value it overrides."""
+
+    # each subcommand with a cheap invocation and the overrides it accepts
+    INVOCATIONS = [
+        (("theorem1", "--s", "0.5"), ("tol",)),
+        (("theorem4", "--a", "0.35", "--R", "0.769"), ("grid",)),
+        (("theorem4", "--search"), ("grid", "tol")),
+        (("theorem2-check", "--samples", "5"), ("grid", "tol", "a_points")),
+        (("theorem5-probe", "--R", "0.5"), ("grid",)),
+        (("bombieri",), ("grid",)),
+        (("weight-check", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8"),
+         ("grid", "tol")),
+        (("sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8"),
+         ("grid", "tol")),
+        (("norms", "--coeffs", "0,1,-0.5"), ("grid",)),
+        (("h-profile", "--r0", "0.8"), ("n",)),
+    ]
+
+    def test_defaults_are_library_constants(self):
+        def defaults(*argv):
+            return vars(build_parser().parse_args(list(argv)))
+
+        assert defaults("theorem1")["tol"] == SolverConfig().abs_tol
+        t4 = defaults("theorem4")
+        assert (t4["grid"], t4["tol"]) == (THEOREM4_R_POINTS, THEOREM4_SEARCH.abs_tol)
+        assert THEOREM4_SEARCH == SolverConfig(abs_tol=1e-5,
+                                               bracket=(1.0 / SQRT2, 0.7691))
+        t2 = defaults("theorem2-check")
+        assert (t2["grid"], t2["a_points"]) == (THEOREM4_R_POINTS, THEOREM4_A_POINTS)
+        sig = inspect.signature(theorem4_upper_bound).parameters
+        assert sig["a_points"].default == THEOREM4_A_POINTS
+        assert sig["r_points"].default == THEOREM4_R_POINTS
+        assert inspect.signature(theorem4_sup).parameters["r_points"].default \
+            == THEOREM4_R_POINTS
+        assert replace(PROBE_GRID, r_points=defaults("theorem5-probe", "--R", "0.5")
+                       ["grid"]) == PROBE_GRID
+        wc = defaults("weight-check", "--weight", "standard")
+        assert replace(CRITERION_GRID, r_points=wc["grid"]) == CRITERION_GRID
+        assert wc["tol"] == CRITERION_TOL
+        sh = defaults("sharpness", "--weight", "standard", "--r0", "0.8")
+        assert replace(CRITERION_GRID, r_points=sh["grid"]) == CRITERION_GRID
+        assert GridSpec(r_points=defaults("norms")["grid"]) == GridSpec()
+        assert defaults("h-profile", "--r0", "0.8")["n"] \
+            == inspect.signature(h_profile).parameters["n_points"].default
+
+    @pytest.mark.parametrize("argv,options", INVOCATIONS,
+                             ids=[" ".join(a[:2]) for a, _ in INVOCATIONS])
+    def test_default_value_prints_same_bytes_as_omitting(self, capsys, argv, options):
+        base = run(capsys, *argv)
+        assert base[0] in (0, 1) and base[1]
+        parsed = vars(build_parser().parse_args(list(argv)))
+        for dest in options:
+            flag = "--" + dest.replace("_", "-")
+            assert run(capsys, *argv, flag, repr(parsed[dest])) == base, flag
+
+    @pytest.mark.parametrize("argv", [
+        ("theorem4", "--a", "0.35", "--R", "0.769", "--grid", "1"),
+        ("theorem4", "--search", "--tol", "0"),
+        ("theorem2-check", "--samples", "0"),
+        ("theorem2-check", "--a-points", "0"),
+        ("theorem2-check", "--grid", "0"),
+        ("bombieri", "--grid", "0"),
+        ("h-profile", "--r0", "0.8", "--n", "0"),
+        ("norms", "--coeffs", "0,1", "--grid", "1"),
+        ("weight-check", "--weight", "standard", "--r0", "0.8", "--grid", "1"),
+        ("theorem5-probe", "--R", "0.5", "--grid", "1"),
+        ("sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8",
+         "--grid", "1"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_edge_inputs_are_library_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("theorem1", "--s", "0.5", "--grid", "10"),
+        ("theorem5-probe", "--R", "0.5", "--tol", "1"),
+        ("bombieri", "--tol", "1"),
+        ("h-profile", "--r0", "0.8", "--tol", "1"),
+        ("norms", "--coeffs", "0,1", "--tol", "1"),
+        ("h-profile", "--r0", "0.8", "--grid", "10"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_ignored_options_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from blochbohr import (ConvergenceError, GridSpec, NoSignChangeError, bisect_root,
-                       golden_max, grid_golden_max, trisect_min)
+from blochbohr import (ConvergenceError, GridSpec, NoSignChangeError,
+                       ParameterDomainError, bisect_root, golden_max, grid_golden_max,
+                       trisect_min)
 from blochbohr.search import bisect_flag, scan_polish
 
 
@@ -94,6 +95,17 @@ def test_grid_golden_max_plateau_reports_smallest(scan):
     assert fx == 1.0
 
 
+@pytest.mark.parametrize("scan", [
+    lambda f: grid_golden_max(f, 0.0, 1.0, 1),
+    lambda f: grid_golden_max(f, 0.0, 1.0, 1, refine=False),
+    lambda f: scan_polish(f, np.array([0.5]), minimize=True),
+    lambda f: scan_polish(f, np.array([])),
+], ids=["grid_golden_max", "unrefined", "scan_polish_minimize", "empty"])
+def test_scan_needs_two_points(scan):
+    with pytest.raises(ParameterDomainError, match="at least 2 points"):
+        scan(lambda x: np.sin(np.asarray(x)))
+
+
 def test_scan_polish_periodic_bracket_wraps_below_zero():
     # the maximum sits just below theta = 0, so the grid winner is theta = 0
     # and only a bracket reaching past the seam can find it
@@ -139,11 +151,13 @@ def test_scan_polish_minimizes_a_kink():
 
 
 def test_gridspec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         GridSpec(r_points=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
+        GridSpec(theta_points=1)
+    with pytest.raises(ParameterDomainError):
         GridSpec(r_min=0.5, r_max=0.4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         GridSpec(refine_tol=0.0)
     g = GridSpec(r_points=11, r_min=0.0, r_max=1.0)
     assert g.radii().size == 11
