@@ -5,18 +5,18 @@ series with certified tails, weighted Bloch norms, the admissibility
 criterion for weights at the scale 1/sqrt(2), degree-one Blaschke extremal
 functions with end-to-end sharpness verification, and the quantitative
 bound computations (root-finding lower bound, test-function upper bound,
-the bounded-function majorant supremum, and a strictness probe).
+the bounded-function majorant supremum, and a strictness probe that reuses
+the upper bound's test functions).
 
 Everything is pure and deterministic; suprema are grid scans with
 golden-section polish and report their witness points.
 """
 
-from .bounds import (ScanReport, SolverConfig, bloch_coefficient_bound_check,
-                     bombieri_m_infty, cauchy_chain_check, default_probe_family,
-                     mobius_majorant_sum, mobius_majorant_sup, mobius_series,
-                     theorem1_optimize, theorem1_root, theorem4_expression,
-                     theorem4_sup, theorem4_upper_bound, theorem5_gap,
-                     theorem5_ratios)
+from .bounds import (ScanReport, SolverConfig, best_test_ratio, bombieri_m_infty,
+                     cauchy_chain_check, mobius_majorant_sum, mobius_majorant_sup,
+                     mobius_series, theorem1_optimize, theorem1_root,
+                     theorem4_expression, theorem4_sup, theorem4_upper_bound,
+                     theorem5_gap, theorem5_ratios)
 from .errors import (BlochBohrError, ConvergenceError, DivergenceRegionError,
                      EvaluatorDomainError, NoSignChangeError, ParameterDomainError,
                      PoleError, PreconditionError, ZeroDenominatorError)
@@ -44,10 +44,10 @@ __all__ = [
     "RadialSupReport", "ScanReport", "SeriesValue", "SharpnessReport",
     "SolverConfig", "TruncatedSeries", "Weight", "ZeroDenominatorError",
     "avkhadiev_coefficients", "avkhadiev_eval", "avkhadiev_majorant_closed_form",
-    "bisect_root", "blaschke_degree", "blaschke_degree_montecarlo",
-    "bloch_coefficient_bound_check", "bombieri_m_infty", "builtin_weight",
+    "best_test_ratio", "bisect_root", "blaschke_degree",
+    "blaschke_degree_montecarlo", "bombieri_m_infty", "builtin_weight",
     "cauchy_chain_check", "circle_norms", "circle_sup", "coefficient_sum",
-    "criterion_bound", "criterion_check", "default_probe_family", "derivative",
+    "criterion_bound", "criterion_check", "derivative",
     "eval_series", "extremal_coefficients", "extremal_eval",
     "extremal_majorant_sum", "extremal_sup_modulus", "find_admissible_r0",
     "golden_max", "grid_golden_max", "h_profile", "majorant",

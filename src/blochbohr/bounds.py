@@ -18,19 +18,23 @@
   (3 - sqrt(8(1-r^2)))/r of the bounded-function majorant supremum on
   [1/3, 1/sqrt(2)], and its independent realization by the Mobius family
   a + (1-a^2) r / (1-ar).
-* ``theorem5_gap``: numerical strictness probe of
-  m_Bloch(R) < R/sqrt(1-R^2) over a finite test-function family.
+* ``best_test_ratio`` / ``theorem5_gap``: the best Theorem 4 test-function
+  ratio at a scale, which ``theorem4_upper_bound`` drives past 1 and the
+  strictness probe of m_Bloch(R) < R/sqrt(1-R^2) subtracts from the bound.
+  For f with f' = g_a (``norms.avkhadiev_eval``, sup (1-|z|^2)|g_a| = 1)
+  the majorant-to-function Bloch seminorm ratio is exactly
+  ``theorem4_sup(a, R)``, because the majorant of g_a has nonnegative
+  coefficients.  ``theorem5_ratios`` computes the same ratio for any
+  series through the seminorm scans.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ParameterDomainError, PoleError
-from .extremal import ExtremalSpec, extremal_coefficients
 from .norms import A_MAX, avkhadiev_majorant_closed_form, weighted_bloch_seminorm
 from .search import GridSpec, bisect_flag, bisect_root, grid_golden_max
 from .series import TruncatedSeries, circle_norms, coefficient_sum, majorant, scale_argument
@@ -42,7 +46,7 @@ S_CLIP = (1e-4, 1.0 - 1e-4)
 #: "exceeds 1" means strictly above this, to avoid rounding-false positives
 EXCEED_THRESHOLD = 1.0 + 1e-9
 
-#: lean scan grid for probe-family norms (margins there are large)
+#: lean scan grid of the seminorms in ``theorem5_ratios`` (margins there are large)
 PROBE_GRID = GridSpec(r_points=1024, theta_points=1024)
 
 #: parameter and radial sample counts of the Theorem 4 scans
@@ -126,20 +130,6 @@ def theorem1_optimize(cfg: SolverConfig | None = None) -> tuple[float, float]:
     return float(s_star), float(r_star)
 
 
-def bloch_coefficient_bound_check(s: TruncatedSeries, r: float) -> float:
-    """Margin r^2/(1-r^2)^2 - sum n^2 |a_n|^2 r^{2n}.
-
-    Nonnegative whenever the series has standard-weight Bloch norm <= 1
-    (caller-asserted).
-    """
-    r = float(r)
-    if not 0.0 < r < 1.0:
-        raise ParameterDomainError("radius must lie in (0, 1)")
-    n = np.arange(s.coeffs.size, dtype=float)
-    weighted = float(np.sum(n ** 2 * np.abs(s.coeffs) ** 2 * r ** (2.0 * n)))
-    return r * r / (1.0 - r * r) ** 2 - weighted
-
-
 def cauchy_chain_check(s: TruncatedSeries, w: Weight, scale: float, r: float,
                        grid: GridSpec | None = None) -> tuple[float, float, float]:
     """The three chain values at (R, r); weakly increasing for every input.
@@ -197,10 +187,28 @@ def theorem4_sup(a: float, scale: float, r_points: int = THEOREM4_R_POINTS,
     return v, x
 
 
+def best_test_ratio(scale: float, a_points: int = THEOREM4_A_POINTS,
+                    r_points: int = THEOREM4_R_POINTS) -> tuple[float, float, float]:
+    """Best ``theorem4_sup`` over the a grid at the scale R -> (value, a, r).
+
+    The (a, r) table picks the best a, and ``theorem4_sup`` polishes the
+    radial supremum there.  The value is the majorant-to-function Bloch
+    seminorm ratio of the best test function f' = g_a.
+    """
+    scale = float(scale)
+    if not 0.0 < scale < 1.0:
+        raise ParameterDomainError("the scale R must lie in (0, 1)")
+    a_grid, table = theorem4_table(scale, a_points, r_points)
+    i, _ = np.unravel_index(int(np.argmax(table)), table.shape)
+    a_star = float(a_grid[i])
+    value, r_star = theorem4_sup(a_star, scale, r_points)
+    return value, a_star, r_star
+
+
 def theorem4_upper_bound(cfg: SolverConfig | None = None,
                          a_points: int = THEOREM4_A_POINTS,
                          r_points: int = THEOREM4_R_POINTS) -> ScanReport:
-    """Least scale R (by bisection) at which some a pushes the sup past 1.
+    """Least scale R (by bisection) at which ``best_test_ratio`` exceeds 1.
 
     Any such R is an upper bound for the Bloch-space Bohr radius.  The
     expression grows monotonically in R, so bisection on the exceedance
@@ -213,12 +221,9 @@ def theorem4_upper_bound(cfg: SolverConfig | None = None,
 
     def exceeds(scale: float) -> tuple[float, float, float] | None:
         nonlocal samples
-        a_grid, table = theorem4_table(scale, a_points, r_points)
-        samples += table.size
-        i, _ = np.unravel_index(int(np.argmax(table)), table.shape)
-        a_star = float(a_grid[i])
-        value, r_star = theorem4_sup(a_star, scale, r_points)
-        return (value, a_star, r_star) if value > EXCEED_THRESHOLD else None
+        samples += a_points * r_points
+        found = best_test_ratio(scale, a_points, r_points)
+        return found if found[0] > EXCEED_THRESHOLD else None
 
     lo, hi = cfg.bracket
     if exceeds(lo) is not None:
@@ -309,47 +314,20 @@ class ProbeFunction:
         return self._norms[key]
 
 
-@lru_cache(maxsize=1)
-def default_probe_family() -> tuple[ProbeFunction, ...]:
-    """The documented strictness-probe family: monomials, low-degree
-    polynomials, disc automorphisms (plain and dilated), and degree-one
-    Blaschke extremals.  Finite and explicitly non-exhaustive.
-    """
-    members = [
-        ProbeFunction("z", TruncatedSeries.polynomial([0.0, 1.0])),
-        ProbeFunction("z^2", TruncatedSeries.polynomial([0.0, 0.0, 1.0])),
-        ProbeFunction("z^3", TruncatedSeries.polynomial([0.0, 0.0, 0.0, 1.0])),
-        ProbeFunction("1+z", TruncatedSeries.polynomial([1.0, 1.0])),
-        ProbeFunction("z+z^2/2", TruncatedSeries.polynomial([0.0, 1.0, 0.5])),
-        ProbeFunction("1-z+z^2", TruncatedSeries.polynomial([1.0, -1.0, 1.0])),
-        ProbeFunction("0.5+iz-0.3z^2",
-                      TruncatedSeries.polynomial([0.5, 1.0j, -0.3])),
-    ]
-    for alpha in (0.3, 0.5, 1.0 / np.sqrt(2.0), 0.9):
-        members.append(ProbeFunction(f"mobius({alpha:.4f})", mobius_series(alpha)))
-    members.append(ProbeFunction(
-        "mobius(0.7071) at 0.9z",
-        scale_argument(mobius_series(1.0 / np.sqrt(2.0)), 0.9)))
-    for r0 in (0.75, 0.9):
-        members.append(ProbeFunction(
-            f"extremal(r0={r0})", extremal_coefficients(ExtremalSpec(r0=r0))))
-    return tuple(members)
-
-
-def theorem5_ratios(scale: float, family=None,
-                    grid: GridSpec | None = None) -> dict[str, float]:
-    """Majorant-to-function Bloch seminorm ratio per probe-family member.
+def theorem5_ratios(scale: float, family,
+                    grid: GridSpec = PROBE_GRID) -> dict[str, float]:
+    """Majorant-to-function Bloch seminorm ratio per member of ``family``.
 
     The ratio uses the gradient seminorm sup omega |f'| on both sides:
     with the |a_0| term included, constants alone would push the ratio to 1
     and the strict bound could not hold for small scales.  Members must
-    have positive seminorm.
+    have positive seminorm.  This is the generic route for any series; for
+    the Theorem 4 test functions ``best_test_ratio`` gives the ratio in
+    closed form.
     """
     scale = float(scale)
     if not 0.0 < scale < 1.0:
         raise ParameterDomainError("the scale R must lie in (0, 1)")
-    family = default_probe_family() if family is None else family
-    grid = grid or PROBE_GRID
     std = builtin_weight("standard")
     ratios = {}
     for member in family:
@@ -363,12 +341,11 @@ def theorem5_ratios(scale: float, family=None,
     return ratios
 
 
-def theorem5_gap(scale: float, family=None, grid: GridSpec | None = None) -> float:
-    """R/sqrt(1-R^2) minus the best majorant ratio over the probe family.
+def theorem5_gap(scale: float) -> float:
+    """R/sqrt(1-R^2) minus ``best_test_ratio`` at the scale R.
 
     A positive value is consistent with strictness of the bound; only a
     negative value would be decisive (falsification).
     """
-    ratios = theorem5_ratios(scale, family=family, grid=grid)
-    scale = float(scale)
-    return scale / np.sqrt(1.0 - scale * scale) - max(ratios.values())
+    value, _, _ = best_test_ratio(scale)
+    return scale / np.sqrt(1.0 - scale * scale) - value

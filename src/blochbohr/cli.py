@@ -18,11 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (EXCEED_THRESHOLD, PROBE_GRID, THEOREM4_A_POINTS,
-                     THEOREM4_R_POINTS, THEOREM4_SEARCH, SolverConfig,
-                     bombieri_m_infty, cauchy_chain_check, mobius_majorant_sup,
-                     theorem1_optimize, theorem1_root, theorem4_sup, theorem4_table,
-                     theorem4_upper_bound, theorem5_ratios)
+from .bounds import (EXCEED_THRESHOLD, THEOREM4_A_POINTS, THEOREM4_R_POINTS,
+                     THEOREM4_SEARCH, SolverConfig, best_test_ratio, bombieri_m_infty,
+                     cauchy_chain_check, mobius_majorant_sup, theorem1_optimize,
+                     theorem1_root, theorem4_sup, theorem4_table, theorem4_upper_bound)
 from .errors import BlochBohrError, ParameterDomainError
 from .extremal import verify_sharpness
 from .norms import RadialSupReport, _series_radial_sup, weighted_bloch_norm
@@ -104,9 +103,9 @@ def _cmd_theorem1(args) -> int:
 
 
 def _cmd_theorem4(args) -> int:
+    solver = replace(THEOREM4_SEARCH, abs_tol=args.tol)
     if args.search:
-        scan = theorem4_upper_bound(replace(THEOREM4_SEARCH, abs_tol=args.tol),
-                                    r_points=args.grid)
+        scan = theorem4_upper_bound(solver, r_points=args.grid)
         report = {"command": "theorem4", "search": True,
                   "upper_bound": scan.best_params["R"],
                   "best_value": scan.best_value,
@@ -159,25 +158,23 @@ def _cmd_theorem2_check(args) -> int:
 
 def _cmd_theorem5_probe(args) -> int:
     scales = args.R or list(DEFAULT_PROBE_SCALES)
-    grid = replace(PROBE_GRID, r_points=args.grid)
     entries = []
     all_positive = True
     for scale in scales:
-        ratios = theorem5_ratios(scale, grid=grid)
-        best_name = max(ratios, key=ratios.get)
+        ratio, a, r = best_test_ratio(scale, r_points=args.grid)
         bound = scale / float(np.sqrt(1.0 - scale * scale))
-        gap = bound - ratios[best_name]
+        gap = bound - ratio
         all_positive = all_positive and gap > 0.0
-        entries.append({"R": scale, "bound": bound, "best_ratio": ratios[best_name],
-                        "best_member": best_name, "gap": gap})
+        entries.append({"R": scale, "bound": bound, "best_ratio": ratio,
+                        "witness_a": a, "witness_r": r, "gap": gap})
     report = {"command": "theorem5-probe", "entries": entries,
               "all_gaps_positive": all_positive}
-    _render(args, report, ["R", "bound", "best_ratio", "best_member", "gap"])
+    _render(args, report, ["R", "bound", "best_ratio", "witness_a", "witness_r", "gap"])
     return 0
 
 
 def _cmd_bombieri(args) -> int:
-    if args.r is None and args.grid < 1:
+    if args.grid < 1:
         raise ParameterDomainError(f"--grid must be at least 1, got {args.grid}")
     radii = [args.r] if args.r is not None else np.linspace(1.0 / 3.0, 1.0 / SQRT2, args.grid)
     entries = []
@@ -246,15 +243,23 @@ def _cmd_sharpness(args) -> int:
     return 0 if passed else 1
 
 
-def _cmd_norms(args) -> int:
-    if args.series:
-        series = TruncatedSeries.from_json_dict(
-            json.loads(Path(args.series).read_text()))
-    elif args.coeffs:
-        values = [float(tok) for tok in args.coeffs.split(",")]
-        series = TruncatedSeries.polynomial(values)
-    else:
+def _read_series(args) -> TruncatedSeries:
+    if not (args.series or args.coeffs):
         raise BlochBohrError("norms needs --series <path> or --coeffs <list>")
+    try:
+        if args.series:
+            return TruncatedSeries.from_json_dict(
+                json.loads(Path(args.series).read_text()))
+        return TruncatedSeries.polynomial([float(tok) for tok in args.coeffs.split(",")])
+    except BlochBohrError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParameterDomainError(
+            f"malformed series input ({type(exc).__name__}: {exc})") from exc
+
+
+def _cmd_norms(args) -> int:
+    series = _read_series(args)
     w = weight_from_token(args.weight)
     grid = GridSpec(r_points=args.grid)
     norm = weighted_bloch_norm(series, w, grid)
@@ -318,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="strictness probe of the Bloch majorant bound")
     p.add_argument("--R", type=float, action="append",
                    help="scale to probe (repeatable; default four canonical scales)")
-    _option(p, "--grid", PROBE_GRID.r_points, "radial samples of each seminorm scan")
+    _option(p, "--grid", THEOREM4_R_POINTS, "radial samples of each test-function scan")
     p.set_defaults(handler=_cmd_theorem5_probe)
 
     p = sub.add_parser("bombieri", parents=[shared],

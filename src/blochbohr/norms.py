@@ -106,7 +106,7 @@ def weighted_bloch_seminorm(s: TruncatedSeries, w: Weight,
 
     This is the gradient part of the Bloch norm; constants have seminorm
     zero.  The majorant-ratio bound R/sqrt(1-R^2) controls exactly this
-    quantity, which is why the strictness probe divides seminorms.
+    quantity, which is why ``bounds.theorem5_ratios`` divides seminorms.
     """
     grid = grid or GridSpec()
     ds = derivative(s)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from blochbohr import (GridSpec, NoSignChangeError, ParameterDomainError,
-                       PoleError, SolverConfig, TruncatedSeries,
-                       bloch_coefficient_bound_check, bombieri_m_infty,
-                       builtin_weight, cauchy_chain_check, coefficient_sum,
-                       majorant, mobius_majorant_sum, mobius_majorant_sup,
-                       mobius_series, theorem1_optimize, theorem1_root,
-                       theorem4_expression, theorem4_sup, theorem4_upper_bound,
-                       theorem5_gap, theorem5_ratios, weighted_bloch_norm)
-from blochbohr.bounds import S_CLIP, ProbeFunction, _t1_residual
+from blochbohr import (NoSignChangeError, ParameterDomainError, PoleError,
+                       SolverConfig, TruncatedSeries, avkhadiev_coefficients,
+                       best_test_ratio, bombieri_m_infty, builtin_weight,
+                       cauchy_chain_check, coefficient_sum, majorant,
+                       mobius_majorant_sum, mobius_majorant_sup, mobius_series,
+                       theorem1_optimize, theorem1_root, theorem4_expression,
+                       theorem4_sup, theorem4_upper_bound, theorem5_gap,
+                       theorem5_ratios)
+from blochbohr.bounds import (S_CLIP, THEOREM4_A_POINTS, THEOREM4_R_POINTS,
+                              ProbeFunction, _t1_residual)
 from conftest import random_polynomial
 
 SQRT2 = np.sqrt(2.0)
@@ -78,33 +79,6 @@ class TestTheorem1Optimize:
     def test_bad_bracket(self):
         with pytest.raises(NoSignChangeError):
             theorem1_optimize(SolverConfig(bracket=(0.6, 0.99)))
-
-
-class TestCoefficientBound:
-    def test_identity_map_margin(self):
-        s = TruncatedSeries.polynomial([0.0, 1.0])
-        for r in (0.2, 0.5, 0.8):
-            expected = r * r / (1 - r * r) ** 2 - r * r
-            assert bloch_coefficient_bound_check(s, r) == pytest.approx(
-                expected, abs=1e-14)
-            assert bloch_coefficient_bound_check(s, r) > 0.0
-
-    def test_zero_series_margin_is_bound(self):
-        s = TruncatedSeries.polynomial([0.0])
-        r = 0.6
-        assert bloch_coefficient_bound_check(s, r) == pytest.approx(
-            r * r / (1 - r * r) ** 2, abs=1e-14)
-
-    def test_normalized_random_polynomials(self, std):
-        rng = np.random.default_rng(29)
-        grid = GridSpec(r_points=512, theta_points=512)
-        radii = np.linspace(0.05, 0.95, 19)
-        for _ in range(10):
-            s = random_polynomial(rng)
-            norm = weighted_bloch_norm(s, std, grid)
-            unit = TruncatedSeries.polynomial(s.coeffs / norm)
-            for r in radii:
-                assert bloch_coefficient_bound_check(unit, float(r)) >= -1e-10
 
 
 class TestCauchyChain:
@@ -182,6 +156,12 @@ class TestTheorem4:
         d = scan.to_json_dict()
         assert d["exceeded_threshold"] is True
 
+    def test_upper_bound_certificate_is_best_test_ratio(self):
+        scan = theorem4_upper_bound()
+        params = scan.best_params
+        assert best_test_ratio(params["R"]) == (scan.best_value, params["a"], params["r"])
+        assert scan.samples % (THEOREM4_A_POINTS * THEOREM4_R_POINTS) == 0
+
     def test_upper_bound_bad_bracket(self):
         with pytest.raises(ParameterDomainError):
             theorem4_upper_bound(SolverConfig(bracket=(0.5, 0.6)))
@@ -244,33 +224,53 @@ class TestMobiusMajorantSup:
             mobius_majorant_sup(1.0)
 
 
+def antiderivative_of_test_function(a):
+    """f with f(0) = 0 and f' = g_a, the unit-sup test function of Theorem 4."""
+    g = avkhadiev_coefficients(a)
+    k = np.arange(1, g.coeffs.size + 1)
+    coeffs = np.concatenate(([0.0], g.coeffs / k))
+    # |b_k|/(k+1) <= M rho^k = (M/rho) rho^(k+1)
+    return TruncatedSeries(coeffs, g.tail_rho, g.tail_m / g.tail_rho)
+
+
 class TestTheorem5:
     @pytest.mark.parametrize("scale", [0.3, 0.5, 1.0 / SQRT2, 0.9])
     def test_gap_positive_default_family(self, scale):
         assert theorem5_gap(scale) > 0.0
 
+    @pytest.mark.parametrize("scale", [0.3, 0.5, 1.0 / SQRT2, 0.9])
+    def test_best_ratio_at_least_identity_map(self, scale):
+        # z has ratio exactly R, so the test functions never do worse
+        assert best_test_ratio(scale)[0] >= scale - 1e-12
+
+    @pytest.mark.parametrize("a,scale", [(0.339448, 1.0 / SQRT2), (0.35, 0.769)])
+    def test_closed_form_matches_seminorm_route(self, a, scale):
+        family = (ProbeFunction("f_a", antiderivative_of_test_function(a)),)
+        ratio = theorem5_ratios(scale, family)["f_a"]
+        assert ratio == pytest.approx(theorem4_sup(a, scale)[0], abs=1e-12)
+
     def test_single_member_identity_map(self):
         family = (ProbeFunction("z", TruncatedSeries.polynomial([0.0, 1.0])),)
         for scale in (0.3, 0.7):
-            gap = theorem5_gap(scale, family=family)
-            expected = scale / np.sqrt(1 - scale * scale) - scale
-            assert gap == pytest.approx(expected, abs=1e-10)
+            assert theorem5_ratios(scale, family)["z"] == pytest.approx(scale, abs=1e-10)
 
     def test_ratio_scale_invariant(self):
         base = TruncatedSeries.polynomial([0.3, 1.0, -0.5j])
         family = (ProbeFunction("f", base),
                   ProbeFunction("5f", TruncatedSeries.polynomial(5.0 * base.coeffs)))
-        ratios = theorem5_ratios(0.5, family=family)
+        ratios = theorem5_ratios(0.5, family)
         assert ratios["f"] == pytest.approx(ratios["5f"], rel=1e-12)
 
     def test_constant_member_rejected(self):
         family = (ProbeFunction("const", TruncatedSeries.polynomial([1.0])),)
         with pytest.raises(ParameterDomainError):
-            theorem5_gap(0.5, family=family)
+            theorem5_ratios(0.5, family)
 
     def test_scale_domain(self):
         with pytest.raises(ParameterDomainError):
             theorem5_gap(1.0)
+        with pytest.raises(ParameterDomainError):
+            best_test_ratio(0.0)
 
 
 class TestSolverConfig:

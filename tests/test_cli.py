@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blochbohr.bounds import (PROBE_GRID, THEOREM4_A_POINTS, THEOREM4_R_POINTS,
+from blochbohr.bounds import (THEOREM4_A_POINTS, THEOREM4_R_POINTS,
                               THEOREM4_SEARCH, SolverConfig, theorem4_sup,
                               theorem4_upper_bound)
 from blochbohr.cli import build_parser, main
@@ -216,6 +216,17 @@ class TestProbeCommands:
         assert report["all_gaps_positive"] is True
         assert report["entries"][0]["gap"] > 0.0
 
+    def test_theorem5_probe_default_scales(self, capsys):
+        code, out, _ = run(capsys, "theorem5-probe", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["all_gaps_positive"] is True
+        ratios = [e["best_ratio"] for e in report["entries"]]
+        assert ratios == pytest.approx([0.3, 0.5, 0.85575, 1.38846], abs=5e-6)
+        for e in report["entries"]:
+            assert 0.0 < e["witness_a"] < 1.0 / np.sqrt(3.0)
+            assert 0.0 <= e["witness_r"] <= 1.0
+
     def test_theorem2_check(self, capsys):
         code, out, _ = run(capsys, "theorem2-check", "--samples", "25",
                            "--format", "json")
@@ -295,8 +306,7 @@ class TestOptionDefaults:
         assert sig["r_points"].default == THEOREM4_R_POINTS
         assert inspect.signature(theorem4_sup).parameters["r_points"].default \
             == THEOREM4_R_POINTS
-        assert replace(PROBE_GRID, r_points=defaults("theorem5-probe", "--R", "0.5")
-                       ["grid"]) == PROBE_GRID
+        assert defaults("theorem5-probe")["grid"] == THEOREM4_R_POINTS
         wc = defaults("weight-check", "--weight", "standard")
         assert replace(CRITERION_GRID, r_points=wc["grid"]) == CRITERION_GRID
         assert wc["tol"] == CRITERION_TOL
@@ -319,18 +329,27 @@ class TestOptionDefaults:
     @pytest.mark.parametrize("argv", [
         ("theorem4", "--a", "0.35", "--R", "0.769", "--grid", "1"),
         ("theorem4", "--search", "--tol", "0"),
+        ("theorem4", "--a", "0.35", "--R", "0.769", "--tol", "0"),
         ("theorem2-check", "--samples", "0"),
         ("theorem2-check", "--a-points", "0"),
         ("theorem2-check", "--grid", "0"),
         ("bombieri", "--grid", "0"),
+        ("bombieri", "--r", "0.5", "--grid", "0"),
         ("h-profile", "--r0", "0.8", "--n", "0"),
         ("norms", "--coeffs", "0,1", "--grid", "1"),
+        ("norms", "--coeffs", "0,x"),
+        ("norms", "--coeffs", ","),
+        ("norms", "--series", "truncated.json"),
+        ("norms", "--series", "no-coeffs.json"),
         ("weight-check", "--weight", "standard", "--r0", "0.8", "--grid", "1"),
         ("theorem5-probe", "--R", "0.5", "--grid", "1"),
         ("sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8",
          "--grid", "1"),
     ], ids=lambda argv: " ".join(argv))
-    def test_edge_inputs_are_library_errors(self, capsys, argv):
+    def test_edge_inputs_are_library_errors(self, capsys, monkeypatch, tmp_path, argv):
+        (tmp_path / "truncated.json").write_text('{"coeffs": [[0.0, 0.0], [1.0')
+        (tmp_path / "no-coeffs.json").write_text('{"tail": {"rho": 0, "M": 0}}')
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
