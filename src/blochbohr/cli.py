@@ -27,7 +27,7 @@ from .extremal import verify_sharpness
 from .norms import RadialSupReport, _series_radial_sup, weighted_bloch_norm
 from .search import GridSpec
 from .series import TruncatedSeries
-from .weights import (CRITERION_GRID, CRITERION_TOL, PROFILE_POINTS, SQRT2,
+from .weights import (CRITERION_GRID, CRITERION_TOL, PROFILE_POINTS, SQRT2, _check_tol,
                       criterion_check, find_admissible_r0, h_profile,
                       weight_from_token)
 
@@ -223,12 +223,12 @@ def _cmd_h_profile(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    w = weight_from_token(args.weight)
+    w, tol = weight_from_token(args.weight), _check_tol(args.tol)
     rep = verify_sharpness(w, args.r0, grid=replace(CRITERION_GRID, r_points=args.grid))
     witness_tol = 2.0 * rep.grid_step
     witnesses_ok = (abs(rep.lhs_witness_r - rep.r0) <= witness_tol
                     and abs(rep.rhs_witness_r - rep.r0) <= witness_tol)
-    passed = rep.relative_gap <= args.tol and witnesses_ok
+    passed = rep.relative_gap <= tol and witnesses_ok
     verdict = "PASS" if passed else "FAIL"
     # human-readable verdict on stderr; stdout carries only the report
     sys.stderr.write(

@@ -45,6 +45,10 @@ class Weight:
     limit_at_one: float = np.inf
 
     def __call__(self, r):
+        """omega(r).  A float r in [0, 1) skips the domain checks, but ``fn``
+        still gets the 0-d array of the general path, so the bits agree."""
+        if isinstance(r, float) and 0.0 <= r < 1.0:
+            return float(self.fn(np.asarray(r)))
         arr = np.asarray(r, dtype=float)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ParameterDomainError(f"weight {self.name} is defined on [0, 1)")
@@ -55,9 +59,7 @@ class Weight:
         inner = np.where(at_one, 0.0, arr)
         out = np.asarray(self.fn(inner), dtype=float)
         out = np.where(at_one, self.limit_at_one, out)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if arr.ndim == 0 else out
 
     def scaled(self, c: float) -> "Weight":
         """The weight multiplied by a positive constant."""
@@ -83,48 +85,37 @@ class CriterionReport:
     violation_witness: Optional[float]
 
 
-def _check_example_params(r0: float, alpha: float) -> None:
-    if not R0_MIN - 1e-12 <= r0 < 1.0:
-        raise ParameterDomainError(
-            f"example weights need r0 in [1/sqrt(2), 1), got {r0}")
-    if alpha < 1.0:
-        raise ParameterDomainError(f"example weights need alpha >= 1, got {alpha}")
-
-
 def builtin_weight(kind: str, **params) -> Weight:
     """Construct one of the built-in weights.
 
     Kinds: ``standard`` (1 - r^2), ``constant`` (identically 1),
     ``example2`` (1 left of r0, ((1-r)/(1-r0))^alpha right of it) and
     ``example3`` ((1 - |(r-r0)/(1-r0 r)|)^alpha).  The example weights
-    require r0 in [1/sqrt(2), 1) and alpha >= 1.
+    require r0 in [1/sqrt(2), 1) and a finite alpha >= 1.
     """
+    if kind in ("standard", "constant") and params:
+        raise ParameterDomainError(f"{kind} weight takes no parameters")
     if kind == "standard":
-        if params:
-            raise ParameterDomainError("standard weight takes no parameters")
         return Weight(name="standard", fn=lambda r: 1.0 - r * r, limit_at_one=0.0)
     if kind == "constant":
-        if params:
-            raise ParameterDomainError("constant weight takes no parameters")
         return Weight(name="constant", fn=lambda r: np.ones_like(np.asarray(r, float)),
                       limit_at_one=1.0)
-    if kind == "example2":
+    if kind in ("example2", "example3"):
         r0 = float(params.pop("r0"))
         alpha = float(params.pop("alpha", 1.0))
         if params:
             raise ParameterDomainError(f"unknown parameters {sorted(params)}")
-        _check_example_params(r0, alpha)
-        fn = lambda r: np.where(r <= r0, 1.0, ((1.0 - r) / (1.0 - r0)) ** alpha)
-        return Weight(name="example2", fn=fn, params={"r0": r0, "alpha": alpha},
-                      limit_at_one=0.0)
-    if kind == "example3":
-        r0 = float(params.pop("r0"))
-        alpha = float(params.pop("alpha", 1.0))
-        if params:
-            raise ParameterDomainError(f"unknown parameters {sorted(params)}")
-        _check_example_params(r0, alpha)
-        fn = lambda r: (1.0 - np.abs((r - r0) / (1.0 - r0 * r))) ** alpha
-        return Weight(name="example3", fn=fn, params={"r0": r0, "alpha": alpha},
+        if not R0_MIN - 1e-12 <= r0 < 1.0:
+            raise ParameterDomainError(
+                f"example weights need r0 in [1/sqrt(2), 1), got {r0}")
+        if not 1.0 <= alpha < np.inf:
+            raise ParameterDomainError(
+                f"example weights need a finite alpha >= 1, got {alpha}")
+        if kind == "example2":
+            fn = lambda r: np.where(r <= r0, 1.0, ((1.0 - r) / (1.0 - r0)) ** alpha)
+        else:
+            fn = lambda r: (1.0 - np.abs((r - r0) / (1.0 - r0 * r))) ** alpha
+        return Weight(name=kind, fn=fn, params={"r0": r0, "alpha": alpha},
                       limit_at_one=0.0)
     raise ParameterDomainError(f"unknown weight kind {kind!r}")
 
@@ -161,15 +152,27 @@ def _omegas(r, r0: float):
 
 
 def criterion_bound(r, r0: float):
-    """h(r) = min(2 - r/r0, (sqrt(2) r0 + r)/(sqrt(2) r + r0))."""
+    """h(r) = min(2 - r/r0, (sqrt(2) r0 + r)/(sqrt(2) r + r0)).
+
+    A float r in [0, 1] takes plain float arithmetic: the same IEEE bits."""
     r0 = _check_r0(r0)
+    if isinstance(r, float) and 0.0 <= r <= 1.0:
+        return float(min(_omegas(r, r0)))
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ParameterDomainError("criterion bound is evaluated on [0, 1)")
     out = np.minimum(*_omegas(arr, r0))
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
+
+
+def _margin(r, r0: float, w_r, w0: float):
+    return criterion_bound(r, r0) - w_r / w0
+
+
+def _check_tol(tol: float) -> float:
+    if not tol >= 0.0:
+        raise ParameterDomainError(f"tolerance must be >= 0, got {tol}")
+    return tol
 
 
 def criterion_check(w: Weight, r0: float, grid: GridSpec | None = None,
@@ -180,17 +183,14 @@ def criterion_check(w: Weight, r0: float, grid: GridSpec | None = None,
     weight value at the anchor raises ZeroDenominatorError; an infinite one
     is rejected as a parameter-domain error.
     """
-    r0 = _check_r0(r0)
+    r0, tol = _check_r0(r0), _check_tol(tol)
     grid = grid or CRITERION_GRID
     w0 = float(w(r0))
     if w0 == 0.0:
         raise ZeroDenominatorError(f"weight {w.name} vanishes at r0 = {r0}")
     if not np.isfinite(w0):
         raise ParameterDomainError(f"weight {w.name} is not finite at r0 = {r0}")
-
-    def margin(r):
-        return criterion_bound(r, r0) - w(r) / w0
-
+    margin = lambda r: _margin(r, r0, w(r), w0)
     worst_r, worst = scan_polish(margin, grid.radii(), minimize=True,
                                  refine=grid.refine, tol=grid.refine_tol)
     passed = worst >= -tol
@@ -210,13 +210,25 @@ def find_admissible_r0(w: Weight, r0_points: int = 100,
     sharpens the pass/fail boundary against the preceding failing candidate
     by bisection.  Anchors where the weight vanishes count as failures.
     Returns (r0, report) or None when every candidate fails.
+
+    omega is evaluated on the scan grid once.  An anchor whose grid margin
+    dips below -tol fails without ``criterion_check``: its polish keeps only
+    strictly lower points, so that verdict is final.  Anchors where omega is
+    zero or not finite still go through it, so the errors are unchanged.
     """
+    tol, grid = _check_tol(tol), grid or CRITERION_GRID
+    radii = grid.radii()
+    w_radii = w(radii)
     candidates = np.linspace(R0_MIN, 1.0, r0_points)
     own = w.params.get("r0")
     if own is not None and R0_MIN - 1e-12 <= own <= 1.0:
         candidates = np.union1d(candidates, [float(own)])
 
     def check(r0: float) -> Optional[CriterionReport]:
+        w0 = w(r0)
+        # np.min, not nanmin: a NaN margin falls through to the full check
+        if 0.0 < abs(w0) < np.inf and np.min(_margin(radii, r0, w_radii, w0)) < -tol:
+            return None
         try:
             report = criterion_check(w, r0, grid=grid, tol=tol)
         except ZeroDenominatorError:

@@ -345,6 +345,19 @@ class TestOptionDefaults:
         ("theorem5-probe", "--R", "0.5", "--grid", "1"),
         ("sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8",
          "--grid", "1"),
+        ("weight-check", "--weight", "example3:r0=0.75,alpha=nan", "--r0", "0.75"),
+        ("weight-check", "--weight", "example3:r0=0.75,alpha=nan", "--r0", "0.75",
+         "--format", "json"),
+        ("weight-check", "--weight", "example2:r0=0.8,alpha=nan"),
+        ("weight-check", "--weight", "example2:r0=0.8,alpha=inf"),
+        ("weight-check", "--weight", "standard", "--r0", "0.8", "--tol", "-1"),
+        ("weight-check", "--weight", "standard", "--r0", "0.8", "--tol", "nan"),
+        ("weight-check", "--weight", "constant", "--tol", "-1"),
+        ("weight-check", "--weight", "constant", "--tol", "nan"),
+        ("sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8",
+         "--tol", "-1"),
+        ("sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8",
+         "--tol", "nan"),
     ], ids=lambda argv: " ".join(argv))
     def test_edge_inputs_are_library_errors(self, capsys, monkeypatch, tmp_path, argv):
         (tmp_path / "truncated.json").write_text('{"coeffs": [[0.0, 0.0], [1.0')

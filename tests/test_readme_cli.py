@@ -1,0 +1,75 @@
+"""The README's command-line examples print exactly the checked-in CSV.
+
+Every ``blochbohr ...`` line of the README's shell blocks runs through
+``cli.main`` in CSV, and its stdout must match ``data/readme_cli.txt``
+byte for byte: a speedup may not change a CSV byte.  The file holds one
+``$ blochbohr <args>`` line per invocation, followed by its stdout.  After an
+intended output change, regenerate it with
+
+    PYTHONPATH=src python tests/test_readme_cli.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import shlex
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from blochbohr.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = Path(__file__).resolve().parent / "data" / "readme_cli.txt"
+
+#: the file behind ``norms --series series.json``: a cubic with a complex
+#: coefficient, so the radial sup takes the general (scanned) route
+SERIES = {"coeffs": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.5], [-0.25, 0.0]],
+          "tail": {"rho": 0.0, "M": 0.0}}
+
+
+def readme_invocations() -> list[str]:
+    lines = (ROOT / "README.md").read_text().splitlines()
+    return [" ".join(shlex.split(line, comments=True)[1:])
+            for line in lines if line.startswith("blochbohr ")]
+
+
+def expected_outputs() -> dict[str, str]:
+    out, key = {}, None
+    for line in EXPECTED.read_text().splitlines(keepends=True):
+        if line.startswith("$ blochbohr "):
+            key = line[len("$ blochbohr "):].rstrip("\n")
+            out[key] = ""
+        else:
+            out[key] += line
+    return out
+
+
+def csv_stdout(args: str) -> str:
+    """stdout of ``blochbohr <args> --format csv``, run in the current directory."""
+    Path("series.json").write_text(json.dumps(SERIES))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(shlex.split(args) + ["--format", "csv"])
+    assert code == 0, args
+    return out.getvalue()
+
+
+def test_every_invocation_has_an_expected_output():
+    assert readme_invocations() == list(expected_outputs())
+
+
+@pytest.mark.parametrize("args", readme_invocations())
+def test_readme_csv_is_byte_identical(args, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert csv_stdout(args) == expected_outputs()[args]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        EXPECTED.write_text("".join(f"$ blochbohr {args}\n{csv_stdout(args)}"
+                                    for args in readme_invocations()))
+    print(f"wrote {EXPECTED}")

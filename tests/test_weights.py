@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from blochbohr import (GridSpec, ParameterDomainError, ZeroDenominatorError,
+from blochbohr import (GridSpec, ParameterDomainError, Weight, ZeroDenominatorError,
                        builtin_weight, criterion_bound, criterion_check,
                        find_admissible_r0, h_profile, weight_from_token)
+from blochbohr.search import bisect_flag
 
 SQRT2 = np.sqrt(2.0)
 R0_MIN = 1.0 / SQRT2
@@ -40,6 +45,10 @@ class TestBuiltinWeights:
             builtin_weight("nope")
         with pytest.raises(ParameterDomainError):
             builtin_weight("standard", r0=0.8)
+        for kind in ("example2", "example3"):
+            for alpha in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ParameterDomainError, match="finite alpha"):
+                    builtin_weight(kind, r0=0.8, alpha=alpha)
 
     def test_eval_domain(self):
         w = builtin_weight("standard")
@@ -123,6 +132,15 @@ class TestCriterionCheck:
         with pytest.raises(ParameterDomainError):
             criterion_check(builtin_weight("constant"), 0.5)
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-15, np.nan, -np.inf])
+    def test_tolerance_domain(self, tol):
+        for kind in ("standard", "constant"):
+            w = builtin_weight(kind)
+            with pytest.raises(ParameterDomainError, match="tolerance"):
+                criterion_check(w, 0.8, tol=tol)
+            with pytest.raises(ParameterDomainError, match="tolerance"):
+                find_admissible_r0(w, tol=tol)
+
     def test_positive_scaling_invariance(self):
         w = builtin_weight("example2", r0=0.8, alpha=1)
         for c in (1e-3, 0.5, 7.0, 1e3):
@@ -151,6 +169,165 @@ class TestFindAdmissibleAnchor:
         # independent dense-grid confirmation at the nominal anchor
         dense = criterion_check(w, 0.75, grid=DENSE)
         assert dense.passed
+
+
+def full_check_sweep(w, r0_points=100, grid=None, tol=1e-12):
+    """Reference anchor search: ``criterion_check`` at every candidate and
+    bisection midpoint, with no grid pre-rejection.  ``find_admissible_r0``
+    must return exactly the same (r0, report)."""
+    candidates = np.linspace(R0_MIN, 1.0, r0_points)
+    own = w.params.get("r0")
+    if own is not None and R0_MIN - 1e-12 <= own <= 1.0:
+        candidates = np.union1d(candidates, [float(own)])
+
+    def check(r0):
+        try:
+            report = criterion_check(w, r0, grid=grid, tol=tol)
+        except ZeroDenominatorError:
+            return None
+        return report if report.passed else None
+
+    previous_fail = None
+    for r0 in candidates:
+        report = check(float(r0))
+        if report is None:
+            previous_fail = float(r0)
+            continue
+        if previous_fail is None:
+            return float(r0), report
+        return bisect_flag(check, previous_fail, float(r0), report, 1e-12, 60)
+    return None
+
+
+def _gapped(base, lo, hi):
+    """``base`` with a zero on [lo, hi]: anchors there divide by zero."""
+    return Weight(name="gapped", params=dict(base.params),
+                  fn=lambda r: np.where((lo <= r) & (r <= hi), 0.0, base.fn(r)),
+                  limit_at_one=base.limit_at_one)
+
+
+SWEEP_CASES = [
+    ("standard", {}),
+    ("constant", {}),
+    ("example2:r0=0.8,alpha=1", {}),
+    ("example2:r0=0.75,alpha=2.5", {}),
+    ("example2:r0=0.7071067811865476,alpha=1", {}),
+    ("example3:r0=0.75,alpha=1", {}),
+    ("example3:r0=0.9,alpha=1.5", {}),
+    ("example3:r0=0.99,alpha=4", {}),
+    # benchmark criterion tokens of seeds 1, 5 and 7
+    ("example2:r0=0.7353,alpha=1.195", {}),
+    ("example3:r0=0.9647,alpha=1.078", {}),
+    ("example2:r0=0.7587,alpha=3.697", {}),
+    ("example3:r0=0.9413,alpha=3.518", {}),
+    ("example2:r0=0.8885,alpha=3.763", {}),
+    ("example3:r0=0.8115,alpha=2.239", {}),
+    # other grids and tolerances move which anchors fail on the grid
+    ("constant", {"grid": GridSpec(r_points=50, r_max=1 - 1e-6)}),
+    ("example2:r0=0.8,alpha=1", {"grid": GridSpec(r_points=37, r_max=1 - 1e-6)}),
+    ("example3:r0=0.75,alpha=1", {"tol": 1e-3}),
+    ("example2:r0=0.8,alpha=2", {"tol": 0.0}),
+    ("standard", {"tol": 0.5}),
+]
+
+
+class TestAnchorSweepMatchesFullCheck:
+    @pytest.mark.parametrize("token,kwargs", SWEEP_CASES,
+                             ids=[f"{t}-{sorted(k)}" for t, k in SWEEP_CASES])
+    def test_builtin(self, token, kwargs):
+        w = weight_from_token(token)
+        assert find_admissible_r0(w, **kwargs) == full_check_sweep(w, **kwargs)
+
+    @pytest.mark.parametrize("w", [
+        builtin_weight("example2", r0=0.8, alpha=1).scaled(7.0),
+        builtin_weight("standard").scaled(0.1),
+        _gapped(builtin_weight("example2", r0=0.85, alpha=2), 0.74, 0.78),
+        _gapped(builtin_weight("constant"), 0.9, 1.0),
+    ], ids=["scaled-example2", "scaled-standard", "gapped-example2", "gapped-constant"])
+    def test_scaled_and_vanishing(self, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by a zero anchor value
+            found = find_admissible_r0(w)
+        assert found == full_check_sweep(w)
+
+    def test_grid_failures_skip_the_full_check(self, monkeypatch):
+        import blochbohr.weights as weights
+        anchors = []
+        full = weights.criterion_check
+        monkeypatch.setattr(weights, "criterion_check",
+                            lambda w, r0, **kw: anchors.append(r0) or full(w, r0, **kw))
+        assert find_admissible_r0(builtin_weight("standard")) is None
+        assert anchors == [1.0]  # the one anchor where 1 - r^2 vanishes
+        anchors.clear()
+        r0, _ = find_admissible_r0(builtin_weight("example3", r0=0.75, alpha=1))
+        # the failing candidates below 0.75 never reach the full check; only
+        # the passing anchor and bisection midpoints close to it do
+        assert anchors[0] == r0 == 0.75
+        assert min(anchors) > 0.75 - 1e-4
+
+    def test_gapped_weight_passes_past_its_zeros(self):
+        w = _gapped(builtin_weight("example2", r0=0.85, alpha=2), 0.74, 0.78)
+        r0, report = find_admissible_r0(w)
+        assert report.passed and r0 > 0.78
+
+    def test_infinite_at_anchor_raises_the_same_error(self):
+        w = Weight(name="spike", fn=lambda r: np.where(r < 0.8, 1.0, np.inf))
+        with pytest.raises(ParameterDomainError) as ref:
+            full_check_sweep(w)
+        with pytest.raises(ParameterDomainError) as new:
+            find_admissible_r0(w)
+        assert str(new.value) == str(ref.value)
+        assert "not finite" in str(new.value)
+
+
+def _weights(r0, alpha):
+    example2 = builtin_weight("example2", r0=r0, alpha=alpha)
+    return [builtin_weight("standard"), builtin_weight("constant"), example2,
+            builtin_weight("example3", r0=r0, alpha=alpha), example2.scaled(3.0)]
+
+
+unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+anchors = st.floats(min_value=R0_MIN, max_value=0.99)
+alphas = st.floats(min_value=1.0, max_value=6.0)
+
+
+class TestScalarFastPaths:
+    @given(unit_floats, anchors, alphas)
+    @example(x=0.8, r0=0.8, alpha=1.0)
+    @example(x=0.0, r0=R0_MIN, alpha=3.5)
+    @example(x=np.nextafter(1.0, 0.0), r0=0.99, alpha=6.0)
+    @settings(max_examples=200, deadline=None)
+    def test_weight_float_is_bit_identical_to_array(self, x, r0, alpha):
+        for w in _weights(r0, alpha):
+            fast = w(x)
+            assert type(fast) is float
+            assert fast == w(np.asarray(x)) == w(np.float64(x))
+
+    @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=R0_MIN, max_value=1.0))
+    @example(x=1.0, r0=1.0)
+    @example(x=0.8, r0=0.8)
+    @example(x=0.0, r0=R0_MIN)
+    @settings(max_examples=300, deadline=None)
+    def test_criterion_bound_float_is_bit_identical_to_array(self, x, r0):
+        fast = criterion_bound(x, r0)
+        assert type(fast) is float
+        assert fast == criterion_bound(np.asarray(x), r0)
+        assert fast == criterion_bound(np.array([x]), r0)[0]
+
+    def test_edge_radii_keep_their_results(self):
+        for w in _weights(0.8, 2.0):
+            assert w(1.0) == w.limit_at_one
+            assert np.isnan(w(np.nan)) == (w.name != "constant")
+            for bad in (-1e-300, -0.5, 1.0 + 1e-12, 2.0, np.inf):
+                with pytest.raises(ParameterDomainError):
+                    w(bad)
+        with pytest.raises(ParameterDomainError, match="no finite limit"):
+            Weight(name="open", fn=lambda r: 1.0 / (1.0 - r))(1.0)
+        assert criterion_bound(1.0, 0.8) == 2.0 - 1.0 / 0.8
+        assert np.isnan(criterion_bound(np.nan, 0.8))
+        for bad in (-1e-300, -0.5, 1.0 + 1e-12, np.inf):
+            with pytest.raises(ParameterDomainError):
+                criterion_bound(bad, 0.8)
 
 
 class TestHProfile:
