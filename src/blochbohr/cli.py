@@ -223,7 +223,8 @@ def _cmd_h_profile(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    w, tol = weight_from_token(args.weight), _check_tol(args.tol)
+    w = weight_from_token(args.weight)
+    tol = _check_tol(args.tol)
     rep = verify_sharpness(w, args.r0, grid=replace(CRITERION_GRID, r_points=args.grid))
     witness_tol = 2.0 * rep.grid_step
     witnesses_ok = (abs(rep.lhs_witness_r - rep.r0) <= witness_tol

@@ -59,7 +59,9 @@ class Weight:
         inner = np.where(at_one, 0.0, arr)
         out = np.asarray(self.fn(inner), dtype=float)
         out = np.where(at_one, self.limit_at_one, out)
-        return float(out) if arr.ndim == 0 else out
+        if arr.ndim == 0:
+            return float(out)
+        return out
 
     def scaled(self, c: float) -> "Weight":
         """The weight multiplied by a positive constant."""
@@ -93,14 +95,18 @@ def builtin_weight(kind: str, **params) -> Weight:
     ``example3`` ((1 - |(r-r0)/(1-r0 r)|)^alpha).  The example weights
     require r0 in [1/sqrt(2), 1) and a finite alpha >= 1.
     """
-    if kind in ("standard", "constant") and params:
-        raise ParameterDomainError(f"{kind} weight takes no parameters")
     if kind == "standard":
+        if params:
+            raise ParameterDomainError("standard weight takes no parameters")
         return Weight(name="standard", fn=lambda r: 1.0 - r * r, limit_at_one=0.0)
     if kind == "constant":
+        if params:
+            raise ParameterDomainError("constant weight takes no parameters")
         return Weight(name="constant", fn=lambda r: np.ones_like(np.asarray(r, float)),
                       limit_at_one=1.0)
     if kind in ("example2", "example3"):
+        if "r0" not in params:
+            raise ParameterDomainError("example weights need r0")
         r0 = float(params.pop("r0"))
         alpha = float(params.pop("alpha", 1.0))
         if params:
@@ -162,7 +168,9 @@ def criterion_bound(r, r0: float):
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ParameterDomainError("criterion bound is evaluated on [0, 1)")
     out = np.minimum(*_omegas(arr, r0))
-    return float(out) if arr.ndim == 0 else out
+    if arr.ndim == 0:
+        return float(out)
+    return out
 
 
 def _margin(r, r0: float, w_r, w0: float):
@@ -183,14 +191,18 @@ def criterion_check(w: Weight, r0: float, grid: GridSpec | None = None,
     weight value at the anchor raises ZeroDenominatorError; an infinite one
     is rejected as a parameter-domain error.
     """
-    r0, tol = _check_r0(r0), _check_tol(tol)
+    r0 = _check_r0(r0)
+    tol = _check_tol(tol)
     grid = grid or CRITERION_GRID
     w0 = float(w(r0))
     if w0 == 0.0:
         raise ZeroDenominatorError(f"weight {w.name} vanishes at r0 = {r0}")
     if not np.isfinite(w0):
         raise ParameterDomainError(f"weight {w.name} is not finite at r0 = {r0}")
-    margin = lambda r: _margin(r, r0, w(r), w0)
+
+    def margin(r):
+        return _margin(r, r0, w(r), w0)
+
     worst_r, worst = scan_polish(margin, grid.radii(), minimize=True,
                                  refine=grid.refine, tol=grid.refine_tol)
     passed = worst >= -tol
@@ -216,7 +228,8 @@ def find_admissible_r0(w: Weight, r0_points: int = 100,
     strictly lower points, so that verdict is final.  Anchors where omega is
     zero or not finite still go through it, so the errors are unchanged.
     """
-    tol, grid = _check_tol(tol), grid or CRITERION_GRID
+    tol = _check_tol(tol)
+    grid = grid or CRITERION_GRID
     radii = grid.radii()
     w_radii = w(radii)
     candidates = np.linspace(R0_MIN, 1.0, r0_points)

@@ -350,6 +350,8 @@ class TestOptionDefaults:
          "--format", "json"),
         ("weight-check", "--weight", "example2:r0=0.8,alpha=nan"),
         ("weight-check", "--weight", "example2:r0=0.8,alpha=inf"),
+        ("weight-check", "--weight", "example3:alpha=2"),
+        ("weight-check", "--weight", "example2"),
         ("weight-check", "--weight", "standard", "--r0", "0.8", "--tol", "-1"),
         ("weight-check", "--weight", "standard", "--r0", "0.8", "--tol", "nan"),
         ("weight-check", "--weight", "constant", "--tol", "-1"),
