@@ -155,7 +155,7 @@ def theorem4_expression(a, scale: float, r):
     Broadcasts over a and r.
     """
     scale = float(scale)
-    if scale < 0.0:
+    if not 0.0 <= scale:
         raise ParameterDomainError("the scale R must be nonnegative")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0) or np.any(r > 1.0):

@@ -128,6 +128,7 @@ def _cmd_theorem4(args) -> int:
 def _cmd_theorem2_check(args) -> int:
     if args.samples < 1:
         raise ParameterDomainError(f"--samples must be at least 1, got {args.samples}")
+    tol = _check_tol(args.tol)
     _, table = theorem4_table(1.0 / SQRT2, args.a_points, args.grid)
     max_expr = float(table.max())
 
@@ -145,7 +146,7 @@ def _cmd_theorem2_check(args) -> int:
         r = float(rng.uniform(0.05, 0.95))
         v1, v2, v3 = cauchy_chain_check(series, w, scale, r)
         worst = max(worst, v1 - v2, v2 - v3)
-    passed = bool(max_expr <= EXCEED_THRESHOLD and worst <= args.tol)
+    passed = bool(max_expr <= EXCEED_THRESHOLD and worst <= tol)
     report = {"command": "theorem2-check",
               "max_expression_at_sqrt2": max_expr,
               "chain_samples": args.samples,

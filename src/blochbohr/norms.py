@@ -22,8 +22,8 @@ import numpy as np
 from .errors import (BlochBohrError, DivergenceRegionError, EvaluatorDomainError,
                      ParameterDomainError, PoleError)
 from .search import GridSpec, grid_golden_max, scan_polish
-from .series import (TruncatedSeries, _angle_count, _check_certified, circle_sup,
-                     derivative)
+from .series import (TruncatedSeries, _angle_count, _angle_grid_values, _check_certified,
+                     circle_sup, derivative)
 from .weights import Weight
 
 A_MAX = 1.0 / np.sqrt(3.0)
@@ -51,15 +51,10 @@ def _abs_coeff_sum(mods: np.ndarray, r) -> np.ndarray:
 def _batch_circle_max(coeffs: np.ndarray, radii: np.ndarray,
                       theta_points: int) -> np.ndarray:
     """max_theta |f(r e^{i theta})| on the raw angle grid, for every radius."""
-    count = _angle_count(theta_points, coeffs.size)
-    exps = np.arange(coeffs.size, dtype=float)
     out = np.empty(radii.size)
-    chunk = max(1, 2_000_000 // count)
-    for start in range(0, radii.size, chunk):
-        rr = radii[start:start + chunk]
-        buf = np.zeros((rr.size, count), dtype=complex)
-        buf[:, :coeffs.size] = coeffs[None, :] * rr[:, None] ** exps[None, :]
-        out[start:start + chunk] = np.abs(np.fft.ifft(buf, axis=1) * count).max(axis=1)
+    for rows, values in _angle_grid_values(coeffs, radii,
+                                          _angle_count(theta_points, coeffs.size)):
+        out[rows] = np.abs(values).max(axis=1)
     return out
 
 
@@ -177,7 +172,7 @@ def weighted_radial_sup(evaluator: Callable, w: Weight,
 
 def _check_a(a):
     arr = np.asarray(a, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= A_MAX):
+    if not np.all((0.0 < arr) & (arr < A_MAX)):
         raise ParameterDomainError(
             f"parameter a must lie in (0, 1/sqrt(3)) = (0, {A_MAX:.6f})")
     return float(arr) if arr.ndim == 0 else arr

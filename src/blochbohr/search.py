@@ -4,10 +4,13 @@ Every grid supremum in the library (and the worst criterion margin, an
 infimum) goes through one primitive, ``scan_polish``: a uniform grid scan,
 then local polish of the best grid point's bracket, golden-section search
 for a maximum and plain trisection for a minimum.  On the angle circle the
-bracket wraps around; elsewhere it is clipped to the grid.  Root-finding
-is bracketed bisection with an explicit sign-change check, converging on
-the residual rather than the bracket width (``bisect_root``); a pass/fail
-threshold is bisected on the verdict alone (``bisect_flag``).
+bracket wraps around; elsewhere it is clipped to the grid.  An objective
+that takes arrays (the angle polish of ``series.circle_sup``) gets the
+golden probes of the next few steps, for either outcome of each
+comparison, in one call (look-ahead); the result is the sequential one.
+Root-finding is bracketed bisection with an explicit sign-change check,
+converging on the residual rather than the bracket width (``bisect_root``);
+a pass/fail threshold is bisected on the verdict alone (``bisect_flag``).
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ import numpy as np
 from .errors import ConvergenceError, NoSignChangeError, ParameterDomainError
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+#: golden-section steps a vectorized objective is evaluated ahead for
+LOOKAHEAD = 5
 
 
 @dataclass(frozen=True)
@@ -65,11 +71,19 @@ def _feval(f: Callable, x: float) -> float:
 
 
 def golden_max(f: Callable, lo: float, hi: float, tol: float = 1e-12,
-               max_iter: int = 200) -> tuple[float, float]:
+               max_iter: int = 200, *, vectorized: bool = False) -> tuple[float, float]:
     """Maximize a scalar function on [lo, hi] by golden-section search.
 
     Assumes unimodality on the bracket.  Ties keep the left subinterval, so
     plateaus drift toward the smaller argument.  Returns (argmax, max).
+
+    ``vectorized`` says that f maps an array of points to their values, each
+    bit-identical to the scalar call.  The search then looks ahead: from the
+    current bracket it works out the probes of the next ``LOOKAHEAD`` steps
+    for either outcome of every comparison, 2**(LOOKAHEAD + 1) - 2 points,
+    evaluates them in one call of f, and walks the real comparisons through
+    them.  The probes taken and the result are those of the sequential
+    search; only the number of calls of f falls.
     """
     a, b = float(lo), float(hi)
     if not b > a:
@@ -77,17 +91,32 @@ def golden_max(f: Callable, lo: float, hi: float, tol: float = 1e-12,
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = _feval(f, c), _feval(f, d)
+    # look-ahead probes as a heap: node n's children are 2n + 1 (the step
+    # taken when fc >= fd) and 2n + 2, and node m's probe value is ahead[m - 1]
+    leaves = 2 ** LOOKAHEAD - 1
+    ahead, node = None, leaves
     for _ in range(max_iter):
         if b - a <= tol:
             break
+        if vectorized and node >= leaves:
+            heap, probes = [(a, b, c, d)], []
+            for n in range(leaves):
+                na, nb, nc, nd = heap[n]
+                left_c = nd - _INVPHI * (nd - na)
+                right_d = nc + _INVPHI * (nb - nc)
+                heap += [(na, nd, left_c, nc), (nc, nb, nd, right_d)]
+                probes += [left_c, right_d]
+            ahead, node = np.asarray(f(np.array(probes)), dtype=float), 0
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = _feval(f, c)
+            node = 2 * node + 1
+            fc = float(ahead[node - 1]) if vectorized else _feval(f, c)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = _feval(f, d)
+            node = 2 * node + 2
+            fd = float(ahead[node - 1]) if vectorized else _feval(f, d)
     x = 0.5 * (a + b)
     fx = _feval(f, x)
     # never report worse than an interior probe
@@ -182,7 +211,8 @@ def bisect_flag(test: Callable, lo: float, hi: float, found, tol: float,
 
 def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = False,
                 period: float | None = None, rescore: bool = False,
-                refine: bool = True, tol: float = 1e-12) -> tuple[float, float]:
+                refine: bool = True, tol: float = 1e-12,
+                vectorized: bool = False) -> tuple[float, float]:
     """Best point of f on the uniform grid ``xs``, polished; returns (x, value).
 
     ``values`` are f already computed on ``xs``; without them f is called
@@ -194,6 +224,7 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
     covers one ``period`` (the angle circle), the witness then reduced to
     [0, period), and is clipped to the grid otherwise.  The polished point
     is kept only when strictly better, so plateau witnesses stay put.
+    ``vectorized`` is handed to ``golden_max``.
     """
     if len(xs) < 2:
         raise ParameterDomainError(f"a scan needs at least 2 points, got {len(xs)}")
@@ -209,7 +240,10 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
         step = float(xs[1] - xs[0])
         a, b = best_x - step, best_x + step
     if b > a:
-        x, fx = (trisect_min if minimize else golden_max)(f, a, b, tol=tol)
+        if minimize:
+            x, fx = trisect_min(f, a, b, tol=tol)
+        else:
+            x, fx = golden_max(f, a, b, tol=tol, vectorized=vectorized)
         if (fx < best_f) if minimize else (fx > best_f):
             best_x, best_f = (x if period is None else x % period), fx
     return best_x, best_f

@@ -360,6 +360,10 @@ class TestOptionDefaults:
          "--tol", "-1"),
         ("sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8",
          "--tol", "nan"),
+        ("theorem4", "--a", "nan", "--R", "0.769"),
+        ("theorem4", "--a", "0.35", "--R", "nan"),
+        ("theorem2-check", "--samples", "5", "--tol", "nan"),
+        ("theorem2-check", "--samples", "5", "--tol", "-1"),
     ], ids=lambda argv: " ".join(argv))
     def test_edge_inputs_are_library_errors(self, capsys, monkeypatch, tmp_path, argv):
         (tmp_path / "truncated.json").write_text('{"coeffs": [[0.0, 0.0], [1.0')

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blochbohr import (ConvergenceError, GridSpec, NoSignChangeError,
                        ParameterDomainError, bisect_root, golden_max, grid_golden_max,
                        trisect_min)
 from blochbohr.search import bisect_flag, scan_polish
+from blochbohr.series import _horner
 
 
 def test_golden_max_quadratic():
@@ -16,6 +19,43 @@ def test_golden_max_quadratic():
 def test_golden_max_degenerate_bracket():
     x, fx = golden_max(lambda x: x, 0.5, 0.5)
     assert x == 0.5 and fx == 0.5
+
+
+def _circle_objective(coeffs, r, seen):
+    """|f(r e^{i theta})| by Horner, as ``series.circle_sup`` polishes it;
+    every point it is called at goes to ``seen``."""
+    def f(th):
+        seen.extend(np.atleast_1d(th).tolist())
+        return np.abs(_horner(coeffs, r * np.exp(1j * th)))
+    return f
+
+
+@given(coeffs=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=70),
+       r=st.floats(min_value=0.0, max_value=0.999),
+       lo=st.floats(min_value=-7.0, max_value=7.0),
+       width=st.one_of(st.just(0.0), st.floats(min_value=-1.0, max_value=7.0),
+                       st.floats(min_value=1e-15, max_value=1e-2)),
+       tol=st.one_of(st.floats(min_value=1e-14, max_value=1e-6),
+                     st.floats(min_value=1e-6, max_value=10.0)),
+       max_iter=st.one_of(st.integers(0, 12), st.just(200)))
+@example(coeffs=[1.0, 2j, -0.5], r=0.9, lo=0.0, width=2.0 * np.pi / 4096 * 2, tol=1e-12,
+         max_iter=200)
+@example(coeffs=[1.0, 2j], r=0.5, lo=1.0, width=0.0, tol=1e-12, max_iter=200)
+@example(coeffs=[1.0, 2j], r=0.5, lo=1.0, width=0.5, tol=1.0, max_iter=200)
+@example(coeffs=[1.0, 2j], r=0.5, lo=1.0, width=0.5, tol=1e-12, max_iter=0)
+@example(coeffs=[3.0], r=0.0, lo=0.0, width=1.0, tol=1e-12, max_iter=200)
+@settings(max_examples=150, deadline=None)
+def test_golden_max_lookahead_equals_sequential(coeffs, r, lo, width, tol, max_iter):
+    # the look-ahead evaluates a superset of the sequential probes and must
+    # end at the same point with the same value
+    coeffs = np.array(coeffs, dtype=complex)
+    seq_seen, vec_seen = [], []
+    expected = golden_max(_circle_objective(coeffs, r, seq_seen), lo, lo + width,
+                          tol=tol, max_iter=max_iter)
+    got = golden_max(_circle_objective(coeffs, r, vec_seen), lo, lo + width,
+                     tol=tol, max_iter=max_iter, vectorized=True)
+    assert got == expected
+    assert set(seq_seen) <= set(vec_seen)
 
 
 def test_trisect_min_quadratic():

@@ -8,6 +8,9 @@ from blochbohr import (DivergenceRegionError, ExtremalSpec, GridSpec,
                        coefficient_sum, derivative, eval_series,
                        extremal_coefficients, extremal_eval, majorant,
                        scale_argument, tail_bound)
+from blochbohr.norms import _batch_circle_max
+from blochbohr.search import scan_polish
+from blochbohr.series import _horner, circle_sup, values_on_angle_grid
 from conftest import random_polynomial, trig_quadrature_l2
 
 SQRT2 = np.sqrt(2.0)
@@ -261,3 +264,41 @@ class TestSerialization:
         assert payload == {"coeffs": [[1.0, 0.0], [0.0, -1.0]],
                            "tail": {"rho": 0.25, "M": 3.0}}
         assert json.loads(TruncatedSeries([1.0]).dumps())["tail"] is None
+
+
+class TestAngleGridScan:
+    """The unscaled, chunked FFT scan and the look-ahead polish reproduce the
+    plain expressions they replace bit for bit."""
+
+    @pytest.mark.parametrize("count,n_coeffs", [(8, 8), (64, 5), (4096, 65)])
+    def test_rough_scan_equals_scaled_inverse_fft(self, count, n_coeffs):
+        rng = np.random.default_rng(count)
+        coeffs = rng.normal(size=n_coeffs) + 1j * rng.normal(size=n_coeffs)
+        # more radii than one chunk holds at count 4096, with a partial last chunk
+        radii = np.linspace(0.0, 0.999, 300)
+        buf = np.zeros((radii.size, count), dtype=complex)
+        buf[:, :n_coeffs] = coeffs[None, :] * radii[:, None] ** np.arange(
+            n_coeffs, dtype=float)[None, :]
+        expected = np.fft.ifft(buf, axis=1) * count
+        assert _batch_circle_max(coeffs, radii, count).tobytes() \
+            == np.abs(expected).max(axis=1).tobytes()
+        for i in (0, 150, 299):
+            angles, values = values_on_angle_grid(
+                TruncatedSeries(coeffs), float(radii[i]), count)
+            single = np.zeros(count, dtype=complex)
+            single[:n_coeffs] = coeffs * float(radii[i]) ** np.arange(n_coeffs, dtype=float)
+            assert values.tobytes() == (np.fft.ifft(single) * count).tobytes()
+            assert values.tobytes() == expected[i].tobytes()
+            assert angles.size == count
+
+    def test_circle_sup_equals_sequential_polish(self):
+        rng = np.random.default_rng(8)
+        grid = GridSpec()
+        for _ in range(12):
+            s = random_polynomial(rng, max_degree=64)
+            r = float(rng.uniform(0.05, 0.999))
+            angles, values = values_on_angle_grid(s, r, grid.theta_points)
+            theta, sup = scan_polish(
+                lambda th: np.abs(_horner(s.coeffs, r * np.exp(1j * th))),
+                angles, np.abs(values), period=2.0 * np.pi, tol=grid.refine_tol)
+            assert circle_sup(s, r, grid) == (sup, theta)
