@@ -4,7 +4,9 @@ The Bloch norm of f = sum a_n z^n under a radial weight omega is
 |a_0| + sup_{z in D} omega(|z|) |f'(z)|.  The same two-stage scan (radial
 grid, then golden-section polish, with an inner angle scan per radius)
 also serves the derivative-free problem sup_r omega(r) max_theta |f(r e^{i
-theta})| for arbitrary evaluators.
+theta})| for arbitrary evaluators.  For a series the rough radial scan skips
+each radius whose weight times a rigorous bound on its circle maximum (the
+majorant sum, or Bernstein's) stays below the best score: the argmax stays.
 
 The module also provides the cubed-Mobius test function
 f(z) = (3 sqrt(3)/2) (1-a^2) (z-a) / (1-az)^3 for 0 < a < 1/sqrt(3), whose
@@ -23,11 +25,17 @@ from .errors import (BlochBohrError, DivergenceRegionError, EvaluatorDomainError
                      ParameterDomainError, PoleError)
 from .search import GridSpec, grid_golden_max, scan_polish
 from .series import (TruncatedSeries, _angle_count, _angle_grid_values, _check_certified,
-                     circle_sup, derivative)
+                     _horner, circle_sup, derivative)
 from .weights import Weight
 
 A_MAX = 1.0 / np.sqrt(3.0)
 _COEF = 1.5 * np.sqrt(3.0)  # 3 sqrt(3) / 2
+
+#: stride of the radii the pruned rough scan transforms first (plus the last)
+_COARSE = 16
+#: slack of that scan's bounds, in units of sum |a_k| r^k; the FFT rounds
+#: within c log2(count) eps of that sum
+_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,23 +56,44 @@ def _abs_coeff_sum(mods: np.ndarray, r) -> np.ndarray:
     return powers @ mods
 
 
-def _batch_circle_max(coeffs: np.ndarray, radii: np.ndarray,
-                      theta_points: int) -> np.ndarray:
-    """max_theta |f(r e^{i theta})| on the raw angle grid, for every radius."""
-    out = np.empty(radii.size)
-    for rows, values in _angle_grid_values(coeffs, radii,
-                                          _angle_count(theta_points, coeffs.size)):
-        out[rows] = np.abs(values).max(axis=1)
+def _batch_circle_max(coeffs: np.ndarray, radii: np.ndarray, theta_points: int,
+                      weights: np.ndarray) -> np.ndarray:
+    """max_theta |f(r e^{i theta})| on the raw angle grid at each radius that
+    can hold the argmax of ``weights * out`` (see ``_series_radial_sup``),
+    0.0 elsewhere; negative or non-finite weights get every radius."""
+    count = _angle_count(theta_points, coeffs.size)
+    out = np.zeros(radii.size)
+
+    def scan(rows: np.ndarray) -> None:
+        for part, values in _angle_grid_values(coeffs, radii[rows], count):
+            out[rows[part]] = np.abs(values).max(axis=1)
+
+    rows = np.arange(radii.size)
+    coarse = np.append(rows[:-1:_COARSE], rows[-1])
+    scan(coarse)
+    best = np.max(weights[coarse] * out[coarse])
+    rest = (rows % _COARSE != 0) & (rows < rows[-1])
+    if np.all((weights >= 0.0) & (weights < np.inf)) and 0.0 < best < np.inf:
+        maj = _horner(np.abs(coeffs), radii).real
+        upper = (1.0 + _EPS) * maj
+        n = coeffs.size - 1
+        if np.pi * n < count:
+            up = coarse[np.searchsorted(coarse, rows)]
+            upper = np.minimum(upper, _EPS * maj + (out[up] + _EPS * maj[up])
+                               / (1.0 - np.pi * n / count))
+        rest &= weights * upper >= best
+    scan(rows[rest])
     return out
 
 
-def _radial_sup(rough: np.ndarray, circle_max: Callable, w: Weight,
-                grid: GridSpec) -> tuple[float, float, float]:
+def _radial_sup(rough: np.ndarray, weights: np.ndarray, circle_max: Callable,
+                w: Weight, grid: GridSpec) -> tuple[float, float, float]:
     """sup_r w(r) circle_max(r) -> (value, witness_r, witness_theta).
 
-    ``rough`` holds the unpolished circle maxima on ``grid.radii()``; they
-    pick the radial bracket.  ``circle_max(r)`` returns the polished
-    (max, theta) at one radius.  Ties resolve to the smallest witness radius.
+    ``rough`` holds the unpolished circle maxima on ``grid.radii()`` and
+    ``weights`` the weight there; the argmax of their product picks the
+    radial bracket.  ``circle_max(r)`` returns the polished (max, theta) at
+    one radius.  Ties resolve to the smallest witness radius.
     """
     thetas = {}
 
@@ -72,8 +101,7 @@ def _radial_sup(rough: np.ndarray, circle_max: Callable, w: Weight,
         sup, thetas[r] = circle_max(r)
         return float(w(r)) * sup
 
-    radii = grid.radii()
-    r, v = scan_polish(weighted, radii, np.asarray(w(radii)) * rough, rescore=True,
+    r, v = scan_polish(weighted, grid.radii(), weights * rough, rescore=True,
                        refine=grid.refine, tol=grid.refine_tol)
     return v, r, thetas[r]
 
@@ -82,7 +110,16 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight,
                        grid: GridSpec) -> tuple[float, float, float]:
     """sup_r w(r) max_theta |f(r e^{i theta})| -> (value, witness_r, witness_theta).
 
-    Ties resolve to the smallest witness radius.
+    Ties resolve to the smallest witness radius.  The rough scan picks the
+    bracket; it transforms every ``_COARSE``-th radius and the last, then
+    radius r only if w(r) u(r) >= best, the best weighted coarse row.  Here
+    u(r) = (1 + eps) maj(r) with maj(r) = sum |a_k| r^k, or, when pi n < count
+    (degree n, FFT size count), the smaller Bernstein bound
+    (rough(r_c) + eps maj(r_c)) / (1 - pi n / count) + eps maj(r): M(r) =
+    max_theta |f| grows with r and is within pi n M / count of the samples at
+    the next coarse radius r_c.  eps = 1e-9 dwarfs the FFT's rounding, so u
+    bounds the computed rough(r) and each skipped row (0.0) scores below
+    best: the argmax, and every polished probe and output, is unchanged.
     """
     _check_certified(s, grid.r_max, "radial scan")
     if s.is_nonnegative:
@@ -91,8 +128,10 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight,
         x, v = grid_golden_max(profile, grid.r_min, grid.r_max, grid.r_points,
                                refine=grid.refine, tol=grid.refine_tol)
         return v, x, 0.0
-    rough = _batch_circle_max(s.coeffs, grid.radii(), grid.theta_points)
-    return _radial_sup(rough, lambda r: circle_sup(s, r, grid), w, grid)
+    radii = grid.radii()
+    weights = np.asarray(w(radii))
+    rough = _batch_circle_max(s.coeffs, radii, grid.theta_points, weights)
+    return _radial_sup(rough, weights, lambda r: circle_sup(s, r, grid), w, grid)
 
 
 def weighted_bloch_seminorm(s: TruncatedSeries, w: Weight,
@@ -166,7 +205,7 @@ def weighted_radial_sup(evaluator: Callable, w: Weight,
                                  refine=grid.refine, tol=grid.refine_tol)
         return sup, theta
 
-    value, r, theta = _radial_sup(rough, circle_max, w, grid)
+    value, r, theta = _radial_sup(rough, np.asarray(w(radii)), circle_max, w, grid)
     return RadialSupReport(value=value, witness_r=r, witness_theta=theta, grid=grid)
 
 

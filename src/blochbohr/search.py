@@ -49,8 +49,8 @@ class GridSpec:
             raise ParameterDomainError("grid needs at least 2 radial and 2 angular points")
         if not 0.0 <= self.r_min < self.r_max:
             raise ParameterDomainError("grid requires 0 <= r_min < r_max")
-        if self.refine_tol <= 0.0:
-            raise ParameterDomainError("refine_tol must be positive")
+        if not 0.0 < self.refine_tol < np.inf:
+            raise ParameterDomainError("refine_tol must be positive and finite")
 
     def radii(self) -> np.ndarray:
         return np.linspace(self.r_min, self.r_max, self.r_points)

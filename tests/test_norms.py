@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blochbohr import (EvaluatorDomainError, ExtremalSpec, GridSpec,
                        ParameterDomainError, PoleError, TruncatedSeries,
@@ -8,6 +10,9 @@ from blochbohr import (EvaluatorDomainError, ExtremalSpec, GridSpec,
                        eval_series, extremal_coefficients, extremal_eval,
                        majorant, weighted_bloch_norm, weighted_bloch_seminorm,
                        weighted_radial_sup)
+from blochbohr.norms import _batch_circle_max
+from blochbohr.series import _angle_count, _angle_grid_values
+from blochbohr.weights import Weight, builtin_weight
 from conftest import random_polynomial
 
 A_MAX = 1.0 / np.sqrt(3.0)
@@ -246,3 +251,101 @@ class TestSeminormClosedForms:
             sampled = std(float(r)) * np.abs(
                 avkhadiev_eval(0.3, r * np.exp(1j * theta))).max()
             assert rep.value >= sampled - 1e-12
+
+
+def _full_rough(coeffs, radii, theta_points):
+    """The unpruned rough scan: the angle-grid maximum at every radius."""
+    out = np.empty(radii.size)
+    for rows, values in _angle_grid_values(coeffs, radii,
+                                           _angle_count(theta_points, coeffs.size)):
+        out[rows] = np.abs(values).max(axis=1)
+    return out
+
+
+def _check_pruned_scan(coeffs, weights, radii, theta_points):
+    """The pruned scan keeps the weighted argmax of the full one; its scanned
+    rows are the full rows bit for bit, and every skipped row scores
+    strictly below the best.  Returns (pruned, full)."""
+    pruned = _batch_circle_max(coeffs, radii, theta_points, weights)
+    full = _full_rough(coeffs, radii, theta_points)
+    assert np.argmax(weights * pruned) == np.argmax(weights * full)
+    skipped = pruned != full
+    assert np.all(pruned[skipped] == 0.0)
+    assert np.all(weights[skipped] * full[skipped] < np.max(weights * full))
+    return pruned, full
+
+
+def _zero_band(lo, width):
+    """1 - r^2 with a stretch of zeros on [lo, lo + width]."""
+    return Weight("zero-band", lambda r: np.where((r >= lo) & (r <= lo + width), 0.0,
+                                                  1.0 - r * r))
+
+
+def _spike(at, width):
+    """Zero except on [at, at + width], where it is 1."""
+    return Weight("spike", lambda r: np.where((r >= at) & (r <= at + width), 1.0, 0.0))
+
+
+@st.composite
+def _series_coeffs(draw):
+    """Random, aligned-phase (the majorant is the circle maximum) and
+    monomial coefficients, and f' = 0."""
+    kind = draw(st.sampled_from(["random", "aligned", "monomial", "zero"]))
+    degree = draw(st.integers(0, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mods = 10.0 ** rng.uniform(-3.0, 3.0, degree + 1)
+    if kind == "random":
+        return mods * np.exp(2j * np.pi * rng.random(degree + 1))
+    if kind == "aligned":
+        theta0, psi = rng.uniform(0.0, 2.0 * np.pi, 2)
+        return mods * np.exp(1j * (psi - theta0 * np.arange(degree + 1)))
+    coeffs = np.zeros(degree + 1, dtype=complex)
+    if kind == "monomial":
+        coeffs[-1] = mods[-1] * np.exp(2j * np.pi * rng.random())
+    return coeffs
+
+
+_WEIGHTS = st.one_of(
+    st.sampled_from([builtin_weight("standard"), builtin_weight("constant")]),
+    st.builds(lambda kind, r0, alpha: builtin_weight(kind, r0=r0, alpha=alpha),
+              st.sampled_from(["example2", "example3"]),
+              st.floats(0.71, 0.99), st.floats(1.0, 4.0)),
+    st.builds(_zero_band, st.floats(0.0, 0.9), st.floats(0.0, 0.5)),
+    st.builds(_spike, st.floats(0.0, 0.95), st.floats(0.0, 0.05)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=_series_coeffs(), w=_WEIGHTS,
+       r_points=st.one_of(st.sampled_from([2, 3, 16, 17]), st.integers(4, 400)),
+       theta_points=st.sampled_from([2, 8, 64, 256, 4096]),
+       r_max=st.one_of(st.just(1.0 - 1e-6), st.floats(0.05, 1.0 - 1e-6)))
+@example(coeffs=np.array([0.0, 1.0]), w=builtin_weight("standard"),
+         r_points=2048, theta_points=4096, r_max=1.0 - 1e-6)
+def test_pruned_rough_scan_keeps_the_weighted_argmax(coeffs, w, r_points, theta_points,
+                                                     r_max):
+    radii = np.linspace(0.0, r_max, r_points)
+    _check_pruned_scan(np.asarray(coeffs, dtype=complex), np.asarray(w(radii)), radii,
+                       theta_points)
+
+
+@pytest.mark.parametrize("aligned", [False, True])
+def test_pruned_rough_scan_past_the_bernstein_range(aligned):
+    # degree 600 on 1024 angles: pi n >= count, only the majorant bound prunes
+    rng = np.random.default_rng(600)
+    phases = -1.3 * np.arange(601) if aligned else 2.0 * np.pi * rng.random(601)
+    coeffs = rng.uniform(0.1, 1.0, 601) * np.exp(1j * phases)
+    radii = np.linspace(0.0, 1.0 - 1e-6, 300)
+    _check_pruned_scan(coeffs, np.asarray(builtin_weight("standard")(radii)), radii, 64)
+
+
+@pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+def test_pruned_rough_scan_falls_back_on_bad_weights(bad):
+    # a weight that is negative or not finite anywhere scans every radius
+    w = Weight("bad", lambda r: np.where(np.abs(r - 0.5) < 0.01, bad, 1.0 - r * r))
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=20) + 1j * rng.normal(size=20)
+    radii = np.linspace(0.0, 1.0 - 1e-6, 257)
+    weights = np.asarray(w(radii))
+    assert not np.all((weights >= 0.0) & (weights < np.inf))
+    pruned, full = _check_pruned_scan(coeffs, weights, radii, 256)
+    assert np.array_equal(pruned, full)

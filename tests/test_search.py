@@ -197,8 +197,9 @@ def test_gridspec_validation():
         GridSpec(theta_points=1)
     with pytest.raises(ParameterDomainError):
         GridSpec(r_min=0.5, r_max=0.4)
-    with pytest.raises(ParameterDomainError):
-        GridSpec(refine_tol=0.0)
+    for tol in (0.0, -1e-12, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParameterDomainError):
+            GridSpec(refine_tol=tol)
     g = GridSpec(r_points=11, r_min=0.0, r_max=1.0)
     assert g.radii().size == 11
     assert abs(g.r_step - 0.1) < 1e-15

@@ -10,7 +10,7 @@ from blochbohr import (DivergenceRegionError, ExtremalSpec, GridSpec,
                        scale_argument, tail_bound)
 from blochbohr.norms import _batch_circle_max
 from blochbohr.search import scan_polish
-from blochbohr.series import _horner, circle_sup, values_on_angle_grid
+from blochbohr.series import _angle_grid_values, _horner, circle_sup, values_on_angle_grid
 from conftest import random_polynomial, trig_quadrature_l2
 
 SQRT2 = np.sqrt(2.0)
@@ -280,8 +280,14 @@ class TestAngleGridScan:
         buf[:, :n_coeffs] = coeffs[None, :] * radii[:, None] ** np.arange(
             n_coeffs, dtype=float)[None, :]
         expected = np.fft.ifft(buf, axis=1) * count
-        assert _batch_circle_max(coeffs, radii, count).tobytes() \
-            == np.abs(expected).max(axis=1).tobytes()
+        rough = np.empty(radii.size)
+        for rows, values in _angle_grid_values(coeffs, radii, count):
+            rough[rows] = np.abs(values).max(axis=1)
+        assert rough.tobytes() == np.abs(expected).max(axis=1).tobytes()
+        # the pruned rough scan transforms its rows in other batches, alike
+        pruned = _batch_circle_max(coeffs, radii, count, 1.0 - radii ** 2)
+        kept = pruned != 0.0
+        assert kept.sum() > 20 and pruned[kept].tobytes() == rough[kept].tobytes()
         for i in (0, 150, 299):
             angles, values = values_on_angle_grid(
                 TruncatedSeries(coeffs), float(radii[i]), count)
