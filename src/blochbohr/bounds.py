@@ -56,20 +56,17 @@ THEOREM4_R_POINTS = 2048
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Bracketing, tolerance and iteration-cap settings for scalar solves."""
+    """Bracket and tolerance of scalar solves, each capped at 200 halvings."""
 
     abs_tol: float = 1e-10
-    max_iter: int = 200
     bracket: tuple[float, float] = (1e-6, 1.0 - 1e-6)
 
     def __post_init__(self) -> None:
         lo, hi = self.bracket
         if not lo < hi:
             raise ParameterDomainError("bracket must satisfy lo < hi")
-        if self.abs_tol <= 0.0:
-            raise ParameterDomainError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise ParameterDomainError("max_iter must be >= 1")
+        if not 0.0 < self.abs_tol < np.inf:
+            raise ParameterDomainError("abs_tol must be positive and finite")
 
 
 #: bisection settings of ``theorem4_upper_bound``: scales in (1/sqrt(2), 0.7691)
@@ -78,11 +75,10 @@ THEOREM4_SEARCH = SolverConfig(abs_tol=1e-5, bracket=(1.0 / np.sqrt(2.0), 0.7691
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Result of a parameter scan: best point found and threshold verdict."""
+    """Certificate at the scale a threshold search found, and the cells it scanned."""
 
     best_value: float
     best_params: dict
-    exceeded_threshold: bool
     samples: int
 
     def to_json_dict(self) -> dict:
@@ -106,8 +102,7 @@ def theorem1_root(s: float, cfg: SolverConfig | None = None) -> float:
     s = min(max(s, S_CLIP[0]), S_CLIP[1])
     cfg = cfg or SolverConfig()
     lo, hi = cfg.bracket
-    return bisect_root(lambda r: _t1_residual(r, s), lo, hi,
-                       abs_tol=cfg.abs_tol, max_iter=cfg.max_iter)
+    return bisect_root(lambda r: _t1_residual(r, s), lo, hi, abs_tol=cfg.abs_tol)
 
 
 def theorem1_optimize(cfg: SolverConfig | None = None) -> tuple[float, float]:
@@ -125,7 +120,7 @@ def theorem1_optimize(cfg: SolverConfig | None = None) -> tuple[float, float]:
     cfg = cfg or SolverConfig()
     lo, hi = cfg.bracket
     r_star = bisect_root(lambda r: 2.0 * np.log(r) + r ** -2.0 - 2.0, lo, hi,
-                         abs_tol=cfg.abs_tol, max_iter=cfg.max_iter)
+                         abs_tol=cfg.abs_tol)
     s_star = np.log(1.0 - r_star * r_star) / (2.0 * np.log(r_star))
     return float(s_star), float(r_star)
 
@@ -179,15 +174,14 @@ def theorem4_table(scale: float, a_points: int = THEOREM4_A_POINTS,
     return a_grid, theorem4_expression(a_grid[:, None], scale, r_grid[None, :])
 
 
-def theorem4_sup(a: float, scale: float, r_points: int = THEOREM4_R_POINTS,
-                 refine: bool = True) -> tuple[float, float]:
+def theorem4_sup(a: float, scale: float,
+                 r_points: int = THEOREM4_R_POINTS) -> tuple[float, float]:
     """sup over r in [0, 1] of ``theorem4_expression`` -> (value, witness_r)."""
-    x, v = grid_golden_max(lambda r: theorem4_expression(a, scale, r),
-                           0.0, 1.0, r_points, refine=refine)
+    x, v = grid_golden_max(lambda r: theorem4_expression(a, scale, r), 0.0, 1.0, r_points)
     return v, x
 
 
-def best_test_ratio(scale: float, a_points: int = THEOREM4_A_POINTS,
+def best_test_ratio(scale: float,
                     r_points: int = THEOREM4_R_POINTS) -> tuple[float, float, float]:
     """Best ``theorem4_sup`` over the a grid at the scale R -> (value, a, r).
 
@@ -198,7 +192,7 @@ def best_test_ratio(scale: float, a_points: int = THEOREM4_A_POINTS,
     scale = float(scale)
     if not 0.0 < scale < 1.0:
         raise ParameterDomainError("the scale R must lie in (0, 1)")
-    a_grid, table = theorem4_table(scale, a_points, r_points)
+    a_grid, table = theorem4_table(scale, THEOREM4_A_POINTS, r_points)
     i, _ = np.unravel_index(int(np.argmax(table)), table.shape)
     a_star = float(a_grid[i])
     value, r_star = theorem4_sup(a_star, scale, r_points)
@@ -206,23 +200,24 @@ def best_test_ratio(scale: float, a_points: int = THEOREM4_A_POINTS,
 
 
 def theorem4_upper_bound(cfg: SolverConfig | None = None,
-                         a_points: int = THEOREM4_A_POINTS,
                          r_points: int = THEOREM4_R_POINTS) -> ScanReport:
     """Least scale R (by bisection) at which ``best_test_ratio`` exceeds 1.
 
     Any such R is an upper bound for the Bloch-space Bohr radius.  The
     expression grows monotonically in R, so bisection on the exceedance
-    flag is valid; ``cfg`` defaults to ``THEOREM4_SEARCH``.  The report
-    carries the certificate at the returned scale: best_params holds
-    (R, a, r) and best_value the expression value there.
+    flag is valid; ``cfg`` defaults to ``THEOREM4_SEARCH``, and the bracket
+    is halved until it is within cfg.abs_tol, at most 200 times.  Each scale
+    scans ``THEOREM4_A_POINTS`` x ``r_points`` cells.  The report carries
+    the certificate at the returned scale: best_params holds (R, a, r) and
+    best_value the expression value there.
     """
     cfg = cfg or THEOREM4_SEARCH
     samples = 0
 
     def exceeds(scale: float) -> tuple[float, float, float] | None:
         nonlocal samples
-        samples += a_points * r_points
-        found = best_test_ratio(scale, a_points, r_points)
+        samples += THEOREM4_A_POINTS * r_points
+        found = best_test_ratio(scale, r_points)
         return found if found[0] > EXCEED_THRESHOLD else None
 
     lo, hi = cfg.bracket
@@ -233,11 +228,9 @@ def theorem4_upper_bound(cfg: SolverConfig | None = None,
     if found is None:
         raise ParameterDomainError(
             f"bracket high end {hi} does not exceed 1; raise it")
-    hi, (v_hi, a_hi, r_hi) = bisect_flag(exceeds, lo, hi, found,
-                                         cfg.abs_tol, cfg.max_iter)
-    return ScanReport(best_value=v_hi,
-                      best_params={"R": hi, "a": a_hi, "r": r_hi},
-                      exceeded_threshold=True, samples=samples)
+    hi, (v_hi, a_hi, r_hi) = bisect_flag(exceeds, lo, hi, found, cfg.abs_tol, 200)
+    return ScanReport(best_value=v_hi, best_params={"R": hi, "a": a_hi, "r": r_hi},
+                      samples=samples)
 
 
 def bombieri_m_infty(r):
@@ -264,8 +257,7 @@ def mobius_majorant_sum(a, r):
     return a + (1.0 - a * a) * r / (1.0 - a * r)
 
 
-def mobius_majorant_sup(r: float, a_points: int = 2048,
-                        refine: bool = True) -> float:
+def mobius_majorant_sup(r: float, a_points: int = 2048) -> float:
     """max over a in [0, 1) of the Mobius-family majorant sum at radius r.
 
     On [1/3, 1/sqrt(2)] this reproduces the closed form
@@ -275,8 +267,7 @@ def mobius_majorant_sup(r: float, a_points: int = 2048,
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ParameterDomainError("radius must lie in (0, 1)")
-    _, v = grid_golden_max(lambda a: mobius_majorant_sum(a, r),
-                           0.0, 1.0 - 1e-9, a_points, refine=refine)
+    _, v = grid_golden_max(lambda a: mobius_majorant_sum(a, r), 0.0, 1.0 - 1e-9, a_points)
     return v
 
 

@@ -169,8 +169,7 @@ def _sup_with_candidate(f, grid: GridSpec, candidate: float) -> tuple[float, flo
     The candidate wins ties, so a supremum attained exactly there reports
     it as the witness.
     """
-    x, v = grid_golden_max(f, grid.r_min, grid.r_max, grid.r_points,
-                           refine=grid.refine, tol=grid.refine_tol)
+    x, v = grid_golden_max(f, 0.0, grid.r_max, grid.r_points)
     cv = float(np.asarray(f(candidate)))
     if cv >= v:
         return candidate, cv

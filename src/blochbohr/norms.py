@@ -101,8 +101,7 @@ def _radial_sup(rough: np.ndarray, weights: np.ndarray, circle_max: Callable,
         sup, thetas[r] = circle_max(r)
         return float(w(r)) * sup
 
-    r, v = scan_polish(weighted, grid.radii(), weights * rough, rescore=True,
-                       refine=grid.refine, tol=grid.refine_tol)
+    r, v = scan_polish(weighted, grid.radii(), weights * rough, rescore=True)
     return v, r, thetas[r]
 
 
@@ -125,8 +124,7 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight,
     if s.is_nonnegative:
         mods = np.abs(s.coeffs)
         profile = lambda r: np.asarray(w(r)) * _abs_coeff_sum(mods, r)
-        x, v = grid_golden_max(profile, grid.r_min, grid.r_max, grid.r_points,
-                               refine=grid.refine, tol=grid.refine_tol)
+        x, v = grid_golden_max(profile, 0.0, grid.r_max, grid.r_points)
         return v, x, 0.0
     radii = grid.radii()
     weights = np.asarray(w(radii))
@@ -201,8 +199,7 @@ def weighted_radial_sup(evaluator: Callable, w: Weight,
     def circle_max(r: float) -> tuple[float, float]:
         f = lambda th: np.abs(_call_evaluator(
             evaluator, np.asarray(r * np.exp(1j * th), dtype=complex)))
-        theta, sup = scan_polish(f, angles, period=2.0 * np.pi,
-                                 refine=grid.refine, tol=grid.refine_tol)
+        theta, sup = scan_polish(f, angles, period=2.0 * np.pi)
         return sup, theta
 
     value, r, theta = _radial_sup(rough, np.asarray(w(radii)), circle_max, w, grid)

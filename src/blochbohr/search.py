@@ -1,21 +1,22 @@
 """Grid plans and 1-D search primitives.
 
 Every grid supremum in the library (and the worst criterion margin, an
-infimum) goes through one primitive, ``scan_polish``: a uniform grid scan,
-then local polish of the best grid point's bracket, golden-section search
-for a maximum and plain trisection for a minimum.  On the angle circle the
-bracket wraps around; elsewhere it is clipped to the grid.  An objective
-that takes arrays (the angle polish of ``series.circle_sup``) gets the
-golden probes of the next few steps, for either outcome of each
-comparison, in one call (look-ahead); the result is the sequential one.
-Root-finding is bracketed bisection with an explicit sign-change check,
-converging on the residual rather than the bracket width (``bisect_root``);
-a pass/fail threshold is bisected on the verdict alone (``bisect_flag``).
+infimum) goes through one primitive, ``scan_polish``: a uniform grid scan
+(radial scans start at 0), then a polish of the best grid point's bracket
+to a 1e-12 width, golden-section search for a maximum and trisection for a
+minimum.  On the angle circle the bracket wraps around; elsewhere it is
+clipped to the grid.  An objective that takes arrays (the angle polish of
+``series.circle_sup``) gets the golden probes of the next few steps, for
+either outcome of each comparison, in one call (look-ahead); the result is
+the sequential one.  Root-finding is bracketed bisection with an explicit
+sign-change check, converging on the residual rather than the bracket
+width (``bisect_root``); a pass/fail threshold is bisected on the verdict
+alone (``bisect_flag``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,38 +33,29 @@ LOOKAHEAD = 5
 class GridSpec:
     """Sampling plan for radius/angle/parameter scans.
 
-    ``r_points`` uniform samples cover ``[r_min, r_max]`` and ``theta_points``
-    cover one period of the circle.  When ``refine`` is set, the best bracket
-    of a scan is polished to ``refine_tol`` (absolute, in the scan variable).
+    ``r_points`` uniform samples cover ``[0, r_max]`` and ``theta_points``
+    cover one period of the circle.
     """
 
     r_points: int = 2048
     theta_points: int = 4096
-    r_min: float = 0.0
     r_max: float = 1.0 - 1e-6
-    refine: bool = True
-    refine_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.r_points < 2 or self.theta_points < 2:
             raise ParameterDomainError("grid needs at least 2 radial and 2 angular points")
-        if not 0.0 <= self.r_min < self.r_max:
-            raise ParameterDomainError("grid requires 0 <= r_min < r_max")
-        if not 0.0 < self.refine_tol < np.inf:
-            raise ParameterDomainError("refine_tol must be positive and finite")
+        if not 0.0 < self.r_max <= 1.0:
+            raise ParameterDomainError("grid requires 0 < r_max <= 1")
 
     def radii(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.r_points)
+        return np.linspace(0.0, self.r_max, self.r_points)
 
     def angles(self) -> np.ndarray:
         return np.linspace(0.0, 2.0 * np.pi, self.theta_points, endpoint=False)
 
     @property
     def r_step(self) -> float:
-        return (self.r_max - self.r_min) / (self.r_points - 1)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        return self.r_max / (self.r_points - 1)
 
 
 def _feval(f: Callable, x: float) -> float:
@@ -211,7 +203,6 @@ def bisect_flag(test: Callable, lo: float, hi: float, found, tol: float,
 
 def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = False,
                 period: float | None = None, rescore: bool = False,
-                refine: bool = True, tol: float = 1e-12,
                 vectorized: bool = False) -> tuple[float, float]:
     """Best point of f on the uniform grid ``xs``, polished; returns (x, value).
 
@@ -219,10 +210,10 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
     once on the whole array.  The grid winner is the argmax (argmin when
     ``minimize``), ties going to the smallest argument; with ``rescore`` the
     values are only a cheap stand-in (an unpolished profile) and f scores
-    the winner.  Its bracket of one step either side is polished by
-    ``golden_max`` (``trisect_min``).  The bracket wraps around when ``xs``
-    covers one ``period`` (the angle circle), the witness then reduced to
-    [0, period), and is clipped to the grid otherwise.  The polished point
+    the winner.  Its bracket of one step either side is polished to a
+    1e-12 width by ``golden_max`` (``trisect_min``).  The bracket wraps
+    around when ``xs`` covers one ``period`` (the angle circle), the witness
+    then reduced to [0, period), and is clipped to the grid otherwise.  The polished point
     is kept only when strictly better, so plateau witnesses stay put.
     ``vectorized`` is handed to ``golden_max``.
     """
@@ -232,8 +223,6 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
     i = int(np.argmin(vals) if minimize else np.argmax(vals))
     best_x = float(xs[i])
     best_f = _feval(f, best_x) if rescore else float(vals[i])
-    if not refine:
-        return best_x, best_f
     if period is None:
         a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
     else:
@@ -241,15 +230,14 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
         a, b = best_x - step, best_x + step
     if b > a:
         if minimize:
-            x, fx = trisect_min(f, a, b, tol=tol)
+            x, fx = trisect_min(f, a, b)
         else:
-            x, fx = golden_max(f, a, b, tol=tol, vectorized=vectorized)
+            x, fx = golden_max(f, a, b, vectorized=vectorized)
         if (fx < best_f) if minimize else (fx > best_f):
             best_x, best_f = (x if period is None else x % period), fx
     return best_x, best_f
 
 
-def grid_golden_max(f: Callable, lo: float, hi: float, n_points: int,
-                    refine: bool = True, tol: float = 1e-12) -> tuple[float, float]:
+def grid_golden_max(f: Callable, lo: float, hi: float, n_points: int) -> tuple[float, float]:
     """Maximize an array-accepting f on [lo, hi]: an n-point ``scan_polish``."""
-    return scan_polish(f, np.linspace(lo, hi, n_points), refine=refine, tol=tol)
+    return scan_polish(f, np.linspace(lo, hi, n_points))

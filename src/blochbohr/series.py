@@ -305,8 +305,7 @@ def circle_sup(s: TruncatedSeries, r: float, grid: GridSpec) -> tuple[float, flo
         return coefficient_sum(s, r), 0.0
     angles, values = values_on_angle_grid(s, r, grid.theta_points)
     theta, sup = scan_polish(lambda th: np.abs(_horner(s.coeffs, r * np.exp(1j * th))),
-                             angles, np.abs(values), period=2.0 * np.pi,
-                             refine=grid.refine, tol=grid.refine_tol, vectorized=True)
+                             angles, np.abs(values), period=2.0 * np.pi, vectorized=True)
     return sup, theta
 
 

@@ -21,7 +21,7 @@ SQRT2 = float(np.sqrt(2.0))
 R0_MIN = 1.0 / SQRT2
 
 #: default scan grid for criterion checks: 10_000 points on [0, 1 - 1e-6]
-CRITERION_GRID = GridSpec(r_points=10_000, r_max=1.0 - 1e-6)
+CRITERION_GRID = GridSpec(r_points=10_000)
 
 #: equality in the criterion is admissible, so passing tolerates tiny rounding
 CRITERION_TOL = 1e-12
@@ -130,7 +130,7 @@ def weight_from_token(token: str) -> Weight:
     """Parse a CLI weight token.
 
     ``standard``, ``constant``, ``example2:r0=0.8,alpha=2``,
-    ``example3:r0=0.75,alpha=1``.
+    ``example3:r0=0.75,alpha=1``.  Each parameter may appear once.
     """
     kind, _, tail = token.partition(":")
     params = {}
@@ -139,6 +139,8 @@ def weight_from_token(token: str) -> Weight:
             key, _, value = item.partition("=")
             if not _ or not key:
                 raise ParameterDomainError(f"malformed weight parameter {item!r}")
+            if key.strip() in params:
+                raise ParameterDomainError(f"weight parameter {key.strip()!r} is repeated")
             try:
                 params[key.strip()] = float(value)
             except ValueError:
@@ -187,7 +189,7 @@ def criterion_check(w: Weight, r0: float, grid: GridSpec | None = None,
                     tol: float = CRITERION_TOL) -> CriterionReport:
     """Scan h(r) - omega(r)/omega(r0) over [0, 1) and report the worst margin.
 
-    The scan grid is refined by trisection around its minimum.  A zero
+    The grid minimum is polished by trisection to a 1e-12 width.  A zero
     weight value at the anchor raises ZeroDenominatorError; an infinite one
     is rejected as a parameter-domain error.
     """
@@ -203,20 +205,18 @@ def criterion_check(w: Weight, r0: float, grid: GridSpec | None = None,
     def margin(r):
         return _margin(r, r0, w(r), w0)
 
-    worst_r, worst = scan_polish(margin, grid.radii(), minimize=True,
-                                 refine=grid.refine, tol=grid.refine_tol)
+    worst_r, worst = scan_polish(margin, grid.radii(), minimize=True)
     passed = worst >= -tol
     return CriterionReport(r0=r0, passed=passed, worst_margin=worst,
                            violation_witness=None if passed else worst_r)
 
 
-def find_admissible_r0(w: Weight, r0_points: int = 100,
-                       grid: GridSpec | None = None,
+def find_admissible_r0(w: Weight, grid: GridSpec | None = None,
                        tol: float = CRITERION_TOL,
                        ) -> Optional[tuple[float, CriterionReport]]:
     """Search [1/sqrt(2), 1] for an anchor where the criterion passes.
 
-    Scans a uniform anchor grid (plus the weight's own r0 parameter when it
+    Scans 100 uniform anchors (plus the weight's own r0 parameter when it
     declares one: piecewise weights may be admissible at a single anchor
     that no uniform grid hits), takes the first passing candidate, and
     sharpens the pass/fail boundary against the preceding failing candidate
@@ -232,7 +232,7 @@ def find_admissible_r0(w: Weight, r0_points: int = 100,
     grid = grid or CRITERION_GRID
     radii = grid.radii()
     w_radii = w(radii)
-    candidates = np.linspace(R0_MIN, 1.0, r0_points)
+    candidates = np.linspace(R0_MIN, 1.0, 100)
     own = w.params.get("r0")
     if own is not None and R0_MIN - 1e-12 <= own <= 1.0:
         candidates = np.union1d(candidates, [float(own)])
@@ -260,19 +260,19 @@ def find_admissible_r0(w: Weight, r0_points: int = 100,
     return None
 
 
-def h_profile(r0: float, n_points: int = PROFILE_POINTS, r_max: float = 1.0 - 1e-6,
-              include_r0: bool = True) -> np.ndarray:
+def h_profile(r0: float, n_points: int = PROFILE_POINTS,
+              r_max: float = 1.0 - 1e-6) -> np.ndarray:
     """Tabulate (r, omega1, omega2, h) for plotting.
 
-    Returns an (n, 4) array over a uniform grid on [0, r_max]; the anchor
-    radius is inserted as an extra sample so the h(r0) = 1 corner is always
-    present.  h is decreasing everywhere and convex left of r0.
+    Returns the rows over a uniform grid on [0, r_max] plus the anchor r0
+    when r0 <= r_max, so the h(r0) = 1 corner is present.  h is decreasing
+    everywhere and convex left of r0.
     """
     r0 = _check_r0(r0)
     if n_points < 2:
         raise ParameterDomainError("profile needs at least 2 points")
     radii = np.linspace(0.0, r_max, n_points)
-    if include_r0 and r0 <= r_max:
+    if r0 <= r_max:
         radii = np.union1d(radii, [r0])
     w1, w2 = _omegas(radii, r0)
     return np.column_stack([radii, w1, w2, np.minimum(w1, w2)])

@@ -7,7 +7,7 @@ import pytest
 
 from blochbohr.bounds import (THEOREM4_A_POINTS, THEOREM4_R_POINTS,
                               THEOREM4_SEARCH, SolverConfig, theorem4_sup,
-                              theorem4_upper_bound)
+                              theorem4_table, theorem4_upper_bound)
 from blochbohr.cli import build_parser, main
 from blochbohr.search import GridSpec
 from blochbohr.weights import CRITERION_GRID, CRITERION_TOL, h_profile
@@ -301,9 +301,10 @@ class TestOptionDefaults:
                                                bracket=(1.0 / SQRT2, 0.7691))
         t2 = defaults("theorem2-check")
         assert (t2["grid"], t2["a_points"]) == (THEOREM4_R_POINTS, THEOREM4_A_POINTS)
-        sig = inspect.signature(theorem4_upper_bound).parameters
-        assert sig["a_points"].default == THEOREM4_A_POINTS
-        assert sig["r_points"].default == THEOREM4_R_POINTS
+        assert inspect.signature(theorem4_table).parameters["a_points"].default \
+            == THEOREM4_A_POINTS
+        assert inspect.signature(theorem4_upper_bound).parameters["r_points"].default \
+            == THEOREM4_R_POINTS
         assert inspect.signature(theorem4_sup).parameters["r_points"].default \
             == THEOREM4_R_POINTS
         assert defaults("theorem5-probe")["grid"] == THEOREM4_R_POINTS
@@ -364,6 +365,11 @@ class TestOptionDefaults:
         ("theorem4", "--a", "0.35", "--R", "nan"),
         ("theorem2-check", "--samples", "5", "--tol", "nan"),
         ("theorem2-check", "--samples", "5", "--tol", "-1"),
+        ("theorem1", "--s", "0.5", "--tol", "inf"),
+        ("theorem1", "--optimize", "--tol", "inf"),
+        ("theorem4", "--search", "--tol", "nan"),
+        ("weight-check", "--weight", "example2:r0=0.8,r0=0.95", "--r0", "0.8"),
+        ("weight-check", "--weight", "example3:r0=0.75,alpha=1,alpha=2", "--r0", "0.75"),
     ], ids=lambda argv: " ".join(argv))
     def test_edge_inputs_are_library_errors(self, capsys, monkeypatch, tmp_path, argv):
         (tmp_path / "truncated.json").write_text('{"coeffs": [[0.0, 0.0], [1.0')

@@ -306,5 +306,5 @@ class TestAngleGridScan:
             angles, values = values_on_angle_grid(s, r, grid.theta_points)
             theta, sup = scan_polish(
                 lambda th: np.abs(_horner(s.coeffs, r * np.exp(1j * th))),
-                angles, np.abs(values), period=2.0 * np.pi, tol=grid.refine_tol)
+                angles, np.abs(values), period=2.0 * np.pi)
             assert circle_sup(s, r, grid) == (sup, theta)

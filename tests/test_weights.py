@@ -72,6 +72,9 @@ class TestBuiltinWeights:
             weight_from_token("example2:r0=x")
         with pytest.raises(ParameterDomainError):
             weight_from_token("gauss")
+        for token in ("example2:r0=0.8,r0=0.95", "example3:r0=0.75,alpha=1, alpha =2"):
+            with pytest.raises(ParameterDomainError, match="repeated"):
+                weight_from_token(token)
 
 
 class TestCriterionBound:
@@ -171,11 +174,11 @@ class TestFindAdmissibleAnchor:
         assert dense.passed
 
 
-def full_check_sweep(w, r0_points=100, grid=None, tol=1e-12):
+def full_check_sweep(w, grid=None, tol=1e-12):
     """Reference anchor search: ``criterion_check`` at every candidate and
     bisection midpoint, with no grid pre-rejection.  ``find_admissible_r0``
     must return exactly the same (r0, report)."""
-    candidates = np.linspace(R0_MIN, 1.0, r0_points)
+    candidates = np.linspace(R0_MIN, 1.0, 100)
     own = w.params.get("r0")
     if own is not None and R0_MIN - 1e-12 <= own <= 1.0:
         candidates = np.union1d(candidates, [float(own)])
