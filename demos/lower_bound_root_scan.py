@@ -14,19 +14,19 @@ equation 1 - r + r log(1 - r) = 0 with root 0.55356.
 
 import numpy as np
 
-from blochbohr import SolverConfig, theorem1_optimize, theorem1_root
+from blochbohr import theorem1_optimize, theorem1_root
 
-cfg = SolverConfig(abs_tol=1e-12)
+tol = 1e-12
 
 print("radius as a function of the exponent:")
 for s in (0.15, 0.25, 0.333771, 0.45, 0.5, 0.7):
-    print(f"  s = {s:<9} r(s) = {theorem1_root(s, cfg):.9f}")
+    print(f"  s = {s:<9} r(s) = {theorem1_root(s, tol):.9f}")
 
-s_star, r_star = theorem1_optimize(cfg)
+s_star, r_star = theorem1_optimize(tol)
 print(f"\nbest exponent  s* = {s_star:.6f}")
 print(f"best radius    r* = {r_star:.6f}")
 
-old = theorem1_root(0.5, cfg)
+old = theorem1_root(0.5, tol)
 print(f"\ns = 1/2 root       {old:.6f}  (the previously known constant)")
 print(f"improvement        {r_star - old:.6f}")
 

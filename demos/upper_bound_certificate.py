@@ -35,6 +35,6 @@ for scale in (1.0 / np.sqrt(2.0), 0.73, 0.75, 0.769):
 
 # the least certifying scale on a bisection grid
 scan = theorem4_upper_bound()
-print(f"\nleast certifying scale: R = {scan.best_params['R']:.6f} "
-      f"(witness a = {scan.best_params['a']:.4f}, r = {scan.best_params['r']:.4f})")
-print(f"Bohr radius bracket: [{1.0 / np.sqrt(2.0):.6f}, {scan.best_params['R']:.6f}]")
+print(f"\nleast certifying scale: R = {scan.upper_bound:.6f} "
+      f"(witness a = {scan.witness_a:.4f}, r = {scan.witness_r:.4f})")
+print(f"Bohr radius bracket: [{1.0 / np.sqrt(2.0):.6f}, {scan.upper_bound:.6f}]")

@@ -15,7 +15,7 @@ from blochbohr import (builtin_weight, criterion_check, find_admissible_r0,
                        h_profile)
 
 # the h profile around an anchor: columns r, omega1, omega2, h
-table = h_profile(0.8, n_points=9, r_max=0.999)
+table = h_profile(0.8, n_points=9)
 print("r        omega1   omega2   h")
 for row in table:
     print("  ".join(f"{v:.5f}" for v in row))

@@ -12,11 +12,10 @@ Everything is pure and deterministic; suprema are grid scans with
 golden-section polish and report their witness points.
 """
 
-from .bounds import (ScanReport, SolverConfig, best_test_ratio, bombieri_m_infty,
-                     cauchy_chain_check, mobius_majorant_sum, mobius_majorant_sup,
-                     mobius_series, theorem1_optimize, theorem1_root,
-                     theorem4_expression, theorem4_sup, theorem4_upper_bound,
-                     theorem5_gap, theorem5_ratios)
+from .bounds import (ScanReport, best_test_ratio, bombieri_m_infty, cauchy_chain_check,
+                     mobius_majorant_sum, mobius_majorant_sup, mobius_series,
+                     theorem1_optimize, theorem1_root, theorem4_expression,
+                     theorem4_sup, theorem4_upper_bound, theorem5_gap, theorem5_ratios)
 from .errors import (BlochBohrError, ConvergenceError, DivergenceRegionError,
                      EvaluatorDomainError, NoSignChangeError, ParameterDomainError,
                      PoleError, PreconditionError, ZeroDenominatorError)
@@ -42,7 +41,7 @@ __all__ = [
     "DivergenceRegionError", "EvaluatorDomainError", "ExtremalSpec", "GridSpec",
     "NoSignChangeError", "ParameterDomainError", "PoleError", "PreconditionError",
     "RadialSupReport", "ScanReport", "SeriesValue", "SharpnessReport",
-    "SolverConfig", "TruncatedSeries", "Weight", "ZeroDenominatorError",
+    "TruncatedSeries", "Weight", "ZeroDenominatorError",
     "avkhadiev_coefficients", "avkhadiev_eval", "avkhadiev_majorant_closed_form",
     "best_test_ratio", "bisect_root", "blaschke_degree",
     "blaschke_degree_montecarlo", "bombieri_m_infty", "builtin_weight",

@@ -30,7 +30,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,63 +49,55 @@ EXCEED_THRESHOLD = 1.0 + 1e-9
 #: lean scan grid of the seminorms in ``theorem5_ratios`` (margins there are large)
 PROBE_GRID = GridSpec(r_points=1024, theta_points=1024)
 
-#: parameter and radial sample counts of the Theorem 4 scans
+#: radius bracket and residual tolerance of the Theorem 1 root solves
+THEOREM1_BRACKET = (1e-6, 1.0 - 1e-6)
+THEOREM1_TOL = 1e-10
+
+#: parameter and radial sample counts of the Theorem 4 scans, and the scale
+#: bracket and scale tolerance of ``theorem4_upper_bound``
 THEOREM4_A_POINTS = 200
 THEOREM4_R_POINTS = 2048
+THEOREM4_BRACKET = (1.0 / np.sqrt(2.0), 0.7691)
+THEOREM4_TOL = 1e-5
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Bracket and tolerance of scalar solves, each capped at 200 halvings."""
-
-    abs_tol: float = 1e-10
-    bracket: tuple[float, float] = (1e-6, 1.0 - 1e-6)
-
-    def __post_init__(self) -> None:
-        lo, hi = self.bracket
-        if not lo < hi:
-            raise ParameterDomainError("bracket must satisfy lo < hi")
-        if not 0.0 < self.abs_tol < np.inf:
-            raise ParameterDomainError("abs_tol must be positive and finite")
-
-
-#: bisection settings of ``theorem4_upper_bound``: scales in (1/sqrt(2), 0.7691)
-THEOREM4_SEARCH = SolverConfig(abs_tol=1e-5, bracket=(1.0 / np.sqrt(2.0), 0.7691))
+def _check_solver_tol(tol: float) -> float:
+    if not 0.0 < tol < np.inf:
+        raise ParameterDomainError(f"tol must be positive and finite, got {tol}")
+    return tol
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Certificate at the scale a threshold search found, and the cells it scanned."""
+    """Certificate (R, value, a, r) a threshold search found, and the cells it scanned."""
 
+    upper_bound: float
     best_value: float
-    best_params: dict
+    witness_a: float
+    witness_r: float
     samples: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _t1_residual(r, s):
     return np.log(1.0 - r ** (2.0 * s)) - 1.0 + r ** (-2.0 * (1.0 - s))
 
 
-def theorem1_root(s: float, cfg: SolverConfig | None = None) -> float:
+def theorem1_root(s: float, tol: float = THEOREM1_TOL) -> float:
     """Radius solving log(1 - r^{2s}) - 1 + r^{-2(1-s)} = 0 for s in (0, 1).
 
-    Bracketing bisection with sign-change verification; the residual is
-    driven below cfg.abs_tol.  s is clipped into [1e-4, 1 - 1e-4] where the
-    equation is well conditioned.
+    Bisection on ``THEOREM1_BRACKET`` with sign-change verification, at most
+    200 halvings; the residual is driven below tol.  s is clipped into
+    [1e-4, 1 - 1e-4] where the equation is well conditioned.
     """
+    tol = _check_solver_tol(tol)
     s = float(s)
     if not 0.0 < s < 1.0:
         raise ParameterDomainError(f"exponent s must lie in (0, 1), got {s}")
     s = min(max(s, S_CLIP[0]), S_CLIP[1])
-    cfg = cfg or SolverConfig()
-    lo, hi = cfg.bracket
-    return bisect_root(lambda r: _t1_residual(r, s), lo, hi, abs_tol=cfg.abs_tol)
+    return bisect_root(lambda r: _t1_residual(r, s), *THEOREM1_BRACKET, abs_tol=tol)
 
 
-def theorem1_optimize(cfg: SolverConfig | None = None) -> tuple[float, float]:
+def theorem1_optimize(tol: float = THEOREM1_TOL) -> tuple[float, float]:
     """Maximize the radius of ``theorem1_root`` over the exponent s.
 
     Write F(r, s) = log(1 - r^{2s}) - 1 + r^{-2(1-s)}, so that r(s) solves
@@ -114,28 +106,27 @@ def theorem1_optimize(cfg: SolverConfig | None = None) -> tuple[float, float]:
     1 - r^{2s} = r^2.  Substituting r^{2s} = 1 - r^2 into F = 0 leaves
     g(r) = 2 ln r + r^{-2} - 2 = 0; g' = 2(r^2 - 1)/r^3 < 0 on (0, 1), so
     the root r* is unique, and s* = ln(1 - r*^2)/(2 ln r*).  F(r*, s*)
-    equals g(r*), driven below cfg.abs_tol by bisection on cfg.bracket.
+    equals g(r*), driven below tol by bisection on ``THEOREM1_BRACKET``.
     Returns (s_star, r_star).
     """
-    cfg = cfg or SolverConfig()
-    lo, hi = cfg.bracket
-    r_star = bisect_root(lambda r: 2.0 * np.log(r) + r ** -2.0 - 2.0, lo, hi,
-                         abs_tol=cfg.abs_tol)
+    tol = _check_solver_tol(tol)
+    r_star = bisect_root(lambda r: 2.0 * np.log(r) + r ** -2.0 - 2.0, *THEOREM1_BRACKET,
+                         abs_tol=tol)
     s_star = np.log(1.0 - r_star * r_star) / (2.0 * np.log(r_star))
     return float(s_star), float(r_star)
 
 
-def cauchy_chain_check(s: TruncatedSeries, w: Weight, scale: float, r: float,
-                       grid: GridSpec | None = None) -> tuple[float, float, float]:
+def cauchy_chain_check(s: TruncatedSeries, w: Weight, scale: float,
+                       r: float) -> tuple[float, float, float]:
     """The three chain values at (R, r); weakly increasing for every input.
 
     v1 = w(r) R sum |a_n| (R r)^n, v2 = w(r) ||f||_L2(r) R/sqrt(1-R^2),
-    v3 = w(r) ||f||_Linf(r) R/sqrt(1-R^2).
+    v3 = w(r) ||f||_Linf(r) R/sqrt(1-R^2), the sup on the default angle grid.
     """
     scale = float(scale)
     if not 0.0 < scale < 1.0:
         raise ParameterDomainError("the scale R must lie in (0, 1)")
-    norms = circle_norms(s, r, grid)
+    norms = circle_norms(s, r)
     wr = float(w(float(r)))
     multiplier = float(scale / np.sqrt(1.0 - scale * scale))
     v1 = wr * scale * coefficient_sum(majorant(s), scale * r)
@@ -147,11 +138,11 @@ def cauchy_chain_check(s: TruncatedSeries, w: Weight, scale: float, r: float,
 def theorem4_expression(a, scale: float, r):
     """R (1-r^2) (3 sqrt(3)(1-a^2)/2) ((Rr-a)/(1-aRr)^3 + 2a) on r in [0, 1].
 
-    Broadcasts over a and r.
+    Broadcasts over a and r.  R >= 1 is allowed (a pole may then lie on the disc).
     """
     scale = float(scale)
-    if not 0.0 <= scale:
-        raise ParameterDomainError("the scale R must be nonnegative")
+    if not 0.0 <= scale < np.inf:
+        raise ParameterDomainError("the scale R must be nonnegative and finite")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0) or np.any(r > 1.0):
         raise ParameterDomainError("radius must lie in [0, 1]")
@@ -161,15 +152,16 @@ def theorem4_expression(a, scale: float, r):
     return out
 
 
-def theorem4_table(scale: float, a_points: int = THEOREM4_A_POINTS,
+def theorem4_table(scale: float,
                    r_points: int = THEOREM4_R_POINTS) -> tuple[np.ndarray, np.ndarray]:
     """``theorem4_expression`` on the (a, r) scan grid -> (a_grid, table).
 
-    a runs over (0, 1/sqrt(3)) and r over [0, 1], each with at least 2 points.
+    ``THEOREM4_A_POINTS`` values of a on (0, 1/sqrt(3)), r_points >= 2 of r on [0, 1].
     """
-    if min(a_points, r_points) < 2:
-        raise ParameterDomainError(f"a scan needs at least 2 points, got {a_points} x {r_points}")
-    a_grid = np.linspace(1e-6, A_MAX - 1e-9, a_points)
+    if r_points < 2:
+        raise ParameterDomainError(
+            f"a scan needs at least 2 points, got {THEOREM4_A_POINTS} x {r_points}")
+    a_grid = np.linspace(1e-6, A_MAX - 1e-9, THEOREM4_A_POINTS)
     r_grid = np.linspace(0.0, 1.0, r_points)
     return a_grid, theorem4_expression(a_grid[:, None], scale, r_grid[None, :])
 
@@ -187,31 +179,32 @@ def best_test_ratio(scale: float,
 
     The (a, r) table picks the best a, and ``theorem4_sup`` polishes the
     radial supremum there.  The value is the majorant-to-function Bloch
-    seminorm ratio of the best test function f' = g_a.
+    seminorm ratio of the best test function f' = g_a.  Up to about R = 1/2
+    it is R, at the last a-grid point and r = 0 up to the polish, since
+    T4(a, 0) = R (3 sqrt(3)/2) a (1 - a^2) peaks at exactly R at a = 1/sqrt(3).
     """
     scale = float(scale)
     if not 0.0 < scale < 1.0:
         raise ParameterDomainError("the scale R must lie in (0, 1)")
-    a_grid, table = theorem4_table(scale, THEOREM4_A_POINTS, r_points)
+    a_grid, table = theorem4_table(scale, r_points)
     i, _ = np.unravel_index(int(np.argmax(table)), table.shape)
     a_star = float(a_grid[i])
     value, r_star = theorem4_sup(a_star, scale, r_points)
     return value, a_star, r_star
 
 
-def theorem4_upper_bound(cfg: SolverConfig | None = None,
+def theorem4_upper_bound(tol: float = THEOREM4_TOL,
                          r_points: int = THEOREM4_R_POINTS) -> ScanReport:
     """Least scale R (by bisection) at which ``best_test_ratio`` exceeds 1.
 
     Any such R is an upper bound for the Bloch-space Bohr radius.  The
     expression grows monotonically in R, so bisection on the exceedance
-    flag is valid; ``cfg`` defaults to ``THEOREM4_SEARCH``, and the bracket
-    is halved until it is within cfg.abs_tol, at most 200 times.  Each scale
-    scans ``THEOREM4_A_POINTS`` x ``r_points`` cells.  The report carries
-    the certificate at the returned scale: best_params holds (R, a, r) and
-    best_value the expression value there.
+    flag is valid; ``THEOREM4_BRACKET`` is halved until it is within tol,
+    at most 200 times.  Each scale scans ``THEOREM4_A_POINTS`` x
+    ``r_points`` cells.  The report carries the certificate at the returned
+    scale upper_bound: the expression value there and its witness (a, r).
     """
-    cfg = cfg or THEOREM4_SEARCH
+    tol = _check_solver_tol(tol)
     samples = 0
 
     def exceeds(scale: float) -> tuple[float, float, float] | None:
@@ -220,7 +213,7 @@ def theorem4_upper_bound(cfg: SolverConfig | None = None,
         found = best_test_ratio(scale, r_points)
         return found if found[0] > EXCEED_THRESHOLD else None
 
-    lo, hi = cfg.bracket
+    lo, hi = THEOREM4_BRACKET
     if exceeds(lo) is not None:
         raise ParameterDomainError(
             f"bracket low end {lo} already exceeds 1; lower it")
@@ -228,9 +221,8 @@ def theorem4_upper_bound(cfg: SolverConfig | None = None,
     if found is None:
         raise ParameterDomainError(
             f"bracket high end {hi} does not exceed 1; raise it")
-    hi, (v_hi, a_hi, r_hi) = bisect_flag(exceeds, lo, hi, found, cfg.abs_tol, 200)
-    return ScanReport(best_value=v_hi, best_params={"R": hi, "a": a_hi, "r": r_hi},
-                      samples=samples)
+    hi, (value, a, r) = bisect_flag(exceeds, lo, hi, found, tol, 200)
+    return ScanReport(hi, value, a, r, samples)
 
 
 def bombieri_m_infty(r):
@@ -257,7 +249,7 @@ def mobius_majorant_sum(a, r):
     return a + (1.0 - a * a) * r / (1.0 - a * r)
 
 
-def mobius_majorant_sup(r: float, a_points: int = 2048) -> float:
+def mobius_majorant_sup(r: float) -> float:
     """max over a in [0, 1) of the Mobius-family majorant sum at radius r.
 
     On [1/3, 1/sqrt(2)] this reproduces the closed form
@@ -267,7 +259,7 @@ def mobius_majorant_sup(r: float, a_points: int = 2048) -> float:
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ParameterDomainError("radius must lie in (0, 1)")
-    _, v = grid_golden_max(lambda a: mobius_majorant_sum(a, r), 0.0, 1.0 - 1e-9, a_points)
+    _, v = grid_golden_max(lambda a: mobius_majorant_sum(a, r), 0.0, 1.0 - 1e-9, 2048)
     return v
 
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import (EXCEED_THRESHOLD, THEOREM4_A_POINTS, THEOREM4_R_POINTS,
-                     THEOREM4_SEARCH, SolverConfig, best_test_ratio, bombieri_m_infty,
+from .bounds import (EXCEED_THRESHOLD, THEOREM1_TOL, THEOREM4_R_POINTS, THEOREM4_TOL,
+                     _check_solver_tol, best_test_ratio, bombieri_m_infty,
                      cauchy_chain_check, mobius_majorant_sup, theorem1_optimize,
                      theorem1_root, theorem4_sup, theorem4_table, theorem4_upper_bound)
 from .errors import BlochBohrError, ParameterDomainError
@@ -87,31 +87,25 @@ def _render(args, report: dict, header: list[str],
 
 
 def _cmd_theorem1(args) -> int:
-    solver = SolverConfig(abs_tol=args.tol)
     if args.optimize:
-        s_star, r_star = theorem1_optimize(solver)
+        s_star, r_star = theorem1_optimize(args.tol)
         report = {"command": "theorem1", "optimize": True,
                   "s_star": s_star, "r_star": r_star}
         _render(args, report, ["s_star", "r_star"])
         return 0
     if args.s is None:
         raise BlochBohrError("theorem1 needs --s <value> or --optimize")
-    root = theorem1_root(args.s, solver)
+    root = theorem1_root(args.s, args.tol)
     report = {"command": "theorem1", "s": args.s, "r": root}
     _render(args, report, ["s", "r"])
     return 0
 
 
 def _cmd_theorem4(args) -> int:
-    solver = replace(THEOREM4_SEARCH, abs_tol=args.tol)
+    tol = _check_solver_tol(args.tol)
     if args.search:
-        scan = theorem4_upper_bound(solver, r_points=args.grid)
-        report = {"command": "theorem4", "search": True,
-                  "upper_bound": scan.best_params["R"],
-                  "best_value": scan.best_value,
-                  "witness_a": scan.best_params["a"],
-                  "witness_r": scan.best_params["r"],
-                  "samples": scan.samples}
+        scan = theorem4_upper_bound(tol, r_points=args.grid)
+        report = dict(command="theorem4", search=True, **asdict(scan))
         _render(args, report,
                 ["upper_bound", "best_value", "witness_a", "witness_r", "samples"])
         return 0
@@ -128,8 +122,10 @@ def _cmd_theorem4(args) -> int:
 def _cmd_theorem2_check(args) -> int:
     if args.samples < 1:
         raise ParameterDomainError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise ParameterDomainError(f"--seed must be nonnegative, got {args.seed}")
     tol = _check_tol(args.tol)
-    _, table = theorem4_table(1.0 / SQRT2, args.a_points, args.grid)
+    _, table = theorem4_table(1.0 / SQRT2, args.grid)
     max_expr = float(table.max())
 
     rng = np.random.default_rng(args.seed)
@@ -297,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, help="exponent in (0, 1)")
     p.add_argument("--optimize", action="store_true",
                    help="maximize the root over the exponent")
-    _option(p, "--tol", SolverConfig.abs_tol, "residual tolerance of the root bisection")
+    _option(p, "--tol", THEOREM1_TOL, "residual tolerance of the root bisection")
     p.set_defaults(handler=_cmd_theorem1)
 
     p = sub.add_parser("theorem4", parents=[shared],
@@ -307,15 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search", action="store_true",
                    help="bisect for the least scale exceeding 1")
     _option(p, "--grid", THEOREM4_R_POINTS, "radial samples of each sup scan")
-    _option(p, "--tol", THEOREM4_SEARCH.abs_tol, "scale tolerance of --search")
+    _option(p, "--tol", THEOREM4_TOL, "scale tolerance of --search")
     p.set_defaults(handler=_cmd_theorem4)
 
     p = sub.add_parser("theorem2-check", parents=[shared],
                        help="consistency of the sqrt(2) lower bound and the "
                             "Cauchy-Schwarz chain")
     _option(p, "--samples", 200, "random chain samples")
-    _option(p, "--a-points", THEOREM4_A_POINTS,
-            "parameter samples of the scale-1/sqrt(2) scan")
     _option(p, "--grid", THEOREM4_R_POINTS, "radial samples of the scale-1/sqrt(2) scan")
     _option(p, "--tol", 1e-9, "largest admissible chain violation")
     p.add_argument("--seed", type=int, default=0)

@@ -260,19 +260,18 @@ def find_admissible_r0(w: Weight, grid: GridSpec | None = None,
     return None
 
 
-def h_profile(r0: float, n_points: int = PROFILE_POINTS,
-              r_max: float = 1.0 - 1e-6) -> np.ndarray:
+def h_profile(r0: float, n_points: int = PROFILE_POINTS) -> np.ndarray:
     """Tabulate (r, omega1, omega2, h) for plotting.
 
-    Returns the rows over a uniform grid on [0, r_max] plus the anchor r0
-    when r0 <= r_max, so the h(r0) = 1 corner is present.  h is decreasing
+    Returns the rows over a uniform grid on [0, 1 - 1e-6] plus the anchor r0
+    when it lies there, so the h(r0) = 1 corner is present.  h is decreasing
     everywhere and convex left of r0.
     """
     r0 = _check_r0(r0)
     if n_points < 2:
         raise ParameterDomainError("profile needs at least 2 points")
-    radii = np.linspace(0.0, r_max, n_points)
-    if r0 <= r_max:
+    radii = np.linspace(0.0, GridSpec.r_max, n_points)
+    if r0 <= GridSpec.r_max:
         radii = np.union1d(radii, [r0])
     w1, w2 = _omegas(radii, r0)
     return np.column_stack([radii, w1, w2, np.minimum(w1, w2)])

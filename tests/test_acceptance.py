@@ -54,7 +54,7 @@ def test_criterion_03_theorem4_certificate_and_search():
     value, _ = theorem4_sup(0.35, 0.769)
     assert value > 1.0 + 1e-9
     scan = theorem4_upper_bound()
-    upper = scan.best_params["R"]
+    upper = scan.upper_bound
     assert 1.0 / SQRT2 <= upper <= 0.7691
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -185,7 +185,7 @@ def test_criterion_10_property_suites():
         w = weights[k % len(weights)]
         scale = float(rng.uniform(0.05, 0.95))
         r = float(rng.uniform(0.05, 0.95))
-        v1, v2, v3 = cauchy_chain_check(s, w, scale, r, grid)
+        v1, v2, v3 = cauchy_chain_check(s, w, scale, r)
         worst_chain = max(worst_chain, v1 - v2, v2 - v3)
     assert worst_chain <= 1e-9
 

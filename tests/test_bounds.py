@@ -1,15 +1,18 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from blochbohr import (NoSignChangeError, ParameterDomainError, PoleError,
-                       SolverConfig, TruncatedSeries, avkhadiev_coefficients,
+                       TruncatedSeries, avkhadiev_coefficients,
                        best_test_ratio, bombieri_m_infty, builtin_weight,
                        cauchy_chain_check, coefficient_sum, majorant,
                        mobius_majorant_sum, mobius_majorant_sup, mobius_series,
                        theorem1_optimize, theorem1_root, theorem4_expression,
                        theorem4_sup, theorem4_upper_bound, theorem5_gap,
                        theorem5_ratios)
-from blochbohr.bounds import (S_CLIP, THEOREM4_A_POINTS, THEOREM4_R_POINTS,
+from blochbohr import bounds
+from blochbohr.bounds import (A_MAX, S_CLIP, THEOREM4_A_POINTS, THEOREM4_R_POINTS,
                               ProbeFunction, _t1_residual)
 from conftest import random_polynomial
 
@@ -27,9 +30,8 @@ class TestTheorem1Root:
         assert abs(1.0 - root + root * np.log(1.0 - root)) < 1e-9
 
     def test_residual_and_interior(self):
-        cfg = SolverConfig(abs_tol=1e-11)
         for s in (0.2, 0.333771, 0.5, 0.8):
-            r = theorem1_root(s, cfg)
+            r = theorem1_root(s, 1e-11)
             assert 0.0 < r < 1.0
             assert abs(_t1_residual(r, s)) <= 1e-11
 
@@ -42,9 +44,10 @@ class TestTheorem1Root:
             with pytest.raises(ParameterDomainError):
                 theorem1_root(bad)
 
-    def test_bad_bracket(self):
+    def test_bad_bracket(self, monkeypatch):
+        monkeypatch.setattr(bounds, "THEOREM1_BRACKET", (0.9, 0.99))
         with pytest.raises(NoSignChangeError):
-            theorem1_root(0.333771, SolverConfig(bracket=(0.9, 0.99)))
+            theorem1_root(0.333771)
 
 
 class TestTheorem1Optimize:
@@ -76,9 +79,10 @@ class TestTheorem1Optimize:
         assert max(roots) <= r_star + 1e-9
         assert max(roots) >= r_star - 1e-7
 
-    def test_bad_bracket(self):
+    def test_bad_bracket(self, monkeypatch):
+        monkeypatch.setattr(bounds, "THEOREM1_BRACKET", (0.6, 0.99))
         with pytest.raises(NoSignChangeError):
-            theorem1_optimize(SolverConfig(bracket=(0.6, 0.99)))
+            theorem1_optimize()
 
 
 class TestCauchyChain:
@@ -146,23 +150,32 @@ class TestTheorem4:
         with pytest.raises(PoleError):
             theorem4_expression(0.5, 4.0, 0.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [float("inf"), -1.0, float("nan")])
+    def test_scale_domain(self, scale):
+        with pytest.raises(ParameterDomainError):
+            theorem4_expression(0.35, scale, 0.5)
+
     def test_upper_bound_bracket(self):
         scan = theorem4_upper_bound()
-        ub = scan.best_params["R"]
-        assert 1.0 / SQRT2 <= ub <= 0.7691
+        assert 1.0 / SQRT2 <= scan.upper_bound <= 0.7691
         assert scan.best_value > 1.0 + 1e-9
         assert scan.samples > 0
-        assert set(scan.to_json_dict()) == {"best_value", "best_params", "samples"}
+        assert list(asdict(scan)) == ["upper_bound", "best_value", "witness_a",
+                                      "witness_r", "samples"]
 
     def test_upper_bound_certificate_is_best_test_ratio(self):
         scan = theorem4_upper_bound()
-        params = scan.best_params
-        assert best_test_ratio(params["R"]) == (scan.best_value, params["a"], params["r"])
+        assert best_test_ratio(scan.upper_bound) \
+            == (scan.best_value, scan.witness_a, scan.witness_r)
         assert scan.samples % (THEOREM4_A_POINTS * THEOREM4_R_POINTS) == 0
 
-    def test_upper_bound_bad_bracket(self):
-        with pytest.raises(ParameterDomainError):
-            theorem4_upper_bound(SolverConfig(bracket=(0.5, 0.6)))
+    @pytest.mark.parametrize("bracket,end", [((0.5, 0.6), "high end"),
+                                             ((0.77, 0.8), "low end")])
+    def test_upper_bound_bad_bracket(self, monkeypatch, bracket, end):
+        monkeypatch.setattr(bounds, "THEOREM4_BRACKET", bracket)
+        with pytest.raises(ParameterDomainError, match=f"bracket {end}"):
+            theorem4_upper_bound()
 
 
 class TestBombieri:
@@ -241,6 +254,14 @@ class TestTheorem5:
         # z has ratio exactly R, so the test functions never do worse
         assert best_test_ratio(scale)[0] >= scale - 1e-12
 
+    @pytest.mark.parametrize("scale", [0.1, 0.3, 0.5])
+    def test_small_scales_take_the_closed_form_at_the_origin(self, scale):
+        # T4(a, 0) = R (3 sqrt(3)/2) a (1 - a^2) peaks at exactly R at a = 1/sqrt(3)
+        value, a, r = best_test_ratio(scale)
+        assert value == pytest.approx(scale, abs=1e-12)
+        assert a == A_MAX - 1e-9
+        assert 0.0 <= r <= 1e-8
+
     @pytest.mark.parametrize("a,scale", [(0.339448, 1.0 / SQRT2), (0.35, 0.769)])
     def test_closed_form_matches_seminorm_route(self, a, scale):
         family = (ProbeFunction("f_a", antiderivative_of_test_function(a)),)
@@ -271,12 +292,10 @@ class TestTheorem5:
             best_test_ratio(0.0)
 
 
-class TestSolverConfig:
-    def test_validation(self):
-        with pytest.raises(ParameterDomainError):
-            SolverConfig(bracket=(0.5, 0.4))
-        with pytest.raises(ParameterDomainError):
-            SolverConfig(abs_tol=0.0)
-        for tol in (float("nan"), float("inf")):
-            with pytest.raises(ParameterDomainError):
-                SolverConfig(abs_tol=tol)
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("solve", [lambda tol: theorem1_root(0.5, tol), theorem1_optimize,
+                                   theorem4_upper_bound],
+                         ids=["theorem1_root", "theorem1_optimize", "theorem4_upper_bound"])
+def test_solver_tol_must_be_positive_and_finite(solve, tol):
+    with pytest.raises(ParameterDomainError):
+        solve(tol)

@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blochbohr.bounds import (THEOREM4_A_POINTS, THEOREM4_R_POINTS,
-                              THEOREM4_SEARCH, SolverConfig, theorem4_sup,
-                              theorem4_table, theorem4_upper_bound)
+from blochbohr.bounds import (THEOREM1_TOL, THEOREM4_BRACKET, THEOREM4_R_POINTS,
+                              THEOREM4_TOL, theorem1_optimize, theorem1_root,
+                              theorem4_sup, theorem4_table, theorem4_upper_bound)
 from blochbohr.cli import build_parser, main
 from blochbohr.search import GridSpec
 from blochbohr.weights import CRITERION_GRID, CRITERION_TOL, h_profile
@@ -279,7 +279,7 @@ class TestOptionDefaults:
         (("theorem1", "--s", "0.5"), ("tol",)),
         (("theorem4", "--a", "0.35", "--R", "0.769"), ("grid",)),
         (("theorem4", "--search"), ("grid", "tol")),
-        (("theorem2-check", "--samples", "5"), ("grid", "tol", "a_points")),
+        (("theorem2-check", "--samples", "5"), ("grid", "tol")),
         (("theorem5-probe", "--R", "0.5"), ("grid",)),
         (("bombieri",), ("grid",)),
         (("weight-check", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8"),
@@ -294,19 +294,20 @@ class TestOptionDefaults:
         def defaults(*argv):
             return vars(build_parser().parse_args(list(argv)))
 
-        assert defaults("theorem1")["tol"] == SolverConfig().abs_tol
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        assert defaults("theorem1")["tol"] == THEOREM1_TOL == 1e-10
+        assert default(theorem1_root, "tol") == default(theorem1_optimize, "tol") \
+            == THEOREM1_TOL
         t4 = defaults("theorem4")
-        assert (t4["grid"], t4["tol"]) == (THEOREM4_R_POINTS, THEOREM4_SEARCH.abs_tol)
-        assert THEOREM4_SEARCH == SolverConfig(abs_tol=1e-5,
-                                               bracket=(1.0 / SQRT2, 0.7691))
-        t2 = defaults("theorem2-check")
-        assert (t2["grid"], t2["a_points"]) == (THEOREM4_R_POINTS, THEOREM4_A_POINTS)
-        assert inspect.signature(theorem4_table).parameters["a_points"].default \
-            == THEOREM4_A_POINTS
-        assert inspect.signature(theorem4_upper_bound).parameters["r_points"].default \
-            == THEOREM4_R_POINTS
-        assert inspect.signature(theorem4_sup).parameters["r_points"].default \
-            == THEOREM4_R_POINTS
+        assert (t4["grid"], t4["tol"]) == (THEOREM4_R_POINTS, THEOREM4_TOL)
+        assert (THEOREM4_TOL, THEOREM4_BRACKET) == (1e-5, (1.0 / SQRT2, 0.7691))
+        assert default(theorem4_upper_bound, "tol") == THEOREM4_TOL
+        assert defaults("theorem2-check")["grid"] == THEOREM4_R_POINTS
+        assert default(theorem4_table, "r_points") == THEOREM4_R_POINTS
+        assert default(theorem4_upper_bound, "r_points") == THEOREM4_R_POINTS
+        assert default(theorem4_sup, "r_points") == THEOREM4_R_POINTS
         assert defaults("theorem5-probe")["grid"] == THEOREM4_R_POINTS
         wc = defaults("weight-check", "--weight", "standard")
         assert replace(CRITERION_GRID, r_points=wc["grid"]) == CRITERION_GRID
@@ -314,8 +315,7 @@ class TestOptionDefaults:
         sh = defaults("sharpness", "--weight", "standard", "--r0", "0.8")
         assert replace(CRITERION_GRID, r_points=sh["grid"]) == CRITERION_GRID
         assert GridSpec(r_points=defaults("norms")["grid"]) == GridSpec()
-        assert defaults("h-profile", "--r0", "0.8")["n"] \
-            == inspect.signature(h_profile).parameters["n_points"].default
+        assert defaults("h-profile", "--r0", "0.8")["n"] == default(h_profile, "n_points")
 
     @pytest.mark.parametrize("argv,options", INVOCATIONS,
                              ids=[" ".join(a[:2]) for a, _ in INVOCATIONS])
@@ -332,7 +332,6 @@ class TestOptionDefaults:
         ("theorem4", "--search", "--tol", "0"),
         ("theorem4", "--a", "0.35", "--R", "0.769", "--tol", "0"),
         ("theorem2-check", "--samples", "0"),
-        ("theorem2-check", "--a-points", "0"),
         ("theorem2-check", "--grid", "0"),
         ("bombieri", "--grid", "0"),
         ("bombieri", "--r", "0.5", "--grid", "0"),
@@ -363,6 +362,8 @@ class TestOptionDefaults:
          "--tol", "nan"),
         ("theorem4", "--a", "nan", "--R", "0.769"),
         ("theorem4", "--a", "0.35", "--R", "nan"),
+        ("theorem4", "--a", "0.35", "--R", "inf"),
+        ("theorem2-check", "--samples", "3", "--seed", "-1"),
         ("theorem2-check", "--samples", "5", "--tol", "nan"),
         ("theorem2-check", "--samples", "5", "--tol", "-1"),
         ("theorem1", "--s", "0.5", "--tol", "inf"),
@@ -371,6 +372,7 @@ class TestOptionDefaults:
         ("weight-check", "--weight", "example2:r0=0.8,r0=0.95", "--r0", "0.8"),
         ("weight-check", "--weight", "example3:r0=0.75,alpha=1,alpha=2", "--r0", "0.75"),
     ], ids=lambda argv: " ".join(argv))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_edge_inputs_are_library_errors(self, capsys, monkeypatch, tmp_path, argv):
         (tmp_path / "truncated.json").write_text('{"coeffs": [[0.0, 0.0], [1.0')
         (tmp_path / "no-coeffs.json").write_text('{"tail": {"rho": 0, "M": 0}}')
@@ -387,6 +389,7 @@ class TestOptionDefaults:
         ("h-profile", "--r0", "0.8", "--tol", "1"),
         ("norms", "--coeffs", "0,1", "--tol", "1"),
         ("h-profile", "--r0", "0.8", "--grid", "10"),
+        ("theorem2-check", "--a-points", "200"),
     ], ids=lambda argv: " ".join(argv))
     def test_ignored_options_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -358,6 +358,11 @@ class TestHProfile:
         second = np.diff(slopes) / (rl[2:] - rl[:-2])
         assert np.all(second >= -1e-9)
 
+    def test_grid_ends_where_radial_scans_end(self):
+        assert h_profile(0.8, n_points=3)[:, 0].tolist() == [0.0, 0.4999995, 0.8, 1.0 - 1e-6]
+        # an anchor beyond the grid end adds no row
+        assert h_profile(1.0, n_points=3)[:, 0].tolist() == [0.0, 0.4999995, 1.0 - 1e-6]
+
     def test_column_order(self):
         table = h_profile(0.9, n_points=16)
         np.testing.assert_allclose(table[:, 3],
