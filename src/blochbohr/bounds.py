@@ -69,7 +69,8 @@ def _check_solver_tol(tol: float) -> float:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Certificate (R, value, a, r) a threshold search found, and the cells it scanned."""
+    """Certificate (R, value, a, r) a threshold search found, and the (a, r)
+    table cells it scanned (``theorem4_sup``'s radial scans are not counted)."""
 
     upper_bound: float
     best_value: float
@@ -129,7 +130,7 @@ def cauchy_chain_check(s: TruncatedSeries, w: Weight, scale: float,
     norms = circle_norms(s, r)
     wr = float(w(float(r)))
     multiplier = float(scale / np.sqrt(1.0 - scale * scale))
-    v1 = wr * scale * coefficient_sum(majorant(s), scale * r)
+    v1 = wr * scale * coefficient_sum(s, scale * r)
     v2 = wr * norms.l2_norm * multiplier
     v3 = wr * norms.sup_norm * multiplier
     return v1, v2, v3
@@ -201,8 +202,9 @@ def theorem4_upper_bound(tol: float = THEOREM4_TOL,
     expression grows monotonically in R, so bisection on the exceedance
     flag is valid; ``THEOREM4_BRACKET`` is halved until it is within tol,
     at most 200 times.  Each scale scans ``THEOREM4_A_POINTS`` x
-    ``r_points`` cells.  The report carries the certificate at the returned
-    scale upper_bound: the expression value there and its witness (a, r).
+    ``r_points`` table cells, the ``samples`` count, plus the uncounted
+    radial scan of ``theorem4_sup``.  The report carries the certificate at
+    the returned scale upper_bound: the expression value and witness (a, r).
     """
     tol = _check_solver_tol(tol)
     samples = 0

@@ -233,7 +233,7 @@ def _cmd_sharpness(args) -> int:
         f"sharpness {verdict}: witnesses {_fmt9(rep.lhs_witness_r)} "
         f"{_fmt9(rep.rhs_witness_r)} (anchor {_fmt9(rep.r0)}, "
         f"relative gap {rep.relative_gap:.3e})\n")
-    report = dict(rep.to_json_dict(), command="sharpness", weight=args.weight,
+    report = dict(asdict(rep), command="sharpness", weight=args.weight,
                   passed=passed)
     _render(args, report,
             ["weight", "r0", "lhs_sup", "rhs_sup", "lhs_witness_r",
@@ -246,8 +246,7 @@ def _read_series(args) -> TruncatedSeries:
         raise BlochBohrError("norms needs --series <path> or --coeffs <list>")
     try:
         if args.series:
-            return TruncatedSeries.from_json_dict(
-                json.loads(Path(args.series).read_text()))
+            return TruncatedSeries.loads(Path(args.series).read_text())
         return TruncatedSeries.polynomial([float(tok) for tok in args.coeffs.split(",")])
     except BlochBohrError:
         raise
@@ -263,7 +262,7 @@ def _cmd_norms(args) -> int:
     norm = weighted_bloch_norm(series, w, grid)
     sup = RadialSupReport(*_series_radial_sup(series, w, grid), grid=grid)
     report = {"command": "norms", "weight": args.weight, "bloch_norm": norm,
-              "radial_sup": sup.to_json_dict()}
+              "radial_sup": asdict(sup)}
     _render(args, report,
             ["weight", "bloch_norm", "sup_value", "witness_r", "witness_theta"],
             [[args.weight, norm, sup.value, sup.witness_r, sup.witness_theta]])

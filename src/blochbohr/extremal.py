@@ -17,7 +17,7 @@ at r0; ``verify_sharpness`` checks this numerically.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class SharpnessReport:
     relative_gap: float
     r0: float
     grid_step: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def extremal_eval(spec: ExtremalSpec, z):

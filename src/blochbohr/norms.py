@@ -16,7 +16,7 @@ C(a) (n+1)(n/2 - a^2/(1-a^2)) a^n and the closed form of its majorant sum.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (BlochBohrError, DivergenceRegionError, EvaluatorDomainError
                      ParameterDomainError, PoleError)
 from .search import GridSpec, grid_golden_max, scan_polish
 from .series import (TruncatedSeries, _angle_count, _angle_grid_values, _check_certified,
-                     _horner, circle_sup, derivative)
+                     _horner, circle_sup, coefficient_sum, derivative)
 from .weights import Weight
 
 A_MAX = 1.0 / np.sqrt(3.0)
@@ -46,14 +46,6 @@ class RadialSupReport:
     witness_r: float
     witness_theta: float
     grid: GridSpec
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def _abs_coeff_sum(mods: np.ndarray, r) -> np.ndarray:
-    powers = np.asarray(r, dtype=float)[..., None] ** np.arange(mods.size)
-    return powers @ mods
 
 
 def _batch_circle_max(coeffs: np.ndarray, radii: np.ndarray, theta_points: int,
@@ -122,8 +114,7 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight,
     """
     _check_certified(s, grid.r_max, "radial scan")
     if s.is_nonnegative:
-        mods = np.abs(s.coeffs)
-        profile = lambda r: np.asarray(w(r)) * _abs_coeff_sum(mods, r)
+        profile = lambda r: np.asarray(w(r)) * coefficient_sum(s, r)
         x, v = grid_golden_max(profile, 0.0, grid.r_max, grid.r_points)
         return v, x, 0.0
     radii = grid.radii()

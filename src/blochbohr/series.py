@@ -60,6 +60,8 @@ class TruncatedSeries:
                 raise ParameterDomainError("tail ratio must lie in [0, 1)")
             if self.tail_m < 0.0:
                 raise ParameterDomainError("tail constant must be nonnegative")
+            if not self.tail_m < np.inf:
+                raise ParameterDomainError("tail constant must be finite")
 
     @classmethod
     def polynomial(cls, coeffs) -> "TruncatedSeries":
@@ -83,27 +85,20 @@ class TruncatedSeries:
         """True when every stored coefficient is real and >= 0."""
         return bool(np.all(self.coeffs.imag == 0.0) and np.all(self.coeffs.real >= 0.0))
 
-    def to_json_dict(self) -> dict:
-        tail = None
-        if self.has_tail:
-            tail = {"rho": self.tail_rho, "M": self.tail_m}
-        return {"coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-                "tail": tail}
+    def dumps(self) -> str:
+        """The JSON wire format {"coeffs": [[re, im], ...], "tail": {"rho", "M"} or null}."""
+        tail = {"rho": self.tail_rho, "M": self.tail_m} if self.has_tail else None
+        return json.dumps({"coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
+                           "tail": tail})
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "TruncatedSeries":
+    def loads(cls, text: str) -> "TruncatedSeries":
+        d = json.loads(text)
         coeffs = np.array([complex(re, im) for re, im in d["coeffs"]])
         tail = d.get("tail")
         if tail is None:
             return cls(coeffs)
         return cls(coeffs, float(tail["rho"]), float(tail["M"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def loads(cls, text: str) -> "TruncatedSeries":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -194,6 +189,8 @@ def _horner(coeffs: np.ndarray, z) -> np.ndarray:
 
 
 def _check_certified(s: TruncatedSeries, radius: float, what: str = "evaluation") -> None:
+    if not np.isfinite(radius):
+        raise ParameterDomainError(f"{what} needs a finite radius, got {radius}")
     if s.has_tail:
         if s.tail_rho * radius >= 1.0:
             raise DivergenceRegionError(
@@ -205,14 +202,18 @@ def _check_certified(s: TruncatedSeries, radius: float, what: str = "evaluation"
             f"beyond |z| = {UNCERTIFIED_RADIUS}")
 
 
-def tail_bound(s: TruncatedSeries, radius: float) -> Optional[float]:
-    """Rigorous bound on the dropped terms at |z| = radius, or None."""
+def tail_bound(s: TruncatedSeries, radius):
+    """Rigorous bound on the dropped terms at |z| = radius (broadcasts), or None."""
+    r = np.asarray(radius, dtype=float)
+    if not np.all((r >= 0.0) & (r < np.inf)):
+        raise ParameterDomainError("tail bound needs finite radii >= 0")
     if not s.has_tail:
         return None
-    x = s.tail_rho * radius
-    if x >= 1.0:
-        raise DivergenceRegionError(f"tail diverges at |z|={radius:.6g}")
-    return s.tail_m * x ** (s.order + 1) / (1.0 - x)
+    x = s.tail_rho * r
+    if np.any(x >= 1.0):
+        raise DivergenceRegionError(f"tail diverges at |z|={np.max(r):.6g}")
+    out = s.tail_m * x ** (s.order + 1) / (1.0 - x)
+    return float(out) if out.ndim == 0 else out
 
 
 def eval_series(s: TruncatedSeries, z) -> SeriesValue:
@@ -230,10 +231,9 @@ def eval_series(s: TruncatedSeries, z) -> SeriesValue:
     value = _horner(s.coeffs, z)
     if z.ndim == 0:
         value = complex(value)
-    if not s.has_tail:
+    bound = tail_bound(s, np.abs(z))
+    if bound is None:
         return SeriesValue(value, None)
-    x = s.tail_rho * np.abs(z)
-    bound = s.tail_m * x ** (s.order + 1) / (1.0 - x)
     if s.tail_rho > 0.0 and s.tail_m > 0.0:
         # a geometric tail can equal this bound, so add the complex Horner
         # rounding bound gamma_{4(N+1)} sum |a_n| |z|^n (4 u = 2 eps)
@@ -244,12 +244,14 @@ def eval_series(s: TruncatedSeries, z) -> SeriesValue:
     return SeriesValue(value, bound)
 
 
-def coefficient_sum(s: TruncatedSeries, radius: float) -> float:
-    """The majorant value sum |a_n| radius^n of the stored coefficients."""
-    if radius < 0.0:
+def coefficient_sum(s: TruncatedSeries, radius):
+    """The majorant value sum |a_n| radius^n of the stored coefficients (broadcasts)."""
+    r = np.asarray(radius, dtype=float)
+    if np.any(r < 0.0):
         raise ParameterDomainError("radius must be nonnegative")
-    _check_certified(s, radius, "majorant sum")
-    return float(np.abs(s.coeffs) @ radius ** np.arange(s.coeffs.size, dtype=float))
+    _check_certified(s, float(np.max(r, initial=0.0)), "majorant sum")
+    out = r[..., None] ** np.arange(s.coeffs.size) @ np.abs(s.coeffs)
+    return float(out) if out.ndim == 0 else out
 
 
 def _angle_count(requested: int, n_coeffs: int) -> int:
@@ -279,19 +281,6 @@ def _angle_grid_values(coeffs: np.ndarray, radii: np.ndarray, count: int):
         yield slice(start, start + rr.size), np.fft.ifft(block, axis=1, norm="forward")
 
 
-def values_on_angle_grid(s: TruncatedSeries, r: float,
-                         theta_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """f(r e^{i theta_k}) on a uniform angle grid via one padded inverse FFT.
-
-    Returns (angles, values).  The grid is enlarged to the next power of two
-    past the coefficient count when the request would alias.
-    """
-    count = _angle_count(theta_points, s.coeffs.size)
-    (_, values), = _angle_grid_values(s.coeffs, np.array([float(r)]), count)
-    angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-    return angles, values[0]
-
-
 def circle_sup(s: TruncatedSeries, r: float, grid: GridSpec) -> tuple[float, float]:
     """max_theta |f(r e^{i theta})| with its witness angle.
 
@@ -303,9 +292,11 @@ def circle_sup(s: TruncatedSeries, r: float, grid: GridSpec) -> tuple[float, flo
     _check_certified(s, r, "circle scan")
     if s.is_nonnegative:
         return coefficient_sum(s, r), 0.0
-    angles, values = values_on_angle_grid(s, r, grid.theta_points)
+    count = _angle_count(grid.theta_points, s.coeffs.size)
+    (_, values), = _angle_grid_values(s.coeffs, np.array([float(r)]), count)
+    angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     theta, sup = scan_polish(lambda th: np.abs(_horner(s.coeffs, r * np.exp(1j * th))),
-                             angles, np.abs(values), period=2.0 * np.pi, vectorized=True)
+                             angles, np.abs(values[0]), period=2.0 * np.pi, vectorized=True)
     return sup, theta
 
 
@@ -320,8 +311,7 @@ def circle_norms(s: TruncatedSeries, r: float, grid: GridSpec | None = None) -> 
     grid = grid or GridSpec()
     _check_certified(s, r, "circle norms")
     powers = float(r) ** np.arange(s.coeffs.size, dtype=float)
-    mods = np.abs(s.coeffs)
-    l2 = float(np.sqrt(np.sum((mods * powers) ** 2)))
-    csum = float(mods @ powers)
+    l2 = float(np.sqrt(np.sum((np.abs(s.coeffs) * powers) ** 2)))
     sup, _ = circle_sup(s, r, grid)
-    return CircleNorms(r=float(r), sup_norm=sup, l2_norm=l2, coeff_sum=csum)
+    return CircleNorms(r=float(r), sup_norm=sup, l2_norm=l2,
+                       coeff_sum=coefficient_sum(s, r))

@@ -57,10 +57,15 @@ class TestTheorem1Optimize:
         assert abs(s_star - 0.333771) < 1e-3
 
     def test_envelope_optimum_pinned(self):
-        # root of 2 ln r + r^-2 = 2 and s* = ln(1 - r*^2) / (2 ln r*)
+        # r* = (-W_{-1}(-e^{-2}))^{-1/2}, the root of 2 ln r + r^-2 = 2, and
+        # s* = ln(1 - r*^2) / (2 ln r*), both from Lambert W at 40 digits
+        r_exact, s_exact = 0.56377693540918529, 0.33371122426485821
         s_star, r_star = theorem1_optimize()
-        assert abs(s_star - 0.3337112243) < 1e-8
-        assert abs(r_star - 0.5637769354) < 1e-9
+        assert abs(r_star - r_exact) < 1e-10
+        assert abs(s_star - s_exact) < 1e-10
+        s_star, r_star = theorem1_optimize(tol=1e-14)
+        assert abs(r_star - r_exact) < 1e-15
+        assert abs(s_star - s_exact) < 1e-15
 
     def test_envelope_point_solves_the_root_equation(self):
         s_star, r_star = theorem1_optimize()

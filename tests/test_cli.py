@@ -341,6 +341,7 @@ class TestOptionDefaults:
         ("norms", "--coeffs", ","),
         ("norms", "--series", "truncated.json"),
         ("norms", "--series", "no-coeffs.json"),
+        ("norms", "--series", "nan-tail.json"),
         ("weight-check", "--weight", "standard", "--r0", "0.8", "--grid", "1"),
         ("theorem5-probe", "--R", "0.5", "--grid", "1"),
         ("sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8",
@@ -376,6 +377,8 @@ class TestOptionDefaults:
     def test_edge_inputs_are_library_errors(self, capsys, monkeypatch, tmp_path, argv):
         (tmp_path / "truncated.json").write_text('{"coeffs": [[0.0, 0.0], [1.0')
         (tmp_path / "no-coeffs.json").write_text('{"tail": {"rho": 0, "M": 0}}')
+        (tmp_path / "nan-tail.json").write_text(
+            '{"coeffs": [[0.0, 0.0], [1.0, 0.0]], "tail": {"rho": 0.5, "M": NaN}}')
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 1

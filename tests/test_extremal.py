@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,6 @@ class TestVerifySharpness:
 
     def test_report_serialization(self):
         rep = verify_sharpness(builtin_weight("constant"), 1.0)
-        d = rep.to_json_dict()
+        d = asdict(rep)
         assert d["relative_gap"] == rep.relative_gap
         assert "grid_step" in d

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -122,7 +124,7 @@ class TestRadialSup:
     def test_report_serialization(self, const):
         grid = GridSpec(r_points=16, theta_points=16, r_max=0.5)
         rep = weighted_radial_sup(lambda z: z, const, grid)
-        d = rep.to_json_dict()
+        d = asdict(rep)
         assert set(d) == {"value", "witness_r", "witness_theta", "grid"}
         assert d["grid"]["r_points"] == 16
 

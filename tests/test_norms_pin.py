@@ -1,9 +1,10 @@
-"""``norms`` prints exactly the checked-in CSV and JSON on FFT-path inputs.
+"""``norms`` prints exactly the checked-in CSV and JSON on both radial-sup paths.
 
-Each case is a series whose derivative (and the series itself) has
+Most cases are series whose derivative (and the series itself) has
 coefficients of both signs or a complex phase, so both radial sups take the
-angle-grid scan rather than the nonnegative shortcut.  The test writes the
-series files itself and runs every case through ``cli.main`` in CSV and in
+angle-grid scan.  The last cases have real nonnegative coefficients, so both
+take the nonnegative shortcut, whose circle maximum is the majorant sum
+``coefficient_sum``.  The test writes the series files itself and runs every case through ``cli.main`` in CSV and in
 JSON; stdout must match ``data/norms_pin.txt`` byte for byte, which holds one
 ``$ blochbohr <args>`` line per run followed by its stdout.  After an
 intended output change, regenerate it with
@@ -45,11 +46,17 @@ def _automorphism(a: complex, order: int) -> TruncatedSeries:
     return TruncatedSeries.with_geometric_tail(coeffs, abs(a), (1.0 - abs(a) ** 2) / abs(a))
 
 
+def _geometric(q: float, order: int) -> TruncatedSeries:
+    """1/(1 - q z) up to z^order: every coefficient q^k is nonnegative."""
+    return TruncatedSeries.with_geometric_tail([q ** k for k in range(order + 1)], q, 1.0)
+
+
 #: series file name -> series
 SERIES = {
     "extremal40.json": _extremal(0.87, 2.2, 40),
     "automorphism60.json": _automorphism(cmath.rect(0.72, 4.1), 60),
     "mobius256.json": mobius_series(0.9),
+    "geometric48.json": _geometric(0.83, 48),
 }
 
 #: quartic with f' = 0.8 - 1.8 z + 0.9 z^2 + 2.4 z^3, which changes sign
@@ -61,6 +68,8 @@ CASES = [
     "norms --series extremal40.json --weight example2:r0=0.9134,alpha=2.618",
     "norms --series automorphism60.json --weight example3:r0=0.7725,alpha=3.204",
     "norms --series mobius256.json --weight standard",
+    "norms --coeffs=0.3,0.7,0.45,0.2,0.05 --weight example2:r0=0.8846,alpha=1.372",
+    "norms --series geometric48.json --weight example3:r0=0.7517,alpha=2.911",
 ]
 
 RUNS = [f"{case} --format {fmt}" for case in CASES for fmt in ("csv", "json")]

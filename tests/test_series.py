@@ -10,7 +10,7 @@ from blochbohr import (DivergenceRegionError, ExtremalSpec, GridSpec,
                        scale_argument, tail_bound)
 from blochbohr.norms import _batch_circle_max
 from blochbohr.search import scan_polish
-from blochbohr.series import _angle_grid_values, _horner, circle_sup, values_on_angle_grid
+from blochbohr.series import _angle_count, _angle_grid_values, _horner, circle_sup
 from conftest import random_polynomial, trig_quadrature_l2
 
 SQRT2 = np.sqrt(2.0)
@@ -43,6 +43,11 @@ class TestConstruction:
             TruncatedSeries([1.0], 0.5, -1.0)
         with pytest.raises(ParameterDomainError):
             TruncatedSeries([1.0], 0.5, None)
+        for m in (np.nan, np.inf):
+            with pytest.raises(ParameterDomainError):
+                TruncatedSeries([1.0], 0.5, m)
+        with pytest.raises(ParameterDomainError):
+            TruncatedSeries.loads('{"coeffs": [[1.0, 0.0]], "tail": {"rho": 0.5, "M": NaN}}')
 
     def test_immutable(self):
         s = TruncatedSeries.polynomial([1.0, 2.0])
@@ -190,6 +195,32 @@ class TestCoefficientSum:
         s = geometric_series(0.5, 10)
         assert tail_bound(s, 0.5) == 0.25 ** 11 / 0.75
         assert tail_bound(TruncatedSeries([1.0]), 0.5) is None
+        with pytest.raises(ParameterDomainError):
+            tail_bound(s, -0.5)
+
+    def test_broadcasts_over_radius(self):
+        s = geometric_series(0.5, 10)
+        radii = np.array([[0.0, 0.3], [0.6, 1.9]])
+        sums, tails = coefficient_sum(s, radii), tail_bound(s, radii)
+        assert sums.shape == tails.shape == radii.shape
+        for r, got_sum, got_tail in zip(radii.ravel(), sums.ravel(), tails.ravel()):
+            assert got_sum == pytest.approx(coefficient_sum(s, float(r)), rel=1e-15)
+            assert got_tail == tail_bound(s, float(r))
+        with pytest.raises(DivergenceRegionError):
+            tail_bound(s, np.array([0.5, 2.0]))
+        with pytest.raises(ParameterDomainError):
+            coefficient_sum(s, np.array([0.5, -0.1]))
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_radius_rejected(self, radius):
+        for s in (geometric_series(0.5, 10), TruncatedSeries.polynomial([1.0, 2.0]),
+                  TruncatedSeries([1.0, 2.0])):
+            for call in (coefficient_sum, circle_norms, tail_bound, eval_series):
+                with pytest.raises(ParameterDomainError):
+                    call(s, radius)
+            with pytest.raises(ParameterDomainError):
+                eval_series(s, np.array([0.1, radius * 1j]))
 
 
 class TestCircleNorms:
@@ -289,13 +320,11 @@ class TestAngleGridScan:
         kept = pruned != 0.0
         assert kept.sum() > 20 and pruned[kept].tobytes() == rough[kept].tobytes()
         for i in (0, 150, 299):
-            angles, values = values_on_angle_grid(
-                TruncatedSeries(coeffs), float(radii[i]), count)
+            (_, values), = _angle_grid_values(coeffs, radii[i:i + 1], count)
             single = np.zeros(count, dtype=complex)
             single[:n_coeffs] = coeffs * float(radii[i]) ** np.arange(n_coeffs, dtype=float)
-            assert values.tobytes() == (np.fft.ifft(single) * count).tobytes()
-            assert values.tobytes() == expected[i].tobytes()
-            assert angles.size == count
+            assert values[0].tobytes() == (np.fft.ifft(single) * count).tobytes()
+            assert values[0].tobytes() == expected[i].tobytes()
 
     def test_circle_sup_equals_sequential_polish(self):
         rng = np.random.default_rng(8)
@@ -303,8 +332,10 @@ class TestAngleGridScan:
         for _ in range(12):
             s = random_polynomial(rng, max_degree=64)
             r = float(rng.uniform(0.05, 0.999))
-            angles, values = values_on_angle_grid(s, r, grid.theta_points)
+            count = _angle_count(grid.theta_points, s.coeffs.size)
+            (_, values), = _angle_grid_values(s.coeffs, np.array([r]), count)
+            angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
             theta, sup = scan_polish(
                 lambda th: np.abs(_horner(s.coeffs, r * np.exp(1j * th))),
-                angles, np.abs(values), period=2.0 * np.pi)
+                angles, np.abs(values[0]), period=2.0 * np.pi)
             assert circle_sup(s, r, grid) == (sup, theta)
