@@ -7,9 +7,8 @@ geometric tail certificate |a_n| <= M rho^n (n > N).  Everything downstream
 
 import numpy as np
 
-from blochbohr import (GridSpec, TruncatedSeries, builtin_weight, circle_norms,
-                       derivative, eval_series, majorant, scale_argument,
-                       weighted_bloch_norm)
+from blochbohr import (TruncatedSeries, builtin_weight, circle_norms, derivative,
+                       eval_series, majorant, scale_argument, weighted_bloch_norm)
 
 # A polynomial carries the exact tail (0, 0): every evaluation is certified.
 poly = TruncatedSeries.polynomial([1.0, -1.0j, 0.5])
@@ -35,7 +34,7 @@ print("scaled by 1/sqrt(2):  ", scale_argument(m, 1 / np.sqrt(2)).coeffs.real)
 # Circle norms at radius r: the angle-averaged L2 norm comes from Parseval,
 # the sup norm from a 4096-point angle scan with golden-section polish, and
 # coeff_sum is the majorant value.  They always satisfy l2 <= sup <= sum.
-cn = circle_norms(poly, 0.7, GridSpec())
+cn = circle_norms(poly, 0.7)
 print(f"at r=0.7: l2 {cn.l2_norm:.6f} <= sup {cn.sup_norm:.6f} "
       f"<= coeff_sum {cn.coeff_sum:.6f}")
 

@@ -15,7 +15,7 @@ golden-section polish and report their witness points.
 from .bounds import (ScanReport, best_test_ratio, bombieri_m_infty, cauchy_chain_check,
                      mobius_majorant_sum, mobius_majorant_sup, mobius_series,
                      theorem1_optimize, theorem1_root, theorem4_expression,
-                     theorem4_sup, theorem4_upper_bound, theorem5_gap, theorem5_ratios)
+                     theorem4_sup, theorem4_upper_bound, theorem5_ratios)
 from .errors import (BlochBohrError, ConvergenceError, DivergenceRegionError,
                      EvaluatorDomainError, NoSignChangeError, ParameterDomainError,
                      PoleError, PreconditionError, ZeroDenominatorError)
@@ -26,7 +26,7 @@ from .extremal import (ExtremalSpec, SharpnessReport, blaschke_degree,
 from .norms import (RadialSupReport, avkhadiev_coefficients, avkhadiev_eval,
                     avkhadiev_majorant_closed_form, weighted_bloch_norm,
                     weighted_bloch_seminorm, weighted_radial_sup)
-from .search import GridSpec, bisect_root, golden_max, grid_golden_max, trisect_min
+from .search import bisect_root, golden_max, grid_golden_max, trisect_min
 from .series import (CircleNorms, SeriesValue, TruncatedSeries, circle_norms,
                      circle_sup, coefficient_sum, derivative, eval_series,
                      majorant, scale_argument, tail_bound)
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlochBohrError", "CircleNorms", "ConvergenceError", "CriterionReport",
-    "DivergenceRegionError", "EvaluatorDomainError", "ExtremalSpec", "GridSpec",
+    "DivergenceRegionError", "EvaluatorDomainError", "ExtremalSpec",
     "NoSignChangeError", "ParameterDomainError", "PoleError", "PreconditionError",
     "RadialSupReport", "ScanReport", "SeriesValue", "SharpnessReport",
     "TruncatedSeries", "Weight", "ZeroDenominatorError",
@@ -53,7 +53,7 @@ __all__ = [
     "mobius_majorant_sum", "mobius_majorant_sup", "mobius_series",
     "scale_argument", "tail_bound", "theorem1_optimize", "theorem1_root",
     "theorem4_expression", "theorem4_sup", "theorem4_upper_bound",
-    "theorem5_gap", "theorem5_ratios", "trisect_min", "verify_sharpness",
+    "theorem5_ratios", "trisect_min", "verify_sharpness",
     "weight_from_token", "weighted_bloch_norm", "weighted_bloch_seminorm",
     "weighted_radial_sup",
 ]

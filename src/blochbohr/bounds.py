@@ -18,9 +18,9 @@
   (3 - sqrt(8(1-r^2)))/r of the bounded-function majorant supremum on
   [1/3, 1/sqrt(2)], and its independent realization by the Mobius family
   a + (1-a^2) r / (1-ar).
-* ``best_test_ratio`` / ``theorem5_gap``: the best Theorem 4 test-function
-  ratio at a scale, which ``theorem4_upper_bound`` drives past 1 and the
-  strictness probe of m_Bloch(R) < R/sqrt(1-R^2) subtracts from the bound.
+* ``best_test_ratio``: the best Theorem 4 test-function ratio at a scale,
+  which ``theorem4_upper_bound`` drives past 1 and the strictness probe of
+  m_Bloch(R) < R/sqrt(1-R^2) subtracts from the bound.
   For f with f' = g_a (``norms.avkhadiev_eval``, sup (1-|z|^2)|g_a| = 1)
   the majorant-to-function Bloch seminorm ratio is exactly
   ``theorem4_sup(a, R)``, because the majorant of g_a has nonnegative
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, PoleError
 from .norms import A_MAX, avkhadiev_majorant_closed_form, weighted_bloch_seminorm
-from .search import GridSpec, bisect_flag, bisect_root, grid_golden_max
+from .search import bisect_flag, bisect_root, grid_golden_max
 from .series import TruncatedSeries, circle_norms, coefficient_sum, majorant, scale_argument
 from .weights import Weight, builtin_weight
 
@@ -46,8 +46,8 @@ S_CLIP = (1e-4, 1.0 - 1e-4)
 #: "exceeds 1" means strictly above this, to avoid rounding-false positives
 EXCEED_THRESHOLD = 1.0 + 1e-9
 
-#: lean scan grid of the seminorms in ``theorem5_ratios`` (margins there are large)
-PROBE_GRID = GridSpec(r_points=1024, theta_points=1024)
+#: radial samples of the seminorms in ``theorem5_ratios`` (margins there are large)
+PROBE_R_POINTS = 1024
 
 #: radius bracket and residual tolerance of the Theorem 1 root solves
 THEOREM1_BRACKET = (1e-6, 1.0 - 1e-6)
@@ -145,7 +145,7 @@ def theorem4_expression(a, scale: float, r):
     if not 0.0 <= scale < np.inf:
         raise ParameterDomainError("the scale R must be nonnegative and finite")
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r > 1.0):
+    if not np.all((r >= 0.0) & (r <= 1.0)):
         raise ParameterDomainError("radius must lie in [0, 1]")
     out = scale * (1.0 - r * r) * avkhadiev_majorant_closed_form(a, scale * r)
     if np.ndim(out) == 0:
@@ -233,7 +233,7 @@ def bombieri_m_infty(r):
     Endpoint values: 1 at r = 1/3 and sqrt(2) at r = 1/sqrt(2).
     """
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 1.0 / 3.0 - 1e-12) or np.any(arr > 1.0 / np.sqrt(2.0) + 1e-12):
+    if not np.all((arr >= 1.0 / 3.0 - 1e-12) & (arr <= 1.0 / np.sqrt(2.0) + 1e-12)):
         raise ParameterDomainError(
             "the closed form holds for r in [1/3, 1/sqrt(2)] only")
     out = (3.0 - np.sqrt(8.0 * (1.0 - arr * arr))) / arr
@@ -286,21 +286,21 @@ def mobius_series(alpha: float, n_terms: int = 257) -> TruncatedSeries:
 
 @dataclass
 class ProbeFunction:
-    """A named test function with a per-grid cache of its Bloch seminorm."""
+    """A named test function with a per-weight, per-scan-size cache of its
+    Bloch seminorm."""
 
     name: str
     series: TruncatedSeries
     _norms: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def bloch_seminorm(self, w: Weight, grid: GridSpec) -> float:
-        key = (w.name, tuple(sorted(w.params.items())), grid)
+    def bloch_seminorm(self, w: Weight, r_points: int) -> float:
+        key = (w.name, tuple(sorted(w.params.items())), r_points)
         if key not in self._norms:
-            self._norms[key] = weighted_bloch_seminorm(self.series, w, grid)
+            self._norms[key] = weighted_bloch_seminorm(self.series, w, r_points)
         return self._norms[key]
 
 
-def theorem5_ratios(scale: float, family,
-                    grid: GridSpec = PROBE_GRID) -> dict[str, float]:
+def theorem5_ratios(scale: float, family) -> dict[str, float]:
     """Majorant-to-function Bloch seminorm ratio per member of ``family``.
 
     The ratio uses the gradient seminorm sup omega |f'| on both sides:
@@ -316,21 +316,12 @@ def theorem5_ratios(scale: float, family,
     std = builtin_weight("standard")
     ratios = {}
     for member in family:
-        denominator = member.bloch_seminorm(std, grid)
+        denominator = member.bloch_seminorm(std, PROBE_R_POINTS)
         if denominator <= 0.0:
             raise ParameterDomainError(
                 f"probe member {member.name} has zero Bloch seminorm")
         scaled = scale_argument(majorant(member.series), scale)
-        numerator = weighted_bloch_seminorm(scaled, std, grid)
+        numerator = weighted_bloch_seminorm(scaled, std, PROBE_R_POINTS)
         ratios[member.name] = numerator / denominator
     return ratios
 
-
-def theorem5_gap(scale: float) -> float:
-    """R/sqrt(1-R^2) minus ``best_test_ratio`` at the scale R.
-
-    A positive value is consistent with strictness of the bound; only a
-    negative value would be decisive (falsification).
-    """
-    value, _, _ = best_test_ratio(scale)
-    return scale / np.sqrt(1.0 - scale * scale) - value

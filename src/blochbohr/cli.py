@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +25,9 @@ from .bounds import (EXCEED_THRESHOLD, THEOREM1_TOL, THEOREM4_R_POINTS, THEOREM4
 from .errors import BlochBohrError, ParameterDomainError
 from .extremal import verify_sharpness
 from .norms import RadialSupReport, _series_radial_sup, weighted_bloch_norm
-from .search import GridSpec
+from .search import R_POINTS
 from .series import TruncatedSeries
-from .weights import (CRITERION_GRID, CRITERION_TOL, PROFILE_POINTS, SQRT2, _check_tol,
+from .weights import (CRITERION_R_POINTS, CRITERION_TOL, PROFILE_POINTS, SQRT2, _check_tol,
                       criterion_check, find_admissible_r0, h_profile,
                       weight_from_token)
 
@@ -188,16 +188,15 @@ def _cmd_bombieri(args) -> int:
 
 def _cmd_weight_check(args) -> int:
     w = weight_from_token(args.weight)
-    grid = replace(CRITERION_GRID, r_points=args.grid)
     if args.r0 is not None:
-        rep = criterion_check(w, args.r0, grid=grid, tol=args.tol)
+        rep = criterion_check(w, args.r0, args.grid, args.tol)
         report = {"command": "weight-check", "weight": args.weight, "r0": rep.r0,
                   "passed": rep.passed, "worst_margin": rep.worst_margin,
                   "violation_witness": rep.violation_witness}
         _render(args, report,
                 ["weight", "r0", "passed", "worst_margin", "violation_witness"])
         return 0
-    found = find_admissible_r0(w, grid=grid, tol=args.tol)
+    found = find_admissible_r0(w, args.grid, args.tol)
     if found is None:
         report = {"command": "weight-check", "weight": args.weight,
                   "found": False, "r0": None}
@@ -222,7 +221,7 @@ def _cmd_h_profile(args) -> int:
 def _cmd_sharpness(args) -> int:
     w = weight_from_token(args.weight)
     tol = _check_tol(args.tol)
-    rep = verify_sharpness(w, args.r0, grid=replace(CRITERION_GRID, r_points=args.grid))
+    rep = verify_sharpness(w, args.r0, args.grid)
     witness_tol = 2.0 * rep.grid_step
     witnesses_ok = (abs(rep.lhs_witness_r - rep.r0) <= witness_tol
                     and abs(rep.rhs_witness_r - rep.r0) <= witness_tol)
@@ -258,9 +257,8 @@ def _read_series(args) -> TruncatedSeries:
 def _cmd_norms(args) -> int:
     series = _read_series(args)
     w = weight_from_token(args.weight)
-    grid = GridSpec(r_points=args.grid)
-    norm = weighted_bloch_norm(series, w, grid)
-    sup = RadialSupReport(*_series_radial_sup(series, w, grid), grid=grid)
+    norm = weighted_bloch_norm(series, w, args.grid)
+    sup = RadialSupReport(*_series_radial_sup(series, w, args.grid))
     report = {"command": "norms", "weight": args.weight, "bloch_norm": norm,
               "radial_sup": asdict(sup)}
     _render(args, report,
@@ -334,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="standard | constant | example2:r0=..,alpha=.. | "
                         "example3:r0=..,alpha=..")
     p.add_argument("--r0", type=float, help="anchor radius; omit to auto-search")
-    _option(p, "--grid", CRITERION_GRID.r_points, "radial samples of the criterion scan")
+    _option(p, "--grid", CRITERION_R_POINTS, "radial samples of the criterion scan")
     _option(p, "--tol", CRITERION_TOL, "margin a pass tolerates below 0")
     p.set_defaults(handler=_cmd_weight_check)
 
@@ -348,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify the sharpness identity for a weight at r0")
     p.add_argument("--weight", required=True)
     p.add_argument("--r0", type=float, required=True)
-    _option(p, "--grid", CRITERION_GRID.r_points, "radial samples of every scan")
+    _option(p, "--grid", CRITERION_R_POINTS, "radial samples of every scan")
     _option(p, "--tol", 1e-9, "largest relative gap of a PASS")
     p.set_defaults(handler=_cmd_sharpness)
 
@@ -359,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", metavar="LIST",
                    help="inline real polynomial coefficients, comma-separated")
     p.add_argument("--weight", default="standard")
-    _option(p, "--grid", GridSpec.r_points, "radial samples of both scans")
+    _option(p, "--grid", R_POINTS, "radial samples of both scans")
     p.set_defaults(handler=_cmd_norms)
     return parser
 

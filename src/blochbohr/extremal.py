@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import (DivergenceRegionError, ParameterDomainError, PoleError,
                      PreconditionError)
-from .search import GridSpec, grid_golden_max
+from .search import R_MAX, grid_golden_max
 from .series import DEFAULT_ORDER, TruncatedSeries, _check_certified, derivative, _horner
-from .weights import CRITERION_GRID, SQRT2, Weight, _check_r0, criterion_check
+from .weights import CRITERION_R_POINTS, SQRT2, Weight, _check_r0, criterion_check
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,8 @@ class ExtremalSpec:
         _check_r0(self.r0)
         if self.truncation < 1:
             raise ParameterDomainError("truncation order must be >= 1")
+        if not np.isfinite(self.phi):
+            raise ParameterDomainError(f"rotation phi must be finite, got {self.phi}")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * np.pi))
 
 
@@ -105,7 +107,7 @@ def extremal_sup_modulus(r0: float, r):
     """
     _check_r0(r0)
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
+    if not np.all(r >= 0.0):
         raise ParameterDomainError("radius must be nonnegative")
     out = (r / r0 + 1.0 / SQRT2) / (1.0 + r / (SQRT2 * r0))
     if r.ndim == 0:
@@ -119,7 +121,7 @@ def extremal_majorant_sum(r0: float, r):
     r = np.asarray(r, dtype=float)
     if np.any(r == 2.0 * r0):
         raise PoleError(f"majorant sum has a pole at r = 2 r0 = {2.0 * r0:.6g}")
-    if np.any(r > 2.0 * r0):
+    if not np.all(r < 2.0 * r0):
         raise DivergenceRegionError("majorant sum diverges past r = 2 r0")
     out = (1.0 / SQRT2) / (1.0 - r / (2.0 * r0))
     if r.ndim == 0:
@@ -160,13 +162,13 @@ def blaschke_degree_montecarlo(s: TruncatedSeries, r0: float,
     return float(np.mean(np.abs(r0 * vals) ** 2))
 
 
-def _sup_with_candidate(f, grid: GridSpec, candidate: float) -> tuple[float, float]:
+def _sup_with_candidate(f, r_points: int, candidate: float) -> tuple[float, float]:
     """Grid+golden supremum that also probes an explicit candidate radius.
 
     The candidate wins ties, so a supremum attained exactly there reports
     it as the witness.
     """
-    x, v = grid_golden_max(f, 0.0, grid.r_max, grid.r_points)
+    x, v = grid_golden_max(f, 0.0, R_MAX, r_points)
     cv = float(np.asarray(f(candidate)))
     if cv >= v:
         return candidate, cv
@@ -174,7 +176,7 @@ def _sup_with_candidate(f, grid: GridSpec, candidate: float) -> tuple[float, flo
 
 
 def verify_sharpness(w: Weight, r0: float,
-                     grid: GridSpec | None = None) -> SharpnessReport:
+                     r_points: int = CRITERION_R_POINTS) -> SharpnessReport:
     """Compare both weighted suprema of the sharpness identity at anchor r0.
 
     Requires the weight to pass the admissibility criterion at r0
@@ -183,8 +185,7 @@ def verify_sharpness(w: Weight, r0: float,
     criterion holds, both witnesses equal r0 and the relative gap vanishes
     up to rounding.
     """
-    grid = grid or CRITERION_GRID
-    report = criterion_check(w, r0, grid=grid)
+    report = criterion_check(w, r0, r_points)
     if not report.passed:
         raise PreconditionError(
             f"weight {w.name} fails the sharpness criterion at r0 = {r0} "
@@ -193,9 +194,9 @@ def verify_sharpness(w: Weight, r0: float,
 
     lhs = lambda r: np.asarray(w(r)) / SQRT2 * extremal_majorant_sum(r0, r)
     rhs = lambda r: np.asarray(w(r)) * extremal_sup_modulus(r0, r)
-    lhs_wit, lhs_sup = _sup_with_candidate(lhs, grid, r0)
-    rhs_wit, rhs_sup = _sup_with_candidate(rhs, grid, r0)
+    lhs_wit, lhs_sup = _sup_with_candidate(lhs, r_points, r0)
+    rhs_wit, rhs_sup = _sup_with_candidate(rhs, r_points, r0)
     gap = abs(lhs_sup - rhs_sup) / max(lhs_sup, rhs_sup)
     return SharpnessReport(lhs_sup=lhs_sup, rhs_sup=rhs_sup,
                            lhs_witness_r=lhs_wit, rhs_witness_r=rhs_wit,
-                           relative_gap=gap, r0=r0, grid_step=grid.r_step)
+                           relative_gap=gap, r0=r0, grid_step=R_MAX / (r_points - 1))

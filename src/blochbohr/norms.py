@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (BlochBohrError, DivergenceRegionError, EvaluatorDomainError,
                      ParameterDomainError, PoleError)
-from .search import GridSpec, grid_golden_max, scan_polish
+from .search import R_MAX, R_POINTS, THETA_POINTS, grid_golden_max, radii, scan_polish
 from .series import (TruncatedSeries, _angle_count, _angle_grid_values, _check_certified,
                      _horner, circle_sup, coefficient_sum, derivative)
 from .weights import Weight
@@ -45,28 +45,27 @@ class RadialSupReport:
     value: float
     witness_r: float
     witness_theta: float
-    grid: GridSpec
 
 
-def _batch_circle_max(coeffs: np.ndarray, radii: np.ndarray, theta_points: int,
+def _batch_circle_max(coeffs: np.ndarray, rs: np.ndarray, theta_points: int,
                       weights: np.ndarray) -> np.ndarray:
     """max_theta |f(r e^{i theta})| on the raw angle grid at each radius that
     can hold the argmax of ``weights * out`` (see ``_series_radial_sup``),
     0.0 elsewhere; negative or non-finite weights get every radius."""
     count = _angle_count(theta_points, coeffs.size)
-    out = np.zeros(radii.size)
+    out = np.zeros(rs.size)
 
     def scan(rows: np.ndarray) -> None:
-        for part, values in _angle_grid_values(coeffs, radii[rows], count):
+        for part, values in _angle_grid_values(coeffs, rs[rows], count):
             out[rows[part]] = np.abs(values).max(axis=1)
 
-    rows = np.arange(radii.size)
+    rows = np.arange(rs.size)
     coarse = np.append(rows[:-1:_COARSE], rows[-1])
     scan(coarse)
     best = np.max(weights[coarse] * out[coarse])
     rest = (rows % _COARSE != 0) & (rows < rows[-1])
     if np.all((weights >= 0.0) & (weights < np.inf)) and 0.0 < best < np.inf:
-        maj = _horner(np.abs(coeffs), radii).real
+        maj = _horner(np.abs(coeffs), rs).real
         upper = (1.0 + _EPS) * maj
         n = coeffs.size - 1
         if np.pi * n < count:
@@ -78,11 +77,11 @@ def _batch_circle_max(coeffs: np.ndarray, radii: np.ndarray, theta_points: int,
     return out
 
 
-def _radial_sup(rough: np.ndarray, weights: np.ndarray, circle_max: Callable,
-                w: Weight, grid: GridSpec) -> tuple[float, float, float]:
+def _radial_sup(rs: np.ndarray, rough: np.ndarray, weights: np.ndarray,
+                circle_max: Callable, w: Weight) -> tuple[float, float, float]:
     """sup_r w(r) circle_max(r) -> (value, witness_r, witness_theta).
 
-    ``rough`` holds the unpolished circle maxima on ``grid.radii()`` and
+    ``rough`` holds the unpolished circle maxima on the radii ``rs`` and
     ``weights`` the weight there; the argmax of their product picks the
     radial bracket.  ``circle_max(r)`` returns the polished (max, theta) at
     one radius.  Ties resolve to the smallest witness radius.
@@ -93,12 +92,12 @@ def _radial_sup(rough: np.ndarray, weights: np.ndarray, circle_max: Callable,
         sup, thetas[r] = circle_max(r)
         return float(w(r)) * sup
 
-    r, v = scan_polish(weighted, grid.radii(), weights * rough, rescore=True)
+    r, v = scan_polish(weighted, rs, weights * rough, rescore=True)
     return v, r, thetas[r]
 
 
 def _series_radial_sup(s: TruncatedSeries, w: Weight,
-                       grid: GridSpec) -> tuple[float, float, float]:
+                       r_points: int = R_POINTS) -> tuple[float, float, float]:
     """sup_r w(r) max_theta |f(r e^{i theta})| -> (value, witness_r, witness_theta).
 
     Ties resolve to the smallest witness radius.  The rough scan picks the
@@ -112,39 +111,37 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight,
     bounds the computed rough(r) and each skipped row (0.0) scores below
     best: the argmax, and every polished probe and output, is unchanged.
     """
-    _check_certified(s, grid.r_max, "radial scan")
+    rs = radii(r_points)
+    _check_certified(s, R_MAX, "radial scan")
     if s.is_nonnegative:
         profile = lambda r: np.asarray(w(r)) * coefficient_sum(s, r)
-        x, v = grid_golden_max(profile, 0.0, grid.r_max, grid.r_points)
+        x, v = grid_golden_max(profile, 0.0, R_MAX, r_points)
         return v, x, 0.0
-    radii = grid.radii()
-    weights = np.asarray(w(radii))
-    rough = _batch_circle_max(s.coeffs, radii, grid.theta_points, weights)
-    return _radial_sup(rough, weights, lambda r: circle_sup(s, r, grid), w, grid)
+    weights = np.asarray(w(rs))
+    rough = _batch_circle_max(s.coeffs, rs, THETA_POINTS, weights)
+    return _radial_sup(rs, rough, weights, lambda r: circle_sup(s, r), w)
 
 
 def weighted_bloch_seminorm(s: TruncatedSeries, w: Weight,
-                            grid: GridSpec | None = None) -> float:
+                            r_points: int = R_POINTS) -> float:
     """sup_r omega(r) max_theta |f'(r e^{i theta})| (the norm without |a_0|).
 
     This is the gradient part of the Bloch norm; constants have seminorm
     zero.  The majorant-ratio bound R/sqrt(1-R^2) controls exactly this
     quantity, which is why ``bounds.theorem5_ratios`` divides seminorms.
     """
-    grid = grid or GridSpec()
-    ds = derivative(s)
-    sup, _, _ = _series_radial_sup(ds, w, grid)
+    sup, _, _ = _series_radial_sup(derivative(s), w, r_points)
     return sup
 
 
 def weighted_bloch_norm(s: TruncatedSeries, w: Weight,
-                        grid: GridSpec | None = None) -> float:
+                        r_points: int = R_POINTS) -> float:
     """|a_0| + sup_r omega(r) max_theta |f'(r e^{i theta})|.
 
     The series must be certified up to the scan radius (polynomials always
     are); otherwise a DivergenceRegionError is raised.
     """
-    return float(abs(s.coeffs[0])) + weighted_bloch_seminorm(s, w, grid)
+    return float(abs(s.coeffs[0])) + weighted_bloch_seminorm(s, w, r_points)
 
 
 def _call_evaluator(evaluator: Callable, z: np.ndarray) -> np.ndarray:
@@ -168,22 +165,21 @@ def _call_evaluator(evaluator: Callable, z: np.ndarray) -> np.ndarray:
 
 
 def weighted_radial_sup(evaluator: Callable, w: Weight,
-                        grid: GridSpec | None = None) -> RadialSupReport:
+                        r_points: int = R_POINTS) -> RadialSupReport:
     """sup_r omega(r) max_theta |f(r e^{i theta})| for an arbitrary evaluator.
 
     ``evaluator`` maps complex points to complex values and must be defined
-    on the closed disc of radius ``grid.r_max``; vectorized callables are
+    on the closed disc of radius ``R_MAX``; vectorized callables are
     used as-is, scalar ones fall back to an elementwise loop.  The best
     radial bracket is polished monotonically; ties report the smallest
     witness radius.
     """
-    grid = grid or GridSpec()
-    radii = grid.radii()
-    angles = grid.angles()
-    rough = np.empty(radii.size)
+    rs = radii(r_points)
+    angles = np.linspace(0.0, 2.0 * np.pi, THETA_POINTS, endpoint=False)
+    rough = np.empty(rs.size)
     chunk = max(1, 2_000_000 // angles.size)
-    for start in range(0, radii.size, chunk):
-        rr = radii[start:start + chunk]
+    for start in range(0, rs.size, chunk):
+        rr = rs[start:start + chunk]
         z = rr[:, None] * np.exp(1j * angles)[None, :]
         rough[start:start + chunk] = np.abs(_call_evaluator(evaluator, z)).max(axis=1)
 
@@ -193,8 +189,8 @@ def weighted_radial_sup(evaluator: Callable, w: Weight,
         theta, sup = scan_polish(f, angles, period=2.0 * np.pi)
         return sup, theta
 
-    value, r, theta = _radial_sup(rough, np.asarray(w(radii)), circle_max, w, grid)
-    return RadialSupReport(value=value, witness_r=r, witness_theta=theta, grid=grid)
+    value, r, theta = _radial_sup(rs, rough, np.asarray(w(rs)), circle_max, w)
+    return RadialSupReport(value=value, witness_r=r, witness_theta=theta)
 
 
 def _check_a(a):
@@ -251,7 +247,7 @@ def avkhadiev_majorant_closed_form(a, x):
     """
     a = _check_a(a)
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):
         raise ParameterDomainError("majorant argument must be nonnegative")
     if np.any(a * x == 1.0):
         raise PoleError("pole at x = 1/a")

@@ -1,4 +1,4 @@
-"""Grid plans and 1-D search primitives.
+"""Scan sizes and 1-D search primitives.
 
 Every grid supremum in the library (and the worst criterion margin, an
 infimum) goes through one primitive, ``scan_polish``: a uniform grid scan
@@ -16,7 +16,6 @@ alone (``bisect_flag``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,34 +27,18 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 #: golden-section steps a vectorized objective is evaluated ahead for
 LOOKAHEAD = 5
 
+#: default radial sample count, the number of angles of a circle scan, and
+#: the outer radius of every radial scan
+R_POINTS = 2048
+THETA_POINTS = 4096
+R_MAX = 1.0 - 1e-6
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Sampling plan for radius/angle/parameter scans.
 
-    ``r_points`` uniform samples cover ``[0, r_max]`` and ``theta_points``
-    cover one period of the circle.
-    """
-
-    r_points: int = 2048
-    theta_points: int = 4096
-    r_max: float = 1.0 - 1e-6
-
-    def __post_init__(self) -> None:
-        if self.r_points < 2 or self.theta_points < 2:
-            raise ParameterDomainError("grid needs at least 2 radial and 2 angular points")
-        if not 0.0 < self.r_max <= 1.0:
-            raise ParameterDomainError("grid requires 0 < r_max <= 1")
-
-    def radii(self) -> np.ndarray:
-        return np.linspace(0.0, self.r_max, self.r_points)
-
-    def angles(self) -> np.ndarray:
-        return np.linspace(0.0, 2.0 * np.pi, self.theta_points, endpoint=False)
-
-    @property
-    def r_step(self) -> float:
-        return self.r_max / (self.r_points - 1)
+def radii(r_points: int) -> np.ndarray:
+    """``r_points`` uniform radii covering [0, ``R_MAX``]."""
+    if r_points < 2:
+        raise ParameterDomainError(f"a scan needs at least 2 points, got {r_points}")
+    return np.linspace(0.0, R_MAX, r_points)
 
 
 def _feval(f: Callable, x: float) -> float:

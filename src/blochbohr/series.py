@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceRegionError, ParameterDomainError
-from .search import GridSpec, scan_polish
+from .search import THETA_POINTS, scan_polish
 
 #: largest |z| at which a series without tail data may be evaluated
 UNCERTIFIED_RADIUS = 0.9
@@ -189,8 +189,8 @@ def _horner(coeffs: np.ndarray, z) -> np.ndarray:
 
 
 def _check_certified(s: TruncatedSeries, radius: float, what: str = "evaluation") -> None:
-    if not np.isfinite(radius):
-        raise ParameterDomainError(f"{what} needs a finite radius, got {radius}")
+    if not 0.0 <= radius < np.inf:
+        raise ParameterDomainError(f"{what} needs a finite radius >= 0, got {radius}")
     if s.has_tail:
         if s.tail_rho * radius >= 1.0:
             raise DivergenceRegionError(
@@ -281,18 +281,19 @@ def _angle_grid_values(coeffs: np.ndarray, radii: np.ndarray, count: int):
         yield slice(start, start + rr.size), np.fft.ifft(block, axis=1, norm="forward")
 
 
-def circle_sup(s: TruncatedSeries, r: float, grid: GridSpec) -> tuple[float, float]:
+def circle_sup(s: TruncatedSeries, r: float) -> tuple[float, float]:
     """max_theta |f(r e^{i theta})| with its witness angle.
 
-    FFT angle scan, then golden-section polish of the best bracket, which
-    wraps around the 0/2 pi seam.  Series with real nonnegative
-    coefficients peak at theta = 0 exactly (their circle maximum is the
-    coefficient sum), so they skip the scan.
+    FFT scan of ``THETA_POINTS`` angles (raised to cover the degree), then
+    golden-section polish of the best bracket, which wraps around the 0/2 pi
+    seam.  Series with real nonnegative coefficients peak at theta = 0
+    exactly (their circle maximum is the coefficient sum), so they skip the
+    scan.  A negative or non-finite radius is a ParameterDomainError.
     """
     _check_certified(s, r, "circle scan")
     if s.is_nonnegative:
         return coefficient_sum(s, r), 0.0
-    count = _angle_count(grid.theta_points, s.coeffs.size)
+    count = _angle_count(THETA_POINTS, s.coeffs.size)
     (_, values), = _angle_grid_values(s.coeffs, np.array([float(r)]), count)
     angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     theta, sup = scan_polish(lambda th: np.abs(_horner(s.coeffs, r * np.exp(1j * th))),
@@ -300,7 +301,7 @@ def circle_sup(s: TruncatedSeries, r: float, grid: GridSpec) -> tuple[float, flo
     return sup, theta
 
 
-def circle_norms(s: TruncatedSeries, r: float, grid: GridSpec | None = None) -> CircleNorms:
+def circle_norms(s: TruncatedSeries, r: float) -> CircleNorms:
     """Sup, L2, and majorant norms of f on the circle |z| = r.
 
     The L2 norm comes from the coefficients by Parseval; the sup norm from
@@ -308,10 +309,9 @@ def circle_norms(s: TruncatedSeries, r: float, grid: GridSpec | None = None) -> 
     """
     if r < 0.0 or r >= 1.0:
         raise ParameterDomainError("circle radius must lie in [0, 1)")
-    grid = grid or GridSpec()
     _check_certified(s, r, "circle norms")
     powers = float(r) ** np.arange(s.coeffs.size, dtype=float)
     l2 = float(np.sqrt(np.sum((np.abs(s.coeffs) * powers) ** 2)))
-    sup, _ = circle_sup(s, r, grid)
+    sup, _ = circle_sup(s, r)
     return CircleNorms(r=float(r), sup_norm=sup, l2_norm=l2,
                        coeff_sum=coefficient_sum(s, r))

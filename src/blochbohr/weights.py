@@ -15,13 +15,13 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import ParameterDomainError, ZeroDenominatorError
-from .search import GridSpec, bisect_flag, scan_polish
+from .search import R_MAX, bisect_flag, radii, scan_polish
 
 SQRT2 = float(np.sqrt(2.0))
 R0_MIN = 1.0 / SQRT2
 
-#: default scan grid for criterion checks: 10_000 points on [0, 1 - 1e-6]
-CRITERION_GRID = GridSpec(r_points=10_000)
+#: default radial sample count of criterion checks
+CRITERION_R_POINTS = 10_000
 
 #: equality in the criterion is admissible, so passing tolerates tiny rounding
 CRITERION_TOL = 1e-12
@@ -50,7 +50,7 @@ class Weight:
         if isinstance(r, float) and 0.0 <= r < 1.0:
             return float(self.fn(np.asarray(r)))
         arr = np.asarray(r, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ParameterDomainError(f"weight {self.name} is defined on [0, 1)")
         if np.any(arr == 1.0) and not np.isfinite(self.limit_at_one):
             raise ParameterDomainError(
@@ -64,9 +64,9 @@ class Weight:
         return out
 
     def scaled(self, c: float) -> "Weight":
-        """The weight multiplied by a positive constant."""
-        if c <= 0.0:
-            raise ParameterDomainError("scale must be positive")
+        """The weight multiplied by a positive finite constant."""
+        if not 0.0 < c < np.inf:
+            raise ParameterDomainError("scale must be positive and finite")
         return Weight(name=f"{c}*{self.name}", fn=lambda r: c * self.fn(r),
                       params=dict(self.params),
                       limit_at_one=c * self.limit_at_one)
@@ -167,7 +167,7 @@ def criterion_bound(r, r0: float):
     if isinstance(r, float) and 0.0 <= r <= 1.0:
         return float(min(_omegas(r, r0)))
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ParameterDomainError("criterion bound is evaluated on [0, 1)")
     out = np.minimum(*_omegas(arr, r0))
     if arr.ndim == 0:
@@ -185,17 +185,17 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def criterion_check(w: Weight, r0: float, grid: GridSpec | None = None,
+def criterion_check(w: Weight, r0: float, r_points: int = CRITERION_R_POINTS,
                     tol: float = CRITERION_TOL) -> CriterionReport:
     """Scan h(r) - omega(r)/omega(r0) over [0, 1) and report the worst margin.
 
-    The grid minimum is polished by trisection to a 1e-12 width.  A zero
-    weight value at the anchor raises ZeroDenominatorError; an infinite one
-    is rejected as a parameter-domain error.
+    The minimum over ``r_points`` radii is polished by trisection to a 1e-12
+    width.  A zero weight value at the anchor raises ZeroDenominatorError;
+    an infinite one is rejected as a parameter-domain error.
     """
+    rs = radii(r_points)
     r0 = _check_r0(r0)
     tol = _check_tol(tol)
-    grid = grid or CRITERION_GRID
     w0 = float(w(r0))
     if w0 == 0.0:
         raise ZeroDenominatorError(f"weight {w.name} vanishes at r0 = {r0}")
@@ -205,13 +205,13 @@ def criterion_check(w: Weight, r0: float, grid: GridSpec | None = None,
     def margin(r):
         return _margin(r, r0, w(r), w0)
 
-    worst_r, worst = scan_polish(margin, grid.radii(), minimize=True)
+    worst_r, worst = scan_polish(margin, rs, minimize=True)
     passed = worst >= -tol
     return CriterionReport(r0=r0, passed=passed, worst_margin=worst,
                            violation_witness=None if passed else worst_r)
 
 
-def find_admissible_r0(w: Weight, grid: GridSpec | None = None,
+def find_admissible_r0(w: Weight, r_points: int = CRITERION_R_POINTS,
                        tol: float = CRITERION_TOL,
                        ) -> Optional[tuple[float, CriterionReport]]:
     """Search [1/sqrt(2), 1] for an anchor where the criterion passes.
@@ -223,15 +223,14 @@ def find_admissible_r0(w: Weight, grid: GridSpec | None = None,
     by bisection.  Anchors where the weight vanishes count as failures.
     Returns (r0, report) or None when every candidate fails.
 
-    omega is evaluated on the scan grid once.  An anchor whose grid margin
+    omega is evaluated on the scan radii once.  An anchor whose grid margin
     dips below -tol fails without ``criterion_check``: its polish keeps only
     strictly lower points, so that verdict is final.  Anchors where omega is
     zero or not finite still go through it, so the errors are unchanged.
     """
+    rs = radii(r_points)
     tol = _check_tol(tol)
-    grid = grid or CRITERION_GRID
-    radii = grid.radii()
-    w_radii = w(radii)
+    w_rs = w(rs)
     candidates = np.linspace(R0_MIN, 1.0, 100)
     own = w.params.get("r0")
     if own is not None and R0_MIN - 1e-12 <= own <= 1.0:
@@ -240,10 +239,10 @@ def find_admissible_r0(w: Weight, grid: GridSpec | None = None,
     def check(r0: float) -> Optional[CriterionReport]:
         w0 = w(r0)
         # np.min, not nanmin: a NaN margin falls through to the full check
-        if 0.0 < abs(w0) < np.inf and np.min(_margin(radii, r0, w_radii, w0)) < -tol:
+        if 0.0 < abs(w0) < np.inf and np.min(_margin(rs, r0, w_rs, w0)) < -tol:
             return None
         try:
-            report = criterion_check(w, r0, grid=grid, tol=tol)
+            report = criterion_check(w, r0, r_points=r_points, tol=tol)
         except ZeroDenominatorError:
             return None
         return report if report.passed else None
@@ -270,8 +269,8 @@ def h_profile(r0: float, n_points: int = PROFILE_POINTS) -> np.ndarray:
     r0 = _check_r0(r0)
     if n_points < 2:
         raise ParameterDomainError("profile needs at least 2 points")
-    radii = np.linspace(0.0, GridSpec.r_max, n_points)
-    if r0 <= GridSpec.r_max:
-        radii = np.union1d(radii, [r0])
-    w1, w2 = _omegas(radii, r0)
-    return np.column_stack([radii, w1, w2, np.minimum(w1, w2)])
+    rs = np.linspace(0.0, R_MAX, n_points)
+    if r0 <= R_MAX:
+        rs = np.union1d(rs, [r0])
+    w1, w2 = _omegas(rs, r0)
+    return np.column_stack([rs, w1, w2, np.minimum(w1, w2)])

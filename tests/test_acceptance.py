@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from blochbohr import (ExtremalSpec, GridSpec, ParameterDomainError,
+from blochbohr import (ExtremalSpec, ParameterDomainError,
                        TruncatedSeries, ZeroDenominatorError,
                        avkhadiev_coefficients, avkhadiev_eval,
                        avkhadiev_majorant_closed_form, blaschke_degree,
@@ -18,8 +18,9 @@ from blochbohr import (ExtremalSpec, GridSpec, ParameterDomainError,
                        eval_series, extremal_coefficients, extremal_eval,
                        majorant, mobius_majorant_sup, theorem1_optimize,
                        theorem1_root, theorem4_expression, theorem4_sup,
-                       theorem4_upper_bound, theorem5_gap, verify_sharpness,
+                       best_test_ratio, theorem4_upper_bound, verify_sharpness,
                        weighted_radial_sup)
+from blochbohr.search import radii
 from conftest import random_polynomial, trig_quadrature_l2
 
 SQRT2 = float(np.sqrt(2.0))
@@ -153,11 +154,10 @@ def test_criterion_09_avkhadiev_checks():
     with pytest.raises(ParameterDomainError):
         avkhadiev_coefficients(0.6)
     std = builtin_weight("standard")
-    grid = GridSpec(r_points=2048, theta_points=2048)
-    ring = np.exp(1j * grid.angles())
-    rough = max(std(r) * np.abs(avkhadiev_eval(0.35, r * ring)).max() for r in grid.radii())
+    ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False))
+    rough = max(std(r) * np.abs(avkhadiev_eval(0.35, r * ring)).max() for r in radii(2048))
     assert abs(rough - 1.0) <= 1e-4
-    refined = weighted_radial_sup(lambda z: avkhadiev_eval(0.35, z), std, grid)
+    refined = weighted_radial_sup(lambda z: avkhadiev_eval(0.35, z), std, 2048)
     assert abs(refined.value - 1.0) <= 1e-8
     s = avkhadiev_coefficients(0.35)
     worst = max(abs(coefficient_sum(majorant(s), x)
@@ -177,8 +177,6 @@ def test_criterion_10_property_suites():
     weights = [std, const,
                builtin_weight("example2", r0=0.8, alpha=2),
                builtin_weight("example3", r0=0.75, alpha=1)]
-    grid = GridSpec(theta_points=512)
-
     worst_chain = -np.inf
     for k in range(1000):
         s = random_polynomial(rng)
@@ -189,7 +187,8 @@ def test_criterion_10_property_suites():
         worst_chain = max(worst_chain, v1 - v2, v2 - v3)
     assert worst_chain <= 1e-9
 
-    gaps = {scale: theorem5_gap(scale) for scale in (0.3, 0.5, 1.0 / SQRT2, 0.9)}
+    gaps = {scale: scale / np.sqrt(1.0 - scale * scale) - best_test_ratio(scale)[0]
+            for scale in (0.3, 0.5, 1.0 / SQRT2, 0.9)}
     assert all(gap > 0.0 for gap in gaps.values())
 
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
@@ -200,7 +199,7 @@ def test_criterion_10_property_suites():
         dominating = eval_series(majorant(s), r).value.real
         values = np.abs(eval_series(s, r * np.exp(1j * theta)).value)
         assert np.all(values <= dominating + 1e-10)
-        cn = circle_norms(s, r, grid)
+        cn = circle_norms(s, r)
         worst_parseval = max(worst_parseval,
                              abs(cn.l2_norm - trig_quadrature_l2(s.coeffs, r)))
     assert worst_parseval <= 1e-8

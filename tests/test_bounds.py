@@ -9,8 +9,7 @@ from blochbohr import (NoSignChangeError, ParameterDomainError, PoleError,
                        cauchy_chain_check, coefficient_sum, majorant,
                        mobius_majorant_sum, mobius_majorant_sup, mobius_series,
                        theorem1_optimize, theorem1_root, theorem4_expression,
-                       theorem4_sup, theorem4_upper_bound, theorem5_gap,
-                       theorem5_ratios)
+                       theorem4_sup, theorem4_upper_bound, theorem5_ratios)
 from blochbohr import bounds
 from blochbohr.bounds import (A_MAX, S_CLIP, THEOREM4_A_POINTS, THEOREM4_R_POINTS,
                               ProbeFunction, _t1_residual)
@@ -161,6 +160,12 @@ class TestTheorem4:
         with pytest.raises(ParameterDomainError):
             theorem4_expression(0.35, scale, 0.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r", [-0.1, 1.5, float("nan"), np.array([0.5, np.nan])])
+    def test_radius_domain(self, r):
+        with pytest.raises(ParameterDomainError, match=r"radius must lie in \[0, 1\]"):
+            theorem4_expression(0.35, 0.769, r)
+
     def test_upper_bound_bracket(self):
         scan = theorem4_upper_bound()
         assert 1.0 / SQRT2 <= scan.upper_bound <= 0.7691
@@ -193,9 +198,10 @@ class TestBombieri:
                                                       abs=1e-15)
         assert bombieri_m_infty(0.5) == pytest.approx(1.1010205, abs=1e-7)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain(self):
-        for bad in (0.2, 0.8, 1.0):
-            with pytest.raises(ParameterDomainError):
+        for bad in (0.2, 0.8, 1.0, np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(ParameterDomainError, match="closed form holds"):
                 bombieri_m_infty(bad)
 
     def test_vectorized(self):
@@ -252,7 +258,7 @@ def antiderivative_of_test_function(a):
 class TestTheorem5:
     @pytest.mark.parametrize("scale", [0.3, 0.5, 1.0 / SQRT2, 0.9])
     def test_gap_positive_default_family(self, scale):
-        assert theorem5_gap(scale) > 0.0
+        assert scale / np.sqrt(1.0 - scale * scale) - best_test_ratio(scale)[0] > 0.0
 
     @pytest.mark.parametrize("scale", [0.3, 0.5, 1.0 / SQRT2, 0.9])
     def test_best_ratio_at_least_identity_map(self, scale):
@@ -292,7 +298,7 @@ class TestTheorem5:
 
     def test_scale_domain(self):
         with pytest.raises(ParameterDomainError):
-            theorem5_gap(1.0)
+            best_test_ratio(1.0)
         with pytest.raises(ParameterDomainError):
             best_test_ratio(0.0)
 

@@ -1,6 +1,5 @@
 import inspect
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +8,11 @@ from blochbohr.bounds import (THEOREM1_TOL, THEOREM4_BRACKET, THEOREM4_R_POINTS,
                               THEOREM4_TOL, theorem1_optimize, theorem1_root,
                               theorem4_sup, theorem4_table, theorem4_upper_bound)
 from blochbohr.cli import build_parser, main
-from blochbohr.search import GridSpec
-from blochbohr.weights import CRITERION_GRID, CRITERION_TOL, h_profile
+from blochbohr.extremal import verify_sharpness
+from blochbohr.norms import weighted_bloch_norm
+from blochbohr.search import R_POINTS
+from blochbohr.weights import (CRITERION_R_POINTS, CRITERION_TOL, criterion_check,
+                               find_admissible_r0, h_profile)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -310,11 +312,13 @@ class TestOptionDefaults:
         assert default(theorem4_sup, "r_points") == THEOREM4_R_POINTS
         assert defaults("theorem5-probe")["grid"] == THEOREM4_R_POINTS
         wc = defaults("weight-check", "--weight", "standard")
-        assert replace(CRITERION_GRID, r_points=wc["grid"]) == CRITERION_GRID
-        assert wc["tol"] == CRITERION_TOL
+        assert (wc["grid"], wc["tol"]) == (CRITERION_R_POINTS, CRITERION_TOL)
         sh = defaults("sharpness", "--weight", "standard", "--r0", "0.8")
-        assert replace(CRITERION_GRID, r_points=sh["grid"]) == CRITERION_GRID
-        assert GridSpec(r_points=defaults("norms")["grid"]) == GridSpec()
+        assert sh["grid"] == CRITERION_R_POINTS == 10_000
+        for fn in (criterion_check, find_admissible_r0, verify_sharpness):
+            assert default(fn, "r_points") == CRITERION_R_POINTS
+        assert defaults("norms")["grid"] == default(weighted_bloch_norm, "r_points") \
+            == R_POINTS == 2048
         assert defaults("h-profile", "--r0", "0.8")["n"] == default(h_profile, "n_points")
 
     @pytest.mark.parametrize("argv,options", INVOCATIONS,
@@ -384,6 +388,20 @@ class TestOptionDefaults:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("norms", "--coeffs", "0,1", "--grid", "{n}"),
+        ("norms", "--coeffs", "1,-2,3", "--grid", "{n}"),
+        ("weight-check", "--weight", "standard", "--grid", "{n}"),
+        ("weight-check", "--weight", "standard", "--r0", "0.8", "--grid", "{n}"),
+        ("sharpness", "--weight", "constant", "--r0", "1", "--grid", "{n}"),
+    ], ids=["norms-shortcut", "norms-scan", "weight-check-search", "weight-check-r0",
+            "sharpness"])
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_scan_sizes_below_two_are_rejected_alike(self, capsys, argv, n):
+        argv = [arg.format(n=n) for arg in argv]
+        message = f"error: a scan needs at least 2 points, got {n}\n"
+        assert run(capsys, *argv) == (1, "", message)
 
     @pytest.mark.parametrize("argv", [
         ("theorem1", "--s", "0.5", "--grid", "10"),

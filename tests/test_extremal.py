@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from blochbohr import (DivergenceRegionError, ExtremalSpec, GridSpec,
+from blochbohr import (DivergenceRegionError, ExtremalSpec,
                        ParameterDomainError, PoleError, PreconditionError,
                        TruncatedSeries, blaschke_degree,
                        blaschke_degree_montecarlo, builtin_weight, circle_norms,
@@ -22,6 +22,12 @@ class TestExtremalSpec:
             ExtremalSpec(r0=1.1)
         with pytest.raises(ParameterDomainError):
             ExtremalSpec(r0=0.8, truncation=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_phase_must_be_finite(self, phi):
+        with pytest.raises(ParameterDomainError, match="phi must be finite"):
+            ExtremalSpec(r0=0.8, phi=phi)
 
     def test_phase_normalized(self):
         spec = ExtremalSpec(r0=0.8, phi=2.0 * np.pi + 0.5)
@@ -114,6 +120,11 @@ class TestSupModulus:
             at_peak = abs(extremal_eval(spec, r * np.exp(1j * (np.pi + spec.phi))))
             assert at_peak == pytest.approx(bound, abs=1e-12)
 
+    @pytest.mark.parametrize("r", [-0.1, np.nan, np.array([0.5, np.nan])])
+    def test_radius_domain(self, r):
+        with pytest.raises(ParameterDomainError, match="radius must be nonnegative"):
+            extremal_sup_modulus(0.8, r)
+
 
 class TestMajorantSum:
     def test_origin_and_anchor(self):
@@ -134,6 +145,11 @@ class TestMajorantSum:
             extremal_majorant_sum(0.75, 1.5)
         with pytest.raises(DivergenceRegionError):
             extremal_majorant_sum(0.75, 1.6)
+
+    @pytest.mark.parametrize("r", [np.nan, np.array([0.5, np.nan])])
+    def test_divergence(self, r):
+        with pytest.raises(DivergenceRegionError, match="diverges past r = 2 r0"):
+            extremal_majorant_sum(0.75, r)
 
 
 class TestBlaschkeDegree:

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochbohr import (EvaluatorDomainError, ExtremalSpec, GridSpec,
-                       ParameterDomainError, PoleError, TruncatedSeries,
-                       avkhadiev_coefficients, avkhadiev_eval,
-                       avkhadiev_majorant_closed_form, coefficient_sum,
-                       eval_series, extremal_coefficients, extremal_eval,
-                       majorant, weighted_bloch_norm, weighted_bloch_seminorm,
-                       weighted_radial_sup)
+from blochbohr import (EvaluatorDomainError, ExtremalSpec, ParameterDomainError,
+                       PoleError, TruncatedSeries, avkhadiev_coefficients,
+                       avkhadiev_eval, avkhadiev_majorant_closed_form, circle_sup,
+                       coefficient_sum, eval_series, extremal_coefficients,
+                       extremal_eval, extremal_sup_modulus, majorant,
+                       weight_from_token, weighted_bloch_norm,
+                       weighted_bloch_seminorm, weighted_radial_sup)
 from blochbohr.norms import _batch_circle_max
+from blochbohr.search import THETA_POINTS, radii
 from blochbohr.series import _angle_count, _angle_grid_values
 from blochbohr.weights import Weight, builtin_weight
 from conftest import random_polynomial
@@ -20,7 +21,8 @@ from conftest import random_polynomial
 A_MAX = 1.0 / np.sqrt(3.0)
 COEF = 1.5 * np.sqrt(3.0)
 
-LEAN = GridSpec(r_points=512, theta_points=512)
+#: radial samples of the lean scans
+LEAN = 512
 
 
 class TestBlochNorm:
@@ -70,40 +72,40 @@ class TestRadialSup:
         rep = weighted_radial_sup(lambda z: np.ones_like(z), const)
         assert rep.value == pytest.approx(1.0, abs=1e-12)
 
-    def test_extremal_witness_at_anchor_below_r0(self):
-        # on [0, r0] the circle sup of the extremal is the theta = pi profile
-        # and the weighted sup sits exactly at r0 for an admissible weight
-        from blochbohr import builtin_weight
+    def test_extremal_witness_at_anchor(self):
+        # example2 at r0 = 0.8 passes the criterion for alpha above the exact
+        # threshold (1 + sqrt(2))^2 (1 - r0) / r0 = 1.457..., and the weighted
+        # sup of the extremal is then 1, attained at r0
         spec = ExtremalSpec(r0=0.8)
-        w = builtin_weight("example2", r0=0.8, alpha=1)
-        grid = GridSpec(r_points=2048, theta_points=1024, r_max=0.8)
-        rep = weighted_radial_sup(lambda z: extremal_eval(spec, z), w, grid)
-        assert abs(rep.witness_r - 0.8) < 2 * grid.r_step
-        assert rep.value == pytest.approx(1.0, abs=1e-8)
+        f = lambda z: extremal_eval(spec, z)
+        rep = weighted_radial_sup(f, weight_from_token("example2:r0=0.8,alpha=2"))
+        assert abs(rep.witness_r - 0.8) < 1e-9
+        assert rep.value == pytest.approx(1.0, abs=1e-12)
+        # below that threshold the full-range sup exceeds 1 past the anchor
+        rep = weighted_radial_sup(f, weight_from_token("example2:r0=0.8,alpha=1"))
+        assert rep.value == pytest.approx(1.07369, abs=1e-5)
+        assert rep.witness_r == pytest.approx(0.859, abs=1e-3)
         # strictly below r0 the circle maximum sits at theta = pi
         # (at r0 itself |f| is constant 1 on the circle, so theta is a plateau)
-        sub = weighted_radial_sup(lambda z: extremal_eval(spec, z), w,
-                                  GridSpec(r_points=256, theta_points=1024,
-                                           r_max=0.6))
-        assert abs((sub.witness_theta % (2 * np.pi)) - np.pi) < 1e-2
+        sup, theta = circle_sup(extremal_coefficients(spec), 0.6)
+        assert sup == pytest.approx(extremal_sup_modulus(0.8, 0.6), abs=1e-12)
+        assert abs(theta - np.pi) < 1e-6
 
     @pytest.mark.parametrize("a", [0.1, 0.2, 0.3, 0.35])
     def test_unit_sup_function(self, a, std):
-        grid = GridSpec(r_points=1024, theta_points=1024)
-        ring = np.exp(1j * grid.angles())
-        rough = max(std(r) * np.abs(avkhadiev_eval(a, r * ring)).max() for r in grid.radii())
+        ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False))
+        rough = max(std(r) * np.abs(avkhadiev_eval(a, r * ring)).max() for r in radii(1024))
         assert rough == pytest.approx(1.0, abs=1e-4)
-        refined = weighted_radial_sup(lambda z: avkhadiev_eval(a, z), std, grid)
+        refined = weighted_radial_sup(lambda z: avkhadiev_eval(a, z), std, 1024)
         assert refined.value == pytest.approx(1.0, abs=1e-8)
 
     def test_majorant_dominates(self, std):
         rng = np.random.default_rng(8)
-        grid = GridSpec(r_points=256, theta_points=256, r_max=0.85)
         for _ in range(5):
             s = random_polynomial(rng)
             m = majorant(s)
-            sup_f = weighted_radial_sup(lambda z: eval_series(s, z).value, std, grid)
-            sup_m = weighted_radial_sup(lambda z: eval_series(m, z).value, std, grid)
+            sup_f = weighted_radial_sup(lambda z: eval_series(s, z).value, std, 64)
+            sup_m = weighted_radial_sup(lambda z: eval_series(m, z).value, std, 64)
             assert sup_m.value >= sup_f.value - 1e-10
 
     def test_scalar_evaluator_fallback(self, const):
@@ -112,21 +114,16 @@ class TestRadialSup:
                 raise TypeError("scalar only")
             return complex(z)
 
-        grid = GridSpec(r_points=64, theta_points=32, r_max=0.5)
-        rep = weighted_radial_sup(scalar_only, const, grid)
-        assert rep.value == pytest.approx(0.5, abs=1e-10)
+        rep = weighted_radial_sup(scalar_only, const, 2)
+        assert rep.value == pytest.approx(1.0 - 1e-6, abs=1e-12)
 
     def test_nonfinite_evaluator_rejected(self, const):
-        grid = GridSpec(r_points=16, theta_points=16, r_max=0.5)
         with pytest.raises(EvaluatorDomainError):
-            weighted_radial_sup(lambda z: np.full_like(z, np.nan), const, grid)
+            weighted_radial_sup(lambda z: np.full_like(z, np.nan), const, 2)
 
     def test_report_serialization(self, const):
-        grid = GridSpec(r_points=16, theta_points=16, r_max=0.5)
-        rep = weighted_radial_sup(lambda z: z, const, grid)
-        d = asdict(rep)
-        assert set(d) == {"value", "witness_r", "witness_theta", "grid"}
-        assert d["grid"]["r_points"] == 16
+        rep = weighted_radial_sup(lambda z: z, const, 16)
+        assert set(asdict(rep)) == {"value", "witness_r", "witness_theta"}
 
 
 class TestAvkhadievEval:
@@ -213,6 +210,11 @@ class TestAvkhadievMajorant:
         with pytest.raises(PoleError):
             avkhadiev_majorant_closed_form(0.5, 2.0)
 
+    @pytest.mark.parametrize("x", [np.nan, np.array([0.5, np.nan])])
+    def test_nan_argument_rejected(self, x):
+        with pytest.raises(ParameterDomainError, match="must be nonnegative"):
+            avkhadiev_majorant_closed_form(0.35, x)
+
 
 class TestExtremalSeriesNorms:
     def test_extremal_circle_sup_formula_below_anchor(self):
@@ -246,10 +248,9 @@ class TestSeminormClosedForms:
 
     def test_radial_sup_dominates_grid_samples(self, std):
         from blochbohr import avkhadiev_eval
-        grid = GridSpec(r_points=128, theta_points=128)
-        rep = weighted_radial_sup(lambda z: avkhadiev_eval(0.3, z), std, grid)
-        theta = grid.angles()
-        for r in grid.radii()[::16]:
+        rep = weighted_radial_sup(lambda z: avkhadiev_eval(0.3, z), std, 128)
+        theta = np.linspace(0.0, 2.0 * np.pi, THETA_POINTS, endpoint=False)
+        for r in radii(128)[::16]:
             sampled = std(float(r)) * np.abs(
                 avkhadiev_eval(0.3, r * np.exp(1j * theta))).max()
             assert rep.value >= sampled - 1e-12

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochbohr import (GridSpec, TruncatedSeries, builtin_weight,
+from blochbohr import (TruncatedSeries, builtin_weight,
                        cauchy_chain_check, circle_norms, criterion_check,
                        eval_series, majorant, scale_argument,
                        weighted_bloch_norm)
@@ -37,7 +37,7 @@ def test_majorant_commutes_with_scaling(pairs, scale):
 @given(coeff_lists, st.floats(min_value=0.05, max_value=0.89))
 @settings(max_examples=40, deadline=None)
 def test_circle_norm_chain(pairs, r):
-    cn = circle_norms(to_series(pairs), r, GridSpec(theta_points=512))
+    cn = circle_norms(to_series(pairs), r)
     assert cn.l2_norm <= cn.sup_norm + 1e-9
     assert cn.sup_norm <= cn.coeff_sum + 1e-9
 
@@ -56,11 +56,10 @@ def test_chain_weakly_increasing(pairs, scale, r):
 @settings(max_examples=20, deadline=None)
 def test_bloch_norm_homogeneous(pairs, c):
     std = builtin_weight("standard")
-    grid = GridSpec(r_points=256, theta_points=256)
     s = to_series(pairs)
-    base = weighted_bloch_norm(s, std, grid)
+    base = weighted_bloch_norm(s, std, 256)
     scaled = TruncatedSeries.polynomial(c * s.coeffs)
-    assert weighted_bloch_norm(scaled, std, grid) == pytest.approx(
+    assert weighted_bloch_norm(scaled, std, 256) == pytest.approx(
         c * base, rel=1e-12, abs=1e-12)
 
 
@@ -70,9 +69,8 @@ def test_bloch_norm_homogeneous(pairs, c):
 @settings(max_examples=20, deadline=None)
 def test_criterion_invariant_under_positive_scaling(c, kind, r0):
     w = builtin_weight(kind, r0=r0, alpha=1)
-    grid = GridSpec(r_points=2000, r_max=1 - 1e-6)
-    assert criterion_check(w.scaled(c), r0, grid=grid).passed == \
-        criterion_check(w, r0, grid=grid).passed
+    assert criterion_check(w.scaled(c), r0, r_points=2000).passed == \
+        criterion_check(w, r0, r_points=2000).passed
 
 
 @given(st.floats(min_value=0.05, max_value=0.9),

@@ -1,14 +1,12 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochbohr import (ConvergenceError, GridSpec, NoSignChangeError,
+from blochbohr import (ConvergenceError, NoSignChangeError,
                        ParameterDomainError, bisect_root, golden_max, grid_golden_max,
                        trisect_min)
-from blochbohr.search import bisect_flag, scan_polish
+from blochbohr.search import R_MAX, R_POINTS, bisect_flag, radii, scan_polish
 from blochbohr.series import _horner
 
 
@@ -189,16 +187,10 @@ def test_scan_polish_minimizes_a_kink():
     assert 0.0 <= fx < 1e-10
 
 
-def test_gridspec_validation():
-    with pytest.raises(ParameterDomainError):
-        GridSpec(r_points=1)
-    with pytest.raises(ParameterDomainError):
-        GridSpec(theta_points=1)
-    for r_max in (0.0, -1.0, float("nan"), 1.5):
-        with pytest.raises(ParameterDomainError):
-            GridSpec(r_max=r_max)
-    g = GridSpec(r_points=11, r_max=1.0)
-    assert g.radii()[0] == 0.0 and g.radii().size == 11
-    assert abs(g.r_step - 0.1) < 1e-15
-    assert g.angles().size == g.theta_points
-    assert asdict(g) == {"r_points": 11, "theta_points": 4096, "r_max": 1.0}
+def test_radii():
+    for r_points in (1, 0, -1):
+        with pytest.raises(ParameterDomainError, match=f"got {r_points}$"):
+            radii(r_points)
+    rs = radii(11)
+    assert rs[0] == 0.0 and rs[-1] == R_MAX and rs.size == 11
+    assert np.array_equal(radii(R_POINTS), np.linspace(0.0, 1.0 - 1e-6, 2048))

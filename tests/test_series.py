@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from blochbohr import (DivergenceRegionError, ExtremalSpec, GridSpec,
+from blochbohr import (DivergenceRegionError, ExtremalSpec,
                        ParameterDomainError, TruncatedSeries, circle_norms,
                        coefficient_sum, derivative, eval_series,
                        extremal_coefficients, extremal_eval, majorant,
                        scale_argument, tail_bound)
 from blochbohr.norms import _batch_circle_max
-from blochbohr.search import scan_polish
+from blochbohr.search import THETA_POINTS, scan_polish
 from blochbohr.series import _angle_count, _angle_grid_values, _horner, circle_sup
 from conftest import random_polynomial, trig_quadrature_l2
 
@@ -216,11 +216,22 @@ class TestCoefficientSum:
     def test_non_finite_radius_rejected(self, radius):
         for s in (geometric_series(0.5, 10), TruncatedSeries.polynomial([1.0, 2.0]),
                   TruncatedSeries([1.0, 2.0])):
-            for call in (coefficient_sum, circle_norms, tail_bound, eval_series):
+            for call in (coefficient_sum, circle_norms, circle_sup, tail_bound,
+                         eval_series):
                 with pytest.raises(ParameterDomainError):
                     call(s, radius)
             with pytest.raises(ParameterDomainError):
                 eval_series(s, np.array([0.1, radius * 1j]))
+
+    @pytest.mark.parametrize("s", [
+        TruncatedSeries.polynomial([1.0, 2.0]), TruncatedSeries.polynomial([1.0, -2.0]),
+        geometric_series(0.5, 10), TruncatedSeries([1.0, -2.0j])],
+        ids=["nonnegative", "polynomial", "geometric", "uncertified"])
+    def test_circle_sup_rejects_a_negative_radius(self, s):
+        # a mixed-sign series would otherwise scan the circle |z| = 0.5
+        # rotated by pi and return (2.0, 0.0) for 1 - 2z
+        with pytest.raises(ParameterDomainError):
+            circle_sup(s, -0.5)
 
 
 class TestCircleNorms:
@@ -328,14 +339,13 @@ class TestAngleGridScan:
 
     def test_circle_sup_equals_sequential_polish(self):
         rng = np.random.default_rng(8)
-        grid = GridSpec()
         for _ in range(12):
             s = random_polynomial(rng, max_degree=64)
             r = float(rng.uniform(0.05, 0.999))
-            count = _angle_count(grid.theta_points, s.coeffs.size)
+            count = _angle_count(THETA_POINTS, s.coeffs.size)
             (_, values), = _angle_grid_values(s.coeffs, np.array([r]), count)
             angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
             theta, sup = scan_polish(
                 lambda th: np.abs(_horner(s.coeffs, r * np.exp(1j * th))),
                 angles, np.abs(values[0]), period=2.0 * np.pi)
-            assert circle_sup(s, r, grid) == (sup, theta)
+            assert circle_sup(s, r) == (sup, theta)

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochbohr import (GridSpec, ParameterDomainError, Weight, ZeroDenominatorError,
+from blochbohr import (ParameterDomainError, Weight, ZeroDenominatorError,
                        builtin_weight, criterion_bound, criterion_check,
                        find_admissible_r0, h_profile, weight_from_token)
 from blochbohr.search import bisect_flag
+from blochbohr.weights import CRITERION_R_POINTS
 
 SQRT2 = np.sqrt(2.0)
 R0_MIN = 1.0 / SQRT2
 
-DENSE = GridSpec(r_points=100_000, r_max=1.0 - 1e-6)
+#: radial samples of the dense confirmation scans
+DENSE = 100_000
 
 
 class TestBuiltinWeights:
@@ -103,8 +105,7 @@ class TestCriterionBound:
 class TestCriterionCheck:
     def test_constant_passes_at_one(self):
         for points in (500, 2000, 10_000):
-            rep = criterion_check(builtin_weight("constant"), 1.0,
-                                  grid=GridSpec(r_points=points, r_max=1 - 1e-6))
+            rep = criterion_check(builtin_weight("constant"), 1.0, r_points=points)
             assert rep.passed
             assert rep.worst_margin >= 0.0
             assert rep.violation_witness is None
@@ -144,6 +145,11 @@ class TestCriterionCheck:
             with pytest.raises(ParameterDomainError, match="tolerance"):
                 find_admissible_r0(w, tol=tol)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.inf, np.nan])
+    def test_scale_must_be_positive_and_finite(self, c):
+        with pytest.raises(ParameterDomainError, match="positive and finite"):
+            builtin_weight("standard").scaled(c)
+
     def test_positive_scaling_invariance(self):
         w = builtin_weight("example2", r0=0.8, alpha=1)
         for c in (1e-3, 0.5, 7.0, 1e3):
@@ -170,11 +176,11 @@ class TestFindAdmissibleAnchor:
         assert abs(r0 - 0.75) < 1e-6
         assert rep.passed
         # independent dense-grid confirmation at the nominal anchor
-        dense = criterion_check(w, 0.75, grid=DENSE)
+        dense = criterion_check(w, 0.75, r_points=DENSE)
         assert dense.passed
 
 
-def full_check_sweep(w, grid=None, tol=1e-12):
+def full_check_sweep(w, r_points=CRITERION_R_POINTS, tol=1e-12):
     """Reference anchor search: ``criterion_check`` at every candidate and
     bisection midpoint, with no grid pre-rejection.  ``find_admissible_r0``
     must return exactly the same (r0, report)."""
@@ -185,7 +191,7 @@ def full_check_sweep(w, grid=None, tol=1e-12):
 
     def check(r0):
         try:
-            report = criterion_check(w, r0, grid=grid, tol=tol)
+            report = criterion_check(w, r0, r_points=r_points, tol=tol)
         except ZeroDenominatorError:
             return None
         return report if report.passed else None
@@ -226,8 +232,8 @@ SWEEP_CASES = [
     ("example2:r0=0.8885,alpha=3.763", {}),
     ("example3:r0=0.8115,alpha=2.239", {}),
     # other grids and tolerances move which anchors fail on the grid
-    ("constant", {"grid": GridSpec(r_points=50, r_max=1 - 1e-6)}),
-    ("example2:r0=0.8,alpha=1", {"grid": GridSpec(r_points=37, r_max=1 - 1e-6)}),
+    ("constant", {"r_points": 50}),
+    ("example2:r0=0.8,alpha=1", {"r_points": 37}),
     ("example3:r0=0.75,alpha=1", {"tol": 1e-3}),
     ("example2:r0=0.8,alpha=2", {"tol": 0.0}),
     ("standard", {"tol": 0.5}),
@@ -323,16 +329,15 @@ class TestScalarFastPaths:
     def test_edge_radii_keep_their_results(self):
         for w in _weights(0.8, 2.0):
             assert w(1.0) == w.limit_at_one
-            assert np.isnan(w(np.nan)) == (w.name != "constant")
-            for bad in (-1e-300, -0.5, 1.0 + 1e-12, 2.0, np.inf):
-                with pytest.raises(ParameterDomainError):
+            for bad in (-1e-300, -0.5, 1.0 + 1e-12, 2.0, np.inf, np.nan,
+                        np.array([0.5, np.nan])):
+                with pytest.raises(ParameterDomainError, match="is defined on"):
                     w(bad)
         with pytest.raises(ParameterDomainError, match="no finite limit"):
             Weight(name="open", fn=lambda r: 1.0 / (1.0 - r))(1.0)
         assert criterion_bound(1.0, 0.8) == 2.0 - 1.0 / 0.8
-        assert np.isnan(criterion_bound(np.nan, 0.8))
-        for bad in (-1e-300, -0.5, 1.0 + 1e-12, np.inf):
-            with pytest.raises(ParameterDomainError):
+        for bad in (-1e-300, -0.5, 1.0 + 1e-12, np.inf, np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(ParameterDomainError, match="evaluated on"):
                 criterion_bound(bad, 0.8)
 
 
