@@ -20,12 +20,12 @@
   a + (1-a^2) r / (1-ar).
 * ``best_test_ratio``: the best Theorem 4 test-function ratio at a scale,
   which ``theorem4_upper_bound`` drives past 1 and the strictness probe of
-  m_Bloch(R) < R/sqrt(1-R^2) subtracts from the bound.
-  For f with f' = g_a (``norms.avkhadiev_eval``, sup (1-|z|^2)|g_a| = 1)
-  the majorant-to-function Bloch seminorm ratio is exactly
-  ``theorem4_sup(a, R)``, because the majorant of g_a has nonnegative
-  coefficients.  ``theorem5_ratios`` computes the same ratio for any
-  series through the seminorm scans.
+  m_Bloch(R) < R/sqrt(1-R^2) subtracts from the bound; a rigorous cell bound
+  prunes its (a, r) table, keeping the full table's argmax exactly.  For f with
+  f' = g_a (``norms.avkhadiev_eval``, sup (1-|z|^2)|g_a| = 1) the majorant-to-
+  function Bloch seminorm ratio is exactly ``theorem4_sup(a, R)``, because the
+  majorant of g_a has nonnegative coefficients.  ``theorem5_ratios`` computes
+  the same ratio for any series through the seminorm scans.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterDomainError, PoleError
-from .norms import A_MAX, avkhadiev_majorant_closed_form, weighted_bloch_seminorm
-from .search import bisect_flag, bisect_root, grid_golden_max
+from .norms import _COEF, A_MAX, avkhadiev_majorant_closed_form, weighted_bloch_seminorm
+from .search import bisect_flag, bisect_root, grid_golden_max, scan_polish
 from .series import TruncatedSeries, circle_norms, coefficient_sum, majorant, scale_argument
 from .weights import Weight, builtin_weight
 
@@ -69,8 +69,8 @@ def _check_solver_tol(tol: float) -> float:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Certificate (R, value, a, r) a threshold search found, and the (a, r)
-    table cells it scanned (``theorem4_sup``'s radial scans are not counted)."""
+    """Certificate (R, value, a, r) a threshold search found, and its (a, r) table
+    cells, ``THEOREM4_A_POINTS`` x r_points per scale, evaluated or pruned."""
 
     upper_bound: float
     best_value: float
@@ -140,10 +140,16 @@ def theorem4_expression(a, scale: float, r):
     """R (1-r^2) (3 sqrt(3)(1-a^2)/2) ((Rr-a)/(1-aRr)^3 + 2a) on r in [0, 1].
 
     Broadcasts over a and r.  R >= 1 is allowed (a pole may then lie on the disc).
+    Float a and r in the domain take a float path with the 0-d array path's bits.
     """
     scale = float(scale)
     if not 0.0 <= scale < np.inf:
         raise ParameterDomainError("the scale R must be nonnegative and finite")
+    if isinstance(a, float) and isinstance(r, float) and 0.0 < a < A_MAX and 0.0 <= r <= 1.0:
+        a, r, x = float(a), float(r), scale * float(r)
+        if a * x < 1.0:
+            return scale * (1.0 - r * r) * (_COEF * (1.0 - a * a)
+                                             * ((x - a) / (1.0 - a * x) ** 3 + 2.0 * a))
     r = np.asarray(r, dtype=float)
     if not np.all((r >= 0.0) & (r <= 1.0)):
         raise ParameterDomainError("radius must lie in [0, 1]")
@@ -153,18 +159,33 @@ def theorem4_expression(a, scale: float, r):
     return out
 
 
-def theorem4_table(scale: float,
-                   r_points: int = THEOREM4_R_POINTS) -> tuple[np.ndarray, np.ndarray]:
-    """``theorem4_expression`` on the (a, r) scan grid -> (a_grid, table).
+def theorem4_best_row(scale: float,
+                      r_points: int = THEOREM4_R_POINTS) -> tuple[float, np.ndarray, float]:
+    """First row of the (a, r) scan table to hold its maximum -> (a, row, max).
 
-    ``THEOREM4_A_POINTS`` values of a on (0, 1/sqrt(3)), r_points >= 2 of r on [0, 1].
+    The table is ``theorem4_expression`` at R in (0, 1) on ``THEOREM4_A_POINTS``
+    a in (0, 1/sqrt(3)) by r_points >= 2 r in [0, 1].  Every 16th column (and the
+    last) bounds the maximum below by L.  On a cell [r_k, r_k+1] between them the
+    value is at most R (1 - r_k^2), as R (1 - r^2) falls, times the majorant sum
+    at R r_k+1, which is positive and rises ((x - a)/(1 - ax)^3 has derivative
+    (1 + 2ax - 3a^2)/(1 - ax)^4 > 0 for a < 1/sqrt(3)).  Only rows with a cell
+    bound within a 1e-9 rounding slack of L are evaluated: argmax and max are exact.
     """
+    if not 0.0 < float(scale) < 1.0:
+        raise ParameterDomainError("the scale R must lie in (0, 1)")
     if r_points < 2:
         raise ParameterDomainError(
             f"a scan needs at least 2 points, got {THEOREM4_A_POINTS} x {r_points}")
     a_grid = np.linspace(1e-6, A_MAX - 1e-9, THEOREM4_A_POINTS)
     r_grid = np.linspace(0.0, 1.0, r_points)
-    return a_grid, theorem4_expression(a_grid[:, None], scale, r_grid[None, :])
+    cols = np.append(np.arange(0, r_points - 1, 16), r_points - 1)
+    lower = theorem4_expression(a_grid[:, None], scale, r_grid[None, cols]).max()
+    cell_max = (scale * (1.0 - r_grid[cols[:-1]] ** 2)
+                * avkhadiev_majorant_closed_form(a_grid[:, None], scale * r_grid[cols[1:]]))
+    rows = np.flatnonzero(np.any(cell_max * (1.0 + 1e-9) >= lower, axis=1))
+    table = theorem4_expression(a_grid[rows, None], scale, r_grid[None, :])
+    i, j = np.unravel_index(int(np.argmax(table)), table.shape)
+    return float(a_grid[rows[i]]), table[i], float(table[i, j])
 
 
 def theorem4_sup(a: float, scale: float,
@@ -178,19 +199,15 @@ def best_test_ratio(scale: float,
                     r_points: int = THEOREM4_R_POINTS) -> tuple[float, float, float]:
     """Best ``theorem4_sup`` over the a grid at the scale R -> (value, a, r).
 
-    The (a, r) table picks the best a, and ``theorem4_sup`` polishes the
-    radial supremum there.  The value is the majorant-to-function Bloch
+    ``theorem4_best_row`` picks the best a, and ``scan_polish`` polishes its
+    row as in ``theorem4_sup``.  The value is the majorant-to-function Bloch
     seminorm ratio of the best test function f' = g_a.  Up to about R = 1/2
     it is R, at the last a-grid point and r = 0 up to the polish, since
     T4(a, 0) = R (3 sqrt(3)/2) a (1 - a^2) peaks at exactly R at a = 1/sqrt(3).
     """
-    scale = float(scale)
-    if not 0.0 < scale < 1.0:
-        raise ParameterDomainError("the scale R must lie in (0, 1)")
-    a_grid, table = theorem4_table(scale, r_points)
-    i, _ = np.unravel_index(int(np.argmax(table)), table.shape)
-    a_star = float(a_grid[i])
-    value, r_star = theorem4_sup(a_star, scale, r_points)
+    a_star, row, _ = theorem4_best_row(scale, r_points)
+    r_star, value = scan_polish(lambda r: theorem4_expression(a_star, scale, r),
+                                np.linspace(0.0, 1.0, r_points), row)
     return value, a_star, r_star
 
 
@@ -201,10 +218,10 @@ def theorem4_upper_bound(tol: float = THEOREM4_TOL,
     Any such R is an upper bound for the Bloch-space Bohr radius.  The
     expression grows monotonically in R, so bisection on the exceedance
     flag is valid; ``THEOREM4_BRACKET`` is halved until it is within tol,
-    at most 200 times.  Each scale scans ``THEOREM4_A_POINTS`` x
-    ``r_points`` table cells, the ``samples`` count, plus the uncounted
-    radial scan of ``theorem4_sup``.  The report carries the certificate at
-    the returned scale upper_bound: the expression value and witness (a, r).
+    at most 200 times.  Each scale covers ``THEOREM4_A_POINTS`` x
+    ``r_points`` table cells, the ``samples`` count, evaluated or pruned by
+    ``theorem4_best_row``.  The report carries the certificate at the
+    returned scale upper_bound: the expression value and witness (a, r).
     """
     tol = _check_solver_tol(tol)
     samples = 0

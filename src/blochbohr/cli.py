@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import (EXCEED_THRESHOLD, THEOREM1_TOL, THEOREM4_R_POINTS, THEOREM4_TOL,
                      _check_solver_tol, best_test_ratio, bombieri_m_infty,
                      cauchy_chain_check, mobius_majorant_sup, theorem1_optimize,
-                     theorem1_root, theorem4_sup, theorem4_table, theorem4_upper_bound)
+                     theorem1_root, theorem4_best_row, theorem4_sup, theorem4_upper_bound)
 from .errors import BlochBohrError, ParameterDomainError
 from .extremal import verify_sharpness
 from .norms import RadialSupReport, _series_radial_sup, weighted_bloch_norm
@@ -125,8 +125,7 @@ def _cmd_theorem2_check(args) -> int:
     if args.seed < 0:
         raise ParameterDomainError(f"--seed must be nonnegative, got {args.seed}")
     tol = _check_tol(args.tol)
-    _, table = theorem4_table(1.0 / SQRT2, args.grid)
-    max_expr = float(table.max())
+    _, _, max_expr = theorem4_best_row(1.0 / SQRT2, args.grid)
 
     rng = np.random.default_rng(args.seed)
     weights = [weight_from_token(t) for t in

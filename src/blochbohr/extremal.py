@@ -119,6 +119,8 @@ def extremal_majorant_sum(r0: float, r):
     """sum |a_n| (r/sqrt(2))^n = (1/sqrt(2)) / (1 - r/(2 r0)) for r < 2 r0."""
     _check_r0(r0)
     r = np.asarray(r, dtype=float)
+    if not np.all(r >= 0.0):
+        raise ParameterDomainError("radius must be nonnegative")
     if np.any(r == 2.0 * r0):
         raise PoleError(f"majorant sum has a pole at r = 2 r0 = {2.0 * r0:.6g}")
     if not np.all(r < 2.0 * r0):

@@ -29,7 +29,7 @@ from .series import (TruncatedSeries, _angle_count, _angle_grid_values, _check_c
 from .weights import Weight
 
 A_MAX = 1.0 / np.sqrt(3.0)
-_COEF = 1.5 * np.sqrt(3.0)  # 3 sqrt(3) / 2
+_COEF = float(1.5 * np.sqrt(3.0))  # 3 sqrt(3) / 2
 
 #: stride of the radii the pruned rough scan transforms first (plus the last)
 _COARSE = 16

@@ -223,4 +223,6 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
 
 def grid_golden_max(f: Callable, lo: float, hi: float, n_points: int) -> tuple[float, float]:
     """Maximize an array-accepting f on [lo, hi]: an n-point ``scan_polish``."""
+    if n_points < 2:
+        raise ParameterDomainError(f"a scan needs at least 2 points, got {n_points}")
     return scan_polish(f, np.linspace(lo, hi, n_points))

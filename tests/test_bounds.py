@@ -12,7 +12,8 @@ from blochbohr import (NoSignChangeError, ParameterDomainError, PoleError,
                        theorem4_sup, theorem4_upper_bound, theorem5_ratios)
 from blochbohr import bounds
 from blochbohr.bounds import (A_MAX, S_CLIP, THEOREM4_A_POINTS, THEOREM4_R_POINTS,
-                              ProbeFunction, _t1_residual)
+                              ProbeFunction, _t1_residual, theorem4_best_row)
+from blochbohr.search import scan_polish
 from conftest import random_polynomial
 
 SQRT2 = np.sqrt(2.0)
@@ -301,6 +302,54 @@ class TestTheorem5:
             best_test_ratio(1.0)
         with pytest.raises(ParameterDomainError):
             best_test_ratio(0.0)
+
+
+class TestPrunedBestRow:
+    """The pruned search against the full (a, r) table it stands for."""
+
+    @staticmethod
+    def full_table(scale, r_points):
+        a_grid = np.linspace(1e-6, A_MAX - 1e-9, THEOREM4_A_POINTS)
+        r_grid = np.linspace(0.0, 1.0, r_points)
+        return a_grid, r_grid, theorem4_expression(a_grid[:, None], scale, r_grid[None, :])
+
+    @pytest.mark.parametrize("r_points", [2, 3, 17, 300, 2048])
+    @pytest.mark.parametrize("scale", [0.1, 0.3, 0.5, 1.0 / SQRT2, 0.75, 0.768, 0.9, 0.99])
+    def test_matches_the_full_table(self, scale, r_points):
+        a_grid, r_grid, table = self.full_table(scale, r_points)
+        i = int(np.argmax(table)) // r_points
+        a, row, top = theorem4_best_row(scale, r_points)
+        assert a == a_grid[i]
+        assert np.array_equal(row, table[i])
+        assert top == table.max()
+        x, v = scan_polish(lambda r: theorem4_expression(a_grid[i], scale, r), r_grid, table[i])
+        assert best_test_ratio(scale, r_points) == (v, a_grid[i], x)
+
+    def test_matches_the_full_table_at_random_sizes(self):
+        rng = np.random.default_rng(7)
+        for scale, r_points in zip(rng.uniform(0.45, 0.999, 60), rng.integers(2, 700, 60)):
+            a_grid, _, table = self.full_table(scale, r_points)
+            a, _, top = theorem4_best_row(scale, r_points)
+            assert (a, top) == (a_grid[int(np.argmax(table)) // r_points], table.max())
+
+    def test_scan_size(self):
+        with pytest.raises(ParameterDomainError, match="got 200 x 1"):
+            theorem4_best_row(0.5, 1)
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, float("nan")])
+    def test_scale_domain(self, scale):
+        with pytest.raises(ParameterDomainError, match=r"lie in \(0, 1\)"):
+            theorem4_best_row(scale)
+
+    def test_float_path_matches_the_array_path(self):
+        rng = np.random.default_rng(14)
+        a = rng.uniform(0.0, A_MAX, 10_000)
+        scale = rng.uniform(0.0, 1.0, 10_000)
+        r = rng.uniform(0.0, 1.0, 10_000)
+        for ak, sk, rk in zip(a.tolist(), scale.tolist(), r.tolist()):
+            fast = theorem4_expression(ak, sk, rk)
+            assert type(fast) is float
+            assert fast == theorem4_expression(np.asarray(ak), sk, np.asarray(rk))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

@@ -6,7 +6,7 @@ import pytest
 
 from blochbohr.bounds import (THEOREM1_TOL, THEOREM4_BRACKET, THEOREM4_R_POINTS,
                               THEOREM4_TOL, theorem1_optimize, theorem1_root,
-                              theorem4_sup, theorem4_table, theorem4_upper_bound)
+                              theorem4_best_row, theorem4_sup, theorem4_upper_bound)
 from blochbohr.cli import build_parser, main
 from blochbohr.extremal import verify_sharpness
 from blochbohr.norms import weighted_bloch_norm
@@ -307,7 +307,7 @@ class TestOptionDefaults:
         assert (THEOREM4_TOL, THEOREM4_BRACKET) == (1e-5, (1.0 / SQRT2, 0.7691))
         assert default(theorem4_upper_bound, "tol") == THEOREM4_TOL
         assert defaults("theorem2-check")["grid"] == THEOREM4_R_POINTS
-        assert default(theorem4_table, "r_points") == THEOREM4_R_POINTS
+        assert default(theorem4_best_row, "r_points") == THEOREM4_R_POINTS
         assert default(theorem4_upper_bound, "r_points") == THEOREM4_R_POINTS
         assert default(theorem4_sup, "r_points") == THEOREM4_R_POINTS
         assert defaults("theorem5-probe")["grid"] == THEOREM4_R_POINTS
@@ -395,8 +395,9 @@ class TestOptionDefaults:
         ("weight-check", "--weight", "standard", "--grid", "{n}"),
         ("weight-check", "--weight", "standard", "--r0", "0.8", "--grid", "{n}"),
         ("sharpness", "--weight", "constant", "--r0", "1", "--grid", "{n}"),
+        ("theorem4", "--a", "0.35", "--R", "0.769", "--grid", "{n}"),
     ], ids=["norms-shortcut", "norms-scan", "weight-check-search", "weight-check-r0",
-            "sharpness"])
+            "sharpness", "theorem4"])
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_scan_sizes_below_two_are_rejected_alike(self, capsys, argv, n):
         argv = [arg.format(n=n) for arg in argv]

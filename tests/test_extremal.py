@@ -146,10 +146,14 @@ class TestMajorantSum:
         with pytest.raises(DivergenceRegionError):
             extremal_majorant_sum(0.75, 1.6)
 
-    @pytest.mark.parametrize("r", [np.nan, np.array([0.5, np.nan])])
-    def test_divergence(self, r):
-        with pytest.raises(DivergenceRegionError, match="diverges past r = 2 r0"):
-            extremal_majorant_sum(0.75, r)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r", [-1.0, -0.1, np.nan, np.array([0.5, np.nan]),
+                                   np.array([0.5, -1.0])])
+    def test_radius_domain(self, r):
+        # as in extremal_sup_modulus: the alternating sum at r < 0 and NaN are
+        # domain errors, not a majorant value or a divergence
+        with pytest.raises(ParameterDomainError, match="radius must be nonnegative"):
+            extremal_majorant_sum(0.8, r)
 
 
 class TestBlaschkeDegree:
