@@ -12,9 +12,10 @@ Everything is pure and deterministic; suprema are grid scans with
 golden-section polish and report their witness points.
 """
 
-from .bounds import (ScanReport, best_test_ratio, bombieri_m_infty, cauchy_chain_check,
-                     mobius_majorant_sum, mobius_majorant_sup, mobius_series,
-                     theorem1_optimize, theorem1_root, theorem4_expression,
+from .bounds import (ScanReport, avkhadiev_coefficients, avkhadiev_eval,
+                     avkhadiev_majorant_closed_form, best_test_ratio, bombieri_m_infty,
+                     cauchy_chain_check, mobius_majorant_sum, mobius_majorant_sup,
+                     mobius_series, theorem1_optimize, theorem1_root, theorem4_expression,
                      theorem4_sup, theorem4_upper_bound, theorem5_ratios)
 from .errors import (BlochBohrError, ConvergenceError, DivergenceRegionError,
                      EvaluatorDomainError, NoSignChangeError, ParameterDomainError,
@@ -23,9 +24,8 @@ from .extremal import (ExtremalSpec, SharpnessReport, blaschke_degree,
                        blaschke_degree_montecarlo, extremal_coefficients,
                        extremal_eval, extremal_majorant_sum, extremal_sup_modulus,
                        verify_sharpness)
-from .norms import (RadialSupReport, avkhadiev_coefficients, avkhadiev_eval,
-                    avkhadiev_majorant_closed_form, weighted_bloch_norm,
-                    weighted_bloch_seminorm, weighted_radial_sup)
+from .norms import (RadialSupReport, weighted_bloch_norm, weighted_bloch_seminorm,
+                    weighted_radial_sup)
 from .search import bisect_root, golden_max, grid_golden_max, trisect_min
 from .series import (CircleNorms, SeriesValue, TruncatedSeries, circle_norms,
                      circle_sup, coefficient_sum, derivative, eval_series,

@@ -11,9 +11,12 @@
 * ``cauchy_chain_check``: the three-term Cauchy-Schwarz chain
   w(r) R sum |a_n| (Rr)^n <= w(r) ||f||_L2 R/sqrt(1-R^2)
   <= w(r) ||f||_Linf R/sqrt(1-R^2), tight multiplier 1 at R = 1/sqrt(2).
-* ``theorem4_*``: the upper-bound certificate via the unit-sup test
-  function; its scaled majorant R (1-r^2) sum |a_n| (Rr)^n exceeds 1 for
-  suitable (a, R), e.g. a = 0.35 and R = 0.769.
+* ``avkhadiev_*``: the test function g_a(z) = (3 sqrt(3)/2)(1-a^2)(z-a)/(1-az)^3,
+  0 < a < 1/sqrt(3), with weighted sup 1 under 1-r^2, its coefficients
+  C(a) (n+1)(n/2 - a^2/(1-a^2)) a^n and the closed form of its majorant sum.
+* ``theorem4_*``: the upper-bound certificate via that test function; its
+  scaled majorant R (1-r^2) sum |a_n| (Rr)^n exceeds 1 for suitable (a, R),
+  e.g. a = 0.35 and R = 0.769.
 * ``bombieri_m_infty`` / ``mobius_majorant_sup``: the closed form
   (3 - sqrt(8(1-r^2)))/r of the bounded-function majorant supremum on
   [1/3, 1/sqrt(2)], and its independent realization by the Mobius family
@@ -22,9 +25,9 @@
   which ``theorem4_upper_bound`` drives past 1 and the strictness probe of
   m_Bloch(R) < R/sqrt(1-R^2) subtracts from the bound; a rigorous cell bound
   prunes its (a, r) table, keeping the full table's argmax exactly.  For f with
-  f' = g_a (``norms.avkhadiev_eval``, sup (1-|z|^2)|g_a| = 1) the majorant-to-
-  function Bloch seminorm ratio is exactly ``theorem4_sup(a, R)``, because the
-  majorant of g_a has nonnegative coefficients.  ``theorem5_ratios`` computes
+  f' = g_a (``avkhadiev_eval``) the majorant-to-function Bloch seminorm ratio
+  is exactly ``theorem4_sup(a, R)``, because the majorant of g_a has
+  nonnegative coefficients.  ``theorem5_ratios`` computes
   the same ratio for any series through the seminorm scans.
 """
 
@@ -34,14 +37,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterDomainError, PoleError
-from .norms import _COEF, A_MAX, avkhadiev_majorant_closed_form, weighted_bloch_seminorm
-from .search import bisect_flag, bisect_root, grid_golden_max, scan_polish
+from .errors import DivergenceRegionError, ParameterDomainError, PoleError
+from .norms import weighted_bloch_seminorm
+from .search import bisect_flag, bisect_root, grid, grid_golden_max, scan_polish
 from .series import TruncatedSeries, circle_norms, coefficient_sum, majorant, scale_argument
 from .weights import Weight, builtin_weight
 
-#: exponent grid endpoints: the bound degenerates at both ends of (0, 1)
-S_CLIP = (1e-4, 1.0 - 1e-4)
+#: exponents s ``theorem1_root`` accepts; the root is ill conditioned beyond them
+S_RANGE = (1e-4, 1.0 - 1e-4)
+
+#: the Theorem 4 test function g_a takes a in (0, A_MAX)
+A_MAX = 1.0 / np.sqrt(3.0)
+_COEF = float(1.5 * np.sqrt(3.0))  # 3 sqrt(3) / 2
 
 #: "exceeds 1" means strictly above this, to avoid rounding-false positives
 EXCEED_THRESHOLD = 1.0 + 1e-9
@@ -87,14 +94,13 @@ def theorem1_root(s: float, tol: float = THEOREM1_TOL) -> float:
     """Radius solving log(1 - r^{2s}) - 1 + r^{-2(1-s)} = 0 for s in (0, 1).
 
     Bisection on ``THEOREM1_BRACKET`` with sign-change verification, at most
-    200 halvings; the residual is driven below tol.  s is clipped into
-    [1e-4, 1 - 1e-4] where the equation is well conditioned.
+    200 halvings; the residual is driven below tol.  s must lie in ``S_RANGE``
+    = [1e-4, 1 - 1e-4], where the equation is well conditioned.
     """
     tol = _check_solver_tol(tol)
     s = float(s)
-    if not 0.0 < s < 1.0:
-        raise ParameterDomainError(f"exponent s must lie in (0, 1), got {s}")
-    s = min(max(s, S_CLIP[0]), S_CLIP[1])
+    if not S_RANGE[0] <= s <= S_RANGE[1]:
+        raise ParameterDomainError(f"exponent s must lie in [1e-4, 1 - 1e-4], got {s}")
     return bisect_root(lambda r: _t1_residual(r, s), *THEOREM1_BRACKET, abs_tol=tol)
 
 
@@ -117,6 +123,13 @@ def theorem1_optimize(tol: float = THEOREM1_TOL) -> tuple[float, float]:
     return float(s_star), float(r_star)
 
 
+def _check_scale(scale: float) -> float:
+    scale = float(scale)
+    if not 0.0 < scale < 1.0:
+        raise ParameterDomainError("the scale R must lie in (0, 1)")
+    return scale
+
+
 def cauchy_chain_check(s: TruncatedSeries, w: Weight, scale: float,
                        r: float) -> tuple[float, float, float]:
     """The three chain values at (R, r); weakly increasing for every input.
@@ -124,9 +137,7 @@ def cauchy_chain_check(s: TruncatedSeries, w: Weight, scale: float,
     v1 = w(r) R sum |a_n| (R r)^n, v2 = w(r) ||f||_L2(r) R/sqrt(1-R^2),
     v3 = w(r) ||f||_Linf(r) R/sqrt(1-R^2), the sup on the default angle grid.
     """
-    scale = float(scale)
-    if not 0.0 < scale < 1.0:
-        raise ParameterDomainError("the scale R must lie in (0, 1)")
+    scale = _check_scale(scale)
     norms = circle_norms(s, r)
     wr = float(w(float(r)))
     multiplier = float(scale / np.sqrt(1.0 - scale * scale))
@@ -136,20 +147,88 @@ def cauchy_chain_check(s: TruncatedSeries, w: Weight, scale: float,
     return v1, v2, v3
 
 
+def _check_a(a):
+    arr = np.asarray(a, dtype=float)
+    if not np.all((0.0 < arr) & (arr < A_MAX)):
+        raise ParameterDomainError(
+            f"parameter a must lie in (0, 1/sqrt(3)) = (0, {A_MAX:.6f})")
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def avkhadiev_eval(a: float, z):
+    """The unit-sup Bloch test function (3 sqrt(3)/2)(1-a^2)(z-a)/(1-az)^3.
+
+    Under the standard weight, sup_z (1 - |z|^2) |f(z)| = 1 for every
+    a in (0, 1/sqrt(3)).
+    """
+    a = _check_a(float(a))
+    z = np.asarray(z, dtype=complex)
+    den = 1.0 - a * z
+    if np.any(den == 0.0):
+        raise PoleError(f"pole at z = 1/a = {1.0 / a:.6g}")
+    out = _COEF * (1.0 - a * a) * (z - a) / den ** 3
+    if z.ndim == 0:
+        return complex(out)
+    return out
+
+
+def avkhadiev_coefficients(a: float, n_terms: int = 257) -> TruncatedSeries:
+    """Maclaurin coefficients C(a) (n+1)(n/2 - t) a^n with t = a^2/(1-a^2).
+
+    The normalizer C(a) = (3 sqrt(3)/2)(1-a^2)^2 / a makes the series match
+    avkhadiev_eval; then a_0 = -(3 sqrt(3)/2) a (1-a^2) < 0 and a_n > 0 for
+    n >= 1 exactly when 0 < a < 1/sqrt(3).  Outside that range positivity
+    fails and the parameter is rejected.
+    """
+    a = _check_a(float(a))
+    if n_terms < 2:
+        raise ParameterDomainError("need at least 2 coefficient terms")
+    atil = a * a / (1.0 - a * a)
+    norm = _COEF * (1.0 - a * a) ** 2 / a
+    n = np.arange(n_terms, dtype=float)
+    coeffs = norm * (n + 1.0) * (0.5 * n - atil) * a ** n
+    rho = 0.5 * (1.0 + a)
+    t = a / rho
+    ks = np.arange(0, int(6.0 / np.log(1.0 / t)) + 8, dtype=float)
+    m = norm * float(np.max((ks + 1.0) * (0.5 * ks + atil) * t ** ks))
+    return TruncatedSeries(coeffs.astype(complex), rho, m)
+
+
+def avkhadiev_majorant_closed_form(a, x):
+    """sum |a_n| x^n = (3 sqrt(3)(1-a^2)/2) ((x-a)/(1-ax)^3 + 2a) for x >= 0.
+
+    Broadcasts over both arguments.  Float a and x in the domain skip the
+    array conversion and the checks; the result has the 0-d array path's bits.
+    """
+    fast = (isinstance(a, float) and isinstance(x, float) and 0.0 < a < A_MAX
+            and x >= 0.0 and a * x < 1.0)
+    if not fast:
+        a = _check_a(a)
+        x = np.asarray(x, dtype=float)
+        if not np.all(x >= 0.0):
+            raise ParameterDomainError("majorant argument must be nonnegative")
+        if np.any(a * x == 1.0):
+            raise PoleError("pole at x = 1/a")
+        if np.any(a * x > 1.0):
+            raise DivergenceRegionError("majorant sum diverges past x = 1/a")
+    out = _COEF * (1.0 - a * a) * ((x - a) / (1.0 - a * x) ** 3 + 2.0 * a)
+    if fast or np.ndim(out) == 0:
+        return float(out)
+    return out
+
+
 def theorem4_expression(a, scale: float, r):
     """R (1-r^2) (3 sqrt(3)(1-a^2)/2) ((Rr-a)/(1-aRr)^3 + 2a) on r in [0, 1].
 
     Broadcasts over a and r.  R >= 1 is allowed (a pole may then lie on the disc).
-    Float a and r in the domain take a float path with the 0-d array path's bits.
+    A float r in the domain skips the array conversion, with the 0-d array path's bits.
     """
     scale = float(scale)
     if not 0.0 <= scale < np.inf:
         raise ParameterDomainError("the scale R must be nonnegative and finite")
-    if isinstance(a, float) and isinstance(r, float) and 0.0 < a < A_MAX and 0.0 <= r <= 1.0:
-        a, r, x = float(a), float(r), scale * float(r)
-        if a * x < 1.0:
-            return scale * (1.0 - r * r) * (_COEF * (1.0 - a * a)
-                                             * ((x - a) / (1.0 - a * x) ** 3 + 2.0 * a))
+    if isinstance(r, float) and 0.0 <= r <= 1.0:
+        r = float(r)
+        return scale * (1.0 - r * r) * avkhadiev_majorant_closed_form(a, scale * r)
     r = np.asarray(r, dtype=float)
     if not np.all((r >= 0.0) & (r <= 1.0)):
         raise ParameterDomainError("radius must lie in [0, 1]")
@@ -171,13 +250,9 @@ def theorem4_best_row(scale: float,
     (1 + 2ax - 3a^2)/(1 - ax)^4 > 0 for a < 1/sqrt(3)).  Only rows with a cell
     bound within a 1e-9 rounding slack of L are evaluated: argmax and max are exact.
     """
-    if not 0.0 < float(scale) < 1.0:
-        raise ParameterDomainError("the scale R must lie in (0, 1)")
-    if r_points < 2:
-        raise ParameterDomainError(
-            f"a scan needs at least 2 points, got {THEOREM4_A_POINTS} x {r_points}")
-    a_grid = np.linspace(1e-6, A_MAX - 1e-9, THEOREM4_A_POINTS)
-    r_grid = np.linspace(0.0, 1.0, r_points)
+    scale = _check_scale(scale)
+    a_grid = grid(1e-6, A_MAX - 1e-9, THEOREM4_A_POINTS)
+    r_grid = grid(0.0, 1.0, r_points)
     cols = np.append(np.arange(0, r_points - 1, 16), r_points - 1)
     lower = theorem4_expression(a_grid[:, None], scale, r_grid[None, cols]).max()
     cell_max = (scale * (1.0 - r_grid[cols[:-1]] ** 2)
@@ -207,7 +282,7 @@ def best_test_ratio(scale: float,
     """
     a_star, row, _ = theorem4_best_row(scale, r_points)
     r_star, value = scan_polish(lambda r: theorem4_expression(a_star, scale, r),
-                                np.linspace(0.0, 1.0, r_points), row)
+                                grid(0.0, 1.0, r_points), row)
     return value, a_star, r_star
 
 
@@ -327,9 +402,7 @@ def theorem5_ratios(scale: float, family) -> dict[str, float]:
     the Theorem 4 test functions ``best_test_ratio`` gives the ratio in
     closed form.
     """
-    scale = float(scale)
-    if not 0.0 < scale < 1.0:
-        raise ParameterDomainError("the scale R must lie in (0, 1)")
+    scale = _check_scale(scale)
     std = builtin_weight("standard")
     ratios = {}
     for member in family:

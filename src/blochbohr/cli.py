@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem1", parents=[shared],
                        help="lower bound for the Bloch-to-bounded Bohr radius")
-    p.add_argument("--s", type=float, help="exponent in (0, 1)")
+    p.add_argument("--s", type=float, help="exponent in [1e-4, 1 - 1e-4]")
     p.add_argument("--optimize", action="store_true",
                    help="maximize the root over the exponent")
     _option(p, "--tol", THEOREM1_TOL, "residual tolerance of the root bisection")

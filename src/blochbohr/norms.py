@@ -7,11 +7,6 @@ also serves the derivative-free problem sup_r omega(r) max_theta |f(r e^{i
 theta})| for arbitrary evaluators.  For a series the rough radial scan skips
 each radius whose weight times a rigorous bound on its circle maximum (the
 majorant sum, or Bernstein's) stays below the best score: the argmax stays.
-
-The module also provides the cubed-Mobius test function
-f(z) = (3 sqrt(3)/2) (1-a^2) (z-a) / (1-az)^3 for 0 < a < 1/sqrt(3), whose
-weighted sup under 1-r^2 equals 1, together with its coefficient series
-C(a) (n+1)(n/2 - a^2/(1-a^2)) a^n and the closed form of its majorant sum.
 """
 
 from __future__ import annotations
@@ -21,15 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (BlochBohrError, DivergenceRegionError, EvaluatorDomainError,
-                     ParameterDomainError, PoleError)
+from .errors import BlochBohrError, EvaluatorDomainError
 from .search import R_MAX, R_POINTS, THETA_POINTS, grid_golden_max, radii, scan_polish
 from .series import (TruncatedSeries, _angle_count, _angle_grid_values, _check_certified,
                      _horner, circle_sup, coefficient_sum, derivative)
 from .weights import Weight
-
-A_MAX = 1.0 / np.sqrt(3.0)
-_COEF = float(1.5 * np.sqrt(3.0))  # 3 sqrt(3) / 2
 
 #: stride of the radii the pruned rough scan transforms first (plus the last)
 _COARSE = 16
@@ -191,69 +182,3 @@ def weighted_radial_sup(evaluator: Callable, w: Weight,
 
     value, r, theta = _radial_sup(rs, rough, np.asarray(w(rs)), circle_max, w)
     return RadialSupReport(value=value, witness_r=r, witness_theta=theta)
-
-
-def _check_a(a):
-    arr = np.asarray(a, dtype=float)
-    if not np.all((0.0 < arr) & (arr < A_MAX)):
-        raise ParameterDomainError(
-            f"parameter a must lie in (0, 1/sqrt(3)) = (0, {A_MAX:.6f})")
-    return float(arr) if arr.ndim == 0 else arr
-
-
-def avkhadiev_eval(a: float, z):
-    """The unit-sup Bloch test function (3 sqrt(3)/2)(1-a^2)(z-a)/(1-az)^3.
-
-    Under the standard weight, sup_z (1 - |z|^2) |f(z)| = 1 for every
-    a in (0, 1/sqrt(3)).
-    """
-    a = _check_a(float(a))
-    z = np.asarray(z, dtype=complex)
-    den = 1.0 - a * z
-    if np.any(den == 0.0):
-        raise PoleError(f"pole at z = 1/a = {1.0 / a:.6g}")
-    out = _COEF * (1.0 - a * a) * (z - a) / den ** 3
-    if z.ndim == 0:
-        return complex(out)
-    return out
-
-
-def avkhadiev_coefficients(a: float, n_terms: int = 257) -> TruncatedSeries:
-    """Maclaurin coefficients C(a) (n+1)(n/2 - t) a^n with t = a^2/(1-a^2).
-
-    The normalizer C(a) = (3 sqrt(3)/2)(1-a^2)^2 / a makes the series match
-    avkhadiev_eval; then a_0 = -(3 sqrt(3)/2) a (1-a^2) < 0 and a_n > 0 for
-    n >= 1 exactly when 0 < a < 1/sqrt(3).  Outside that range positivity
-    fails and the parameter is rejected.
-    """
-    a = _check_a(float(a))
-    if n_terms < 2:
-        raise ParameterDomainError("need at least 2 coefficient terms")
-    atil = a * a / (1.0 - a * a)
-    norm = _COEF * (1.0 - a * a) ** 2 / a
-    n = np.arange(n_terms, dtype=float)
-    coeffs = norm * (n + 1.0) * (0.5 * n - atil) * a ** n
-    rho = 0.5 * (1.0 + a)
-    t = a / rho
-    ks = np.arange(0, int(6.0 / np.log(1.0 / t)) + 8, dtype=float)
-    m = norm * float(np.max((ks + 1.0) * (0.5 * ks + atil) * t ** ks))
-    return TruncatedSeries(coeffs.astype(complex), rho, m)
-
-
-def avkhadiev_majorant_closed_form(a, x):
-    """sum |a_n| x^n = (3 sqrt(3)(1-a^2)/2) ((x-a)/(1-ax)^3 + 2a) for x >= 0.
-
-    Broadcasts over both arguments.
-    """
-    a = _check_a(a)
-    x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0.0):
-        raise ParameterDomainError("majorant argument must be nonnegative")
-    if np.any(a * x == 1.0):
-        raise PoleError("pole at x = 1/a")
-    if np.any(a * x > 1.0):
-        raise DivergenceRegionError("majorant sum diverges past x = 1/a")
-    out = _COEF * (1.0 - a * a) * ((x - a) / (1.0 - a * x) ** 3 + 2.0 * a)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out

@@ -34,11 +34,16 @@ THETA_POINTS = 4096
 R_MAX = 1.0 - 1e-6
 
 
+def grid(lo: float, hi: float, n_points: int) -> np.ndarray:
+    """``n_points`` uniform points covering [lo, hi]; a scan needs at least 2."""
+    if n_points < 2:
+        raise ParameterDomainError(f"a scan needs at least 2 points, got {n_points}")
+    return np.linspace(lo, hi, n_points)
+
+
 def radii(r_points: int) -> np.ndarray:
     """``r_points`` uniform radii covering [0, ``R_MAX``]."""
-    if r_points < 2:
-        raise ParameterDomainError(f"a scan needs at least 2 points, got {r_points}")
-    return np.linspace(0.0, R_MAX, r_points)
+    return grid(0.0, R_MAX, r_points)
 
 
 def _feval(f: Callable, x: float) -> float:
@@ -223,6 +228,4 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
 
 def grid_golden_max(f: Callable, lo: float, hi: float, n_points: int) -> tuple[float, float]:
     """Maximize an array-accepting f on [lo, hi]: an n-point ``scan_polish``."""
-    if n_points < 2:
-        raise ParameterDomainError(f"a scan needs at least 2 points, got {n_points}")
-    return scan_polish(f, np.linspace(lo, hi, n_points))
+    return scan_polish(f, grid(lo, hi, n_points))

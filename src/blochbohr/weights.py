@@ -262,14 +262,12 @@ def find_admissible_r0(w: Weight, r_points: int = CRITERION_R_POINTS,
 def h_profile(r0: float, n_points: int = PROFILE_POINTS) -> np.ndarray:
     """Tabulate (r, omega1, omega2, h) for plotting.
 
-    Returns the rows over a uniform grid on [0, 1 - 1e-6] plus the anchor r0
-    when it lies there, so the h(r0) = 1 corner is present.  h is decreasing
+    Returns the rows over ``radii(n_points)`` plus the anchor r0 when it
+    lies there, so the h(r0) = 1 corner is present.  h is decreasing
     everywhere and convex left of r0.
     """
     r0 = _check_r0(r0)
-    if n_points < 2:
-        raise ParameterDomainError("profile needs at least 2 points")
-    rs = np.linspace(0.0, R_MAX, n_points)
+    rs = radii(n_points)
     if r0 <= R_MAX:
         rs = np.union1d(rs, [r0])
     w1, w2 = _omegas(rs, r0)

@@ -11,8 +11,9 @@ from blochbohr import (NoSignChangeError, ParameterDomainError, PoleError,
                        theorem1_optimize, theorem1_root, theorem4_expression,
                        theorem4_sup, theorem4_upper_bound, theorem5_ratios)
 from blochbohr import bounds
-from blochbohr.bounds import (A_MAX, S_CLIP, THEOREM4_A_POINTS, THEOREM4_R_POINTS,
-                              ProbeFunction, _t1_residual, theorem4_best_row)
+from blochbohr.bounds import (A_MAX, S_RANGE, THEOREM4_A_POINTS, THEOREM4_R_POINTS,
+                              ProbeFunction, _t1_residual, avkhadiev_majorant_closed_form,
+                              theorem4_best_row)
 from blochbohr.search import scan_polish
 from conftest import random_polynomial
 
@@ -40,8 +41,10 @@ class TestTheorem1Root:
         assert _t1_residual(0.01, s) > 0.0 > _t1_residual(0.99, s)
 
     def test_domain(self):
-        for bad in (0.0, 1.0, -0.3, 1.5):
-            with pytest.raises(ParameterDomainError):
+        # the roots at 1e-5 and 0.99999 (0.2934 and 0.00964) differ from
+        # those at the ends of the range, so no clamped answer may stand in
+        for bad in (0.0, 1.0, -0.3, 1.5, 1e-5, 0.99999, float("nan")):
+            with pytest.raises(ParameterDomainError, match=r"\[1e-4, 1 - 1e-4\]"):
                 theorem1_root(bad)
 
     def test_bad_bracket(self, monkeypatch):
@@ -80,7 +83,7 @@ class TestTheorem1Optimize:
         # an independent scan of r(s) never beats the envelope optimum and
         # its best grid point comes within the grid's quadratic loss of it
         _, r_star = theorem1_optimize()
-        roots = [theorem1_root(float(s)) for s in np.linspace(S_CLIP[0], S_CLIP[1], 2001)]
+        roots = [theorem1_root(float(s)) for s in np.linspace(S_RANGE[0], S_RANGE[1], 2001)]
         assert max(roots) <= r_star + 1e-9
         assert max(roots) >= r_star - 1e-7
 
@@ -333,7 +336,7 @@ class TestPrunedBestRow:
             assert (a, top) == (a_grid[int(np.argmax(table)) // r_points], table.max())
 
     def test_scan_size(self):
-        with pytest.raises(ParameterDomainError, match="got 200 x 1"):
+        with pytest.raises(ParameterDomainError, match="at least 2 points, got 1$"):
             theorem4_best_row(0.5, 1)
 
     @pytest.mark.parametrize("scale", [0.0, 1.0, float("nan")])
@@ -350,6 +353,20 @@ class TestPrunedBestRow:
             fast = theorem4_expression(ak, sk, rk)
             assert type(fast) is float
             assert fast == theorem4_expression(np.asarray(ak), sk, np.asarray(rk))
+
+    def test_closed_form_float_path_matches_the_array_path(self):
+        rng = np.random.default_rng(15)
+        a = rng.uniform(0.0, A_MAX, 10_000).tolist()
+        x = (rng.uniform(0.0, 1.0, 10_000) / np.asarray(a)).tolist()
+        a_top = float(np.nextafter(A_MAX, 0.0))
+        edges = [(0.35, 0.0), (a_top, 0.0), (a_top, 0.9), (a_top, 1.7),
+                 (0.35, float(np.nextafter(1.0 / 0.35, 0.0)))]
+        for ak, xk in list(zip(a, x)) + edges:
+            assert ak * xk < 1.0
+            fast = avkhadiev_majorant_closed_form(ak, xk)
+            assert type(fast) is float
+            slow = avkhadiev_majorant_closed_form(np.asarray(ak), np.asarray(xk))
+            assert fast.hex() == slow.hex(), (ak, xk)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

@@ -12,16 +12,11 @@ regenerate it with
     PYTHONPATH=src python tests/test_bounds_pin.py
 """
 
-import contextlib
-import io
-import shlex
-from pathlib import Path
-
 import pytest
 
-from blochbohr.cli import main
+from pins import DATA, cli_stdout, expected_outputs, regenerate
 
-EXPECTED = Path(__file__).resolve().parent / "data" / "bounds_pin.txt"
+EXPECTED = DATA / "bounds_pin.txt"
 
 RUNS = [
     "theorem5-probe --R 0.01 --R 0.2 --R 0.75 --R 0.99 --format json",
@@ -33,34 +28,14 @@ RUNS = [
 ]
 
 
-def run_stdout(args: str) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(shlex.split(args))
-    assert code == 0, args
-    return out.getvalue()
-
-
-def expected_outputs() -> dict[str, str]:
-    out, key = {}, None
-    for line in EXPECTED.read_text().splitlines(keepends=True):
-        if line.startswith("$ blochbohr "):
-            key = line[len("$ blochbohr "):].rstrip("\n")
-            out[key] = ""
-        else:
-            out[key] += line
-    return out
-
-
 def test_every_run_has_an_expected_output():
-    assert RUNS == list(expected_outputs())
+    assert RUNS == list(expected_outputs(EXPECTED))
 
 
 @pytest.mark.parametrize("args", RUNS)
 def test_bounds_stdout_is_byte_identical(args):
-    assert run_stdout(args) == expected_outputs()[args]
+    assert cli_stdout(args) == expected_outputs(EXPECTED)[args]
 
 
 if __name__ == "__main__":
-    EXPECTED.write_text("".join(f"$ blochbohr {args}\n{run_stdout(args)}" for args in RUNS))
-    print(f"wrote {EXPECTED}")
+    regenerate(EXPECTED, RUNS, cli_stdout)

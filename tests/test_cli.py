@@ -372,6 +372,8 @@ class TestOptionDefaults:
         ("theorem2-check", "--samples", "5", "--tol", "nan"),
         ("theorem2-check", "--samples", "5", "--tol", "-1"),
         ("theorem1", "--s", "0.5", "--tol", "inf"),
+        ("theorem1", "--s", "0.00001"),
+        ("theorem1", "--s", "0.99999"),
         ("theorem1", "--optimize", "--tol", "inf"),
         ("theorem4", "--search", "--tol", "nan"),
         ("weight-check", "--weight", "example2:r0=0.8,r0=0.95", "--r0", "0.8"),
@@ -396,8 +398,13 @@ class TestOptionDefaults:
         ("weight-check", "--weight", "standard", "--r0", "0.8", "--grid", "{n}"),
         ("sharpness", "--weight", "constant", "--r0", "1", "--grid", "{n}"),
         ("theorem4", "--a", "0.35", "--R", "0.769", "--grid", "{n}"),
+        ("theorem5-probe", "--R", "0.5", "--grid", "{n}"),
+        ("theorem4", "--search", "--grid", "{n}"),
+        ("theorem2-check", "--samples", "3", "--grid", "{n}"),
+        ("h-profile", "--r0", "0.8", "--n", "{n}"),
     ], ids=["norms-shortcut", "norms-scan", "weight-check-search", "weight-check-r0",
-            "sharpness", "theorem4"])
+            "sharpness", "theorem4", "theorem5-probe", "theorem4-search",
+            "theorem2-check", "h-profile"])
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_scan_sizes_below_two_are_rejected_alike(self, capsys, argv, n):
         argv = [arg.format(n=n) for arg in argv]

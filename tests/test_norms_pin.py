@@ -13,21 +13,16 @@ intended output change, regenerate it with
 """
 
 import cmath
-import contextlib
-import io
 import math
-import os
-import shlex
-import tempfile
 from pathlib import Path
 
 import pytest
 
 from blochbohr.bounds import mobius_series
-from blochbohr.cli import main
 from blochbohr.series import TruncatedSeries
+from pins import DATA, cli_stdout, expected_outputs, regenerate
 
-EXPECTED = Path(__file__).resolve().parent / "data" / "norms_pin.txt"
+EXPECTED = DATA / "norms_pin.txt"
 
 
 def _extremal(r0: float, phi: float, order: int) -> TruncatedSeries:
@@ -79,37 +74,18 @@ def run_stdout(args: str) -> str:
     """stdout of ``blochbohr <args>``, with the series files in the current directory."""
     for name, s in SERIES.items():
         Path(name).write_text(s.dumps())
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(shlex.split(args))
-    assert code == 0, args
-    return out.getvalue()
-
-
-def expected_outputs() -> dict[str, str]:
-    out, key = {}, None
-    for line in EXPECTED.read_text().splitlines(keepends=True):
-        if line.startswith("$ blochbohr "):
-            key = line[len("$ blochbohr "):].rstrip("\n")
-            out[key] = ""
-        else:
-            out[key] += line
-    return out
+    return cli_stdout(args)
 
 
 def test_every_run_has_an_expected_output():
-    assert RUNS == list(expected_outputs())
+    assert RUNS == list(expected_outputs(EXPECTED))
 
 
 @pytest.mark.parametrize("args", RUNS)
 def test_norms_stdout_is_byte_identical(args, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    assert run_stdout(args) == expected_outputs()[args]
+    assert run_stdout(args) == expected_outputs(EXPECTED)[args]
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        EXPECTED.write_text("".join(f"$ blochbohr {args}\n{run_stdout(args)}"
-                                    for args in RUNS))
-    print(f"wrote {EXPECTED}")
+    regenerate(EXPECTED, RUNS, run_stdout)

@@ -9,20 +9,16 @@ intended output change, regenerate it with
     PYTHONPATH=src python tests/test_readme_cli.py
 """
 
-import contextlib
-import io
 import json
-import os
 import shlex
-import tempfile
 from pathlib import Path
 
 import pytest
 
-from blochbohr.cli import main
+from pins import DATA, cli_stdout, expected_outputs, regenerate
 
 ROOT = Path(__file__).resolve().parent.parent
-EXPECTED = Path(__file__).resolve().parent / "data" / "readme_cli.txt"
+EXPECTED = DATA / "readme_cli.txt"
 
 #: the file behind ``norms --series series.json``: a cubic with a complex
 #: coefficient, so the radial sup takes the general (scanned) route
@@ -36,40 +32,21 @@ def readme_invocations() -> list[str]:
             for line in lines if line.startswith("blochbohr ")]
 
 
-def expected_outputs() -> dict[str, str]:
-    out, key = {}, None
-    for line in EXPECTED.read_text().splitlines(keepends=True):
-        if line.startswith("$ blochbohr "):
-            key = line[len("$ blochbohr "):].rstrip("\n")
-            out[key] = ""
-        else:
-            out[key] += line
-    return out
-
-
 def csv_stdout(args: str) -> str:
     """stdout of ``blochbohr <args> --format csv``, run in the current directory."""
     Path("series.json").write_text(json.dumps(SERIES))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(shlex.split(args) + ["--format", "csv"])
-    assert code == 0, args
-    return out.getvalue()
+    return cli_stdout(f"{args} --format csv")
 
 
 def test_every_invocation_has_an_expected_output():
-    assert readme_invocations() == list(expected_outputs())
+    assert readme_invocations() == list(expected_outputs(EXPECTED))
 
 
 @pytest.mark.parametrize("args", readme_invocations())
 def test_readme_csv_is_byte_identical(args, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    assert csv_stdout(args) == expected_outputs()[args]
+    assert csv_stdout(args) == expected_outputs(EXPECTED)[args]
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        EXPECTED.write_text("".join(f"$ blochbohr {args}\n{csv_stdout(args)}"
-                                    for args in readme_invocations()))
-    print(f"wrote {EXPECTED}")
+    regenerate(EXPECTED, readme_invocations(), csv_stdout)
