@@ -32,8 +32,8 @@ print("majorant coefficients:", m.coeffs.real)
 print("scaled by 1/sqrt(2):  ", scale_argument(m, 1 / np.sqrt(2)).coeffs.real)
 
 # Circle norms at radius r: the angle-averaged L2 norm comes from Parseval,
-# the sup norm from a 4096-point angle scan with golden-section polish, and
-# coeff_sum is the majorant value.  They always satisfy l2 <= sup <= sum.
+# the sup norm from a 4096-point angle scan polished at a root of the angle
+# derivative of |f|^2, and coeff_sum is the majorant value.  They always satisfy l2 <= sup <= sum.
 cn = circle_norms(poly, 0.7)
 print(f"at r=0.7: l2 {cn.l2_norm:.6f} <= sup {cn.sup_norm:.6f} "
       f"<= coeff_sum {cn.coeff_sum:.6f}")

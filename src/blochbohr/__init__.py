@@ -8,8 +8,8 @@ bound computations (root-finding lower bound, test-function upper bound,
 the bounded-function majorant supremum, and a strictness probe that reuses
 the upper bound's test functions).
 
-Everything is pure and deterministic; suprema are grid scans with
-golden-section polish and report their witness points.
+Everything is pure and deterministic; suprema are grid scans with a
+golden-section or derivative-root polish and report their witness points.
 """
 
 from .bounds import (ScanReport, avkhadiev_coefficients, avkhadiev_eval,

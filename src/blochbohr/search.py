@@ -3,15 +3,14 @@
 Every grid supremum in the library (and the worst criterion margin, an
 infimum) goes through one primitive, ``scan_polish``: a uniform grid scan
 (radial scans start at 0), then a polish of the best grid point's bracket
-to a 1e-12 width, golden-section search for a maximum and trisection for a
-minimum.  On the angle circle the bracket wraps around; elsewhere it is
-clipped to the grid.  An objective that takes arrays (the angle polish of
-``series.circle_sup``) gets the golden probes of the next few steps, for
-either outcome of each comparison, in one call (look-ahead); the result is
-the sequential one.  Root-finding is bracketed bisection with an explicit
-sign-change check, converging on the residual rather than the bracket
-width (``bisect_root``); a pass/fail threshold is bisected on the verdict
-alone (``bisect_flag``).
+to a 1e-12 width: golden-section search for a maximum, trisection for a
+minimum, or, given an analytic slope (the angle polish of
+``series.circle_sup``), Illinois regula falsi on its root (``falsi_peak``),
+which fixes the witness to about eps rather than sqrt(eps).  On the angle
+circle the bracket wraps around; elsewhere it is clipped to the grid.
+Root-finding is bracketed bisection with an explicit sign-change check,
+converging on the residual rather than the bracket width (``bisect_root``);
+a pass/fail threshold is bisected on the verdict alone (``bisect_flag``).
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ import numpy as np
 from .errors import ConvergenceError, NoSignChangeError, ParameterDomainError
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-#: golden-section steps a vectorized objective is evaluated ahead for
-LOOKAHEAD = 5
 
 #: default radial sample count, the number of angles of a circle scan, and
 #: the outer radius of every radial scan
@@ -50,20 +46,11 @@ def _feval(f: Callable, x: float) -> float:
     return float(np.asarray(f(x)))
 
 
-def golden_max(f: Callable, lo: float, hi: float, tol: float = 1e-12,
-               max_iter: int = 200, *, vectorized: bool = False) -> tuple[float, float]:
-    """Maximize a scalar function on [lo, hi] by golden-section search.
+def golden_max(f: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """Maximize a scalar function on [lo, hi] by golden-section search to a 1e-12 bracket.
 
     Assumes unimodality on the bracket.  Ties keep the left subinterval, so
     plateaus drift toward the smaller argument.  Returns (argmax, max).
-
-    ``vectorized`` says that f maps an array of points to their values, each
-    bit-identical to the scalar call.  The search then looks ahead: from the
-    current bracket it works out the probes of the next ``LOOKAHEAD`` steps
-    for either outcome of every comparison, 2**(LOOKAHEAD + 1) - 2 points,
-    evaluates them in one call of f, and walks the real comparisons through
-    them.  The probes taken and the result are those of the sequential
-    search; only the number of calls of f falls.
     """
     a, b = float(lo), float(hi)
     if not b > a:
@@ -71,32 +58,17 @@ def golden_max(f: Callable, lo: float, hi: float, tol: float = 1e-12,
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = _feval(f, c), _feval(f, d)
-    # look-ahead probes as a heap: node n's children are 2n + 1 (the step
-    # taken when fc >= fd) and 2n + 2, and node m's probe value is ahead[m - 1]
-    leaves = 2 ** LOOKAHEAD - 1
-    ahead, node = None, leaves
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(200):
+        if b - a <= 1e-12:
             break
-        if vectorized and node >= leaves:
-            heap, probes = [(a, b, c, d)], []
-            for n in range(leaves):
-                na, nb, nc, nd = heap[n]
-                left_c = nd - _INVPHI * (nd - na)
-                right_d = nc + _INVPHI * (nb - nc)
-                heap += [(na, nd, left_c, nc), (nc, nb, nd, right_d)]
-                probes += [left_c, right_d]
-            ahead, node = np.asarray(f(np.array(probes)), dtype=float), 0
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            node = 2 * node + 1
-            fc = float(ahead[node - 1]) if vectorized else _feval(f, c)
+            fc = _feval(f, c)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            node = 2 * node + 2
-            fd = float(ahead[node - 1]) if vectorized else _feval(f, d)
+            fd = _feval(f, d)
     x = 0.5 * (a + b)
     fx = _feval(f, x)
     # never report worse than an interior probe
@@ -106,9 +78,32 @@ def golden_max(f: Callable, lo: float, hi: float, tol: float = 1e-12,
     return x, fx
 
 
-def trisect_min(f: Callable, lo: float, hi: float, tol: float = 1e-12,
-                max_iter: int = 300) -> tuple[float, float]:
-    """Minimize a scalar function on [lo, hi] by trisection.
+def falsi_peak(f: Callable, slope: Callable, lo: float, hi: float) -> tuple:
+    """(x, f(x)) at the root where ``slope`` (sign of f') falls from + to - on [lo, hi].
+
+    Illinois regula falsi (an end kept twice running has its slope halved),
+    bisecting when the secant point leaves the bracket, to a 1e-12 bracket or
+    a zero slope; x is the probe of least |slope|.  No such root: (None, -inf)."""
+    a, b, ga, gb = lo, hi, slope(lo), slope(hi)
+    if not ga > 0.0 > gb:
+        return None, -np.inf
+    best, side = min((ga, a), (-gb, b)), 0
+    for _ in range(100):
+        if b - a <= 1e-12 or best[0] == 0.0:
+            break
+        x = a + ga * (b - a) / (ga - gb)
+        x = x if a < x < b else 0.5 * (a + b)
+        gx = slope(x)
+        best = min(best, (abs(gx), x))
+        if gx > 0.0:
+            a, ga, gb, side = x, gx, (0.5 * gb if side > 0 else gb), 1
+        else:
+            b, gb, ga, side = x, gx, (0.5 * ga if side < 0 else ga), -1
+    return best[1], _feval(f, best[1])
+
+
+def trisect_min(f: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """Minimize a scalar function on [lo, hi] by trisection to a 1e-12 bracket.
 
     Returns the best (argmin, min) among all probed points.
     """
@@ -117,8 +112,8 @@ def trisect_min(f: Callable, lo: float, hi: float, tol: float = 1e-12,
     fb = _feval(f, b)
     if fb < best_f:
         best_x, best_f = b, fb
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(300):
+        if b - a <= 1e-12:
             break
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
@@ -161,8 +156,6 @@ def bisect_root(g: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
         else:
             b, gb = mid, gm
         if b - a <= np.finfo(float).eps * max(abs(a), abs(b)):
-            if abs(gm) <= abs_tol:
-                return mid
             raise ConvergenceError(
                 f"bracket exhausted at {mid} with residual {gm:.3g} > {abs_tol:.3g}")
     raise ConvergenceError(f"no convergence to |g| <= {abs_tol:.3g} in {max_iter} iterations")
@@ -191,19 +184,19 @@ def bisect_flag(test: Callable, lo: float, hi: float, found, tol: float,
 
 def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = False,
                 period: float | None = None, rescore: bool = False,
-                vectorized: bool = False) -> tuple[float, float]:
+                slope: Callable | None = None) -> tuple[float, float]:
     """Best point of f on the uniform grid ``xs``, polished; returns (x, value).
 
-    ``values`` are f already computed on ``xs``; without them f is called
-    once on the whole array.  The grid winner is the argmax (argmin when
-    ``minimize``), ties going to the smallest argument; with ``rescore`` the
-    values are only a cheap stand-in (an unpolished profile) and f scores
-    the winner.  Its bracket of one step either side is polished to a
-    1e-12 width by ``golden_max`` (``trisect_min``).  The bracket wraps
-    around when ``xs`` covers one ``period`` (the angle circle), the witness
-    then reduced to [0, period), and is clipped to the grid otherwise.  The polished point
-    is kept only when strictly better, so plateau witnesses stay put.
-    ``vectorized`` is handed to ``golden_max``.
+    ``values`` are f already computed on ``xs`` (else f is called on the whole
+    array).  The grid winner is the argmax (argmin when ``minimize``), ties
+    going to the smallest argument; with ``rescore`` the values are only a
+    cheap stand-in (an unpolished profile) and f scores the winner.  Its
+    bracket of one step either side wraps around when ``xs`` covers one
+    ``period`` (the witness then reduced to [0, period)) and is clipped to
+    the grid otherwise.  ``golden_max`` (``trisect_min``) polishes it to a
+    1e-12 width, or, given a ``slope`` with the sign of f', ``falsi_peak``.
+    The polished point is kept only when strictly better, so plateau
+    witnesses stay put.
     """
     if len(xs) < 2:
         raise ParameterDomainError(f"a scan needs at least 2 points, got {len(xs)}")
@@ -219,8 +212,10 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
     if b > a:
         if minimize:
             x, fx = trisect_min(f, a, b)
+        elif slope is None:
+            x, fx = golden_max(f, a, b)
         else:
-            x, fx = golden_max(f, a, b, vectorized=vectorized)
+            x, fx = falsi_peak(f, slope, a, b)
         if (fx < best_f) if minimize else (fx > best_f):
             best_x, best_f = (x if period is None else x % period), fx
     return best_x, best_f

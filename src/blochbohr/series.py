@@ -14,6 +14,7 @@ workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -284,20 +285,34 @@ def _angle_grid_values(coeffs: np.ndarray, radii: np.ndarray, count: int):
 def circle_sup(s: TruncatedSeries, r: float) -> tuple[float, float]:
     """max_theta |f(r e^{i theta})| with its witness angle.
 
-    FFT scan of ``THETA_POINTS`` angles (raised to cover the degree), then
-    golden-section polish of the best bracket, which wraps around the 0/2 pi
-    seam.  Series with real nonnegative coefficients peak at theta = 0
-    exactly (their circle maximum is the coefficient sum), so they skip the
-    scan.  A negative or non-finite radius is a ParameterDomainError.
-    """
+    FFT scan of ``THETA_POINTS`` angles (raised to cover the degree); the best
+    bracket, wrapping around the 0/2 pi seam, is polished at the root of
+    d/dtheta |f|^2 = 2 Im(f conj(z f')), f and f' from one scalar Horner pass
+    (without a root the grid winner stays).  A plateau, |f| constant up to
+    rounding (c z^n, or r = 0), reports theta = 0.  Real coefficients make |f|
+    even in theta, so only [0, pi] is scanned; real nonnegative ones peak at
+    theta = 0 (the coefficient sum).  A negative or non-finite radius is a
+    ParameterDomainError."""
     _check_certified(s, r, "circle scan")
     if s.is_nonnegative:
         return coefficient_sum(s, r), 0.0
     count = _angle_count(THETA_POINTS, s.coeffs.size)
     (_, values), = _angle_grid_values(s.coeffs, np.array([float(r)]), count)
     angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-    theta, sup = scan_polish(lambda th: np.abs(_horner(s.coeffs, r * np.exp(1j * th))),
-                             angles, np.abs(values[0]), period=2.0 * np.pi, vectorized=True)
+    mags = np.abs(values[0, :count if s.coeffs.imag.any() else count // 2 + 1])
+    if np.ptp(mags) <= 4.0 * count.bit_length() * np.finfo(float).eps * mags.max():
+        return float(mags[0]), 0.0  # a plateau: |f| is constant up to rounding
+
+    def at(th: float, cs: list = s.coeffs.tolist()) -> tuple[float, float]:
+        """|f| and Im(f conj(z f')) at z = r e^{i th}."""
+        z, f, d = complex(r * math.cos(th), r * math.sin(th)), cs[-1], 0j
+        for c in cs[-2::-1]:
+            d, f = d * z + f, f * z + c
+        return abs(f), (f * (z * d).conjugate()).imag
+
+    theta, sup = scan_polish(lambda th: at(th)[0], angles[:mags.size], mags,
+                             period=2.0 * np.pi if mags.size == count else None,
+                             slope=lambda th: at(th)[1])
     return sup, theta
 
 

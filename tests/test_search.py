@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from blochbohr import (ConvergenceError, NoSignChangeError,
                        ParameterDomainError, bisect_root, golden_max, grid_golden_max,
                        trisect_min)
-from blochbohr.search import R_MAX, R_POINTS, bisect_flag, radii, scan_polish
-from blochbohr.series import _horner
+from blochbohr.search import R_MAX, R_POINTS, bisect_flag, falsi_peak, radii, scan_polish
 
 
 def test_golden_max_quadratic():
@@ -21,41 +18,30 @@ def test_golden_max_degenerate_bracket():
     assert x == 0.5 and fx == 0.5
 
 
-def _circle_objective(coeffs, r, seen):
-    """|f(r e^{i theta})| by Horner, as ``series.circle_sup`` polishes it;
-    every point it is called at goes to ``seen``."""
-    def f(th):
-        seen.extend(np.atleast_1d(th).tolist())
-        return np.abs(_horner(coeffs, r * np.exp(1j * th)))
-    return f
+def test_falsi_peak_finds_the_falling_root():
+    x, fx = falsi_peak(np.sin, np.cos, 1.0, 2.5)
+    assert abs(x - np.pi / 2) <= 1e-15 and fx == np.sin(x)
+    # a slope that falls through 0 only near the bracket end
+    x, _ = falsi_peak(np.sin, lambda t: 1.0 - np.exp(40.0 * (t - 0.9)), 0.0, 1.0)
+    assert abs(x - 0.9) <= 1e-14
 
 
-@given(coeffs=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=70),
-       r=st.floats(min_value=0.0, max_value=0.999),
-       lo=st.floats(min_value=-7.0, max_value=7.0),
-       width=st.one_of(st.just(0.0), st.floats(min_value=-1.0, max_value=7.0),
-                       st.floats(min_value=1e-15, max_value=1e-2)),
-       tol=st.one_of(st.floats(min_value=1e-14, max_value=1e-6),
-                     st.floats(min_value=1e-6, max_value=10.0)),
-       max_iter=st.one_of(st.integers(0, 12), st.just(200)))
-@example(coeffs=[1.0, 2j, -0.5], r=0.9, lo=0.0, width=2.0 * np.pi / 4096 * 2, tol=1e-12,
-         max_iter=200)
-@example(coeffs=[1.0, 2j], r=0.5, lo=1.0, width=0.0, tol=1e-12, max_iter=200)
-@example(coeffs=[1.0, 2j], r=0.5, lo=1.0, width=0.5, tol=1.0, max_iter=200)
-@example(coeffs=[1.0, 2j], r=0.5, lo=1.0, width=0.5, tol=1e-12, max_iter=0)
-@example(coeffs=[3.0], r=0.0, lo=0.0, width=1.0, tol=1e-12, max_iter=200)
-@settings(max_examples=150, deadline=None)
-def test_golden_max_lookahead_equals_sequential(coeffs, r, lo, width, tol, max_iter):
-    # the look-ahead evaluates a superset of the sequential probes and must
-    # end at the same point with the same value
-    coeffs = np.array(coeffs, dtype=complex)
-    seq_seen, vec_seen = [], []
-    expected = golden_max(_circle_objective(coeffs, r, seq_seen), lo, lo + width,
-                          tol=tol, max_iter=max_iter)
-    got = golden_max(_circle_objective(coeffs, r, vec_seen), lo, lo + width,
-                     tol=tol, max_iter=max_iter, vectorized=True)
-    assert got == expected
-    assert set(seq_seen) <= set(vec_seen)
+@pytest.mark.parametrize("slope,lo,hi", [
+    (lambda t: -np.cos(t), 1.0, 2.5),   # a minimum: - to +
+    (lambda t: 1.0, 0.0, 1.0),          # no sign change
+    (lambda t: 0.0, 0.0, 1.0),          # a plateau
+    (np.sin, 0.0, 1.0),                 # a root at the bracket end is not inside it
+], ids=["minimum", "monotone", "plateau", "end_root"])
+def test_falsi_peak_without_a_falling_root(slope, lo, hi):
+    assert falsi_peak(np.cos, slope, lo, hi) == (None, -np.inf)
+
+
+def test_scan_polish_with_a_slope():
+    f = lambda x: np.cos(x - 0.3)
+    x, fx = scan_polish(f, np.linspace(-3.0, 3.0, 7), slope=lambda x: -np.sin(x - 0.3))
+    assert abs(x - 0.3) <= 1e-15 and fx == 1.0
+    # a slope without a sign change on the bracket keeps the grid winner
+    assert scan_polish(f, np.linspace(-3.0, 3.0, 7), slope=lambda x: 1.0) == (0.0, float(f(0.0)))
 
 
 def test_trisect_min_quadratic():

@@ -309,8 +309,9 @@ class TestSerialization:
 
 
 class TestAngleGridScan:
-    """The unscaled, chunked FFT scan and the look-ahead polish reproduce the
-    plain expressions they replace bit for bit."""
+    """The unscaled, chunked FFT scan reproduces the plain expressions it
+    replaces bit for bit, and the derivative-root polish finds the circle
+    maximum and its witness."""
 
     @pytest.mark.parametrize("count,n_coeffs", [(8, 8), (64, 5), (4096, 65)])
     def test_rough_scan_equals_scaled_inverse_fft(self, count, n_coeffs):
@@ -337,15 +338,72 @@ class TestAngleGridScan:
             assert values[0].tobytes() == (np.fft.ifft(single) * count).tobytes()
             assert values[0].tobytes() == expected[i].tobytes()
 
-    def test_circle_sup_equals_sequential_polish(self):
-        rng = np.random.default_rng(8)
-        for _ in range(12):
-            s = random_polynomial(rng, max_degree=64)
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.9])
+    def test_witnesses_match_closed_forms(self, r):
+        # |(a - z)/(1 - conj(a) z)| peaks on |z| = r at z = -r a/|a|
+        a = 0.6 * np.exp(1.3j)
+        k = np.arange(1, 257)
+        mobius = TruncatedSeries.polynomial(
+            np.concatenate([[a], -(1.0 - abs(a) ** 2) * np.conj(a) ** (k - 1)]))
+        sup, theta = circle_sup(mobius, r)
+        assert abs(theta - (1.3 + np.pi)) <= 1e-13
+        assert sup == pytest.approx((r + 0.6) / (1.0 + 0.6 * r), rel=1e-14)
+        # the extremal peaks at theta = phi beyond r0 and at phi + pi inside it
+        s = extremal_coefficients(ExtremalSpec(r0=0.9134, phi=2.2))
+        for radius, peak in ((0.95, 2.2), (r, 2.2 + np.pi)):
+            assert abs(circle_sup(s, radius)[1] - peak) <= 1e-13
+        # z + 0.5i z^2 - 0.25 z^3 attains its majorant sum at z = -i r
+        sup, theta = circle_sup(TruncatedSeries.polynomial([0.0, 1.0, 0.5j, -0.25]), r)
+        assert abs(theta - 1.5 * np.pi) <= 1e-13
+        assert sup == pytest.approx(r + 0.5 * r ** 2 + 0.25 * r ** 3, rel=1e-15)
+
+    def test_sup_never_below_golden_polish_or_dense_scan(self):
+        # the previous golden-section polish and a dense Horner scan are both
+        # lower bounds of the circle maximum up to rounding.  The golden value
+        # is the largest of ~60 rounded probes, so it may exceed the true
+        # maximum by the rounding of one Horner evaluation, gamma_{4(N+1)}
+        # sum |a_n| r^n, which is its tolerance; the dense scan samples the
+        # peak a few times at most and gets 4 ulp.
+        rng = np.random.default_rng(16)
+        dense = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 65536, endpoint=False))
+        for i in range(300):
+            s = random_polynomial(rng, max_degree=256)
+            if i % 3 == 0:
+                s = TruncatedSeries.polynomial(s.coeffs.real)
             r = float(rng.uniform(0.05, 0.999))
+            sup, theta = circle_sup(s, r)
             count = _angle_count(THETA_POINTS, s.coeffs.size)
             (_, values), = _angle_grid_values(s.coeffs, np.array([r]), count)
             angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-            theta, sup = scan_polish(
-                lambda th: np.abs(_horner(s.coeffs, r * np.exp(1j * th))),
-                angles, np.abs(values[0]), period=2.0 * np.pi)
-            assert circle_sup(s, r) == (sup, theta)
+            _, golden = scan_polish(lambda th: np.abs(_horner(s.coeffs, r * np.exp(1j * th))),
+                                    angles, np.abs(values[0]), period=2.0 * np.pi)
+            gamma = 2.0 * s.coeffs.size * np.finfo(float).eps
+            assert sup >= golden - gamma / (1.0 - gamma) * coefficient_sum(s, r)
+            z, acc = r * dense, np.full(dense.shape, s.coeffs[-1])
+            for c in s.coeffs[-2::-1]:
+                acc *= z
+                acc += c
+            assert sup >= np.abs(acc).max() - 4.0 * np.spacing(sup)
+
+    @pytest.mark.parametrize("c", [-2.0, 1.0 + 2.0j, -1.0j])
+    def test_plateaus_report_theta_zero(self, c):
+        # |c z^3| is constant on the circle, so the FFT's last bits would pick
+        # the grid winner and the slope is rounding noise: theta = 0 instead
+        for r in (0.3, 0.7, 0.99):
+            sup, theta = circle_sup(TruncatedSeries.polynomial([0.0, 0.0, 0.0, c]), r)
+            assert theta == 0.0 and sup == pytest.approx(abs(c) * r ** 3, rel=1e-15)
+        # at r = 0 the circle is one point
+        assert circle_sup(TruncatedSeries.polynomial([1.0, -1.0j, c]), 0.0) == (1.0, 0.0)
+
+    def test_real_coefficients_report_the_upper_mirror_witness(self):
+        # |f(r e^{i theta})| = |f(r e^{-i theta})|, so each maximum has a
+        # mirror; the witness is the one in [0, pi], and the value is |f| there
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            coeffs = rng.normal(size=int(rng.integers(2, 40)))
+            r = float(rng.uniform(0.05, 0.999))
+            sup, theta = circle_sup(TruncatedSeries.polynomial(coeffs), r)
+            assert 0.0 <= theta <= np.pi
+            for side in (1.0, -1.0):
+                value = abs(np.polyval(coeffs[::-1], r * np.exp(side * 1j * theta)))
+                assert value == pytest.approx(sup, rel=1e-12)
