@@ -7,7 +7,7 @@ The gradient-seminorm ratio
 where M_R f = sum |a_n| (Rz)^n, never reaches R/sqrt(1-R^2).  The probe
 tests the functions of the Theorem 4 certificate: for f' = g_a, the
 unit-sup test function, the ratio is exactly theorem4_sup(a, R), so the
-best ratio is a scan over a and r.  Every scale must leave a positive gap;
+best ratio is a scan over a of exact sups over r.  Every scale must leave a positive gap;
 only a negative gap would be decisive.
 """
 

@@ -27,7 +27,7 @@ print(f"weighted sup of the test function (a=0.35): {rep.value:.12f}")
 series = avkhadiev_coefficients(0.35)
 print("first coefficients:", np.round(series.coeffs[:5].real, 6))
 
-# scan the scaled majorant over r at the certificate point
+# the sup of the scaled majorant over r at the certificate point
 for scale in (1.0 / np.sqrt(2.0), 0.73, 0.75, 0.769):
     value, witness = theorem4_sup(0.35, scale)
     flag = "EXCEEDS 1" if value > 1.0 + 1e-9 else "below 1"

@@ -15,20 +15,20 @@
   0 < a < 1/sqrt(3), with weighted sup 1 under 1-r^2, its coefficients
   C(a) (n+1)(n/2 - a^2/(1-a^2)) a^n and the closed form of its majorant sum.
 * ``theorem4_*``: the upper-bound certificate via that test function; its
-  scaled majorant R (1-r^2) sum |a_n| (Rr)^n exceeds 1 for suitable (a, R),
-  e.g. a = 0.35 and R = 0.769.
+  scaled majorant T4 = R (1-r^2) sum |a_n| (Rr)^n exceeds 1 for suitable
+  (a, R), e.g. a = 0.35 and R = 0.769; its sup over r is exact at the
+  roots of a quintic in r (``_stationary_sups``).
 * ``bombieri_m_infty`` / ``mobius_majorant_sup``: the closed form
   (3 - sqrt(8(1-r^2)))/r of the bounded-function majorant supremum on
   [1/3, 1/sqrt(2)], and its independent realization by the Mobius family
   a + (1-a^2) r / (1-ar).
 * ``best_test_ratio``: the best Theorem 4 test-function ratio at a scale,
   which ``theorem4_upper_bound`` drives past 1 and the strictness probe of
-  m_Bloch(R) < R/sqrt(1-R^2) subtracts from the bound; a rigorous cell bound
-  prunes its (a, r) table, keeping the full table's argmax exactly.  For f with
+  m_Bloch(R) < R/sqrt(1-R^2) subtracts from the bound: the quintic sups on
+  an a grid, the best a polished at a root of the envelope slope.  For f with
   f' = g_a (``avkhadiev_eval``) the majorant-to-function Bloch seminorm ratio
-  is exactly ``theorem4_sup(a, R)``, because the majorant of g_a has
-  nonnegative coefficients.  ``theorem5_ratios`` computes
-  the same ratio for any series through the seminorm scans.
+  is exactly ``theorem4_sup(a, R)``, because the majorant of g_a has nonnegative
+  coefficients.  ``theorem5_ratios`` computes it for any series by seminorm scans.
 """
 
 from __future__ import annotations
@@ -60,10 +60,9 @@ PROBE_R_POINTS = 1024
 THEOREM1_BRACKET = (1e-6, 1.0 - 1e-6)
 THEOREM1_TOL = 1e-10
 
-#: parameter and radial sample counts of the Theorem 4 scans, and the scale
-#: bracket and scale tolerance of ``theorem4_upper_bound``
-THEOREM4_A_POINTS = 200
-THEOREM4_R_POINTS = 2048
+#: the a values of the Theorem 4 scans, and the scale bracket and scale
+#: tolerance of ``theorem4_upper_bound``
+THEOREM4_A_GRID = grid(1e-6, A_MAX - 1e-9, 200)
 THEOREM4_BRACKET = (1.0 / np.sqrt(2.0), 0.7691)
 THEOREM4_TOL = 1e-5
 
@@ -76,8 +75,8 @@ def _check_solver_tol(tol: float) -> float:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Certificate (R, value, a, r) a threshold search found, and its (a, r) table
-    cells, ``THEOREM4_A_POINTS`` x r_points per scale, evaluated or pruned."""
+    """Certificate (R, value, a, r) a threshold search found, and the number of
+    sups over r it took on the a grid, ``THEOREM4_A_GRID.size`` per scale tried."""
 
     upper_bound: float
     best_value: float
@@ -197,114 +196,111 @@ def avkhadiev_coefficients(a: float, n_terms: int = 257) -> TruncatedSeries:
 def avkhadiev_majorant_closed_form(a, x):
     """sum |a_n| x^n = (3 sqrt(3)(1-a^2)/2) ((x-a)/(1-ax)^3 + 2a) for x >= 0.
 
-    Broadcasts over both arguments.  Float a and x in the domain skip the
-    array conversion and the checks; the result has the 0-d array path's bits.
+    Broadcasts over both arguments; the cube is a product, so scalars and
+    arrays get the same bits at every SIMD level.
     """
-    fast = (isinstance(a, float) and isinstance(x, float) and 0.0 < a < A_MAX
-            and x >= 0.0 and a * x < 1.0)
-    if not fast:
-        a = _check_a(a)
-        x = np.asarray(x, dtype=float)
-        if not np.all(x >= 0.0):
-            raise ParameterDomainError("majorant argument must be nonnegative")
-        if np.any(a * x == 1.0):
-            raise PoleError("pole at x = 1/a")
-        if np.any(a * x > 1.0):
-            raise DivergenceRegionError("majorant sum diverges past x = 1/a")
-    out = _COEF * (1.0 - a * a) * ((x - a) / (1.0 - a * x) ** 3 + 2.0 * a)
-    if fast or np.ndim(out) == 0:
-        return float(out)
-    return out
+    a = _check_a(a)
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0.0):
+        raise ParameterDomainError("majorant argument must be nonnegative")
+    if np.any(a * x == 1.0):
+        raise PoleError("pole at x = 1/a")
+    if np.any(a * x > 1.0):
+        raise DivergenceRegionError("majorant sum diverges past x = 1/a")
+    u = 1.0 - a * x
+    out = _COEF * (1.0 - a * a) * ((x - a) / (u * u * u) + 2.0 * a)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def theorem4_expression(a, scale: float, r):
     """R (1-r^2) (3 sqrt(3)(1-a^2)/2) ((Rr-a)/(1-aRr)^3 + 2a) on r in [0, 1].
 
     Broadcasts over a and r.  R >= 1 is allowed (a pole may then lie on the disc).
-    A float r in the domain skips the array conversion, with the 0-d array path's bits.
     """
     scale = float(scale)
     if not 0.0 <= scale < np.inf:
         raise ParameterDomainError("the scale R must be nonnegative and finite")
-    if isinstance(r, float) and 0.0 <= r <= 1.0:
-        r = float(r)
-        return scale * (1.0 - r * r) * avkhadiev_majorant_closed_form(a, scale * r)
     r = np.asarray(r, dtype=float)
     if not np.all((r >= 0.0) & (r <= 1.0)):
         raise ParameterDomainError("radius must lie in [0, 1]")
     out = scale * (1.0 - r * r) * avkhadiev_majorant_closed_form(a, scale * r)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def theorem4_best_row(scale: float,
-                      r_points: int = THEOREM4_R_POINTS) -> tuple[float, np.ndarray, float]:
-    """First row of the (a, r) scan table to hold its maximum -> (a, row, max).
+def _stationary_sups(a: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sups over r in [0, 1] of T4 at each a of a 1-D array, aR < 1 -> (values, radii).
 
-    The table is ``theorem4_expression`` at R in (0, 1) on ``THEOREM4_A_POINTS``
-    a in (0, 1/sqrt(3)) by r_points >= 2 r in [0, 1].  Every 16th column (and the
-    last) bounds the maximum below by L.  On a cell [r_k, r_k+1] between them the
-    value is at most R (1 - r_k^2), as R (1 - r^2) falls, times the majorant sum
-    at R r_k+1, which is positive and rises ((x - a)/(1 - ax)^3 has derivative
-    (1 + 2ax - 3a^2)/(1 - ax)^4 > 0 for a < 1/sqrt(3)).  Only rows with a cell
-    bound within a 1e-9 rounding slack of L are evaluated: argmax and max are exact.
+    dT4/dr has the sign of P(r) = R(1-3a^2) + 2a(R^2-1) r + R(17a^2-3) r^2
+    - 24a^3R^2 r^3 + 16a^4R^3 r^4 - 4a^5R^4 r^5, in t = aRr of the monic quintic
+    t^5 - 4t^4 + 6t^3 + (3-17a^2)/(4a^2) t^2 + (1-R^2)/2 t - R^2(1-3a^2)/4, which
+    does not underflow; its powers are products, so its companion eigenvalues
+    keep their bits at every SIMD level.  The sup is the best T4 at r = 0 (first,
+    so it wins ties) and at the real parts of the roots clipped to [0, 1].
+    """
+    ar = a * scale
+    if not np.all((a >= 1e-150) & (ar >= 1e-300)):
+        raise ParameterDomainError("the stationarity quintic needs a >= 1e-150 and aR >= 1e-300")
+    a2, r2 = a * a, scale * scale
+    companion = np.zeros((a.size, 5, 5))
+    companion[:, range(1, 5), range(4)] = 1.0
+    companion[:, 0] = np.transpose(np.broadcast_arrays(
+        4.0, -6.0, (17.0 * a2 - 3.0) / (4.0 * a2), 0.5 * (r2 - 1.0), 0.25 * r2 * (1.0 - 3.0 * a2)))
+    t = np.clip(np.linalg.eigvals(companion).real, 0.0, ar[:, None])
+    radii = np.concatenate((np.zeros((a.size, 1)), t / ar[:, None]), axis=1)
+    values = theorem4_expression(a[:, None], scale, radii)
+    best = np.arange(a.size), np.argmax(values, axis=1)
+    return values[best], radii[best]
+
+
+def theorem4_sup(a: float, scale: float) -> tuple[float, float]:
+    """sup over r in [0, 1] of ``theorem4_expression`` -> (value, witness_r),
+    exact up to rounding (``_stationary_sups``).  A pole on the disc raises."""
+    theorem4_expression(a, scale, 1.0)  # the domain, pole and divergence checks
+    return tuple(float(v[0]) for v in _stationary_sups(np.array([float(a)]), float(scale)))
+
+
+def best_test_ratio(scale: float) -> tuple[float, float, float]:
+    """sup over a and r of ``theorem4_expression`` at the scale R -> (value, a, r).
+
+    The best sup over r on ``THEOREM4_A_GRID``, its a polished at a root of
+    the a slope if its bracket holds one: the majorant-to-function Bloch
+    seminorm ratio of the best f' = g_a.  Up to about R = 1/2 it is R, at the
+    last a and r = 0 up to rounding: T4(a, 0) = R (3 sqrt(3)/2) a (1 - a^2)
+    peaks at exactly R at a = 1/sqrt(3).
     """
     scale = _check_scale(scale)
-    a_grid = grid(1e-6, A_MAX - 1e-9, THEOREM4_A_POINTS)
-    r_grid = grid(0.0, 1.0, r_points)
-    cols = np.append(np.arange(0, r_points - 1, 16), r_points - 1)
-    lower = theorem4_expression(a_grid[:, None], scale, r_grid[None, cols]).max()
-    cell_max = (scale * (1.0 - r_grid[cols[:-1]] ** 2)
-                * avkhadiev_majorant_closed_form(a_grid[:, None], scale * r_grid[cols[1:]]))
-    rows = np.flatnonzero(np.any(cell_max * (1.0 + 1e-9) >= lower, axis=1))
-    table = theorem4_expression(a_grid[rows, None], scale, r_grid[None, :])
-    i, j = np.unravel_index(int(np.argmax(table)), table.shape)
-    return float(a_grid[rows[i]]), table[i], float(table[i, j])
 
+    def slope(a: float) -> float:
+        # the sign of d/da sup_r T4: d[(1 - a^2) g(x)]/da at x = R r* (envelope theorem)
+        x = scale * theorem4_sup(a, scale)[1]
+        u = 1.0 - a * x
+        return (-2.0 * a * ((x - a) / (u * u * u) + 2.0 * a)
+                + (1.0 - a * a) * ((3.0 * x * (x - a) - u) / (u * u * u * u) + 2.0))
 
-def theorem4_sup(a: float, scale: float,
-                 r_points: int = THEOREM4_R_POINTS) -> tuple[float, float]:
-    """sup over r in [0, 1] of ``theorem4_expression`` -> (value, witness_r)."""
-    x, v = grid_golden_max(lambda r: theorem4_expression(a, scale, r), 0.0, 1.0, r_points)
-    return v, x
-
-
-def best_test_ratio(scale: float,
-                    r_points: int = THEOREM4_R_POINTS) -> tuple[float, float, float]:
-    """Best ``theorem4_sup`` over the a grid at the scale R -> (value, a, r).
-
-    ``theorem4_best_row`` picks the best a, and ``scan_polish`` polishes its
-    row as in ``theorem4_sup``.  The value is the majorant-to-function Bloch
-    seminorm ratio of the best test function f' = g_a.  Up to about R = 1/2
-    it is R, at the last a-grid point and r = 0 up to the polish, since
-    T4(a, 0) = R (3 sqrt(3)/2) a (1 - a^2) peaks at exactly R at a = 1/sqrt(3).
-    """
-    a_star, row, _ = theorem4_best_row(scale, r_points)
-    r_star, value = scan_polish(lambda r: theorem4_expression(a_star, scale, r),
-                                grid(0.0, 1.0, r_points), row)
+    values, _ = _stationary_sups(THEOREM4_A_GRID, scale)
+    a_star, _ = scan_polish(lambda a: theorem4_sup(a, scale)[0], THEOREM4_A_GRID, values,
+                            slope=slope)
+    value, r_star = theorem4_sup(a_star, scale)
     return value, a_star, r_star
 
 
-def theorem4_upper_bound(tol: float = THEOREM4_TOL,
-                         r_points: int = THEOREM4_R_POINTS) -> ScanReport:
+def theorem4_upper_bound(tol: float = THEOREM4_TOL) -> ScanReport:
     """Least scale R (by bisection) at which ``best_test_ratio`` exceeds 1.
 
     Any such R is an upper bound for the Bloch-space Bohr radius.  The
     expression grows monotonically in R, so bisection on the exceedance
     flag is valid; ``THEOREM4_BRACKET`` is halved until it is within tol,
-    at most 200 times.  Each scale covers ``THEOREM4_A_POINTS`` x
-    ``r_points`` table cells, the ``samples`` count, evaluated or pruned by
-    ``theorem4_best_row``.  The report carries the certificate at the
-    returned scale upper_bound: the expression value and witness (a, r).
+    at most 200 times.  Each scale tried adds the ``THEOREM4_A_GRID`` sups
+    over r to the ``samples`` count.  The report carries the certificate at
+    the returned scale upper_bound: the expression value and witness (a, r).
     """
     tol = _check_solver_tol(tol)
     samples = 0
 
     def exceeds(scale: float) -> tuple[float, float, float] | None:
         nonlocal samples
-        samples += THEOREM4_A_POINTS * r_points
-        found = best_test_ratio(scale, r_points)
+        samples += THEOREM4_A_GRID.size
+        found = best_test_ratio(scale)
         return found if found[0] > EXCEED_THRESHOLD else None
 
     lo, hi = THEOREM4_BRACKET

@@ -18,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (EXCEED_THRESHOLD, THEOREM1_TOL, THEOREM4_R_POINTS, THEOREM4_TOL,
+from .bounds import (EXCEED_THRESHOLD, THEOREM1_TOL, THEOREM4_A_GRID, THEOREM4_TOL,
                      _check_solver_tol, best_test_ratio, bombieri_m_infty,
                      cauchy_chain_check, mobius_majorant_sup, theorem1_optimize,
-                     theorem1_root, theorem4_best_row, theorem4_sup, theorem4_upper_bound)
+                     theorem1_root, theorem4_expression, theorem4_sup, theorem4_upper_bound)
 from .errors import BlochBohrError, ParameterDomainError
 from .extremal import verify_sharpness
 from .norms import RadialSupReport, _series_radial_sup, weighted_bloch_norm
-from .search import R_POINTS
+from .search import R_POINTS, grid
 from .series import TruncatedSeries
 from .weights import (CRITERION_R_POINTS, CRITERION_TOL, PROFILE_POINTS, SQRT2, _check_tol,
                       criterion_check, find_admissible_r0, h_profile,
@@ -104,14 +104,14 @@ def _cmd_theorem1(args) -> int:
 def _cmd_theorem4(args) -> int:
     tol = _check_solver_tol(args.tol)
     if args.search:
-        scan = theorem4_upper_bound(tol, r_points=args.grid)
+        scan = theorem4_upper_bound(tol)
         report = dict(command="theorem4", search=True, **asdict(scan))
         _render(args, report,
                 ["upper_bound", "best_value", "witness_a", "witness_r", "samples"])
         return 0
     if args.a is None or args.R is None:
         raise BlochBohrError("theorem4 needs --a and --R, or --search")
-    value, witness = theorem4_sup(args.a, args.R, args.grid)
+    value, witness = theorem4_sup(args.a, args.R)
     exceeded = value > EXCEED_THRESHOLD
     report = {"command": "theorem4", "a": args.a, "R": args.R,
               "sup_r": value, "witness_r": witness, "exceeded": exceeded}
@@ -125,7 +125,9 @@ def _cmd_theorem2_check(args) -> int:
     if args.seed < 0:
         raise ParameterDomainError(f"--seed must be nonnegative, got {args.seed}")
     tol = _check_tol(args.tol)
-    _, _, max_expr = theorem4_best_row(1.0 / SQRT2, args.grid)
+    r_grid = grid(0.0, 1.0, args.grid)
+    max_expr = max(float(theorem4_expression(rows[:, None], 1.0 / SQRT2, r_grid).max())
+                   for rows in np.split(THEOREM4_A_GRID, 8))  # blocks keep temporaries small
 
     rng = np.random.default_rng(args.seed)
     weights = [weight_from_token(t) for t in
@@ -157,7 +159,7 @@ def _cmd_theorem5_probe(args) -> int:
     entries = []
     all_positive = True
     for scale in scales:
-        ratio, a, r = best_test_ratio(scale, r_points=args.grid)
+        ratio, a, r = best_test_ratio(scale)
         bound = scale / float(np.sqrt(1.0 - scale * scale))
         gap = bound - ratio
         all_positive = all_positive and gap > 0.0
@@ -298,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, help="majorant scale")
     p.add_argument("--search", action="store_true",
                    help="bisect for the least scale exceeding 1")
-    _option(p, "--grid", THEOREM4_R_POINTS, "radial samples of each sup scan")
     _option(p, "--tol", THEOREM4_TOL, "scale tolerance of --search")
     p.set_defaults(handler=_cmd_theorem4)
 
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="consistency of the sqrt(2) lower bound and the "
                             "Cauchy-Schwarz chain")
     _option(p, "--samples", 200, "random chain samples")
-    _option(p, "--grid", THEOREM4_R_POINTS, "radial samples of the scale-1/sqrt(2) scan")
+    _option(p, "--grid", R_POINTS, "radial samples of the scale-1/sqrt(2) table")
     _option(p, "--tol", 1e-9, "largest admissible chain violation")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_theorem2_check)
@@ -315,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="strictness probe of the Bloch majorant bound")
     p.add_argument("--R", type=float, action="append",
                    help="scale to probe (repeatable; default four canonical scales)")
-    _option(p, "--grid", THEOREM4_R_POINTS, "radial samples of each test-function scan")
     p.set_defaults(handler=_cmd_theorem5_probe)
 
     p = sub.add_parser("bombieri", parents=[shared],

@@ -4,9 +4,9 @@ Every grid supremum in the library (and the worst criterion margin, an
 infimum) goes through one primitive, ``scan_polish``: a uniform grid scan
 (radial scans start at 0), then a polish of the best grid point's bracket
 to a 1e-12 width: golden-section search for a maximum, trisection for a
-minimum, or, given an analytic slope (the angle polish of
-``series.circle_sup``), Illinois regula falsi on its root (``falsi_peak``),
-which fixes the witness to about eps rather than sqrt(eps).  On the angle
+minimum, or, given an analytic slope (``series.circle_sup`` over the angle,
+``bounds.best_test_ratio`` over a), Illinois regula falsi on its root
+(``falsi_peak``), which fixes the witness to about eps, not sqrt(eps).  On the angle
 circle the bracket wraps around; elsewhere it is clipped to the grid.
 Root-finding is bracketed bisection with an explicit sign-change check,
 converging on the residual rather than the bracket width (``bisect_root``);

@@ -246,13 +246,16 @@ def eval_series(s: TruncatedSeries, z) -> SeriesValue:
 
 
 def coefficient_sum(s: TruncatedSeries, radius):
-    """The majorant value sum |a_n| radius^n of the stored coefficients (broadcasts)."""
+    """The majorant value sum |a_n| radius^n of the stored coefficients (broadcasts),
+    by real Horner on libm's |a_n|: one set of bits for scalar and array radii on every ISA."""
     r = np.asarray(radius, dtype=float)
     if np.any(r < 0.0):
         raise ParameterDomainError("radius must be nonnegative")
     _check_certified(s, float(np.max(r, initial=0.0)), "majorant sum")
-    out = r[..., None] ** np.arange(s.coeffs.size) @ np.abs(s.coeffs)
-    return float(out) if out.ndim == 0 else out
+    x, out = (float(r) if r.ndim == 0 else r), 0.0
+    for c in map(abs, s.coeffs[::-1].tolist()):
+        out = out * x + c
+    return out
 
 
 def _angle_count(requested: int, n_coeffs: int) -> int:

@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from blochbohr import (NoSignChangeError, ParameterDomainError, PoleError,
+from blochbohr import (DivergenceRegionError, NoSignChangeError, ParameterDomainError, PoleError,
                        TruncatedSeries, avkhadiev_coefficients,
                        best_test_ratio, bombieri_m_infty, builtin_weight,
                        cauchy_chain_check, coefficient_sum, majorant,
@@ -11,10 +11,8 @@ from blochbohr import (NoSignChangeError, ParameterDomainError, PoleError,
                        theorem1_optimize, theorem1_root, theorem4_expression,
                        theorem4_sup, theorem4_upper_bound, theorem5_ratios)
 from blochbohr import bounds
-from blochbohr.bounds import (A_MAX, S_RANGE, THEOREM4_A_POINTS, THEOREM4_R_POINTS,
-                              ProbeFunction, _t1_residual, avkhadiev_majorant_closed_form,
-                              theorem4_best_row)
-from blochbohr.search import scan_polish
+from blochbohr.bounds import (_COEF, A_MAX, S_RANGE, THEOREM4_A_GRID, ProbeFunction,
+                              _stationary_sups, _t1_residual, avkhadiev_majorant_closed_form)
 from conftest import random_polynomial
 
 SQRT2 = np.sqrt(2.0)
@@ -182,7 +180,7 @@ class TestTheorem4:
         scan = theorem4_upper_bound()
         assert best_test_ratio(scan.upper_bound) \
             == (scan.best_value, scan.witness_a, scan.witness_r)
-        assert scan.samples % (THEOREM4_A_POINTS * THEOREM4_R_POINTS) == 0
+        assert scan.samples % THEOREM4_A_GRID.size == 0
 
     @pytest.mark.parametrize("bracket,end", [((0.5, 0.6), "high end"),
                                              ((0.77, 0.8), "low end")])
@@ -269,12 +267,14 @@ class TestTheorem5:
         # z has ratio exactly R, so the test functions never do worse
         assert best_test_ratio(scale)[0] >= scale - 1e-12
 
-    @pytest.mark.parametrize("scale", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("scale", [0.01, 0.1, 0.2, 0.3, 0.45, 0.5])
     def test_small_scales_take_the_closed_form_at_the_origin(self, scale):
         # T4(a, 0) = R (3 sqrt(3)/2) a (1 - a^2) peaks at exactly R at a = 1/sqrt(3)
         value, a, r = best_test_ratio(scale)
-        assert value == pytest.approx(scale, abs=1e-12)
+        assert value == pytest.approx(scale, rel=4 * np.finfo(float).eps)
         assert a == A_MAX - 1e-9
+        # at that a, 1e-9 below 1/sqrt(3), T4 peaks within 1e-8 of r = 0, and
+        # rounding decides between the root and the end
         assert 0.0 <= r <= 1e-8
 
     @pytest.mark.parametrize("a,scale", [(0.339448, 1.0 / SQRT2), (0.35, 0.769)])
@@ -300,50 +300,104 @@ class TestTheorem5:
         with pytest.raises(ParameterDomainError):
             theorem5_ratios(0.5, family)
 
-    def test_scale_domain(self):
+
+def dense_sup(a, scale, r_points=100_001):
+    """max of ``theorem4_expression`` on a dense r grid, a lower bound of the sup."""
+    return float(theorem4_expression(a, scale, np.linspace(0.0, 1.0, r_points)).max())
+
+
+class TestQuinticSup:
+    """The sup over r at the roots of the stationarity quintic."""
+
+    def test_quintic_is_the_scaled_radial_derivative(self):
+        # u^4 dT4/dr / (R C (1 - a^2)) with u = 1 - aRr, against a central difference
+        rng = np.random.default_rng(3)
+        for a, scale, r in zip(rng.uniform(0.01, A_MAX, 200), rng.uniform(0.05, 0.99, 200),
+                               rng.uniform(0.01, 0.99, 200)):
+            h = 1e-6
+            slope = (theorem4_expression(a, scale, r + h)
+                     - theorem4_expression(a, scale, r - h)) / (2.0 * h)
+            u = 1.0 - a * scale * r
+            coeffs = [scale * (1 - 3 * a**2), 2 * a * (scale**2 - 1), scale * (17 * a**2 - 3),
+                      -24 * a**3 * scale**2, 16 * a**4 * scale**3, -4 * a**5 * scale**4]
+            p = sum(c * r**k for k, c in enumerate(coeffs))
+            assert u**4 * slope / (scale * _COEF * (1 - a * a)) == pytest.approx(p, abs=1e-7)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_never_below_a_dense_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        for a, scale in zip(rng.uniform(1e-6, A_MAX, 20), rng.uniform(0.01, 0.999, 20)):
+            value, r = theorem4_sup(float(a), float(scale))
+            assert value == theorem4_expression(float(a), float(scale), r)
+            assert dense_sup(a, scale) <= value * (1.0 + 4 * np.finfo(float).eps), (a, scale)
+
+    @pytest.mark.parametrize("a,scale", [(0.5, 0.3), (0.35, 0.769), (0.2, 0.5), (0.5, 0.9),
+                                         (0.1, 0.9), (0.3, 0.6), (0.55, 0.99)])
+    def test_interior_witness_is_a_peak(self, a, scale):
+        value, r = theorem4_sup(a, scale)
+        assert 0.0 < r < 1.0
+        h = 1e-7
+        assert theorem4_expression(a, scale, r - h) <= value
+        assert theorem4_expression(a, scale, r + h) <= value
+        assert value == pytest.approx(dense_sup(a, scale), rel=1e-9)
+
+    def test_scales_past_one(self):
+        # R >= 1 is allowed while the pole 1/(aR) stays off the disc
+        value, _ = theorem4_sup(0.35, 2.0)
+        assert value == pytest.approx(dense_sup(0.35, 2.0), rel=1e-9)
+        with pytest.raises(DivergenceRegionError):
+            theorem4_sup(0.35, 3.0)
+        with pytest.raises(PoleError):
+            theorem4_sup(0.5, 2.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a,scale", [(0.35, 0.0), (1e-200, 0.5), (0.35, float("inf")),
+                                         (float("nan"), 0.5), (0.7, 0.5)])
+    def test_domain(self, a, scale):
         with pytest.raises(ParameterDomainError):
-            best_test_ratio(1.0)
-        with pytest.raises(ParameterDomainError):
-            best_test_ratio(0.0)
+            theorem4_sup(a, scale)
+
+    @pytest.mark.parametrize("scale", [0.3, 0.5, 0.7, 0.769, 0.9, 0.99])
+    def test_batch_matches_single_sups(self, scale):
+        values, radii = _stationary_sups(THEOREM4_A_GRID, scale)
+        for a, v, r in zip(THEOREM4_A_GRID.tolist(), values.tolist(), radii.tolist()):
+            assert theorem4_sup(a, scale) == (v, r)
 
 
-class TestPrunedBestRow:
-    """The pruned search against the full (a, r) table it stands for."""
+class TestBestTestRatio:
+    @pytest.mark.parametrize("scale", [0.5, 0.52, 0.55])
+    def test_two_local_maxima_agree_with_a_dense_table(self, scale):
+        # the sup over r has a local maximum in a at the end 1/sqrt(3) and one
+        # inside; 0.5 takes the end, 0.52 and 0.55 the inside
+        a_grid = np.linspace(1e-6, A_MAX - 1e-9, 2001)
+        r_grid = np.linspace(0.0, 1.0, 2001)
+        table = theorem4_expression(a_grid[:, None], scale, r_grid[None, :])
+        value, a, r = best_test_ratio(scale)
+        assert table.max() <= value * (1.0 + 4 * np.finfo(float).eps)
+        assert value - table.max() <= 1e-6
+        i = int(np.argmax(table)) // r_grid.size
+        assert abs(a - a_grid[i]) <= 2 * (a_grid[1] - a_grid[0])
+        assert value == theorem4_expression(a, scale, r)
 
-    @staticmethod
-    def full_table(scale, r_points):
-        a_grid = np.linspace(1e-6, A_MAX - 1e-9, THEOREM4_A_POINTS)
-        r_grid = np.linspace(0.0, 1.0, r_points)
-        return a_grid, r_grid, theorem4_expression(a_grid[:, None], scale, r_grid[None, :])
+    @pytest.mark.parametrize("scale", [0.56, 0.6, 0.65, 1.0 / SQRT2, 0.75, 0.769, 0.8, 0.9,
+                                       0.95, 0.99])
+    def test_polished_a_is_a_peak(self, scale):
+        value, a, r = best_test_ratio(scale)
+        assert value == theorem4_expression(a, scale, r)
+        for da in (-1e-6, 1e-6):
+            assert theorem4_sup(a + da, scale)[0] <= value
 
-    @pytest.mark.parametrize("r_points", [2, 3, 17, 300, 2048])
-    @pytest.mark.parametrize("scale", [0.1, 0.3, 0.5, 1.0 / SQRT2, 0.75, 0.768, 0.9, 0.99])
-    def test_matches_the_full_table(self, scale, r_points):
-        a_grid, r_grid, table = self.full_table(scale, r_points)
-        i = int(np.argmax(table)) // r_points
-        a, row, top = theorem4_best_row(scale, r_points)
-        assert a == a_grid[i]
-        assert np.array_equal(row, table[i])
-        assert top == table.max()
-        x, v = scan_polish(lambda r: theorem4_expression(a_grid[i], scale, r), r_grid, table[i])
-        assert best_test_ratio(scale, r_points) == (v, a_grid[i], x)
-
-    def test_matches_the_full_table_at_random_sizes(self):
-        rng = np.random.default_rng(7)
-        for scale, r_points in zip(rng.uniform(0.45, 0.999, 60), rng.integers(2, 700, 60)):
-            a_grid, _, table = self.full_table(scale, r_points)
-            a, _, top = theorem4_best_row(scale, r_points)
-            assert (a, top) == (a_grid[int(np.argmax(table)) // r_points], table.max())
-
-    def test_scan_size(self):
-        with pytest.raises(ParameterDomainError, match="at least 2 points, got 1$"):
-            theorem4_best_row(0.5, 1)
+    def test_theorem4_threshold(self):
+        # the family sup crosses 1 at R* = 0.7683632197 (secant root)
+        assert best_test_ratio(0.76836)[0] < 1.0 < best_test_ratio(0.76837)[0]
 
     @pytest.mark.parametrize("scale", [0.0, 1.0, float("nan")])
     def test_scale_domain(self, scale):
         with pytest.raises(ParameterDomainError, match=r"lie in \(0, 1\)"):
-            theorem4_best_row(scale)
+            best_test_ratio(scale)
 
+
+class TestClosedFormFloatPath:
     def test_float_path_matches_the_array_path(self):
         rng = np.random.default_rng(14)
         a = rng.uniform(0.0, A_MAX, 10_000)

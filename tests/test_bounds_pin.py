@@ -1,13 +1,13 @@
-"""The Theorem 4 scans print exactly the checked-in JSON at their edges.
+"""The Theorem 4 sups print exactly the checked-in JSON at their edges.
 
-``theorem5-probe`` at extreme scales and small radial grids,
-``theorem4 --search`` on a coarse grid and ``theorem2-check`` on a 300-point
-grid reach the small-grid and extreme-scale cases of the pruned (a, r)
-search, which the README examples do not.  Every run goes through
-``cli.main`` with JSON output (full round-trip precision); stdout must match
-``data/bounds_pin.txt`` byte for byte, which holds one ``$ blochbohr <args>``
-line per run followed by its stdout.  After an intended output change,
-regenerate it with
+``theorem5-probe`` at extreme scales and at 0.5, 0.52 and 0.55 (where the
+sup over r has two local maxima in a), ``theorem4`` at an interior root near
+r = 0.085, and ``theorem2-check`` on a 300-point table reach cases of the
+stationarity-quintic sups that the README examples do not.  Every run goes
+through ``cli.main`` with JSON output (full round-trip precision); stdout
+must match ``data/bounds_pin.txt`` byte for byte, which holds one
+``$ blochbohr <args>`` line per run followed by its stdout.  After an
+intended output change, regenerate it with
 
     PYTHONPATH=src python tests/test_bounds_pin.py
 """
@@ -20,10 +20,8 @@ EXPECTED = DATA / "bounds_pin.txt"
 
 RUNS = [
     "theorem5-probe --R 0.01 --R 0.2 --R 0.75 --R 0.99 --format json",
-    "theorem5-probe --grid 2 --format json",
-    "theorem5-probe --grid 17 --format json",
-    "theorem5-probe --grid 300 --format json",
-    "theorem4 --search --grid 100 --format json",
+    "theorem5-probe --R 0.5 --R 0.52 --R 0.55 --format json",
+    "theorem4 --a 0.5 --R 0.3 --format json",
     "theorem2-check --grid 300 --samples 3 --format json",
 ]
 

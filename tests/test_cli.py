@@ -4,9 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from blochbohr.bounds import (THEOREM1_TOL, THEOREM4_BRACKET, THEOREM4_R_POINTS,
-                              THEOREM4_TOL, theorem1_optimize, theorem1_root,
-                              theorem4_best_row, theorem4_sup, theorem4_upper_bound)
+from blochbohr.bounds import (THEOREM1_TOL, THEOREM4_BRACKET, THEOREM4_TOL,
+                              theorem1_optimize, theorem1_root, theorem4_upper_bound)
 from blochbohr.cli import build_parser, main
 from blochbohr.extremal import verify_sharpness
 from blochbohr.norms import weighted_bloch_norm
@@ -279,10 +278,9 @@ class TestOptionDefaults:
     # each subcommand with a cheap invocation and the overrides it accepts
     INVOCATIONS = [
         (("theorem1", "--s", "0.5"), ("tol",)),
-        (("theorem4", "--a", "0.35", "--R", "0.769"), ("grid",)),
-        (("theorem4", "--search"), ("grid", "tol")),
+        (("theorem4", "--a", "0.35", "--R", "0.769"), ("tol",)),
+        (("theorem4", "--search"), ("tol",)),
         (("theorem2-check", "--samples", "5"), ("grid", "tol")),
-        (("theorem5-probe", "--R", "0.5"), ("grid",)),
         (("bombieri",), ("grid",)),
         (("weight-check", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8"),
          ("grid", "tol")),
@@ -302,15 +300,12 @@ class TestOptionDefaults:
         assert defaults("theorem1")["tol"] == THEOREM1_TOL == 1e-10
         assert default(theorem1_root, "tol") == default(theorem1_optimize, "tol") \
             == THEOREM1_TOL
-        t4 = defaults("theorem4")
-        assert (t4["grid"], t4["tol"]) == (THEOREM4_R_POINTS, THEOREM4_TOL)
+        assert defaults("theorem4")["tol"] == THEOREM4_TOL
         assert (THEOREM4_TOL, THEOREM4_BRACKET) == (1e-5, (1.0 / SQRT2, 0.7691))
         assert default(theorem4_upper_bound, "tol") == THEOREM4_TOL
-        assert defaults("theorem2-check")["grid"] == THEOREM4_R_POINTS
-        assert default(theorem4_best_row, "r_points") == THEOREM4_R_POINTS
-        assert default(theorem4_upper_bound, "r_points") == THEOREM4_R_POINTS
-        assert default(theorem4_sup, "r_points") == THEOREM4_R_POINTS
-        assert defaults("theorem5-probe")["grid"] == THEOREM4_R_POINTS
+        assert defaults("theorem2-check")["grid"] == R_POINTS
+        assert "grid" not in defaults("theorem4")
+        assert "grid" not in defaults("theorem5-probe")
         wc = defaults("weight-check", "--weight", "standard")
         assert (wc["grid"], wc["tol"]) == (CRITERION_R_POINTS, CRITERION_TOL)
         sh = defaults("sharpness", "--weight", "standard", "--r0", "0.8")
@@ -332,7 +327,6 @@ class TestOptionDefaults:
             assert run(capsys, *argv, flag, repr(parsed[dest])) == base, flag
 
     @pytest.mark.parametrize("argv", [
-        ("theorem4", "--a", "0.35", "--R", "0.769", "--grid", "1"),
         ("theorem4", "--search", "--tol", "0"),
         ("theorem4", "--a", "0.35", "--R", "0.769", "--tol", "0"),
         ("theorem2-check", "--samples", "0"),
@@ -347,7 +341,6 @@ class TestOptionDefaults:
         ("norms", "--series", "no-coeffs.json"),
         ("norms", "--series", "nan-tail.json"),
         ("weight-check", "--weight", "standard", "--r0", "0.8", "--grid", "1"),
-        ("theorem5-probe", "--R", "0.5", "--grid", "1"),
         ("sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8",
          "--grid", "1"),
         ("weight-check", "--weight", "example3:r0=0.75,alpha=nan", "--r0", "0.75"),
@@ -368,6 +361,9 @@ class TestOptionDefaults:
         ("theorem4", "--a", "nan", "--R", "0.769"),
         ("theorem4", "--a", "0.35", "--R", "nan"),
         ("theorem4", "--a", "0.35", "--R", "inf"),
+        ("theorem4", "--a", "0.35", "--R", "0"),
+        ("theorem4", "--a", "1e-200", "--R", "0.5"),
+        ("theorem4", "--a", "0.35", "--R", "3"),
         ("theorem2-check", "--samples", "3", "--seed", "-1"),
         ("theorem2-check", "--samples", "5", "--tol", "nan"),
         ("theorem2-check", "--samples", "5", "--tol", "-1"),
@@ -397,14 +393,10 @@ class TestOptionDefaults:
         ("weight-check", "--weight", "standard", "--grid", "{n}"),
         ("weight-check", "--weight", "standard", "--r0", "0.8", "--grid", "{n}"),
         ("sharpness", "--weight", "constant", "--r0", "1", "--grid", "{n}"),
-        ("theorem4", "--a", "0.35", "--R", "0.769", "--grid", "{n}"),
-        ("theorem5-probe", "--R", "0.5", "--grid", "{n}"),
-        ("theorem4", "--search", "--grid", "{n}"),
         ("theorem2-check", "--samples", "3", "--grid", "{n}"),
         ("h-profile", "--r0", "0.8", "--n", "{n}"),
     ], ids=["norms-shortcut", "norms-scan", "weight-check-search", "weight-check-r0",
-            "sharpness", "theorem4", "theorem5-probe", "theorem4-search",
-            "theorem2-check", "h-profile"])
+            "sharpness", "theorem2-check", "h-profile"])
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_scan_sizes_below_two_are_rejected_alike(self, capsys, argv, n):
         argv = [arg.format(n=n) for arg in argv]
@@ -414,6 +406,9 @@ class TestOptionDefaults:
     @pytest.mark.parametrize("argv", [
         ("theorem1", "--s", "0.5", "--grid", "10"),
         ("theorem5-probe", "--R", "0.5", "--tol", "1"),
+        ("theorem5-probe", "--R", "0.5", "--grid", "10"),
+        ("theorem4", "--a", "0.35", "--R", "0.769", "--grid", "10"),
+        ("theorem4", "--search", "--grid", "10"),
         ("bombieri", "--tol", "1"),
         ("h-profile", "--r0", "0.8", "--tol", "1"),
         ("norms", "--coeffs", "0,1", "--tol", "1"),

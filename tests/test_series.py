@@ -204,12 +204,23 @@ class TestCoefficientSum:
         sums, tails = coefficient_sum(s, radii), tail_bound(s, radii)
         assert sums.shape == tails.shape == radii.shape
         for r, got_sum, got_tail in zip(radii.ravel(), sums.ravel(), tails.ravel()):
-            assert got_sum == pytest.approx(coefficient_sum(s, float(r)), rel=1e-15)
+            assert got_sum == coefficient_sum(s, float(r))
             assert got_tail == tail_bound(s, float(r))
         with pytest.raises(DivergenceRegionError):
             tail_bound(s, np.array([0.5, 2.0]))
         with pytest.raises(ParameterDomainError):
             coefficient_sum(s, np.array([0.5, -0.1]))
+
+    @pytest.mark.parametrize("max_degree", [1, 4, 16, 64, 256])
+    def test_array_matches_stacked_scalar_calls_bit_for_bit(self, max_degree):
+        # one rounding path: the polish of a scanned majorant profile compares
+        # scalar values with the array values of the scan
+        rng = np.random.default_rng(max_degree)
+        for _ in range(40):
+            s = random_polynomial(rng, max_degree)
+            radii = rng.uniform(0.0, 1.0, 67)
+            assert [x.hex() for x in coefficient_sum(s, radii).tolist()] \
+                == [coefficient_sum(s, r).hex() for r in radii.tolist()]
 
     @pytest.mark.parametrize("radius", [np.nan, np.inf])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
