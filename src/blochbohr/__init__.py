@@ -10,50 +10,46 @@ the upper bound's test functions).
 
 Everything is pure and deterministic; suprema are grid scans with a
 golden-section or derivative-root polish and report their witness points.
+
+Importing the package loads no layer and not numpy: each exported name is imported
+from its submodule on first access (PEP 562), so a subcommand loads only its layers.
 """
 
-from .bounds import (ScanReport, avkhadiev_coefficients, avkhadiev_eval,
-                     avkhadiev_majorant_closed_form, best_test_ratio, bombieri_m_infty,
-                     cauchy_chain_check, mobius_majorant_sum, mobius_majorant_sup,
-                     mobius_series, theorem1_optimize, theorem1_root, theorem4_expression,
-                     theorem4_sup, theorem4_upper_bound, theorem5_ratios)
-from .errors import (BlochBohrError, ConvergenceError, DivergenceRegionError,
-                     EvaluatorDomainError, NoSignChangeError, ParameterDomainError,
-                     PoleError, PreconditionError, ZeroDenominatorError)
-from .extremal import (ExtremalSpec, SharpnessReport, blaschke_degree,
-                       blaschke_degree_montecarlo, extremal_coefficients,
-                       extremal_eval, extremal_majorant_sum, extremal_sup_modulus,
-                       verify_sharpness)
-from .norms import (RadialSupReport, weighted_bloch_norm, weighted_bloch_seminorm,
-                    weighted_radial_sup)
-from .search import bisect_root, golden_max, grid_golden_max, trisect_min
-from .series import (CircleNorms, SeriesValue, TruncatedSeries, circle_norms,
-                     circle_sup, coefficient_sum, derivative, eval_series,
-                     majorant, scale_argument, tail_bound)
-from .weights import (CriterionReport, Weight, builtin_weight, criterion_bound,
-                      criterion_check, find_admissible_r0, h_profile,
-                      weight_from_token)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochBohrError", "CircleNorms", "ConvergenceError", "CriterionReport",
-    "DivergenceRegionError", "EvaluatorDomainError", "ExtremalSpec",
-    "NoSignChangeError", "ParameterDomainError", "PoleError", "PreconditionError",
-    "RadialSupReport", "ScanReport", "SeriesValue", "SharpnessReport",
-    "TruncatedSeries", "Weight", "ZeroDenominatorError",
-    "avkhadiev_coefficients", "avkhadiev_eval", "avkhadiev_majorant_closed_form",
-    "best_test_ratio", "bisect_root", "blaschke_degree",
-    "blaschke_degree_montecarlo", "bombieri_m_infty", "builtin_weight",
-    "cauchy_chain_check", "circle_norms", "circle_sup", "coefficient_sum",
-    "criterion_bound", "criterion_check", "derivative",
-    "eval_series", "extremal_coefficients", "extremal_eval",
-    "extremal_majorant_sum", "extremal_sup_modulus", "find_admissible_r0",
-    "golden_max", "grid_golden_max", "h_profile", "majorant",
-    "mobius_majorant_sum", "mobius_majorant_sup", "mobius_series",
-    "scale_argument", "tail_bound", "theorem1_optimize", "theorem1_root",
-    "theorem4_expression", "theorem4_sup", "theorem4_upper_bound",
-    "theorem5_ratios", "trisect_min", "verify_sharpness",
-    "weight_from_token", "weighted_bloch_norm", "weighted_bloch_seminorm",
-    "weighted_radial_sup",
-]
+#: the submodule that defines each exported name
+_EXPORTS = {
+    "bounds": """ScanReport avkhadiev_coefficients avkhadiev_eval avkhadiev_majorant_closed_form
+        best_test_ratio bombieri_m_infty cauchy_chain_check mobius_majorant_sum
+        mobius_majorant_sup mobius_series theorem1_optimize theorem1_root theorem4_expression
+        theorem4_sup theorem4_upper_bound theorem5_ratios""",
+    "errors": """BlochBohrError ConvergenceError DivergenceRegionError EvaluatorDomainError
+        NoSignChangeError ParameterDomainError PoleError PreconditionError ZeroDenominatorError""",
+    "extremal": """ExtremalSpec SharpnessReport blaschke_degree blaschke_degree_montecarlo
+        extremal_coefficients extremal_eval extremal_majorant_sum extremal_sup_modulus
+        verify_sharpness""",
+    "norms": "RadialSupReport weighted_bloch_norm weighted_bloch_seminorm weighted_radial_sup",
+    "search": "bisect_root golden_max grid_golden_max trisect_min",
+    "series": """CircleNorms SeriesValue TruncatedSeries circle_norms circle_sup coefficient_sum
+        derivative eval_series majorant scale_argument tail_bound""",
+    "weights": """CriterionReport Weight builtin_weight criterion_bound criterion_check
+        find_admissible_r0 h_profile weight_from_token""",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

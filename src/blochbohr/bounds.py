@@ -38,10 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceRegionError, ParameterDomainError, PoleError
-from .norms import weighted_bloch_seminorm
-from .search import bisect_flag, bisect_root, grid, grid_golden_max, scan_polish
+from .search import (THEOREM1_TOL, THEOREM4_TOL, bisect_flag, bisect_root, grid,
+                     grid_golden_max, scan_polish)
 from .series import TruncatedSeries, circle_norms, coefficient_sum, majorant, scale_argument
-from .weights import Weight, builtin_weight
 
 #: exponents s ``theorem1_root`` accepts; the root is ill conditioned beyond them
 S_RANGE = (1e-4, 1.0 - 1e-4)
@@ -56,15 +55,12 @@ EXCEED_THRESHOLD = 1.0 + 1e-9
 #: radial samples of the seminorms in ``theorem5_ratios`` (margins there are large)
 PROBE_R_POINTS = 1024
 
-#: radius bracket and residual tolerance of the Theorem 1 root solves
+#: radius bracket of the Theorem 1 root solves
 THEOREM1_BRACKET = (1e-6, 1.0 - 1e-6)
-THEOREM1_TOL = 1e-10
 
-#: the a values of the Theorem 4 scans, and the scale bracket and scale
-#: tolerance of ``theorem4_upper_bound``
+#: the a values of the Theorem 4 scans, and the scale bracket of ``theorem4_upper_bound``
 THEOREM4_A_GRID = grid(1e-6, A_MAX - 1e-9, 200)
 THEOREM4_BRACKET = (1.0 / np.sqrt(2.0), 0.7691)
-THEOREM4_TOL = 1e-5
 
 
 def _check_solver_tol(tol: float) -> float:
@@ -384,6 +380,7 @@ class ProbeFunction:
     def bloch_seminorm(self, w: Weight, r_points: int) -> float:
         key = (w.name, tuple(sorted(w.params.items())), r_points)
         if key not in self._norms:
+            from .norms import weighted_bloch_seminorm
             self._norms[key] = weighted_bloch_seminorm(self.series, w, r_points)
         return self._norms[key]
 
@@ -398,6 +395,8 @@ def theorem5_ratios(scale: float, family) -> dict[str, float]:
     the Theorem 4 test functions ``best_test_ratio`` gives the ratio in
     closed form.
     """
+    from .norms import weighted_bloch_seminorm
+    from .weights import builtin_weight
     scale = _check_scale(scale)
     std = builtin_weight("standard")
     ratios = {}

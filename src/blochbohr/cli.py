@@ -5,7 +5,8 @@ output: ``theorem1``, ``theorem4``, ``theorem2-check``, ``theorem5-probe``,
 ``bombieri``, ``weight-check``, ``h-profile``, ``sharpness``, ``norms``.
 CSV floats carry 9 significant digits (plot feeds); JSON floats use full
 round-trip precision (regression feeds).  Exit code 0 means no error record;
-domain and solver failures exit nonzero with a message on stderr.
+domain and solver failures exit nonzero with a message on stderr.  Each
+handler imports the layers it calls, so a subcommand loads no other.
 """
 
 from __future__ import annotations
@@ -18,18 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (EXCEED_THRESHOLD, THEOREM1_TOL, THEOREM4_A_GRID, THEOREM4_TOL,
-                     _check_solver_tol, best_test_ratio, bombieri_m_infty,
-                     cauchy_chain_check, mobius_majorant_sup, theorem1_optimize,
-                     theorem1_root, theorem4_expression, theorem4_sup, theorem4_upper_bound)
 from .errors import BlochBohrError, ParameterDomainError
-from .extremal import verify_sharpness
-from .norms import RadialSupReport, _series_radial_sup, weighted_bloch_norm
-from .search import R_POINTS, grid
-from .series import TruncatedSeries
+from .search import R_POINTS, THEOREM1_TOL, THEOREM4_TOL, grid
 from .weights import (CRITERION_R_POINTS, CRITERION_TOL, PROFILE_POINTS, SQRT2, _check_tol,
-                      criterion_check, find_admissible_r0, h_profile,
-                      weight_from_token)
+                      criterion_check, find_admissible_r0, h_profile, weight_from_token)
 
 DEFAULT_PROBE_SCALES = (0.3, 0.5, 1.0 / SQRT2, 0.9)
 
@@ -53,9 +46,7 @@ def _csv_cell(cell) -> str:
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(cell) for cell in row))
+    lines = [",".join(header)] + [",".join(_csv_cell(cell) for cell in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -87,6 +78,7 @@ def _render(args, report: dict, header: list[str],
 
 
 def _cmd_theorem1(args) -> int:
+    from .bounds import theorem1_optimize, theorem1_root
     if args.optimize:
         s_star, r_star = theorem1_optimize(args.tol)
         report = {"command": "theorem1", "optimize": True,
@@ -102,6 +94,7 @@ def _cmd_theorem1(args) -> int:
 
 
 def _cmd_theorem4(args) -> int:
+    from .bounds import EXCEED_THRESHOLD, _check_solver_tol, theorem4_sup, theorem4_upper_bound
     tol = _check_solver_tol(args.tol)
     if args.search:
         scan = theorem4_upper_bound(tol)
@@ -120,6 +113,8 @@ def _cmd_theorem4(args) -> int:
 
 
 def _cmd_theorem2_check(args) -> int:
+    from .bounds import EXCEED_THRESHOLD, THEOREM4_A_GRID, cauchy_chain_check, theorem4_expression
+    from .series import TruncatedSeries
     if args.samples < 1:
         raise ParameterDomainError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
@@ -155,6 +150,7 @@ def _cmd_theorem2_check(args) -> int:
 
 
 def _cmd_theorem5_probe(args) -> int:
+    from .bounds import best_test_ratio
     scales = args.R or list(DEFAULT_PROBE_SCALES)
     entries = []
     all_positive = True
@@ -172,6 +168,7 @@ def _cmd_theorem5_probe(args) -> int:
 
 
 def _cmd_bombieri(args) -> int:
+    from .bounds import bombieri_m_infty, mobius_majorant_sup
     if args.grid < 1:
         raise ParameterDomainError(f"--grid must be at least 1, got {args.grid}")
     radii = [args.r] if args.r is not None else np.linspace(1.0 / 3.0, 1.0 / SQRT2, args.grid)
@@ -220,6 +217,7 @@ def _cmd_h_profile(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
+    from .extremal import verify_sharpness
     w = weight_from_token(args.weight)
     tol = _check_tol(args.tol)
     rep = verify_sharpness(w, args.r0, args.grid)
@@ -242,6 +240,7 @@ def _cmd_sharpness(args) -> int:
 
 
 def _read_series(args) -> TruncatedSeries:
+    from .series import TruncatedSeries
     if not (args.series or args.coeffs):
         raise BlochBohrError("norms needs --series <path> or --coeffs <list>")
     try:
@@ -256,6 +255,7 @@ def _read_series(args) -> TruncatedSeries:
 
 
 def _cmd_norms(args) -> int:
+    from .norms import RadialSupReport, _series_radial_sup, weighted_bloch_norm
     series = _read_series(args)
     w = weight_from_token(args.weight)
     norm = weighted_bloch_norm(series, w, args.grid)
@@ -366,10 +366,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except BlochBohrError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (BlochBohrError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BlochBohrError, EvaluatorDomainError
 from .search import R_MAX, R_POINTS, THETA_POINTS, grid_golden_max, radii, scan_polish
 from .series import (TruncatedSeries, _angle_count, _angle_grid_values, _check_certified,
-                     _horner, circle_sup, coefficient_sum, derivative)
+                     circle_sup, coefficient_sum, derivative)
 from .weights import Weight
 
 #: stride of the radii the pruned rough scan transforms first (plus the last)
@@ -38,16 +38,16 @@ class RadialSupReport:
     witness_theta: float
 
 
-def _batch_circle_max(coeffs: np.ndarray, rs: np.ndarray, theta_points: int,
+def _batch_circle_max(s: TruncatedSeries, rs: np.ndarray, theta_points: int,
                       weights: np.ndarray) -> np.ndarray:
     """max_theta |f(r e^{i theta})| on the raw angle grid at each radius that
     can hold the argmax of ``weights * out`` (see ``_series_radial_sup``),
     0.0 elsewhere; negative or non-finite weights get every radius."""
-    count = _angle_count(theta_points, coeffs.size)
+    count = _angle_count(theta_points, s.coeffs.size)
     out = np.zeros(rs.size)
 
     def scan(rows: np.ndarray) -> None:
-        for part, values in _angle_grid_values(coeffs, rs[rows], count):
+        for part, values in _angle_grid_values(s.coeffs, rs[rows], count):
             out[rows[part]] = np.abs(values).max(axis=1)
 
     rows = np.arange(rs.size)
@@ -56,9 +56,9 @@ def _batch_circle_max(coeffs: np.ndarray, rs: np.ndarray, theta_points: int,
     best = np.max(weights[coarse] * out[coarse])
     rest = (rows % _COARSE != 0) & (rows < rows[-1])
     if np.all((weights >= 0.0) & (weights < np.inf)) and 0.0 < best < np.inf:
-        maj = _horner(np.abs(coeffs), rs).real
+        maj = coefficient_sum(s, rs)
         upper = (1.0 + _EPS) * maj
-        n = coeffs.size - 1
+        n = s.order
         if np.pi * n < count:
             up = coarse[np.searchsorted(coarse, rows)]
             upper = np.minimum(upper, _EPS * maj + (out[up] + _EPS * maj[up])
@@ -109,7 +109,7 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight,
         x, v = grid_golden_max(profile, 0.0, R_MAX, r_points)
         return v, x, 0.0
     weights = np.asarray(w(rs))
-    rough = _batch_circle_max(s.coeffs, rs, THETA_POINTS, weights)
+    rough = _batch_circle_max(s, rs, THETA_POINTS, weights)
     return _radial_sup(rs, rough, weights, lambda r: circle_sup(s, r), w)
 
 

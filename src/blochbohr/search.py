@@ -29,6 +29,11 @@ R_POINTS = 2048
 THETA_POINTS = 4096
 R_MAX = 1.0 - 1e-6
 
+#: default tolerances of the ``bounds`` Theorem 1 root and Theorem 4 scale
+#: searches, here so that the CLI parser shows them without loading ``bounds``
+THEOREM1_TOL = 1e-10
+THEOREM4_TOL = 1e-5
+
 
 def grid(lo: float, hi: float, n_points: int) -> np.ndarray:
     """``n_points`` uniform points covering [lo, hi]; a scan needs at least 2."""

@@ -153,7 +153,10 @@ def derivative(s: TruncatedSeries) -> TruncatedSeries:
                 "cannot differentiate a constant-only series with a nonzero tail: "
                 "all derivative coefficients would be unstored")
         return TruncatedSeries.polynomial([0.0])
-    d = s.coeffs[1:] * np.arange(1, n + 1)
+    with np.errstate(over="ignore"):
+        d = s.coeffs[1:] * np.arange(1, n + 1)
+    if not np.all(np.isfinite(d)):
+        raise ParameterDomainError("derivative coefficients n a_n overflow")
     if not s.has_tail:
         return TruncatedSeries(d)
     rho, m = s.tail_rho, s.tail_m

@@ -269,7 +269,7 @@ def _check_pruned_scan(coeffs, weights, radii, theta_points):
     """The pruned scan keeps the weighted argmax of the full one; its scanned
     rows are the full rows bit for bit, and every skipped row scores
     strictly below the best.  Returns (pruned, full)."""
-    pruned = _batch_circle_max(coeffs, radii, theta_points, weights)
+    pruned = _batch_circle_max(TruncatedSeries.polynomial(coeffs), radii, theta_points, weights)
     full = _full_rough(coeffs, radii, theta_points)
     assert np.argmax(weights * pruned) == np.argmax(weights * full)
     skipped = pruned != full

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from blochbohr import (DivergenceRegionError, ExtremalSpec,
                        coefficient_sum, derivative, eval_series,
                        extremal_coefficients, extremal_eval, majorant,
                        scale_argument, tail_bound)
+from blochbohr.cli import main
 from blochbohr.norms import _batch_circle_max
 from blochbohr.search import THETA_POINTS, scan_polish
 from blochbohr.series import _angle_count, _angle_grid_values, _horner, circle_sup
@@ -111,6 +113,22 @@ class TestDerivative:
         s = TruncatedSeries.with_geometric_tail([1.0], 0.5, 1.0)
         with pytest.raises(ParameterDomainError):
             derivative(s)
+
+    @pytest.mark.parametrize("coeffs", [[1e308, 1e308, -1e308], [0.0, 0.0, 1.7e308j]])
+    def test_overflowing_coefficients_rejected(self, coeffs):
+        # finite input whose n a_n overflows: the library's error, naming the
+        # derivative, and no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterDomainError, match="derivative"):
+                derivative(TruncatedSeries.polynomial(coeffs))
+
+    def test_cli_overflow_blames_the_derivative(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["norms", "--coeffs=1e308,1e308,-1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: derivative coefficients n a_n overflow\n"
 
 
 class TestScaleArgument:
@@ -339,7 +357,8 @@ class TestAngleGridScan:
             rough[rows] = np.abs(values).max(axis=1)
         assert rough.tobytes() == np.abs(expected).max(axis=1).tobytes()
         # the pruned rough scan transforms its rows in other batches, alike
-        pruned = _batch_circle_max(coeffs, radii, count, 1.0 - radii ** 2)
+        pruned = _batch_circle_max(TruncatedSeries.polynomial(coeffs), radii, count,
+                                   1.0 - radii ** 2)
         kept = pruned != 0.0
         assert kept.sum() > 20 and pruned[kept].tobytes() == rough[kept].tobytes()
         for i in (0, 150, 299):
