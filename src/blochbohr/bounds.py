@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceRegionError, ParameterDomainError, PoleError
-from .search import (THEOREM1_TOL, THEOREM4_TOL, bisect_flag, bisect_root, grid,
-                     grid_golden_max, scan_polish)
+from .search import bisect_flag, bisect_root, grid, grid_golden_max, scan_polish
 from .series import TruncatedSeries, circle_norms, coefficient_sum, majorant, scale_argument
 
 #: exponents s ``theorem1_root`` accepts; the root is ill conditioned beyond them
@@ -55,12 +54,14 @@ EXCEED_THRESHOLD = 1.0 + 1e-9
 #: radial samples of the seminorms in ``theorem5_ratios`` (margins there are large)
 PROBE_R_POINTS = 1024
 
-#: radius bracket of the Theorem 1 root solves
+#: radius bracket and residual tolerance of the Theorem 1 root solves
 THEOREM1_BRACKET = (1e-6, 1.0 - 1e-6)
+THEOREM1_TOL = 1e-10
 
-#: the a values of the Theorem 4 scans, and the scale bracket of ``theorem4_upper_bound``
+#: the a values of the Theorem 4 scans; scale bracket and tolerance of ``theorem4_upper_bound``
 THEOREM4_A_GRID = grid(1e-6, A_MAX - 1e-9, 200)
 THEOREM4_BRACKET = (1.0 / np.sqrt(2.0), 0.7691)
+THEOREM4_TOL = 1e-5
 
 
 def _check_solver_tol(tol: float) -> float:

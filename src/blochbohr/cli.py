@@ -5,8 +5,9 @@ output: ``theorem1``, ``theorem4``, ``theorem2-check``, ``theorem5-probe``,
 ``bombieri``, ``weight-check``, ``h-profile``, ``sharpness``, ``norms``.
 CSV floats carry 9 significant digits (plot feeds); JSON floats use full
 round-trip precision (regression feeds).  Exit code 0 means no error record;
-domain and solver failures exit nonzero with a message on stderr.  Each
-handler imports the layers it calls, so a subcommand loads no other.
+domain and solver failures exit nonzero with a message on stderr.  Scans and
+solvers run at the library defaults.  Each handler imports the layers it
+calls, so a subcommand loads no other.
 """
 
 from __future__ import annotations
@@ -20,11 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BlochBohrError, ParameterDomainError
-from .search import R_POINTS, THEOREM1_TOL, THEOREM4_TOL, grid
-from .weights import (CRITERION_R_POINTS, CRITERION_TOL, PROFILE_POINTS, SQRT2, _check_tol,
-                      criterion_check, find_admissible_r0, h_profile, weight_from_token)
+from .search import R_POINTS, grid
+from .weights import (PROFILE_POINTS, SQRT2, criterion_check, find_admissible_r0, h_profile,
+                      weight_from_token)
 
+#: the CLI's own values: the ``theorem5-probe`` scales without --R, the radii of
+#: the ``bombieri`` table without --r, the largest chain violation of a
+#: ``theorem2-check`` pass and the largest relative gap of a ``sharpness`` PASS
 DEFAULT_PROBE_SCALES = (0.3, 0.5, 1.0 / SQRT2, 0.9)
+BOMBIERI_RADII = 20
+CHAIN_TOL = 1e-9
+SHARPNESS_GAP = 1e-9
 
 
 def _fmt9(x) -> str:
@@ -80,24 +87,23 @@ def _render(args, report: dict, header: list[str],
 def _cmd_theorem1(args) -> int:
     from .bounds import theorem1_optimize, theorem1_root
     if args.optimize:
-        s_star, r_star = theorem1_optimize(args.tol)
+        s_star, r_star = theorem1_optimize()
         report = {"command": "theorem1", "optimize": True,
                   "s_star": s_star, "r_star": r_star}
         _render(args, report, ["s_star", "r_star"])
         return 0
     if args.s is None:
         raise BlochBohrError("theorem1 needs --s <value> or --optimize")
-    root = theorem1_root(args.s, args.tol)
+    root = theorem1_root(args.s)
     report = {"command": "theorem1", "s": args.s, "r": root}
     _render(args, report, ["s", "r"])
     return 0
 
 
 def _cmd_theorem4(args) -> int:
-    from .bounds import EXCEED_THRESHOLD, _check_solver_tol, theorem4_sup, theorem4_upper_bound
-    tol = _check_solver_tol(args.tol)
+    from .bounds import EXCEED_THRESHOLD, theorem4_sup, theorem4_upper_bound
     if args.search:
-        scan = theorem4_upper_bound(tol)
+        scan = theorem4_upper_bound()
         report = dict(command="theorem4", search=True, **asdict(scan))
         _render(args, report,
                 ["upper_bound", "best_value", "witness_a", "witness_r", "samples"])
@@ -119,8 +125,7 @@ def _cmd_theorem2_check(args) -> int:
         raise ParameterDomainError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         raise ParameterDomainError(f"--seed must be nonnegative, got {args.seed}")
-    tol = _check_tol(args.tol)
-    r_grid = grid(0.0, 1.0, args.grid)
+    r_grid = grid(0.0, 1.0, R_POINTS)
     max_expr = max(float(theorem4_expression(rows[:, None], 1.0 / SQRT2, r_grid).max())
                    for rows in np.split(THEOREM4_A_GRID, 8))  # blocks keep temporaries small
 
@@ -138,7 +143,7 @@ def _cmd_theorem2_check(args) -> int:
         r = float(rng.uniform(0.05, 0.95))
         v1, v2, v3 = cauchy_chain_check(series, w, scale, r)
         worst = max(worst, v1 - v2, v2 - v3)
-    passed = bool(max_expr <= EXCEED_THRESHOLD and worst <= tol)
+    passed = bool(max_expr <= EXCEED_THRESHOLD and worst <= CHAIN_TOL)
     report = {"command": "theorem2-check",
               "max_expression_at_sqrt2": max_expr,
               "chain_samples": args.samples,
@@ -169,9 +174,7 @@ def _cmd_theorem5_probe(args) -> int:
 
 def _cmd_bombieri(args) -> int:
     from .bounds import bombieri_m_infty, mobius_majorant_sup
-    if args.grid < 1:
-        raise ParameterDomainError(f"--grid must be at least 1, got {args.grid}")
-    radii = [args.r] if args.r is not None else np.linspace(1.0 / 3.0, 1.0 / SQRT2, args.grid)
+    radii = [args.r] if args.r is not None else np.linspace(1 / 3, 1 / SQRT2, BOMBIERI_RADII)
     entries = []
     for r in radii:
         closed = bombieri_m_infty(r)
@@ -187,14 +190,14 @@ def _cmd_bombieri(args) -> int:
 def _cmd_weight_check(args) -> int:
     w = weight_from_token(args.weight)
     if args.r0 is not None:
-        rep = criterion_check(w, args.r0, args.grid, args.tol)
+        rep = criterion_check(w, args.r0)
         report = {"command": "weight-check", "weight": args.weight, "r0": rep.r0,
                   "passed": rep.passed, "worst_margin": rep.worst_margin,
                   "violation_witness": rep.violation_witness}
         _render(args, report,
                 ["weight", "r0", "passed", "worst_margin", "violation_witness"])
         return 0
-    found = find_admissible_r0(w, args.grid, args.tol)
+    found = find_admissible_r0(w)
     if found is None:
         report = {"command": "weight-check", "weight": args.weight,
                   "found": False, "r0": None}
@@ -219,12 +222,11 @@ def _cmd_h_profile(args) -> int:
 def _cmd_sharpness(args) -> int:
     from .extremal import verify_sharpness
     w = weight_from_token(args.weight)
-    tol = _check_tol(args.tol)
-    rep = verify_sharpness(w, args.r0, args.grid)
+    rep = verify_sharpness(w, args.r0)
     witness_tol = 2.0 * rep.grid_step
     witnesses_ok = (abs(rep.lhs_witness_r - rep.r0) <= witness_tol
                     and abs(rep.rhs_witness_r - rep.r0) <= witness_tol)
-    passed = rep.relative_gap <= tol and witnesses_ok
+    passed = rep.relative_gap <= SHARPNESS_GAP and witnesses_ok
     verdict = "PASS" if passed else "FAIL"
     # human-readable verdict on stderr; stdout carries only the report
     sys.stderr.write(
@@ -258,20 +260,14 @@ def _cmd_norms(args) -> int:
     from .norms import RadialSupReport, _series_radial_sup, weighted_bloch_norm
     series = _read_series(args)
     w = weight_from_token(args.weight)
-    norm = weighted_bloch_norm(series, w, args.grid)
-    sup = RadialSupReport(*_series_radial_sup(series, w, args.grid))
+    norm = weighted_bloch_norm(series, w)
+    sup = RadialSupReport(*_series_radial_sup(series, w))
     report = {"command": "norms", "weight": args.weight, "bloch_norm": norm,
               "radial_sup": asdict(sup)}
     _render(args, report,
             ["weight", "bloch_norm", "sup_value", "witness_r", "witness_theta"],
             [[args.weight, norm, sup.value, sup.witness_r, sup.witness_theta]])
     return 0
-
-
-def _option(p: argparse.ArgumentParser, flag: str, default, what: str) -> None:
-    """A numeric option of the type of its ``default``, shown in the help."""
-    p.add_argument(flag, type=type(default), default=default,
-                   help=f"{what} (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, help="exponent in [1e-4, 1 - 1e-4]")
     p.add_argument("--optimize", action="store_true",
                    help="maximize the root over the exponent")
-    _option(p, "--tol", THEOREM1_TOL, "residual tolerance of the root bisection")
     p.set_defaults(handler=_cmd_theorem1)
 
     p = sub.add_parser("theorem4", parents=[shared],
@@ -300,15 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, help="majorant scale")
     p.add_argument("--search", action="store_true",
                    help="bisect for the least scale exceeding 1")
-    _option(p, "--tol", THEOREM4_TOL, "scale tolerance of --search")
     p.set_defaults(handler=_cmd_theorem4)
 
     p = sub.add_parser("theorem2-check", parents=[shared],
                        help="consistency of the sqrt(2) lower bound and the "
                             "Cauchy-Schwarz chain")
-    _option(p, "--samples", 200, "random chain samples")
-    _option(p, "--grid", R_POINTS, "radial samples of the scale-1/sqrt(2) table")
-    _option(p, "--tol", 1e-9, "largest admissible chain violation")
+    p.add_argument("--samples", type=int, default=200,
+                   help="random chain samples (default %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_theorem2_check)
 
@@ -322,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed form and Mobius realization of the bounded-"
                             "function majorant supremum")
     p.add_argument("--r", type=float, help="single radius in [1/3, 1/sqrt(2)]")
-    _option(p, "--grid", 20, "radii on [1/3, 1/sqrt(2)] when --r is omitted")
     p.set_defaults(handler=_cmd_bombieri)
 
     p = sub.add_parser("weight-check", parents=[shared],
@@ -331,22 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="standard | constant | example2:r0=..,alpha=.. | "
                         "example3:r0=..,alpha=..")
     p.add_argument("--r0", type=float, help="anchor radius; omit to auto-search")
-    _option(p, "--grid", CRITERION_R_POINTS, "radial samples of the criterion scan")
-    _option(p, "--tol", CRITERION_TOL, "margin a pass tolerates below 0")
     p.set_defaults(handler=_cmd_weight_check)
 
     p = sub.add_parser("h-profile", parents=[shared],
                        help="tabulate the criterion bounds and their minimum")
     p.add_argument("--r0", type=float, required=True)
-    _option(p, "--n", PROFILE_POINTS, "sample count")
+    p.add_argument("--n", type=int, default=PROFILE_POINTS,
+                   help="sample count (default %(default)s)")
     p.set_defaults(handler=_cmd_h_profile)
 
     p = sub.add_parser("sharpness", parents=[shared],
                        help="verify the sharpness identity for a weight at r0")
     p.add_argument("--weight", required=True)
     p.add_argument("--r0", type=float, required=True)
-    _option(p, "--grid", CRITERION_R_POINTS, "radial samples of every scan")
-    _option(p, "--tol", 1e-9, "largest relative gap of a PASS")
     p.set_defaults(handler=_cmd_sharpness)
 
     p = sub.add_parser("norms", parents=[shared],
@@ -356,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", metavar="LIST",
                    help="inline real polynomial coefficients, comma-separated")
     p.add_argument("--weight", default="standard")
-    _option(p, "--grid", R_POINTS, "radial samples of both scans")
     p.set_defaults(handler=_cmd_norms)
     return parser
 

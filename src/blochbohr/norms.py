@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BlochBohrError, EvaluatorDomainError
-from .search import R_MAX, R_POINTS, THETA_POINTS, grid_golden_max, radii, scan_polish
+from .errors import BlochBohrError, EvaluatorDomainError, ParameterDomainError
+from .search import R_MAX, R_POINTS, THETA_POINTS, radii, scan_polish
 from .series import (TruncatedSeries, _angle_count, _angle_grid_values, _check_certified,
                      circle_sup, coefficient_sum, derivative)
 from .weights import Weight
@@ -92,24 +92,22 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight,
     """sup_r w(r) max_theta |f(r e^{i theta})| -> (value, witness_r, witness_theta).
 
     Ties resolve to the smallest witness radius.  The rough scan picks the
-    bracket; it transforms every ``_COARSE``-th radius and the last, then
-    radius r only if w(r) u(r) >= best, the best weighted coarse row.  Here
-    u(r) = (1 + eps) maj(r) with maj(r) = sum |a_k| r^k, or, when pi n < count
-    (degree n, FFT size count), the smaller Bernstein bound
-    (rough(r_c) + eps maj(r_c)) / (1 - pi n / count) + eps maj(r): M(r) =
-    max_theta |f| grows with r and is within pi n M / count of the samples at
-    the next coarse radius r_c.  eps = 1e-9 dwarfs the FFT's rounding, so u
-    bounds the computed rough(r) and each skipped row (0.0) scores below
-    best: the argmax, and every polished probe and output, is unchanged.
+    bracket: for real nonnegative coefficients the majorant sum (the circle
+    maximum, at theta = 0); else it transforms every ``_COARSE``-th radius
+    and the last, then radius r only if w(r) u(r) >= best, the best weighted
+    coarse row.  Here u(r) = (1 + eps) maj(r) with maj(r) = sum |a_k| r^k,
+    or, when pi n < count (degree n, FFT size count), the smaller Bernstein
+    bound (rough(r_c) + eps maj(r_c)) / (1 - pi n / count) + eps maj(r):
+    M(r) = max_theta |f| grows with r and is within pi n M / count of the
+    samples at the next coarse radius r_c.  eps = 1e-9 dwarfs the FFT's
+    rounding, so u bounds the computed rough(r) and each skipped row (0.0)
+    scores below best: the argmax and every polished output are unchanged.
     """
     rs = radii(r_points)
     _check_certified(s, R_MAX, "radial scan")
-    if s.is_nonnegative:
-        profile = lambda r: np.asarray(w(r)) * coefficient_sum(s, r)
-        x, v = grid_golden_max(profile, 0.0, R_MAX, r_points)
-        return v, x, 0.0
     weights = np.asarray(w(rs))
-    rough = _batch_circle_max(s, rs, THETA_POINTS, weights)
+    rough = (coefficient_sum(s, rs) if s.is_nonnegative
+             else _batch_circle_max(s, rs, THETA_POINTS, weights))
     return _radial_sup(rs, rough, weights, lambda r: circle_sup(s, r), w)
 
 
@@ -130,9 +128,12 @@ def weighted_bloch_norm(s: TruncatedSeries, w: Weight,
     """|a_0| + sup_r omega(r) max_theta |f'(r e^{i theta})|.
 
     The series must be certified up to the scan radius (polynomials always
-    are); otherwise a DivergenceRegionError is raised.
+    are), else DivergenceRegionError; a norm past the float range raises too.
     """
-    return float(abs(s.coeffs[0])) + weighted_bloch_seminorm(s, w, r_points)
+    norm = float(abs(s.coeffs[0])) + weighted_bloch_seminorm(s, w, r_points)
+    if not norm < np.inf:
+        raise ParameterDomainError("the Bloch norm |a_0| + seminorm overflows")
+    return norm
 
 
 def _call_evaluator(evaluator: Callable, z: np.ndarray) -> np.ndarray:

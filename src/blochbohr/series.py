@@ -175,9 +175,12 @@ def scale_argument(s: TruncatedSeries, scale: float) -> TruncatedSeries:
     The tail ratio is multiplied by the scale; if that pushes it to 1 or
     beyond, the certificate is dropped.
     """
-    if scale < 0.0:
-        raise ParameterDomainError("argument scale must be nonnegative")
-    c = s.coeffs * float(scale) ** np.arange(s.coeffs.size)
+    if not 0.0 <= scale < np.inf:
+        raise ParameterDomainError("argument scale must be finite and nonnegative")
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = s.coeffs * float(scale) ** np.arange(s.coeffs.size)
+    if not np.all(np.isfinite(c)):
+        raise ParameterDomainError("scaled coefficients a_n scale^n overflow")
     if s.has_tail and s.tail_rho * scale < 1.0:
         return TruncatedSeries(c, s.tail_rho * scale, s.tail_m)
     return TruncatedSeries(c)
@@ -248,17 +251,28 @@ def eval_series(s: TruncatedSeries, z) -> SeriesValue:
     return SeriesValue(value, bound)
 
 
+def _modulus_horner(s: TruncatedSeries, x, square: bool, what: str):
+    """sum |a_n|^k x^n, k = 2 if ``square`` else 1, by real Horner on libm's |a_n|: one set of
+    bits for float and array x on every ISA.  An overflow raises, naming ``what``."""
+    out = 0.0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in map(abs, s.coeffs[::-1].tolist()):
+                out = out * x + (c * c if square else c)
+    except OverflowError:  # |a_n| itself beyond the float range
+        out = np.inf
+    if not np.all(np.isfinite(out)):
+        raise ParameterDomainError(f"{what} overflows")
+    return out
+
+
 def coefficient_sum(s: TruncatedSeries, radius):
-    """The majorant value sum |a_n| radius^n of the stored coefficients (broadcasts),
-    by real Horner on libm's |a_n|: one set of bits for scalar and array radii on every ISA."""
+    """The majorant value sum |a_n| radius^n of the stored coefficients (broadcasts)."""
     r = np.asarray(radius, dtype=float)
     if np.any(r < 0.0):
         raise ParameterDomainError("radius must be nonnegative")
     _check_certified(s, float(np.max(r, initial=0.0)), "majorant sum")
-    x, out = (float(r) if r.ndim == 0 else r), 0.0
-    for c in map(abs, s.coeffs[::-1].tolist()):
-        out = out * x + c
-    return out
+    return _modulus_horner(s, float(r) if r.ndim == 0 else r, False, "majorant sum")
 
 
 def _angle_count(requested: int, n_coeffs: int) -> int:
@@ -325,14 +339,14 @@ def circle_sup(s: TruncatedSeries, r: float) -> tuple[float, float]:
 def circle_norms(s: TruncatedSeries, r: float) -> CircleNorms:
     """Sup, L2, and majorant norms of f on the circle |z| = r.
 
-    The L2 norm comes from the coefficients by Parseval; the sup norm from
-    an angle scan with local refinement; coeff_sum is sum |a_n| r^n.
+    The L2 norm comes from the coefficients by Parseval (real Horner on
+    sum |a_n|^2 r^{2n}); the sup norm from an angle scan with local
+    refinement; coeff_sum is sum |a_n| r^n.
     """
     if r < 0.0 or r >= 1.0:
         raise ParameterDomainError("circle radius must lie in [0, 1)")
     _check_certified(s, r, "circle norms")
-    powers = float(r) ** np.arange(s.coeffs.size, dtype=float)
-    l2 = float(np.sqrt(np.sum((np.abs(s.coeffs) * powers) ** 2)))
+    l2 = math.sqrt(_modulus_horner(s, float(r) * r, True, "L2 sum"))
     sup, _ = circle_sup(s, r)
     return CircleNorms(r=float(r), sup_norm=sup, l2_norm=l2,
                        coeff_sum=coefficient_sum(s, r))

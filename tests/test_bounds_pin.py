@@ -2,7 +2,7 @@
 
 ``theorem5-probe`` at extreme scales and at 0.5, 0.52 and 0.55 (where the
 sup over r has two local maxima in a), ``theorem4`` at an interior root near
-r = 0.085, and ``theorem2-check`` on a 300-point table reach cases of the
+r = 0.085, and ``theorem2-check`` on its ``R_POINTS`` table reach cases of the
 stationarity-quintic sups that the README examples do not.  Every run goes
 through ``cli.main`` with JSON output (full round-trip precision); stdout
 must match ``data/bounds_pin.txt`` byte for byte, which holds one
@@ -22,7 +22,7 @@ RUNS = [
     "theorem5-probe --R 0.01 --R 0.2 --R 0.75 --R 0.99 --format json",
     "theorem5-probe --R 0.5 --R 0.52 --R 0.55 --format json",
     "theorem4 --a 0.5 --R 0.3 --format json",
-    "theorem2-check --grid 300 --samples 3 --format json",
+    "theorem2-check --samples 3 --format json",
 ]
 
 

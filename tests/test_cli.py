@@ -1,17 +1,17 @@
-import inspect
 import json
 
 import numpy as np
 import pytest
 
-from blochbohr.bounds import (THEOREM1_TOL, THEOREM4_BRACKET, THEOREM4_TOL,
-                              theorem1_optimize, theorem1_root, theorem4_upper_bound)
-from blochbohr.cli import build_parser, main
+from blochbohr.bounds import (THEOREM4_A_GRID, best_test_ratio, theorem1_optimize,
+                              theorem1_root, theorem4_expression, theorem4_sup,
+                              theorem4_upper_bound)
+from blochbohr.cli import BOMBIERI_RADII, main
 from blochbohr.extremal import verify_sharpness
-from blochbohr.norms import weighted_bloch_norm
-from blochbohr.search import R_POINTS
-from blochbohr.weights import (CRITERION_R_POINTS, CRITERION_TOL, criterion_check,
-                               find_admissible_r0, h_profile)
+from blochbohr.norms import _series_radial_sup, weighted_bloch_norm
+from blochbohr.search import R_POINTS, grid
+from blochbohr.series import TruncatedSeries
+from blochbohr.weights import criterion_check, find_admissible_r0, h_profile, weight_from_token
 
 SQRT2 = np.sqrt(2.0)
 
@@ -86,14 +86,14 @@ class TestBombieriCommand:
         _, rows = csv_rows(out)
         assert abs(float(rows[0]["m_infty"]) - SQRT2) < 1e-6
 
-    def test_grid_and_determinism(self, capsys):
-        code, out1, _ = run(capsys, "bombieri", "--grid", "10")
+    def test_table_and_determinism(self, capsys):
+        code, out1, _ = run(capsys, "bombieri")
         assert code == 0
-        _, out2, _ = run(capsys, "bombieri", "--grid", "10")
+        _, out2, _ = run(capsys, "bombieri")
         assert out1 == out2
         header, rows = csv_rows(out1)
         assert header == ["r", "m_infty", "mobius_sup", "cauchy_bound"]
-        assert len(rows) == 10
+        assert len(rows) == 20
         for row in rows:
             assert abs(float(row["m_infty"]) - float(row["mobius_sup"])) < 1e-6
             assert float(row["mobius_sup"]) <= float(row["cauchy_bound"]) + 1e-9
@@ -272,77 +272,90 @@ class TestParser:
         assert "m_infty" in proc.stdout
 
 
-class TestOptionDefaults:
-    """Every --grid/--tol defaults to the library value it overrides."""
+def _norms_report(coeffs, token="standard"):
+    series, w = TruncatedSeries.polynomial(coeffs), weight_from_token(token)
+    value, witness_r, witness_theta = _series_radial_sup(series, w)
+    return {"bloch_norm": weighted_bloch_norm(series, w),
+            "radial_sup": {"value": value, "witness_r": witness_r,
+                           "witness_theta": witness_theta}}
 
-    # each subcommand with a cheap invocation and the overrides it accepts
-    INVOCATIONS = [
-        (("theorem1", "--s", "0.5"), ("tol",)),
-        (("theorem4", "--a", "0.35", "--R", "0.769"), ("tol",)),
-        (("theorem4", "--search"), ("tol",)),
-        (("theorem2-check", "--samples", "5"), ("grid", "tol")),
-        (("bombieri",), ("grid",)),
-        (("weight-check", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8"),
-         ("grid", "tol")),
-        (("sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8"),
-         ("grid", "tol")),
-        (("norms", "--coeffs", "0,1,-0.5"), ("grid",)),
-        (("h-profile", "--r0", "0.8"), ("n",)),
+
+def _criterion_report(token, r0):
+    rep = criterion_check(weight_from_token(token), r0)
+    return {"r0": rep.r0, "passed": rep.passed, "worst_margin": rep.worst_margin,
+            "violation_witness": rep.violation_witness}
+
+
+def _admissible_report(token):
+    r0, rep = find_admissible_r0(weight_from_token(token))
+    return {"found": True, "r0": r0, "passed": rep.passed, "worst_margin": rep.worst_margin}
+
+
+def _table_max_at_sqrt2():
+    # one broadcast over the whole table; the CLI takes it in blocks of a rows
+    return float(theorem4_expression(THEOREM4_A_GRID[:, None], 1.0 / SQRT2,
+                                     grid(0.0, 1.0, R_POINTS)).max())
+
+
+class TestOptionDefaults:
+    """Handlers run the library at its defaults; out-of-range values are library
+    errors; options a subcommand would not read are refused."""
+
+    EX2 = "example2:r0=0.8,alpha=1"
+    # each JSON report against the library call it makes, at the library defaults
+    LIBRARY_CALLS = [
+        (("theorem1", "--s", "0.5"), lambda: {"r": theorem1_root(0.5)}),
+        (("theorem1", "--optimize"),
+         lambda: dict(zip(("s_star", "r_star"), theorem1_optimize()))),
+        (("theorem4", "--search"),
+         lambda: dict(zip(("upper_bound", "best_value", "witness_a", "witness_r", "samples"),
+                          vars(theorem4_upper_bound()).values()))),
+        (("theorem4", "--a", "0.35", "--R", "0.769"),
+         lambda: dict(zip(("sup_r", "witness_r"), theorem4_sup(0.35, 0.769)))),
+        (("theorem2-check", "--samples", "3"),
+         lambda: {"max_expression_at_sqrt2": _table_max_at_sqrt2()}),
+        (("theorem5-probe", "--R", "0.5"),
+         lambda: {"entries": [dict(zip(("best_ratio", "witness_a", "witness_r"),
+                                       best_test_ratio(0.5)))]}),
+        (("bombieri",),
+         lambda: {"entries": [{"r": r} for r in
+                              np.linspace(1 / 3, 1 / SQRT2, BOMBIERI_RADII).tolist()]}),
+        (("weight-check", "--weight", EX2, "--r0", "0.8"),
+         lambda: _criterion_report(TestOptionDefaults.EX2, 0.8)),
+        (("weight-check", "--weight", "standard", "--r0", "0.8"),
+         lambda: _criterion_report("standard", 0.8)),
+        (("weight-check", "--weight", EX2), lambda: _admissible_report(TestOptionDefaults.EX2)),
+        (("h-profile", "--r0", "0.8"), lambda: {"rows": h_profile(0.8).tolist()}),
+        (("sharpness", "--weight", EX2, "--r0", "0.8"),
+         lambda: vars(verify_sharpness(weight_from_token(TestOptionDefaults.EX2), 0.8))),
+        (("norms", "--coeffs", "0,1,-0.5"), lambda: _norms_report([0.0, 1.0, -0.5])),
+        (("norms", "--coeffs", "0.3,0.7,0.45", "--weight", EX2),
+         lambda: _norms_report([0.3, 0.7, 0.45], TestOptionDefaults.EX2)),
     ]
 
-    def test_defaults_are_library_constants(self):
-        def defaults(*argv):
-            return vars(build_parser().parse_args(list(argv)))
-
-        def default(fn, name):
-            return inspect.signature(fn).parameters[name].default
-
-        assert defaults("theorem1")["tol"] == THEOREM1_TOL == 1e-10
-        assert default(theorem1_root, "tol") == default(theorem1_optimize, "tol") \
-            == THEOREM1_TOL
-        assert defaults("theorem4")["tol"] == THEOREM4_TOL
-        assert (THEOREM4_TOL, THEOREM4_BRACKET) == (1e-5, (1.0 / SQRT2, 0.7691))
-        assert default(theorem4_upper_bound, "tol") == THEOREM4_TOL
-        assert defaults("theorem2-check")["grid"] == R_POINTS
-        assert "grid" not in defaults("theorem4")
-        assert "grid" not in defaults("theorem5-probe")
-        wc = defaults("weight-check", "--weight", "standard")
-        assert (wc["grid"], wc["tol"]) == (CRITERION_R_POINTS, CRITERION_TOL)
-        sh = defaults("sharpness", "--weight", "standard", "--r0", "0.8")
-        assert sh["grid"] == CRITERION_R_POINTS == 10_000
-        for fn in (criterion_check, find_admissible_r0, verify_sharpness):
-            assert default(fn, "r_points") == CRITERION_R_POINTS
-        assert defaults("norms")["grid"] == default(weighted_bloch_norm, "r_points") \
-            == R_POINTS == 2048
-        assert defaults("h-profile", "--r0", "0.8")["n"] == default(h_profile, "n_points")
-
-    @pytest.mark.parametrize("argv,options", INVOCATIONS,
-                             ids=[" ".join(a[:2]) for a, _ in INVOCATIONS])
-    def test_default_value_prints_same_bytes_as_omitting(self, capsys, argv, options):
-        base = run(capsys, *argv)
-        assert base[0] in (0, 1) and base[1]
-        parsed = vars(build_parser().parse_args(list(argv)))
-        for dest in options:
-            flag = "--" + dest.replace("_", "-")
-            assert run(capsys, *argv, flag, repr(parsed[dest])) == base, flag
+    @pytest.mark.parametrize("argv,expected", LIBRARY_CALLS,
+                             ids=[" ".join(argv) for argv, _ in LIBRARY_CALLS])
+    def test_report_is_the_library_call_at_its_defaults(self, capsys, argv, expected):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code in (0, 1) and out
+        report = json.loads(out)
+        want = expected()
+        if "entries" in want:
+            assert len(report["entries"]) == len(want["entries"])
+            for got, row in zip(report["entries"], want["entries"]):
+                assert {key: got[key] for key in row} == row
+        else:
+            assert {key: report[key] for key in want} == want
 
     @pytest.mark.parametrize("argv", [
-        ("theorem4", "--search", "--tol", "0"),
-        ("theorem4", "--a", "0.35", "--R", "0.769", "--tol", "0"),
         ("theorem2-check", "--samples", "0"),
-        ("theorem2-check", "--grid", "0"),
-        ("bombieri", "--grid", "0"),
-        ("bombieri", "--r", "0.5", "--grid", "0"),
         ("h-profile", "--r0", "0.8", "--n", "0"),
-        ("norms", "--coeffs", "0,1", "--grid", "1"),
         ("norms", "--coeffs", "0,x"),
         ("norms", "--coeffs", ","),
         ("norms", "--series", "truncated.json"),
         ("norms", "--series", "no-coeffs.json"),
         ("norms", "--series", "nan-tail.json"),
-        ("weight-check", "--weight", "standard", "--r0", "0.8", "--grid", "1"),
-        ("sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8",
-         "--grid", "1"),
+        ("norms", "--coeffs=1e308,1e308"),
         ("weight-check", "--weight", "example3:r0=0.75,alpha=nan", "--r0", "0.75"),
         ("weight-check", "--weight", "example3:r0=0.75,alpha=nan", "--r0", "0.75",
          "--format", "json"),
@@ -350,14 +363,6 @@ class TestOptionDefaults:
         ("weight-check", "--weight", "example2:r0=0.8,alpha=inf"),
         ("weight-check", "--weight", "example3:alpha=2"),
         ("weight-check", "--weight", "example2"),
-        ("weight-check", "--weight", "standard", "--r0", "0.8", "--tol", "-1"),
-        ("weight-check", "--weight", "standard", "--r0", "0.8", "--tol", "nan"),
-        ("weight-check", "--weight", "constant", "--tol", "-1"),
-        ("weight-check", "--weight", "constant", "--tol", "nan"),
-        ("sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8",
-         "--tol", "-1"),
-        ("sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8",
-         "--tol", "nan"),
         ("theorem4", "--a", "nan", "--R", "0.769"),
         ("theorem4", "--a", "0.35", "--R", "nan"),
         ("theorem4", "--a", "0.35", "--R", "inf"),
@@ -365,13 +370,8 @@ class TestOptionDefaults:
         ("theorem4", "--a", "1e-200", "--R", "0.5"),
         ("theorem4", "--a", "0.35", "--R", "3"),
         ("theorem2-check", "--samples", "3", "--seed", "-1"),
-        ("theorem2-check", "--samples", "5", "--tol", "nan"),
-        ("theorem2-check", "--samples", "5", "--tol", "-1"),
-        ("theorem1", "--s", "0.5", "--tol", "inf"),
         ("theorem1", "--s", "0.00001"),
         ("theorem1", "--s", "0.99999"),
-        ("theorem1", "--optimize", "--tol", "inf"),
-        ("theorem4", "--search", "--tol", "nan"),
         ("weight-check", "--weight", "example2:r0=0.8,r0=0.95", "--r0", "0.8"),
         ("weight-check", "--weight", "example3:r0=0.75,alpha=1,alpha=2", "--r0", "0.75"),
     ], ids=lambda argv: " ".join(argv))
@@ -388,15 +388,8 @@ class TestOptionDefaults:
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
-        ("norms", "--coeffs", "0,1", "--grid", "{n}"),
-        ("norms", "--coeffs", "1,-2,3", "--grid", "{n}"),
-        ("weight-check", "--weight", "standard", "--grid", "{n}"),
-        ("weight-check", "--weight", "standard", "--r0", "0.8", "--grid", "{n}"),
-        ("sharpness", "--weight", "constant", "--r0", "1", "--grid", "{n}"),
-        ("theorem2-check", "--samples", "3", "--grid", "{n}"),
         ("h-profile", "--r0", "0.8", "--n", "{n}"),
-    ], ids=["norms-shortcut", "norms-scan", "weight-check-search", "weight-check-r0",
-            "sharpness", "theorem2-check", "h-profile"])
+    ], ids=["h-profile"])
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_scan_sizes_below_two_are_rejected_alike(self, capsys, argv, n):
         argv = [arg.format(n=n) for arg in argv]
@@ -414,6 +407,16 @@ class TestOptionDefaults:
         ("norms", "--coeffs", "0,1", "--tol", "1"),
         ("h-profile", "--r0", "0.8", "--grid", "10"),
         ("theorem2-check", "--a-points", "200"),
+        ("theorem1", "--s", "0.5", "--tol", "1e-10"),
+        ("theorem4", "--search", "--tol", "1e-5"),
+        ("theorem2-check", "--samples", "3", "--tol", "1e-9"),
+        ("weight-check", "--weight", "standard", "--tol", "1e-12"),
+        ("sharpness", "--weight", "constant", "--r0", "1", "--tol", "1e-9"),
+        ("theorem2-check", "--samples", "3", "--grid", "2048"),
+        ("bombieri", "--grid", "20"),
+        ("weight-check", "--weight", "standard", "--grid", "10000"),
+        ("sharpness", "--weight", "constant", "--r0", "1", "--grid", "10000"),
+        ("norms", "--coeffs", "0,1", "--grid", "2048"),
     ], ids=lambda argv: " ".join(argv))
     def test_ignored_options_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -55,6 +55,12 @@ class TestBlochNorm:
         semi = weighted_bloch_seminorm(s, std, LEAN)
         assert norm == pytest.approx(abs(s.coeffs[0]) + semi, abs=1e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norm_rejected(self, std):
+        # |a_0| = 1e308 and the seminorm 1e308 (at r = 0) are finite, their sum is not
+        with pytest.raises(ParameterDomainError, match="Bloch norm"):
+            weighted_bloch_norm(TruncatedSeries.polynomial([1e308, 1e308]), std)
+
     def test_complex_coefficient_path_against_dense_scan(self, std):
         s = TruncatedSeries.polynomial([0.0, 1.0j, -0.5, 0.25j])
         norm = weighted_bloch_norm(s, std)

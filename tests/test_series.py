@@ -151,8 +151,18 @@ class TestScaleArgument:
         assert scale_argument(s, 3.0).has_tail is False
 
     def test_negative_scale_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            scale_argument(TruncatedSeries.polynomial([1.0]), -0.1)
+        # NaN and inf too: their a_n scale^n are not an overflow of finite input
+        for scale in (-0.1, np.nan, np.inf):
+            with pytest.raises(ParameterDomainError, match="finite and nonnegative"):
+                scale_argument(TruncatedSeries.polynomial([1.0, 1.0]), scale)
+
+    @pytest.mark.parametrize("coeffs,scale", [([1e308, 1e308], 2.0),
+                                              ([0.0] * 5 + [1.0], 1e100)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_coefficients_rejected(self, coeffs, scale):
+        # a_n scale^n beyond the float range (or 0 * an overflowed power)
+        with pytest.raises(ParameterDomainError, match="scale\\^n overflow"):
+            scale_argument(TruncatedSeries.polynomial(coeffs), scale)
 
 
 class TestEval:
@@ -229,6 +239,14 @@ class TestCoefficientSum:
         with pytest.raises(ParameterDomainError):
             coefficient_sum(s, np.array([0.5, -0.1]))
 
+    @pytest.mark.parametrize("coeffs,radius", [
+        ([1e308, 1e308], np.array([0.5, 0.9])), ([1e308, 1e308], 0.9),
+        ([1.7e308 + 1.7e308j], 0.5)], ids=["array", "scalar", "modulus"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_sum_rejected(self, coeffs, radius):
+        with pytest.raises(ParameterDomainError, match="majorant sum overflows"):
+            coefficient_sum(TruncatedSeries.polynomial(coeffs), radius)
+
     @pytest.mark.parametrize("max_degree", [1, 4, 16, 64, 256])
     def test_array_matches_stacked_scalar_calls_bit_for_bit(self, max_degree):
         # one rounding path: the polish of a scanned majorant profile compares
@@ -303,6 +321,11 @@ class TestCircleNorms:
             circle_norms(s, 1.0)
         with pytest.raises(DivergenceRegionError):
             circle_norms(TruncatedSeries([1.0, 1.0]), 0.95)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_l2_sum_rejected(self):
+        with pytest.raises(ParameterDomainError, match="L2 sum overflows"):
+            circle_norms(TruncatedSeries.polynomial([1e200]), 0.5)
 
 
 class TestMajorantDomination:

@@ -73,9 +73,3 @@ def test_bounds_subcommand_and_help_load_what_they_call():
         "    try:\n        main(['theorem4', '--help'])\n"
         "    except SystemExit:\n        pass")
     assert loaded["layers"] == ["cli", "errors", "search", "weights"]
-
-
-def test_help_shows_solver_tolerance_defaults():
-    for sub, default in (("theorem1", "1e-10"), ("theorem4", "1e-05")):
-        out = run_python("-m", "blochbohr", sub, "--help")
-        assert f"(default {default})" in " ".join(out.split()), sub
