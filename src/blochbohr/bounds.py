@@ -363,7 +363,10 @@ def mobius_series(alpha: float, n_terms: int = 257) -> TruncatedSeries:
         raise ParameterDomainError("need at least 2 coefficient terms")
     coeffs = np.empty(n_terms, dtype=complex)
     coeffs[0] = alpha
-    coeffs[1:] = -(1.0 - alpha * alpha) * alpha ** np.arange(0, n_terms - 1, dtype=float)
+    # alpha^k as repeated products: numpy's SIMD ** rounds by CPU
+    powers = np.full(n_terms - 1, alpha)
+    powers[0] = 1.0
+    coeffs[1:] = -(1.0 - alpha * alpha) * np.cumprod(powers)
     if alpha == 0.0:
         return TruncatedSeries.polynomial(coeffs[:2])
     return TruncatedSeries(coeffs, alpha, (1.0 - alpha * alpha) / alpha)

@@ -5,8 +5,9 @@ infimum) goes through one primitive, ``scan_polish``: a uniform grid scan
 (radial scans start at 0), then a polish of the best grid point's bracket
 to a 1e-12 width: golden-section search for a maximum, trisection for a
 minimum, or, given an analytic slope (``series.circle_sup`` over the angle,
-``bounds.best_test_ratio`` over a), Illinois regula falsi on its root
-(``falsi_peak``), which fixes the witness to about eps, not sqrt(eps).  On the angle
+the series radial sups of ``norms`` over r, ``bounds.best_test_ratio`` over
+a), Illinois regula falsi on its root (``falsi_peak``), which fixes the
+witness to about eps, not sqrt(eps).  On the angle
 circle the bracket wraps around; elsewhere it is clipped to the grid.
 Root-finding is bracketed bisection with an explicit sign-change check,
 converging on the residual rather than the bracket width (``bisect_root``);
@@ -184,7 +185,8 @@ def bisect_flag(test: Callable, lo: float, hi: float, found, tol: float,
 
 def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = False,
                 period: float | None = None, rescore: bool = False,
-                slope: Callable | None = None) -> tuple[float, float]:
+                slope: Callable | None = None,
+                kink: float | None = None) -> tuple[float, float]:
     """Best point of f on the uniform grid ``xs``, polished; returns (x, value).
 
     ``values`` are f already computed on ``xs`` (else f is called on the whole
@@ -195,8 +197,10 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
     ``period`` (the witness then reduced to [0, period)) and is clipped to
     the grid otherwise.  ``golden_max`` (``trisect_min``) polishes it to a
     1e-12 width, or, given a ``slope`` with the sign of f', ``falsi_peak``.
-    The polished point is kept only when strictly better, so plateau
-    witnesses stay put.
+    A ``kink`` of f (where f' jumps) in the bracket is then a candidate of its
+    own, and each side of it is polished with the slope taken off the kink,
+    the one-sided slope.  The best candidate, ties going to the smallest
+    argument, is kept only when strictly better, so plateau witnesses stay put.
     """
     if len(xs) < 2:
         raise ParameterDomainError(f"a scan needs at least 2 points, got {len(xs)}")
@@ -214,6 +218,11 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
             x, fx = trisect_min(f, a, b)
         elif slope is None:
             x, fx = golden_max(f, a, b)
+        elif kink is not None and a <= kink <= b:
+            x, fx = max((falsi_peak(f, slope, a, float(np.nextafter(kink, a))),
+                         (kink, _feval(f, kink)),
+                         falsi_peak(f, slope, float(np.nextafter(kink, b)), b)),
+                        key=lambda p: p[1])
         else:
             x, fx = falsi_peak(f, slope, a, b)
         if (fx < best_f) if minimize else (fx > best_f):

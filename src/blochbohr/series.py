@@ -29,9 +29,11 @@ UNCERTIFIED_RADIUS = 0.9
 #: default truncation order for series derived from rational functions
 DEFAULT_ORDER = 256
 
-#: elements per inverse FFT of the angle-grid scans: a 2048 x 4096 scan runs
-#: a third slower in 2M-element chunks, whose buffers are eight times larger
-_FFT_CHUNK = 1 << 18
+#: elements per inverse FFT of the angle-grid scans: 2 MiB buffers, below the
+#: 4 MiB from which numpy asks for transparent huge pages, which at 2^18
+#: elements raised a norms op's peak RSS by about 4 MB and slowed the
+#: transforms by a fifth; 2M-element chunks were slower still
+_FFT_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,14 @@ class CircleNorms:
 
 
 def majorant(s: TruncatedSeries) -> TruncatedSeries:
-    """Replace every coefficient by its modulus; the tail bound carries over."""
-    return TruncatedSeries(np.abs(s.coeffs).astype(complex), s.tail_rho, s.tail_m)
+    """Replace every coefficient by its modulus; the tail bound carries over.
+
+    A modulus past the float range (finite parts, as in 1.7e308 + 1.7e308j)
+    is a ParameterDomainError."""
+    mods = np.abs(s.coeffs)
+    if not np.all(mods < np.inf):
+        raise ParameterDomainError("coefficient moduli |a_n| overflow")
+    return TruncatedSeries(mods.astype(complex), s.tail_rho, s.tail_m)
 
 
 def derivative(s: TruncatedSeries) -> TruncatedSeries:
@@ -283,6 +291,24 @@ def _angle_count(requested: int, n_coeffs: int) -> int:
     return count
 
 
+def _power_table(radii: np.ndarray, n: int) -> np.ndarray:
+    """r^k for k < n in row r: repeated products (``cumprod``), correctly rounded
+    steps, so the bits do not depend on numpy's SIMD level as ``**`` does."""
+    table = np.empty((radii.size, n))
+    table[:, 0] = 1.0
+    table[:, 1:] = radii[:, None]
+    return np.cumprod(table, axis=1, out=table)
+
+
+def _horner_pair(cs: list, z: complex) -> tuple[complex, complex]:
+    """f(z) and f'(z) of the partial sum with coefficients ``cs`` (Python
+    complex, lowest degree first) in one scalar Horner pass."""
+    f, d = cs[-1], 0j
+    for c in cs[-2::-1]:
+        d, f = d * z + f, f * z + c
+    return f, d
+
+
 def _angle_grid_values(coeffs: np.ndarray, radii: np.ndarray, count: int):
     """Yield (rows, values): f(r e^{i theta_k}) on the ``count``-point angle grid.
 
@@ -292,14 +318,21 @@ def _angle_grid_values(coeffs: np.ndarray, radii: np.ndarray, count: int):
     coefficients (see ``_angle_count``).  At a power-of-two count the values
     equal those of the scaled transform ``ifft(buf) * count`` bit for bit.
     """
-    exps = np.arange(coeffs.size, dtype=float)
     chunk = max(1, _FFT_CHUNK // count)
     buf = np.zeros((min(chunk, radii.size), count), dtype=complex)
     for start in range(0, radii.size, chunk):
         rr = radii[start:start + chunk]
         block = buf[:rr.size]
-        block[:, :coeffs.size] = coeffs[None, :] * rr[:, None] ** exps[None, :]
-        yield slice(start, start + rr.size), np.fft.ifft(block, axis=1, norm="forward")
+        block[:, :coeffs.size] = coeffs[None, :] * _power_table(rr, coeffs.size)
+        with np.errstate(over="ignore", invalid="ignore"):  # callers check |f|
+            values = np.fft.ifft(block, axis=1, norm="forward")
+        yield slice(start, start + rr.size), values
+
+
+def _check_moduli(mags: np.ndarray) -> None:
+    """Reject circle moduli |f| past the float range (or NaN) from an angle-grid scan."""
+    if not np.all(mags < np.inf):
+        raise ParameterDomainError("circle moduli |f(r e^{i theta})| are not finite")
 
 
 def circle_sup(s: TruncatedSeries, r: float) -> tuple[float, float]:
@@ -311,8 +344,8 @@ def circle_sup(s: TruncatedSeries, r: float) -> tuple[float, float]:
     (without a root the grid winner stays).  A plateau, |f| constant up to
     rounding (c z^n, or r = 0), reports theta = 0.  Real coefficients make |f|
     even in theta, so only [0, pi] is scanned; real nonnegative ones peak at
-    theta = 0 (the coefficient sum).  A negative or non-finite radius is a
-    ParameterDomainError."""
+    theta = 0 (the coefficient sum).  A negative or non-finite radius, or a
+    scanned modulus past the float range, is a ParameterDomainError."""
     _check_certified(s, r, "circle scan")
     if s.is_nonnegative:
         return coefficient_sum(s, r), 0.0
@@ -320,14 +353,14 @@ def circle_sup(s: TruncatedSeries, r: float) -> tuple[float, float]:
     (_, values), = _angle_grid_values(s.coeffs, np.array([float(r)]), count)
     angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     mags = np.abs(values[0, :count if s.coeffs.imag.any() else count // 2 + 1])
+    _check_moduli(mags)
     if np.ptp(mags) <= 4.0 * count.bit_length() * np.finfo(float).eps * mags.max():
         return float(mags[0]), 0.0  # a plateau: |f| is constant up to rounding
 
     def at(th: float, cs: list = s.coeffs.tolist()) -> tuple[float, float]:
         """|f| and Im(f conj(z f')) at z = r e^{i th}."""
-        z, f, d = complex(r * math.cos(th), r * math.sin(th)), cs[-1], 0j
-        for c in cs[-2::-1]:
-            d, f = d * z + f, f * z + c
+        z = complex(r * math.cos(th), r * math.sin(th))
+        f, d = _horner_pair(cs, z)
         return abs(f), (f * (z * d).conjugate()).imag
 
     theta, sup = scan_polish(lambda th: at(th)[0], angles[:mags.size], mags,

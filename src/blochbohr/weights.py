@@ -37,12 +37,18 @@ class Weight:
     ``fn`` must be vectorized over numpy arrays.  Calls at exactly r = 1 are
     answered with ``limit_at_one`` when that limit is finite and rejected
     otherwise; the open-interval domain is the contract everywhere else.
+    ``slope``, when known, is omega' on [0, 1), vectorized like ``fn``; at a
+    ``kink`` (a radius where omega' jumps) it may take either one-sided
+    value, so polishes evaluate it only off the kink.  Radial sups of a
+    series polish at a root of the weighted slope when it is given.
     """
 
     name: str
     fn: Callable = field(repr=False)
     params: Mapping[str, float] = field(default_factory=dict)
     limit_at_one: float = np.inf
+    slope: Optional[Callable] = field(default=None, repr=False)
+    kink: Optional[float] = None
 
     def __call__(self, r):
         """omega(r).  A float r in [0, 1) skips the domain checks, but ``fn``
@@ -67,9 +73,10 @@ class Weight:
         """The weight multiplied by a positive finite constant."""
         if not 0.0 < c < np.inf:
             raise ParameterDomainError("scale must be positive and finite")
+        slope = None if self.slope is None else lambda r: c * self.slope(r)
         return Weight(name=f"{c}*{self.name}", fn=lambda r: c * self.fn(r),
                       params=dict(self.params),
-                      limit_at_one=c * self.limit_at_one)
+                      limit_at_one=c * self.limit_at_one, slope=slope, kink=self.kink)
 
 
 @dataclass(frozen=True)
@@ -93,17 +100,19 @@ def builtin_weight(kind: str, **params) -> Weight:
     Kinds: ``standard`` (1 - r^2), ``constant`` (identically 1),
     ``example2`` (1 left of r0, ((1-r)/(1-r0))^alpha right of it) and
     ``example3`` ((1 - |(r-r0)/(1-r0 r)|)^alpha).  The example weights
-    require r0 in [1/sqrt(2), 1) and a finite alpha >= 1.
+    require r0 in [1/sqrt(2), 1) and a finite alpha >= 1, and have their
+    kink at r0.  Every kind carries its closed-form slope.
     """
     if kind == "standard":
         if params:
             raise ParameterDomainError("standard weight takes no parameters")
-        return Weight(name="standard", fn=lambda r: 1.0 - r * r, limit_at_one=0.0)
+        return Weight(name="standard", fn=lambda r: 1.0 - r * r, limit_at_one=0.0,
+                      slope=lambda r: -2.0 * r)
     if kind == "constant":
         if params:
             raise ParameterDomainError("constant weight takes no parameters")
         return Weight(name="constant", fn=lambda r: np.ones_like(np.asarray(r, float)),
-                      limit_at_one=1.0)
+                      limit_at_one=1.0, slope=lambda r: np.zeros_like(np.asarray(r, float)))
     if kind in ("example2", "example3"):
         if "r0" not in params:
             raise ParameterDomainError("example weights need r0")
@@ -119,11 +128,21 @@ def builtin_weight(kind: str, **params) -> Weight:
                 f"example weights need a finite alpha >= 1, got {alpha}")
         if kind == "example2":
             fn = lambda r: np.where(r <= r0, 1.0, ((1.0 - r) / (1.0 - r0)) ** alpha)
+            slope = lambda r: np.where(r <= r0, 0.0, -alpha / (1.0 - r0)
+                                       * ((1.0 - r) / (1.0 - r0)) ** (alpha - 1.0))
         else:
             fn = lambda r: (1.0 - np.abs((r - r0) / (1.0 - r0 * r))) ** alpha
+            slope = lambda r: _example3_slope(r, r0, alpha)
         return Weight(name=kind, fn=fn, params={"r0": r0, "alpha": alpha},
-                      limit_at_one=0.0)
+                      limit_at_one=0.0, slope=slope, kink=r0)
     raise ParameterDomainError(f"unknown weight kind {kind!r}")
+
+
+def _example3_slope(r, r0: float, alpha: float):
+    """d/dr (1 - |u|)^alpha with u = (r - r0)/(1 - r0 r), du/dr = (1 - r0^2)/(1 - r0 r)^2."""
+    u = (r - r0) / (1.0 - r0 * r)
+    return (-alpha * (1.0 - np.abs(u)) ** (alpha - 1.0) * np.sign(u)
+            * (1.0 - r0 * r0) / (1.0 - r0 * r) ** 2)
 
 
 def weight_from_token(token: str) -> Weight:
@@ -211,6 +230,13 @@ def criterion_check(w: Weight, r0: float, r_points: int = CRITERION_R_POINTS,
                            violation_witness=None if passed else worst_r)
 
 
+def _with_point(xs: np.ndarray, x: float) -> np.ndarray:
+    """The sorted, distinct ``xs`` with ``x`` in its place (``np.union1d``
+    without loading ``numpy.ma``)."""
+    i = int(np.searchsorted(xs, x))
+    return xs if i < xs.size and xs[i] == x else np.insert(xs, i, x)
+
+
 def find_admissible_r0(w: Weight, r_points: int = CRITERION_R_POINTS,
                        tol: float = CRITERION_TOL,
                        ) -> Optional[tuple[float, CriterionReport]]:
@@ -234,7 +260,7 @@ def find_admissible_r0(w: Weight, r_points: int = CRITERION_R_POINTS,
     candidates = np.linspace(R0_MIN, 1.0, 100)
     own = w.params.get("r0")
     if own is not None and R0_MIN - 1e-12 <= own <= 1.0:
-        candidates = np.union1d(candidates, [float(own)])
+        candidates = _with_point(candidates, float(own))
 
     def check(r0: float) -> Optional[CriterionReport]:
         w0 = w(r0)
@@ -269,6 +295,6 @@ def h_profile(r0: float, n_points: int = PROFILE_POINTS) -> np.ndarray:
     r0 = _check_r0(r0)
     rs = radii(n_points)
     if r0 <= R_MAX:
-        rs = np.union1d(rs, [r0])
+        rs = _with_point(rs, r0)
     w1, w2 = _omegas(rs, r0)
     return np.column_stack([rs, w1, w2, np.minimum(w1, w2)])

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from blochbohr import (EvaluatorDomainError, ExtremalSpec, ParameterDomainError,
                        PoleError, TruncatedSeries, avkhadiev_coefficients,
                        avkhadiev_eval, avkhadiev_majorant_closed_form, circle_sup,
-                       coefficient_sum, eval_series, extremal_coefficients,
+                       coefficient_sum, derivative, eval_series, extremal_coefficients,
                        extremal_eval, extremal_sup_modulus, majorant,
                        weight_from_token, weighted_bloch_norm,
                        weighted_bloch_seminorm, weighted_radial_sup)
-from blochbohr.norms import _batch_circle_max
-from blochbohr.search import THETA_POINTS, radii
+from blochbohr.norms import _batch_circle_max, _radial_sup, _series_radial_sup
+from blochbohr.search import R_MAX, THETA_POINTS, radii
 from blochbohr.series import _angle_count, _angle_grid_values
 from blochbohr.weights import Weight, builtin_weight
 from conftest import random_polynomial
@@ -39,11 +39,13 @@ class TestBlochNorm:
         assert weighted_bloch_norm(s, std) == pytest.approx(
             0.769800358919501, abs=1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_homogeneity(self, std):
+        # at 1e150 the slopes' products f conj(f') approach the float range
         rng = np.random.default_rng(21)
         s = random_polynomial(rng)
         base = weighted_bloch_norm(s, std, LEAN)
-        for c in (0.25, 3.0, 117.0):
+        for c in (0.25, 3.0, 117.0, 1e150):
             scaled = TruncatedSeries.polynomial(c * s.coeffs)
             assert weighted_bloch_norm(scaled, std, LEAN) == pytest.approx(
                 c * base, rel=1e-12)
@@ -130,6 +132,98 @@ class TestRadialSup:
     def test_report_serialization(self, const):
         rep = weighted_radial_sup(lambda z: z, const, 16)
         assert set(asdict(rep)) == {"value", "witness_r", "witness_theta"}
+
+
+class TestRadialWitnessAtSlopeRoot:
+    """Series radial sups polish the radius at a root of d/dr [w(r) M(r)];
+    the witnesses below are closed forms or 40-digit mpmath maxima, to the
+    1e-12 width of the falsi bracket."""
+
+    def test_mobius_witnesses(self, std):
+        # (alpha - z)/(1 - alpha z) peaks on |z| = r at z = -r, so the sup is
+        # max (1 - r^2)(alpha + r)/(1 + alpha r); its derivative's weighted
+        # sup (1 - r^2)(1 - alpha^2)/(1 - alpha r)^2 is 1, at r = alpha
+        from blochbohr import mobius_series
+        s = mobius_series(0.9)
+        value, r, theta = _series_radial_sup(s, std)
+        assert abs(r - 0.088345568515427321) <= 1e-12
+        assert value == pytest.approx(0.90840350915920961, rel=1e-15)
+        assert theta == pytest.approx(np.pi, abs=1e-12)
+        value, r, theta = _series_radial_sup(derivative(s), std)
+        assert abs(r - 0.9) <= 1e-12 and theta == 0.0
+        assert value == pytest.approx(1.0, rel=1e-15)
+        assert weighted_bloch_norm(s, std) == pytest.approx(1.9, rel=1e-15)
+
+    def test_quartic_witness(self, std):
+        s = TruncatedSeries.polynomial([0.25, 0.8, -0.9, 0.3, 0.6])
+        value, r, theta = _series_radial_sup(s, std)
+        assert abs(r - 0.66755205495633087) <= 1e-12
+        assert abs(theta - 1.9035421661932843) <= 1e-12
+        assert value == pytest.approx(0.53069942984135190, rel=1e-15)
+
+    def test_nonnegative_witness_is_the_cubic_root(self, std):
+        # (1 - r^2)(r + r^2/2) has slope 1 + r - 3r^2 - 2r^3, whose root in
+        # (0, 1) is (sqrt5 - 1)/2, where the value is 1/2 exactly
+        value, r, theta = _series_radial_sup(TruncatedSeries.polynomial([0.0, 1.0, 0.5]), std)
+        assert abs(r - (np.sqrt(5.0) - 1.0) / 2.0) <= 1e-12
+        assert theta == 0.0 and value == pytest.approx(0.5, rel=1e-15)
+
+    def test_zero_constant_term_at_the_origin(self):
+        # the bracket of the grid winner 0.25 starts at r = 0, where f = iz
+        # vanishes and the envelope slope is 0/0; the right derivative
+        # |f'(0)| takes its place.  sup_r r e^{-50 r} is at r = 1/50
+        w = Weight("exp", lambda r: np.exp(-50.0 * r),
+                   slope=lambda r: -50.0 * np.exp(-50.0 * r))
+        value, r, _ = _series_radial_sup(TruncatedSeries.polynomial([0.0, 1.0j]), w, 5)
+        assert abs(r - 0.02) <= 1e-12
+        assert value == pytest.approx(0.02 * np.exp(-1.0), rel=1e-14)
+        # under a constant weight the sup of 2z is the bracket end R_MAX
+        value, r, _ = _series_radial_sup(TruncatedSeries.polynomial([0.0, 2.0]),
+                                         builtin_weight("constant"), 3)
+        assert (value, r) == (2.0 * R_MAX, R_MAX)
+
+    def test_slopeless_weight_keeps_golden_section(self, std):
+        # a hand-built weight without a slope polishes by golden section,
+        # so its witness lands near, not at, the root
+        bare = Weight("bare", std.fn)
+        s = TruncatedSeries.polynomial([0.25, 0.8, -0.9, 0.3, 0.6])
+        value, r, _ = _series_radial_sup(s, bare)
+        root_value, root_r, _ = _series_radial_sup(s, std)
+        assert abs(r - root_r) <= 1e-7 and r != root_r
+        assert value == pytest.approx(root_value, rel=1e-13)
+
+
+def _golden_radial_sup(s, w, r_points):
+    """The radial sup polished by golden section: ``_radial_sup`` without a slope."""
+    rs = radii(r_points)
+    weights = np.asarray(w(rs))
+    rough = (coefficient_sum(s, rs) if s.is_nonnegative
+             else _batch_circle_max(s, rs, THETA_POINTS, weights))
+    return _radial_sup(rs, rough, weights, lambda r: circle_sup(s, r), w)
+
+
+def test_root_polish_never_below_golden_polish():
+    # golden section reports the largest of its rounded probes, so it may sit
+    # above the true sup by the rounding of one Horner evaluation,
+    # gamma_{4(N+1)} w(r) sum |a_n| r^n, which is the tolerance
+    rng = np.random.default_rng(20)
+    for i in range(120):
+        s = random_polynomial(rng, max_degree=40)
+        if i % 4 == 1:
+            s = TruncatedSeries.polynomial(s.coeffs.real)
+        elif i % 4 == 2:
+            s = majorant(s)
+        kind = ("standard", "constant", "example2", "example3")[i // 4 % 4]
+        params = ({} if kind in ("standard", "constant")
+                  else {"r0": float(rng.uniform(0.71, 0.99)), "alpha": float(rng.uniform(1.0, 4.0))})
+        w = builtin_weight(kind, **params)
+        value, r, _ = _series_radial_sup(s, w, LEAN)
+        golden, golden_r, _ = _golden_radial_sup(s, w, LEAN)
+        gamma = 2.0 * s.coeffs.size * np.finfo(float).eps
+        slack = gamma / (1.0 - gamma) * w(golden_r) * coefficient_sum(s, golden_r)
+        assert value >= golden - slack, (i, kind, params)
+        if w.kink is not None and abs(golden_r - w.kink) < 1e-9:
+            assert r == w.kink
 
 
 class TestAvkhadievEval:
@@ -325,7 +419,8 @@ _WEIGHTS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(coeffs=_series_coeffs(), w=_WEIGHTS,
-       r_points=st.one_of(st.sampled_from([2, 3, 16, 17]), st.integers(4, 400)),
+       r_points=st.one_of(st.sampled_from([2, 3, 16, 17, 257, 258, 273]),
+                          st.integers(4, 600)),
        theta_points=st.sampled_from([2, 8, 64, 256, 4096]),
        r_max=st.one_of(st.just(1.0 - 1e-6), st.floats(0.05, 1.0 - 1e-6)))
 @example(coeffs=np.array([0.0, 1.0]), w=builtin_weight("standard"),

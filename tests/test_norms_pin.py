@@ -13,6 +13,7 @@ intended output change, regenerate it with
 """
 
 import cmath
+import json
 import math
 from pathlib import Path
 
@@ -85,6 +86,14 @@ def test_every_run_has_an_expected_output():
 def test_norms_stdout_is_byte_identical(args, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     assert run_stdout(args) == expected_outputs(EXPECTED)[args]
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if "r0=" in case])
+def test_kink_witness_is_the_anchor_exactly(case):
+    # each pinned example weight peaks at its kink r0, a candidate of its own
+    r0 = float(case.split("r0=")[1].split(",")[0])
+    report = json.loads(expected_outputs(EXPECTED)[f"{case} --format json"])
+    assert report["radial_sup"]["witness_r"] == r0
 
 
 if __name__ == "__main__":

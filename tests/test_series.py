@@ -12,7 +12,8 @@ from blochbohr import (DivergenceRegionError, ExtremalSpec,
 from blochbohr.cli import main
 from blochbohr.norms import _batch_circle_max
 from blochbohr.search import THETA_POINTS, scan_polish
-from blochbohr.series import _angle_count, _angle_grid_values, _horner, circle_sup
+from blochbohr.series import (_angle_count, _angle_grid_values, _horner, _power_table,
+                              circle_sup)
 from conftest import random_polynomial, trig_quadrature_l2
 
 SQRT2 = np.sqrt(2.0)
@@ -69,6 +70,12 @@ class TestMajorant:
     def test_idempotent_on_nonnegative(self):
         s = TruncatedSeries.polynomial([0.5, 1.0, 0.0, 2.0])
         np.testing.assert_array_equal(majorant(s).coeffs, s.coeffs)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_modulus_rejected(self):
+        # both parts finite, the modulus past the float range
+        with pytest.raises(ParameterDomainError, match=r"moduli \|a_n\| overflow"):
+            majorant(TruncatedSeries.polynomial([1.7e308 + 1.7e308j, 1.0]))
 
     def test_extremal_moduli_against_expansion_oracle(self):
         spec = ExtremalSpec(r0=0.8, truncation=8)
@@ -371,9 +378,15 @@ class TestAngleGridScan:
         coeffs = rng.normal(size=n_coeffs) + 1j * rng.normal(size=n_coeffs)
         # more radii than one chunk holds at count 4096, with a partial last chunk
         radii = np.linspace(0.0, 0.999, 300)
+        # the power table is repeated products, the same bits as a Python loop
+        powers = _power_table(radii, n_coeffs)
+        for i in (0, 1, 299):
+            loop = [1.0]
+            for _ in range(n_coeffs - 1):
+                loop.append(loop[-1] * float(radii[i]))
+            assert powers[i].tolist() == loop
         buf = np.zeros((radii.size, count), dtype=complex)
-        buf[:, :n_coeffs] = coeffs[None, :] * radii[:, None] ** np.arange(
-            n_coeffs, dtype=float)[None, :]
+        buf[:, :n_coeffs] = coeffs[None, :] * powers
         expected = np.fft.ifft(buf, axis=1) * count
         rough = np.empty(radii.size)
         for rows, values in _angle_grid_values(coeffs, radii, count):
@@ -387,9 +400,22 @@ class TestAngleGridScan:
         for i in (0, 150, 299):
             (_, values), = _angle_grid_values(coeffs, radii[i:i + 1], count)
             single = np.zeros(count, dtype=complex)
-            single[:n_coeffs] = coeffs * float(radii[i]) ** np.arange(n_coeffs, dtype=float)
+            single[:n_coeffs] = coeffs * powers[i]
             assert values[0].tobytes() == (np.fft.ifft(single) * count).tobytes()
             assert values[0].tobytes() == expected[i].tobytes()
+
+    @pytest.mark.parametrize("coeffs", [[1.7e308 + 1.7e308j, 1.0], [1e308, -1e308, 1e308j]],
+                             ids=["modulus", "sum"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_circle_moduli_rejected(self, coeffs):
+        # a modulus past the float range, or an FFT sum that overflows: the
+        # scans name it instead of warning on inf - inf
+        s = TruncatedSeries.polynomial(coeffs)
+        with pytest.raises(ParameterDomainError, match="circle moduli"):
+            circle_sup(s, 0.9)
+        rs = np.linspace(0.0, 0.9, 300)
+        with pytest.raises(ParameterDomainError, match="circle moduli"):
+            _batch_circle_max(s, rs, THETA_POINTS, 1.0 - rs * rs)
 
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.9])
     def test_witnesses_match_closed_forms(self, r):

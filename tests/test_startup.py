@@ -73,3 +73,17 @@ def test_bounds_subcommand_and_help_load_what_they_call():
         "    try:\n        main(['theorem4', '--help'])\n"
         "    except SystemExit:\n        pass")
     assert loaded["layers"] == ["cli", "errors", "search", "weights"]
+
+
+def test_anchor_search_and_profile_leave_numpy_ma_unloaded():
+    # np.union1d imports numpy.ma, about 18 ms on its first call
+    for argv in (["weight-check", "--weight", "example2:r0=0.8,alpha=2"],
+                 ["h-profile", "--r0", "0.8", "--n", "8"]):
+        out = run_python(
+            "-c",
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from blochbohr.cli import main\n"
+            f"with redirect_stdout(io.StringIO()):\n    main({argv!r})\n"
+            "print('numpy.ma' in sys.modules)\n")
+        assert out == "False\n", argv
