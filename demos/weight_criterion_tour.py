@@ -7,6 +7,8 @@ A weight omega is admissible at an anchor r0 in [1/sqrt(2), 1] when
 for every r in [0, 1).  h has a corner at r0 (value 1) and is decreasing,
 which rules out smooth weights: their ratio curve leaves the admissible
 region on one side of the corner.  Piecewise weights built around r0 pass.
+Passing is necessary for sharpness, not sufficient: the extremal also needs
+the weight to fall fast enough past r0 (demos/extremal_sharpness_walkthrough.py).
 """
 
 import numpy as np

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceRegionError, ParameterDomainError, PoleError
-from .search import bisect_flag, bisect_root, grid, grid_golden_max, scan_polish
+from .search import bisect_flag, bisect_root, grid, scan_polish
 from .series import TruncatedSeries, circle_norms, coefficient_sum, majorant, scale_argument
 
 #: exponents s ``theorem1_root`` accepts; the root is ill conditioned beyond them
@@ -337,17 +337,19 @@ def mobius_majorant_sum(a, r):
 
 
 def mobius_majorant_sup(r: float) -> float:
-    """max over a in [0, 1) of the Mobius-family majorant sum at radius r.
+    """sup over a in [0, 1) of the Mobius-family majorant sum at radius r.
 
-    On [1/3, 1/sqrt(2)] this reproduces the closed form
-    ``bombieri_m_infty``; it never exceeds the Cauchy-Schwarz bound
-    1/sqrt(1 - r^2), with equality only at r = 1/sqrt(2).
+    It is the sum at the root a* = (4 - sqrt(8 (1 - r^2)))/(4 r) of the
+    a-slope 1 - 4ar + 2a^2 r^2 + r^2, or at a = 1 when a* >= 1 (r <= 1/3).
+    On [1/3, 1/sqrt(2)] this reproduces the closed form ``bombieri_m_infty``;
+    it never exceeds the Cauchy-Schwarz bound 1/sqrt(1 - r^2), with
+    equality only at r = 1/sqrt(2).
     """
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ParameterDomainError("radius must lie in (0, 1)")
-    _, v = grid_golden_max(lambda a: mobius_majorant_sum(a, r), 0.0, 1.0 - 1e-9, 2048)
-    return v
+    a = min(1.0, (4.0 - float(np.sqrt(8.0 * (1.0 - r * r)))) / (4.0 * r))
+    return float(mobius_majorant_sum(a, r))
 
 
 def mobius_series(alpha: float, n_terms: int = 257) -> TruncatedSeries:

@@ -223,10 +223,7 @@ def _cmd_sharpness(args) -> int:
     from .extremal import verify_sharpness
     w = weight_from_token(args.weight)
     rep = verify_sharpness(w, args.r0)
-    witness_tol = 2.0 * rep.grid_step
-    witnesses_ok = (abs(rep.lhs_witness_r - rep.r0) <= witness_tol
-                    and abs(rep.rhs_witness_r - rep.r0) <= witness_tol)
-    passed = rep.relative_gap <= SHARPNESS_GAP and witnesses_ok
+    passed = rep.relative_gap <= SHARPNESS_GAP
     verdict = "PASS" if passed else "FAIL"
     # human-readable verdict on stderr; stdout carries only the report
     sys.stderr.write(

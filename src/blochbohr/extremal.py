@@ -3,16 +3,15 @@
 The extremal family is the Mobius map
 f(z) = (z/r0 - e^{i phi}/sqrt(2)) / (1 - e^{-i phi} z / (sqrt(2) r0)),
 a degree-1 Blaschke factor with zero of modulus 1/sqrt(2) composed with
-z/r0.  Its coefficient moduli obey |a_n| r0^n = (1/sqrt(2))^{n+1}; for
-r <= r0 its circle sup has the closed form
-(r/r0 + 1/sqrt(2)) / (1 + r/(sqrt(2) r0)), attained at theta = pi + phi
-(for r > r0 the same expression is the circle minimum, and the maximum
-sits at theta = phi); its majorant sum at radius r/sqrt(2) is
-(1/sqrt(2)) / (1 - r/(2 r0)).
+z/r0.  Its coefficient moduli obey |a_n| r0^n = (1/sqrt(2))^{n+1}; its
+circle maximum is a closed form (``extremal_sup_modulus``), and its majorant
+sum at radius r/sqrt(2) is (1/sqrt(2)) / (1 - r/(2 r0)).
 
-For a weight that passes the admissibility criterion at r0, the weighted
-suprema of the majorant side and of the sup side coincide, both attained
-at r0; ``verify_sharpness`` checks this numerically.
+For a weight that passes the admissibility criterion at r0 the weighted
+majorant side peaks exactly at r0; the weighted sup side peaks there too,
+and the sharpness identity holds, only when omega(r)/omega(r0) stays below
+the reciprocal circle maximum beyond r0, which the criterion does not imply.
+``verify_sharpness`` computes both suprema.
 """
 
 from __future__ import annotations
@@ -23,9 +22,11 @@ import numpy as np
 
 from .errors import (DivergenceRegionError, ParameterDomainError, PoleError,
                      PreconditionError)
-from .search import R_MAX, grid_golden_max
+from .search import radii, scan_polish
 from .series import DEFAULT_ORDER, TruncatedSeries, _check_certified, derivative, _horner
-from .weights import CRITERION_R_POINTS, SQRT2, Weight, _check_r0, criterion_check
+from .weights import CRITERION_R_POINTS, SQRT2, Weight, _check_r0, _with_point, criterion_check
+
+_C = 0.5 * SQRT2  # 1/sqrt(2) correctly rounded; 1/SQRT2 is one ulp low
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,9 @@ class SharpnessReport:
 
     ``lhs_sup`` is sup_r omega(r)/sqrt(2) * sum |a_n| (r/sqrt(2))^n,
     ``rhs_sup`` is sup_r omega(r) * max_theta |f(r e^{i theta})|, and
-    ``relative_gap`` = |lhs - rhs| / max(lhs, rhs).  ``r0`` and
-    ``grid_step`` are echoed so callers can apply witness tolerances.
+    ``relative_gap`` = |lhs - rhs| / max(lhs, rhs); ``r0`` is echoed.  The
+    identity holds when the gap vanishes up to rounding, and then both
+    witnesses are r0.
     """
 
     lhs_sup: float
@@ -61,7 +63,6 @@ class SharpnessReport:
     rhs_witness_r: float
     relative_gap: float
     r0: float
-    grid_step: float
 
 
 def extremal_eval(spec: ExtremalSpec, z):
@@ -98,18 +99,21 @@ def extremal_coefficients(spec: ExtremalSpec) -> TruncatedSeries:
 
 
 def extremal_sup_modulus(r0: float, r):
-    """(r/r0 + 1/sqrt(2)) / (1 + r/(sqrt(2) r0)) = |f(r e^{i (pi + phi)})|.
+    """max_theta |f(r e^{i theta})| = max(A, B), with x = r/r0.
 
-    This is the circle maximum max_theta |f(r e^{i theta})| only for
-    r <= r0.  For r > r0 it is the circle minimum, and the maximum sits at
-    theta = phi (at r0 = 0.8, r = 0.85: maximum 1.42901, this value
-    1.01045).  The value does not depend on phi.
+    A = (x + 1/sqrt(2)) / (1 + x/sqrt(2)), at theta = pi + phi, is the
+    maximum up to r0; B = |x - 1/sqrt(2)| / |1 - x/sqrt(2)|, at theta = phi,
+    is the maximum beyond it (at r0 = 0.8, r = 0.85: 1.42901, where A is the
+    circle minimum 1.01045).  The value does not depend on phi.
     """
     _check_r0(r0)
     r = np.asarray(r, dtype=float)
     if not np.all(r >= 0.0):
         raise ParameterDomainError("radius must be nonnegative")
-    out = (r / r0 + 1.0 / SQRT2) / (1.0 + r / (SQRT2 * r0))
+    den = r0 - _C * r
+    if np.any(den == 0.0):
+        raise PoleError(f"circle through the pole at r = sqrt(2) r0 = {SQRT2 * r0:.6g}")
+    out = np.maximum((r + _C * r0) / (r0 + _C * r), np.abs(r - _C * r0) / np.abs(den))
     if r.ndim == 0:
         return float(out)
     return out
@@ -164,28 +168,16 @@ def blaschke_degree_montecarlo(s: TruncatedSeries, r0: float,
     return float(np.mean(np.abs(r0 * vals) ** 2))
 
 
-def _sup_with_candidate(f, r_points: int, candidate: float) -> tuple[float, float]:
-    """Grid+golden supremum that also probes an explicit candidate radius.
-
-    The candidate wins ties, so a supremum attained exactly there reports
-    it as the witness.
-    """
-    x, v = grid_golden_max(f, 0.0, R_MAX, r_points)
-    cv = float(np.asarray(f(candidate)))
-    if cv >= v:
-        return candidate, cv
-    return x, v
-
-
 def verify_sharpness(w: Weight, r0: float,
                      r_points: int = CRITERION_R_POINTS) -> SharpnessReport:
     """Compare both weighted suprema of the sharpness identity at anchor r0.
 
     Requires the weight to pass the admissibility criterion at r0
-    (PreconditionError otherwise).  Both sides are evaluated through their
-    closed forms on the scan grid plus the anchor itself; when the
-    criterion holds, both witnesses equal r0 and the relative gap vanishes
-    up to rounding.
+    (PreconditionError otherwise).  Each side is a closed form scanned on
+    ``radii(r_points)`` plus r0, a kink of both, and polished at a root of
+    its slope (golden section for a weight without ``slope``).  The sup
+    side's slope is omega' M + omega M' with M' = r0/(2 (r0 +- r/sqrt(2))^2),
+    + up to r0 and - beyond it.
     """
     report = criterion_check(w, r0, r_points)
     if not report.passed:
@@ -196,9 +188,15 @@ def verify_sharpness(w: Weight, r0: float,
 
     lhs = lambda r: np.asarray(w(r)) / SQRT2 * extremal_majorant_sum(r0, r)
     rhs = lambda r: np.asarray(w(r)) * extremal_sup_modulus(r0, r)
-    lhs_wit, lhs_sup = _sup_with_candidate(lhs, r_points, r0)
-    rhs_wit, rhs_sup = _sup_with_candidate(rhs, r_points, r0)
+    lhs_slope = rhs_slope = None
+    if w.slope is not None:
+        lhs_slope = lambda r: (w.slope(r) + w(r) / (2.0 * r0 - r)) * r0 / (2.0 * r0 - r)
+        rhs_slope = lambda r: (w.slope(r) * extremal_sup_modulus(r0, r) + w(r) * 0.5
+                               * r0 / (r0 + np.where(r <= r0, _C, -_C) * r) ** 2)
+    rs = _with_point(radii(r_points), r0)
+    lhs_wit, lhs_sup = scan_polish(lhs, rs, slope=lhs_slope, kink=r0)
+    rhs_wit, rhs_sup = scan_polish(rhs, rs, slope=rhs_slope, kink=r0)
     gap = abs(lhs_sup - rhs_sup) / max(lhs_sup, rhs_sup)
     return SharpnessReport(lhs_sup=lhs_sup, rhs_sup=rhs_sup,
                            lhs_witness_r=lhs_wit, rhs_witness_r=rhs_wit,
-                           relative_gap=gap, r0=r0, grid_step=R_MAX / (r_points - 1))
+                           relative_gap=gap, r0=r0)

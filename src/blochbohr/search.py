@@ -5,10 +5,10 @@ infimum) goes through one primitive, ``scan_polish``: a uniform grid scan
 (radial scans start at 0), then a polish of the best grid point's bracket
 to a 1e-12 width: golden-section search for a maximum, trisection for a
 minimum, or, given an analytic slope (``series.circle_sup`` over the angle,
-the series radial sups of ``norms`` over r, ``bounds.best_test_ratio`` over
-a), Illinois regula falsi on its root (``falsi_peak``), which fixes the
-witness to about eps, not sqrt(eps).  On the angle
-circle the bracket wraps around; elsewhere it is clipped to the grid.
+the radial sups of ``norms`` and ``extremal.verify_sharpness`` over r,
+``bounds.best_test_ratio`` over a), Illinois regula falsi on its root
+(``falsi_peak``), which fixes the witness to about eps, not sqrt(eps).  On
+the angle circle the bracket wraps around; elsewhere it is clipped to the grid.
 Root-finding is bracketed bisection with an explicit sign-change check,
 converging on the residual rather than the bracket width (``bisect_root``);
 a pass/fail threshold is bisected on the verdict alone (``bisect_flag``).
@@ -83,8 +83,8 @@ def falsi_peak(f: Callable, slope: Callable, lo: float, hi: float) -> tuple:
     """(x, f(x)) at the root where ``slope`` (sign of f') falls from + to - on [lo, hi].
 
     Illinois regula falsi (an end kept twice running has its slope halved),
-    bisecting when the secant point leaves the bracket, to a 1e-12 bracket or
-    a zero slope; x is the probe of least |slope|.  No such root: (None, -inf)."""
+    to a 1e-12 bracket, a zero slope or a secant point that rounds onto an
+    end; x is the probe of least |slope|.  No such root: (None, -inf)."""
     a, b, ga, gb = lo, hi, slope(lo), slope(hi)
     if not ga > 0.0 > gb:
         return None, -np.inf
@@ -92,8 +92,9 @@ def falsi_peak(f: Callable, slope: Callable, lo: float, hi: float) -> tuple:
     for _ in range(100):
         if b - a <= 1e-12 or best[0] == 0.0:
             break
-        x = a + ga * (b - a) / (ga - gb)
-        x = x if a < x < b else 0.5 * (a + b)
+        x = float(a + ga * (b - a) / (ga - gb))
+        if not a < x < b:
+            break
         gx = slope(x)
         best = min(best, (abs(gx), x))
         if gx > 0.0:

@@ -31,12 +31,12 @@ def expected_outputs(path: Path) -> dict[str, str]:
     return out
 
 
-def cli_stdout(args: str) -> str:
-    """stdout of ``blochbohr <args>`` through ``cli.main``, which must exit 0."""
+def cli_stdout(args: str, code: int = 0) -> str:
+    """stdout of ``blochbohr <args>`` through ``cli.main``, which must exit ``code``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(shlex.split(args))
-    assert code == 0, args
+        got = main(shlex.split(args))
+    assert got == code, args
     return out.getvalue()
 
 

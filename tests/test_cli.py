@@ -160,13 +160,24 @@ class TestHProfileCommand:
 
 
 class TestSharpnessCommand:
-    def test_example2_passes(self, capsys):
+    def test_example2_fails(self, capsys):
         code, out, err = run(capsys, "sharpness", "--weight",
                              "example2:r0=0.8,alpha=1", "--r0", "0.8")
+        assert code == 1
+        assert "sharpness FAIL" in err
+        assert out == ('weight,r0,lhs_sup,rhs_sup,lhs_witness_r,rhs_witness_r,'
+                       'relative_gap,passed\n"example2:r0=0.8,alpha=1",0.8,1,1.07368706,'
+                       '0.8,0.858763852,0.0686299214,false\n')
+
+    def test_example2_above_threshold_passes(self, capsys):
+        code, out, err = run(capsys, "sharpness", "--weight",
+                             "example2:r0=0.8,alpha=2", "--r0", "0.8", "--format", "json")
         assert code == 0
         assert "sharpness PASS" in err
-        _, rows = csv_rows(out)
-        assert rows[0]["passed"] == "true"
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert report["lhs_witness_r"] == report["rhs_witness_r"] == report["r0"] == 0.8
+        assert "grid_step" not in report
 
     def test_standard_precondition_error(self, capsys):
         code, _, err = run(capsys, "sharpness", "--weight", "standard",

@@ -5,7 +5,7 @@ import pytest
 
 from blochbohr import (DivergenceRegionError, ExtremalSpec,
                        ParameterDomainError, PoleError, PreconditionError,
-                       TruncatedSeries, blaschke_degree,
+                       TruncatedSeries, Weight, blaschke_degree,
                        blaschke_degree_montecarlo, builtin_weight, circle_norms,
                        eval_series, extremal_coefficients, extremal_eval,
                        extremal_majorant_sum, extremal_sup_modulus,
@@ -104,21 +104,35 @@ class TestSupModulus:
         assert extremal_sup_modulus(0.8, 0.0) == pytest.approx(1.0 / SQRT2,
                                                                abs=1e-15)
 
-    @pytest.mark.parametrize("r", [0.3, 0.6, 0.8])
+    @pytest.mark.parametrize("r", [0.3, 0.6, 0.8, 0.85, 0.95])
     def test_matches_circle_scan_below_anchor(self, r):
         s = extremal_coefficients(ExtremalSpec(r0=0.8))
         cn = circle_norms(s, r)
         assert cn.sup_norm == pytest.approx(extremal_sup_modulus(0.8, r), abs=1e-8)
 
     def test_circle_values_dominated_below_anchor(self):
+        # the peak sits at theta = pi + phi up to the anchor and at phi past it
         spec = ExtremalSpec(r0=0.8, phi=0.4)
         theta = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
-        for r in (0.2, 0.5, 0.8):
+        for r in (0.2, 0.5, 0.8, 0.85, 0.95):
             values = np.abs(extremal_eval(spec, r * np.exp(1j * theta)))
             bound = extremal_sup_modulus(0.8, r)
             assert np.all(values <= bound + 1e-12)
-            at_peak = abs(extremal_eval(spec, r * np.exp(1j * (np.pi + spec.phi))))
+            peak = spec.phi + (np.pi if r <= 0.8 else 0.0)
+            at_peak = abs(extremal_eval(spec, r * np.exp(1j * peak)))
             assert at_peak == pytest.approx(bound, abs=1e-12)
+
+    def test_maximum_past_the_anchor(self):
+        # past r0 the closed form (r/r0 + 1/sqrt(2))/(1 + r/(sqrt(2) r0)) is
+        # the circle minimum; the maximum is the value at theta = phi
+        assert extremal_sup_modulus(0.8, 0.85) == pytest.approx(1.42901, abs=5e-6)
+        minimum = (0.85 / 0.8 + 1.0 / SQRT2) / (1.0 + 0.85 / (SQRT2 * 0.8))
+        assert minimum == pytest.approx(1.01045, abs=5e-6)
+
+    def test_pole_circle(self):
+        # r0 = 1/sqrt(2) rounded up puts the pole sqrt(2) r0 at r = 1 exactly
+        with pytest.raises(PoleError):
+            extremal_sup_modulus(0.5 * SQRT2, np.array([0.5, 1.0]))
 
     @pytest.mark.parametrize("r", [-0.1, np.nan, np.array([0.5, np.nan])])
     def test_radius_domain(self, r):
@@ -187,26 +201,77 @@ class TestBlaschkeDegree:
         assert abs(estimate - 2.0) < 0.03
 
 
+def _readme_example_oracle():
+    """Sup over r of omega(r) B(r) for example2 (alpha 1, r0 0.8) in mpmath:
+    (1 - r)(r - p)/(q - r) with p = r0/sqrt(2), q = sqrt(2) r0 peaks at
+    r* = q - sqrt((q - 1)(q - p)); r0 is the double nearest 0.8."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        r0, c = mp.mpf(0.8), 1 / mp.sqrt(2)
+        p, q = c * r0, r0 / c
+        r = q - mp.sqrt((q - 1) * (q - p))
+        return float(r), float((1 - r) / (1 - r0) * (r - p) / (r0 - c * r))
+
+
 class TestVerifySharpness:
     def test_constant_weight_at_one(self):
         rep = verify_sharpness(builtin_weight("constant"), 1.0)
         assert rep.lhs_sup == pytest.approx(1.0, abs=1e-12)
         assert rep.rhs_sup == pytest.approx(1.0, abs=1e-12)
-        assert rep.lhs_witness_r == pytest.approx(1.0, abs=1e-12)
-        assert rep.rhs_witness_r == pytest.approx(1.0, abs=1e-12)
+        assert rep.lhs_witness_r == rep.rhs_witness_r == 1.0
         assert rep.relative_gap <= 1e-9
 
     def test_example2_weight(self):
+        # the README example passes the criterion but not the identity: past
+        # r0 the weight stays above 1/B, so the sup side peaks at r > r0
         rep = verify_sharpness(builtin_weight("example2", r0=0.8, alpha=1), 0.8)
-        assert rep.relative_gap <= 1e-9
-        assert abs(rep.lhs_witness_r - 0.8) <= 2 * rep.grid_step
-        assert abs(rep.rhs_witness_r - 0.8) <= 2 * rep.grid_step
-        assert rep.lhs_sup == pytest.approx(1.0, abs=1e-9)
+        assert rep.lhs_sup == pytest.approx(1.0, abs=1e-15)
+        assert rep.lhs_witness_r == 0.8
+        assert rep.rhs_sup == 1.0736870584245609
+        assert rep.rhs_witness_r == 0.8587638524630434
+        assert rep.relative_gap > 1e-9
+
+    def test_example2_against_mpmath(self):
+        witness, value = _readme_example_oracle()
+        rep = verify_sharpness(builtin_weight("example2", r0=0.8, alpha=1), 0.8)
+        assert (rep.rhs_witness_r, rep.rhs_sup) == (witness, value)
 
     def test_example3_weight(self):
         rep = verify_sharpness(builtin_weight("example3", r0=0.75, alpha=2), 0.75)
+        assert rep.lhs_witness_r == 0.75
+        assert rep.rhs_sup == pytest.approx(1.1412561, abs=5e-8)
+        assert rep.rhs_witness_r > 0.75
+        assert rep.relative_gap > 1e-9
+
+    @pytest.mark.parametrize("alpha,passes", [(1.44, False), (1.46, True), (2.0, True)])
+    def test_example2_attainment_threshold(self, alpha, passes):
+        # example2 attains the identity at r0 = 0.8 iff
+        # alpha >= (1 + sqrt(2))^2 (1 - r0)/r0 = 1.457...
+        assert 1.44 < (1.0 + SQRT2) ** 2 * 0.25 < 1.46
+        rep = verify_sharpness(builtin_weight("example2", r0=0.8, alpha=alpha), 0.8)
+        assert (rep.relative_gap <= 1e-9) == passes
+        assert rep.lhs_witness_r == 0.8
+        assert (rep.rhs_witness_r == 0.8) == passes
+
+    @pytest.mark.parametrize("kind,params,r0", [
+        ("example2", {"r0": 0.8, "alpha": 2.0}, 0.8),
+        ("example3", {"r0": 0.75, "alpha": 5.0}, 0.75),
+        ("example2", {"r0": 0.7071067811865476, "alpha": 3.0}, 0.7071067811865476),
+        ("constant", {}, 1.0),
+    ], ids=["example2", "example3", "anchor_1/sqrt2", "anchor_1"])
+    def test_attained_at_the_anchor(self, kind, params, r0):
+        rep = verify_sharpness(builtin_weight(kind, **params), r0)
         assert rep.relative_gap <= 1e-9
-        assert abs(rep.lhs_witness_r - 0.75) <= 2 * rep.grid_step
+        assert rep.lhs_witness_r == rep.rhs_witness_r == r0
+        assert rep.rhs_sup == 1.0
+
+    def test_weight_without_a_slope(self):
+        # a hand-built weight polishes by golden section and finds the same sup
+        ex2 = builtin_weight("example2", r0=0.8, alpha=1)
+        bare = Weight("bare", ex2.fn)
+        rep = verify_sharpness(bare, 0.8)
+        assert rep.rhs_sup == pytest.approx(1.0736870584245609, rel=1e-15)
+        assert rep.rhs_witness_r == pytest.approx(0.8587638524630434, abs=1e-7)
 
     def test_standard_weight_rejected(self):
         with pytest.raises(PreconditionError):
@@ -216,4 +281,5 @@ class TestVerifySharpness:
         rep = verify_sharpness(builtin_weight("constant"), 1.0)
         d = asdict(rep)
         assert d["relative_gap"] == rep.relative_gap
-        assert "grid_step" in d
+        assert set(d) == {"lhs_sup", "rhs_sup", "lhs_witness_r", "rhs_witness_r",
+                          "relative_gap", "r0"}

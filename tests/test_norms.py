@@ -321,7 +321,7 @@ class TestExtremalSeriesNorms:
         from blochbohr import circle_norms, extremal_sup_modulus
         spec = ExtremalSpec(r0=0.8)
         s = extremal_coefficients(spec)
-        for r in (0.3, 0.6, 0.8):
+        for r in (0.3, 0.6, 0.8, 0.85, 0.95):
             cn = circle_norms(s, r)
             assert cn.sup_norm == pytest.approx(extremal_sup_modulus(0.8, r),
                                                 abs=1e-8)

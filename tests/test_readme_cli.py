@@ -2,7 +2,8 @@
 
 Every ``blochbohr ...`` line of the README's shell blocks runs through
 ``cli.main`` in CSV, and its stdout must match ``data/readme_cli.txt``
-byte for byte: a speedup may not change a CSV byte.  The file holds one
+byte for byte: a speedup may not change a CSV byte.  Each run must exit 0,
+or 1 for a FAIL verdict listed in ``EXIT_1``.  The file holds one
 ``$ blochbohr <args>`` line per invocation, followed by its stdout.  After an
 intended output change, regenerate it with
 
@@ -26,6 +27,10 @@ SERIES = {"coeffs": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.5], [-0.25, 0.0]],
           "tail": {"rho": 0.0, "M": 0.0}}
 
 
+#: README lines whose verdict is FAIL: they exit 1 after the full report
+EXIT_1 = {"sharpness --weight example2:r0=0.8,alpha=1 --r0 0.8"}
+
+
 def readme_invocations() -> list[str]:
     lines = (ROOT / "README.md").read_text().splitlines()
     return [" ".join(shlex.split(line, comments=True)[1:])
@@ -35,7 +40,7 @@ def readme_invocations() -> list[str]:
 def csv_stdout(args: str) -> str:
     """stdout of ``blochbohr <args> --format csv``, run in the current directory."""
     Path("series.json").write_text(json.dumps(SERIES))
-    return cli_stdout(f"{args} --format csv")
+    return cli_stdout(f"{args} --format csv", code=1 if args in EXIT_1 else 0)
 
 
 def test_every_invocation_has_an_expected_output():

@@ -26,6 +26,22 @@ def test_falsi_peak_finds_the_falling_root():
     assert abs(x - 0.9) <= 1e-14
 
 
+def test_falsi_peak_stops_when_the_secant_lands_on_an_end():
+    # the slope's root lies within rounding of the left end, so the first
+    # secant point rounds onto it: no probe beyond the two ends, and the end
+    # of least |slope| is the witness
+    probes = []
+
+    def slope(t):
+        probes.append(t)
+        return 1e-300 - (t - 0.25)
+
+    f = lambda t: 1e-300 * t - 0.5 * (t - 0.25) ** 2
+    x, fx = falsi_peak(f, slope, 0.25, 0.75)
+    assert probes == [0.25, 0.75]
+    assert x == 0.25 and fx == f(0.25)
+
+
 @pytest.mark.parametrize("slope,lo,hi", [
     (lambda t: -np.cos(t), 1.0, 2.5),   # a minimum: - to +
     (lambda t: 1.0, 0.0, 1.0),          # no sign change
