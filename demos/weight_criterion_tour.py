@@ -37,7 +37,8 @@ for name, w, r0 in cases:
     verdict = "PASS" if rep.passed else f"FAIL at r = {rep.violation_witness:.4f}"
     print(f"{name:<28} anchor {r0}: {verdict}  (worst margin {rep.worst_margin:+.3e})")
 
-# the smooth standard weight fails at every anchor; the search reports none
+# only a kink of the weight can be admissible below 1, so the search checks
+# the kink and then 1; the smooth standard weight fails at both
 print("\nanchor search:")
 print("  standard ->", find_admissible_r0(builtin_weight("standard")))
 found = find_admissible_r0(builtin_weight("example3", r0=0.75, alpha=1))

@@ -33,6 +33,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,7 @@ class ScanReport:
 
 
 def _t1_residual(r, s):
-    return np.log(1.0 - r ** (2.0 * s)) - 1.0 + r ** (-2.0 * (1.0 - s))
+    return math.log(1.0 - r ** (2.0 * s)) - 1.0 + r ** (-2.0 * (1.0 - s))
 
 
 def theorem1_root(s: float, tol: float = THEOREM1_TOL) -> float:
@@ -113,10 +114,10 @@ def theorem1_optimize(tol: float = THEOREM1_TOL) -> tuple[float, float]:
     Returns (s_star, r_star).
     """
     tol = _check_solver_tol(tol)
-    r_star = bisect_root(lambda r: 2.0 * np.log(r) + r ** -2.0 - 2.0, *THEOREM1_BRACKET,
+    r_star = bisect_root(lambda r: 2.0 * math.log(r) + r ** -2.0 - 2.0, *THEOREM1_BRACKET,
                          abs_tol=tol)
-    s_star = np.log(1.0 - r_star * r_star) / (2.0 * np.log(r_star))
-    return float(s_star), float(r_star)
+    s_star = math.log(1.0 - r_star * r_star) / (2.0 * math.log(r_star))
+    return s_star, r_star
 
 
 def _check_scale(scale: float) -> float:

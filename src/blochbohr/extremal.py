@@ -90,11 +90,11 @@ def extremal_coefficients(spec: ExtremalSpec) -> TruncatedSeries:
     rot = np.exp(1j * spec.phi)
     q = np.conj(rot) / (SQRT2 * spec.r0)
     coeffs = np.empty(n + 1, dtype=complex)
-    coeffs[0] = -rot / SQRT2
+    coeffs[0] = -rot * _C
     coeffs[1:] = q ** np.arange(0, n, dtype=float) / (2.0 * spec.r0)
     rho = 1.0 / (SQRT2 * spec.r0)
     if rho < 1.0:
-        return TruncatedSeries(coeffs, rho, 1.0 / SQRT2)
+        return TruncatedSeries(coeffs, rho, _C)
     return TruncatedSeries(coeffs)
 
 
@@ -129,7 +129,7 @@ def extremal_majorant_sum(r0: float, r):
         raise PoleError(f"majorant sum has a pole at r = 2 r0 = {2.0 * r0:.6g}")
     if not np.all(r < 2.0 * r0):
         raise DivergenceRegionError("majorant sum diverges past r = 2 r0")
-    out = (1.0 / SQRT2) / (1.0 - r / (2.0 * r0))
+    out = _C / (1.0 - r / (2.0 * r0))
     if r.ndim == 0:
         return float(out)
     return out

@@ -4,7 +4,9 @@ The criterion bounds are omega1(r) = 2 - r/r0 and
 omega2(r) = (sqrt(2) r0 + r) / (sqrt(2) r + r0); a weight is admissible at
 an anchor r0 in [1/sqrt(2), 1] when omega(r)/omega(r0) stays below their
 pointwise minimum h(r) for every r in [0, 1).  h equals omega2 left of r0
-and omega1 right of it, and is decreasing and convex on [0, r0).
+and omega1 right of it, and is decreasing and convex on [0, r0).  Its corner
+at r0 is too sharp for a weight differentiable there, so an anchor below 1
+can only be admissible at a kink of the weight.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import ParameterDomainError, ZeroDenominatorError
-from .search import R_MAX, bisect_flag, radii, scan_polish
+from .search import R_MAX, radii, scan_polish
 
 SQRT2 = float(np.sqrt(2.0))
 R0_MIN = 1.0 / SQRT2
@@ -40,7 +42,8 @@ class Weight:
     ``slope``, when known, is omega' on [0, 1), vectorized like ``fn``; at a
     ``kink`` (a radius where omega' jumps) it may take either one-sided
     value, so polishes evaluate it only off the kink.  Radial sups of a
-    series polish at a root of the weighted slope when it is given.
+    series polish at a root of the weighted slope when it is given.  The
+    kink is also the only anchor below 1 that ``find_admissible_r0`` tries.
     """
 
     name: str
@@ -194,10 +197,6 @@ def criterion_bound(r, r0: float):
     return out
 
 
-def _margin(r, r0: float, w_r, w0: float):
-    return criterion_bound(r, r0) - w_r / w0
-
-
 def _check_tol(tol: float) -> float:
     if not tol >= 0.0:
         raise ParameterDomainError(f"tolerance must be >= 0, got {tol}")
@@ -222,7 +221,7 @@ def criterion_check(w: Weight, r0: float, r_points: int = CRITERION_R_POINTS,
         raise ParameterDomainError(f"weight {w.name} is not finite at r0 = {r0}")
 
     def margin(r):
-        return _margin(r, r0, w(r), w0)
+        return criterion_bound(r, r0) - w(r) / w0
 
     worst_r, worst = scan_polish(margin, rs, minimize=True)
     passed = worst >= -tol
@@ -237,51 +236,27 @@ def _with_point(xs: np.ndarray, x: float) -> np.ndarray:
     return xs if i < xs.size and xs[i] == x else np.insert(xs, i, x)
 
 
-def find_admissible_r0(w: Weight, r_points: int = CRITERION_R_POINTS,
-                       tol: float = CRITERION_TOL,
-                       ) -> Optional[tuple[float, CriterionReport]]:
-    """Search [1/sqrt(2), 1] for an anchor where the criterion passes.
+def find_admissible_r0(w: Weight) -> Optional[tuple[float, CriterionReport]]:
+    """The first of the weight's ``kink`` and 1 where the criterion passes.
 
-    Scans 100 uniform anchors (plus the weight's own r0 parameter when it
-    declares one: piecewise weights may be admissible at a single anchor
-    that no uniform grid hits), takes the first passing candidate, and
-    sharpens the pass/fail boundary against the preceding failing candidate
-    by bisection.  Anchors where the weight vanishes count as failures.
-    Returns (r0, report) or None when every candidate fails.
-
-    omega is evaluated on the scan radii once.  An anchor whose grid margin
-    dips below -tol fails without ``criterion_check``: its polish keeps only
-    strictly lower points, so that verdict is final.  Anchors where omega is
-    zero or not finite still go through it, so the errors are unchanged.
+    h has a corner at r0: its slope is -(3 - 2 sqrt(2))/r0 left of it and
+    -1/r0 right of it.  rho = omega/omega(r0) touches h there, so rho passes
+    only if rho'(r0-) >= -(3 - 2 sqrt(2))/r0 and rho'(r0+) <= -1/r0, which no
+    weight differentiable at r0 < 1 does: every admissible anchor below 1 is
+    a kink.  A hand-built weight must declare its ``kink`` to be found there.
+    An anchor where the weight vanishes fails.  Returns (r0, report), or None
+    when both anchors fail.
     """
-    rs = radii(r_points)
-    tol = _check_tol(tol)
-    w_rs = w(rs)
-    candidates = np.linspace(R0_MIN, 1.0, 100)
-    own = w.params.get("r0")
-    if own is not None and R0_MIN - 1e-12 <= own <= 1.0:
-        candidates = _with_point(candidates, float(own))
-
-    def check(r0: float) -> Optional[CriterionReport]:
-        w0 = w(r0)
-        # np.min, not nanmin: a NaN margin falls through to the full check
-        if 0.0 < abs(w0) < np.inf and np.min(_margin(rs, r0, w_rs, w0)) < -tol:
-            return None
+    anchors = [1.0]
+    if w.kink is not None and R0_MIN - 1e-12 <= w.kink < 1.0:
+        anchors.insert(0, float(w.kink))
+    for r0 in anchors:
         try:
-            report = criterion_check(w, r0, r_points=r_points, tol=tol)
+            report = criterion_check(w, r0)
         except ZeroDenominatorError:
-            return None
-        return report if report.passed else None
-
-    previous_fail = None
-    for r0 in candidates:
-        report = check(float(r0))
-        if report is None:
-            previous_fail = float(r0)
             continue
-        if previous_fail is None:
-            return float(r0), report
-        return bisect_flag(check, previous_fail, float(r0), report, 1e-12, 60)
+        if report.passed:
+            return r0, report
     return None
 
 

@@ -152,7 +152,7 @@ def _scan_size_calls():
     from blochbohr.extremal import verify_sharpness
     from blochbohr.norms import weighted_bloch_norm, weighted_radial_sup
     from blochbohr.series import TruncatedSeries
-    from blochbohr.weights import builtin_weight, criterion_check, find_admissible_r0, h_profile
+    from blochbohr.weights import builtin_weight, criterion_check, h_profile
     std, const = builtin_weight("standard"), builtin_weight("constant")
     return {
         # nonnegative and signed coefficients take different rough radial scans
@@ -164,7 +164,6 @@ def _scan_size_calls():
         "ProbeFunction.bloch_seminorm": lambda n: ProbeFunction(
             "z", TruncatedSeries.polynomial([0.0, 1.0])).bloch_seminorm(std, n),
         "criterion_check": lambda n: criterion_check(std, 0.8, r_points=n),
-        "find_admissible_r0": lambda n: find_admissible_r0(std, r_points=n),
         "verify_sharpness": lambda n: verify_sharpness(const, 1.0, r_points=n),
         "h_profile": lambda n: h_profile(0.8, n_points=n),
     }

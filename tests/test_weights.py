@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from blochbohr import (ParameterDomainError, Weight, ZeroDenominatorError,
                        builtin_weight, criterion_bound, criterion_check,
                        find_admissible_r0, h_profile, weight_from_token)
-from blochbohr.search import bisect_flag
-from blochbohr.weights import CRITERION_R_POINTS
+from blochbohr.search import R_MAX
 
 SQRT2 = np.sqrt(2.0)
 R0_MIN = 1.0 / SQRT2
@@ -142,8 +141,6 @@ class TestCriterionCheck:
             w = builtin_weight(kind)
             with pytest.raises(ParameterDomainError, match="tolerance"):
                 criterion_check(w, 0.8, tol=tol)
-            with pytest.raises(ParameterDomainError, match="tolerance"):
-                find_admissible_r0(w, tol=tol)
 
     @pytest.mark.parametrize("c", [0.0, -1.0, np.inf, np.nan])
     def test_scale_must_be_positive_and_finite(self, c):
@@ -159,10 +156,37 @@ class TestCriterionCheck:
             assert not criterion_check(std.scaled(c), 0.8).passed
 
 
+def _gapped(base, lo, hi):
+    """``base`` with a zero on [lo, hi]: anchors there divide by zero."""
+    return Weight(name="gapped", params=dict(base.params),
+                  fn=lambda r: np.where((lo <= r) & (r <= hi), 0.0, base.fn(r)),
+                  limit_at_one=base.limit_at_one, kink=base.kink)
+
+
+#: weight tokens and the anchor the search returns: the kink, 1, or none
+SWEEP_CASES = [
+    ("standard", None),
+    ("constant", 1.0),
+    ("example2:r0=0.8,alpha=1", 0.8),
+    ("example2:r0=0.75,alpha=2.5", 0.75),
+    ("example2:r0=0.7071067811865476,alpha=1", 0.7071067811865476),
+    ("example3:r0=0.75,alpha=1", 0.75),
+    ("example3:r0=0.9,alpha=1.5", 0.9),
+    ("example3:r0=0.99,alpha=4", 0.99),
+    # benchmark criterion tokens of seeds 1, 5 and 7
+    ("example2:r0=0.7353,alpha=1.195", 0.7353),
+    ("example3:r0=0.9647,alpha=1.078", 0.9647),
+    ("example2:r0=0.7587,alpha=3.697", 0.7587),
+    ("example3:r0=0.9413,alpha=3.518", 0.9413),
+    ("example2:r0=0.8885,alpha=3.763", 0.8885),
+    ("example3:r0=0.8115,alpha=2.239", 0.8115),
+]
+
+
 class TestFindAdmissibleAnchor:
     def test_constant_returns_one(self):
         r0, rep = find_admissible_r0(builtin_weight("constant"))
-        assert abs(r0 - 1.0) < 1e-5
+        assert r0 == 1.0
         assert rep.passed
 
     def test_standard_returns_none(self):
@@ -173,120 +197,50 @@ class TestFindAdmissibleAnchor:
         found = find_admissible_r0(w)
         assert found is not None
         r0, rep = found
-        assert abs(r0 - 0.75) < 1e-6
+        assert r0 == 0.75
         assert rep.passed
         # independent dense-grid confirmation at the nominal anchor
         dense = criterion_check(w, 0.75, r_points=DENSE)
         assert dense.passed
 
-
-def full_check_sweep(w, r_points=CRITERION_R_POINTS, tol=1e-12):
-    """Reference anchor search: ``criterion_check`` at every candidate and
-    bisection midpoint, with no grid pre-rejection.  ``find_admissible_r0``
-    must return exactly the same (r0, report)."""
-    candidates = np.linspace(R0_MIN, 1.0, 100)
-    own = w.params.get("r0")
-    if own is not None and R0_MIN - 1e-12 <= own <= 1.0:
-        candidates = np.union1d(candidates, [float(own)])
-
-    def check(r0):
-        try:
-            report = criterion_check(w, r0, r_points=r_points, tol=tol)
-        except ZeroDenominatorError:
-            return None
-        return report if report.passed else None
-
-    previous_fail = None
-    for r0 in candidates:
-        report = check(float(r0))
-        if report is None:
-            previous_fail = float(r0)
-            continue
-        if previous_fail is None:
-            return float(r0), report
-        return bisect_flag(check, previous_fail, float(r0), report, 1e-12, 60)
-    return None
-
-
-def _gapped(base, lo, hi):
-    """``base`` with a zero on [lo, hi]: anchors there divide by zero."""
-    return Weight(name="gapped", params=dict(base.params),
-                  fn=lambda r: np.where((lo <= r) & (r <= hi), 0.0, base.fn(r)),
-                  limit_at_one=base.limit_at_one)
-
-
-SWEEP_CASES = [
-    ("standard", {}),
-    ("constant", {}),
-    ("example2:r0=0.8,alpha=1", {}),
-    ("example2:r0=0.75,alpha=2.5", {}),
-    ("example2:r0=0.7071067811865476,alpha=1", {}),
-    ("example3:r0=0.75,alpha=1", {}),
-    ("example3:r0=0.9,alpha=1.5", {}),
-    ("example3:r0=0.99,alpha=4", {}),
-    # benchmark criterion tokens of seeds 1, 5 and 7
-    ("example2:r0=0.7353,alpha=1.195", {}),
-    ("example3:r0=0.9647,alpha=1.078", {}),
-    ("example2:r0=0.7587,alpha=3.697", {}),
-    ("example3:r0=0.9413,alpha=3.518", {}),
-    ("example2:r0=0.8885,alpha=3.763", {}),
-    ("example3:r0=0.8115,alpha=2.239", {}),
-    # other grids and tolerances move which anchors fail on the grid
-    ("constant", {"r_points": 50}),
-    ("example2:r0=0.8,alpha=1", {"r_points": 37}),
-    ("example3:r0=0.75,alpha=1", {"tol": 1e-3}),
-    ("example2:r0=0.8,alpha=2", {"tol": 0.0}),
-    ("standard", {"tol": 0.5}),
-]
-
-
-class TestAnchorSweepMatchesFullCheck:
-    @pytest.mark.parametrize("token,kwargs", SWEEP_CASES,
-                             ids=[f"{t}-{sorted(k)}" for t, k in SWEEP_CASES])
-    def test_builtin(self, token, kwargs):
-        w = weight_from_token(token)
-        assert find_admissible_r0(w, **kwargs) == full_check_sweep(w, **kwargs)
-
-    @pytest.mark.parametrize("w", [
-        builtin_weight("example2", r0=0.8, alpha=1).scaled(7.0),
-        builtin_weight("standard").scaled(0.1),
-        _gapped(builtin_weight("example2", r0=0.85, alpha=2), 0.74, 0.78),
-        _gapped(builtin_weight("constant"), 0.9, 1.0),
-    ], ids=["scaled-example2", "scaled-standard", "gapped-example2", "gapped-constant"])
-    def test_scaled_and_vanishing(self, w):
+    @pytest.mark.parametrize("w,expected", [
+        *((weight_from_token(token), r0) for token, r0 in SWEEP_CASES),
+        (builtin_weight("example2", r0=0.8, alpha=1).scaled(7.0), 0.8),
+        (builtin_weight("standard").scaled(0.1), None),
+        (_gapped(builtin_weight("example2", r0=0.85, alpha=2), 0.74, 0.78), 0.85),
+        (_gapped(builtin_weight("constant"), 0.9, 1.0), 1.0),
+    ], ids=[token for token, _ in SWEEP_CASES]
+       + ["scaled-example2", "scaled-standard", "gapped-example2", "gapped-constant"])
+    def test_anchor_is_the_kink_or_one(self, w, expected):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division by a zero anchor value
             found = find_admissible_r0(w)
-        assert found == full_check_sweep(w)
+        if expected is None:
+            assert found is None
+        else:
+            assert found == (expected, criterion_check(w, expected))
+            assert found[1].passed
 
-    def test_grid_failures_skip_the_full_check(self, monkeypatch):
+    def test_criterion_runs_only_at_the_kink_and_one(self, monkeypatch):
         import blochbohr.weights as weights
         anchors = []
         full = weights.criterion_check
         monkeypatch.setattr(weights, "criterion_check",
                             lambda w, r0, **kw: anchors.append(r0) or full(w, r0, **kw))
         assert find_admissible_r0(builtin_weight("standard")) is None
-        assert anchors == [1.0]  # the one anchor where 1 - r^2 vanishes
+        assert anchors == [1.0]  # no kink, and 1 - r^2 vanishes at 1
         anchors.clear()
-        r0, _ = find_admissible_r0(builtin_weight("example3", r0=0.75, alpha=1))
-        # the failing candidates below 0.75 never reach the full check; only
-        # the passing anchor and bisection midpoints close to it do
-        assert anchors[0] == r0 == 0.75
-        assert min(anchors) > 0.75 - 1e-4
-
-    def test_gapped_weight_passes_past_its_zeros(self):
-        w = _gapped(builtin_weight("example2", r0=0.85, alpha=2), 0.74, 0.78)
-        r0, report = find_admissible_r0(w)
-        assert report.passed and r0 > 0.78
+        assert find_admissible_r0(builtin_weight("example3", r0=0.75, alpha=1))[0] == 0.75
+        assert anchors == [0.75]  # the kink passes, so 1 is never tried
 
     def test_infinite_at_anchor_raises_the_same_error(self):
-        w = Weight(name="spike", fn=lambda r: np.where(r < 0.8, 1.0, np.inf))
+        w = Weight(name="spike", fn=lambda r: np.where(r < 0.8, 1.0, np.inf), kink=0.8)
         with pytest.raises(ParameterDomainError) as ref:
-            full_check_sweep(w)
+            criterion_check(w, 0.8)
         with pytest.raises(ParameterDomainError) as new:
             find_admissible_r0(w)
         assert str(new.value) == str(ref.value)
-        assert "not finite" in str(new.value)
+        assert "not finite at r0 = 0.8" in str(new.value)
 
 
 def _weights(r0, alpha):
@@ -298,6 +252,24 @@ def _weights(r0, alpha):
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 anchors = st.floats(min_value=R0_MIN, max_value=0.99)
 alphas = st.floats(min_value=1.0, max_value=6.0)
+
+
+class TestOnlyKinksAreAdmissible:
+    # h has slope -(3 - 2 sqrt(2))/r0 left of its corner and -1/r0 right of
+    # it, so a weight differentiable at an anchor below 1 cannot pass there
+    @given(anchor=st.floats(min_value=R0_MIN, max_value=R_MAX), r0=anchors, alpha=alphas)
+    @example(anchor=0.8 + 1e-8, r0=0.8, alpha=1.0)
+    @example(anchor=0.8 - 1e-8, r0=0.8, alpha=1.0)
+    @example(anchor=R0_MIN, r0=0.75, alpha=2.0)
+    @example(anchor=R_MAX, r0=0.99, alpha=6.0)
+    @settings(max_examples=100, deadline=None)
+    def test_criterion_fails_off_the_kink(self, anchor, r0, alpha):
+        for w in _weights(r0, alpha):
+            # a constant weight's last scanned margin is 1 - R_MAX/anchor,
+            # which is within rounding of 0 only at the scan's end
+            near = R_MAX if w.name == "constant" else w.kink
+            if near is None or abs(anchor - near) > 1e-9:
+                assert not criterion_check(w, anchor).passed, (w.name, anchor)
 
 
 class TestScalarFastPaths:
