@@ -264,6 +264,8 @@ class TestVerifySharpness:
         assert rep.relative_gap <= 1e-9
         assert rep.lhs_witness_r == rep.rhs_witness_r == r0
         assert rep.rhs_sup == 1.0
+        # a0 = -1/sqrt(2) correctly rounded: the sup side is exactly 1 too
+        assert rep.lhs_sup == 1.0 and rep.relative_gap == 0.0
 
     def test_weight_without_a_slope(self):
         # a hand-built weight polishes by golden section and finds the same sup

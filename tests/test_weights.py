@@ -233,6 +233,50 @@ class TestFindAdmissibleAnchor:
         assert find_admissible_r0(builtin_weight("example3", r0=0.75, alpha=1))[0] == 0.75
         assert anchors == [0.75]  # the kink passes, so 1 is never tried
 
+    def test_gapped_weight_passes_past_its_zeros(self):
+        w = _gapped(builtin_weight("example2", r0=0.85, alpha=2), 0.74, 0.78)
+        r0, report = find_admissible_r0(w)
+        assert report.passed and r0 == 0.85 > 0.78
+
+    def test_zero_at_the_kink_counts_as_a_fail(self, monkeypatch):
+        import blochbohr.weights as weights
+        w = _gapped(builtin_weight("example2", r0=0.85, alpha=2), 0.84, 0.86)
+        with pytest.raises(ZeroDenominatorError):
+            criterion_check(w, 0.85)
+        anchors = []
+        full = weights.criterion_check
+        monkeypatch.setattr(weights, "criterion_check",
+                            lambda w, r0, **kw: anchors.append(r0) or full(w, r0, **kw))
+        assert find_admissible_r0(w) is None
+        assert anchors == [0.85, 1.0]  # the division by zero moves on to 1
+
+    @pytest.mark.parametrize("kink", [0.5, 0.7, 1.0])
+    def test_kink_outside_the_anchor_range_is_not_tried(self, kink, monkeypatch):
+        import blochbohr.weights as weights
+        w = Weight(name="flat", fn=lambda r: np.ones_like(r, dtype=float),
+                   limit_at_one=1.0, kink=kink)
+        anchors = []
+        full = weights.criterion_check
+        monkeypatch.setattr(weights, "criterion_check",
+                            lambda w, r0, **kw: anchors.append(r0) or full(w, r0, **kw))
+        r0, report = find_admissible_r0(w)
+        assert r0 == 1.0 and report.passed
+        assert anchors == [1.0]  # tried once, even when the kink is 1 itself
+
+    def test_undeclared_kink_is_not_found(self):
+        # example2's values without its declared kink pass at 0.8, but the
+        # search only tries declared kinks and 1
+        ex2 = builtin_weight("example2", r0=0.8, alpha=1)
+        assert criterion_check(ex2, 0.8).passed
+        bare = Weight(name="bare", fn=ex2.fn, params=dict(ex2.params),
+                      limit_at_one=ex2.limit_at_one)
+        assert find_admissible_r0(bare) is None
+        assert find_admissible_r0(ex2)[0] == 0.8
+
+    def test_the_weight_is_the_only_parameter(self):
+        import inspect
+        assert list(inspect.signature(find_admissible_r0).parameters) == ["w"]
+
     def test_infinite_at_anchor_raises_the_same_error(self):
         w = Weight(name="spike", fn=lambda r: np.where(r < 0.8, 1.0, np.inf), kink=0.8)
         with pytest.raises(ParameterDomainError) as ref:
@@ -257,19 +301,21 @@ alphas = st.floats(min_value=1.0, max_value=6.0)
 class TestOnlyKinksAreAdmissible:
     # h has slope -(3 - 2 sqrt(2))/r0 left of its corner and -1/r0 right of
     # it, so a weight differentiable at an anchor below 1 cannot pass there
+    @pytest.mark.parametrize("pick", range(5), ids=[
+        "standard", "constant", "example2", "example3", "scaled-example2"])
     @given(anchor=st.floats(min_value=R0_MIN, max_value=R_MAX), r0=anchors, alpha=alphas)
     @example(anchor=0.8 + 1e-8, r0=0.8, alpha=1.0)
     @example(anchor=0.8 - 1e-8, r0=0.8, alpha=1.0)
     @example(anchor=R0_MIN, r0=0.75, alpha=2.0)
     @example(anchor=R_MAX, r0=0.99, alpha=6.0)
     @settings(max_examples=100, deadline=None)
-    def test_criterion_fails_off_the_kink(self, anchor, r0, alpha):
-        for w in _weights(r0, alpha):
-            # a constant weight's last scanned margin is 1 - R_MAX/anchor,
-            # which is within rounding of 0 only at the scan's end
-            near = R_MAX if w.name == "constant" else w.kink
-            if near is None or abs(anchor - near) > 1e-9:
-                assert not criterion_check(w, anchor).passed, (w.name, anchor)
+    def test_criterion_fails_off_the_kink(self, pick, anchor, r0, alpha):
+        w = _weights(r0, alpha)[pick]
+        # a constant weight's last scanned margin is 1 - R_MAX/anchor,
+        # which is within rounding of 0 only at the scan's end
+        near = R_MAX if w.name == "constant" else w.kink
+        if near is None or abs(anchor - near) > 1e-9:
+            assert not criterion_check(w, anchor).passed, (w.name, anchor)
 
 
 class TestScalarFastPaths:
