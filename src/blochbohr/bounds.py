@@ -60,7 +60,7 @@ THEOREM1_BRACKET = (1e-6, 1.0 - 1e-6)
 THEOREM1_TOL = 1e-10
 
 #: the a values of the Theorem 4 scans; scale bracket and tolerance of ``theorem4_upper_bound``
-THEOREM4_A_GRID = grid(1e-6, A_MAX - 1e-9, 200)
+THEOREM4_A_GRID = np.asarray(grid(1e-6, A_MAX - 1e-9, 200))
 THEOREM4_BRACKET = (1.0 / np.sqrt(2.0), 0.7691)
 THEOREM4_TOL = 1e-5
 

@@ -6,19 +6,18 @@ output: ``theorem1``, ``theorem4``, ``theorem2-check``, ``theorem5-probe``,
 CSV floats carry 9 significant digits (plot feeds); JSON floats use full
 round-trip precision (regression feeds).  Exit code 0 means no error record;
 domain and solver failures exit nonzero with a message on stderr.  Scans and
-solvers run at the library defaults.  Each handler imports the layers it
-calls, so a subcommand loads no other.
+solvers run at the library defaults.  Each handler imports the layers it calls,
+so a subcommand loads no other; weight-check, h-profile and sharpness: no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from .errors import BlochBohrError, ParameterDomainError
 from .search import R_POINTS, grid
@@ -41,8 +40,8 @@ def _fmt9(x) -> str:
 def _csv_cell(cell) -> str:
     if isinstance(cell, bool):
         return "true" if cell else "false"
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
+    if isinstance(cell, int):
+        return str(cell)
     if cell is None:
         return ""
     if isinstance(cell, str):
@@ -119,13 +118,14 @@ def _cmd_theorem4(args) -> int:
 
 
 def _cmd_theorem2_check(args) -> int:
+    import numpy as np
     from .bounds import EXCEED_THRESHOLD, THEOREM4_A_GRID, cauchy_chain_check, theorem4_expression
     from .series import TruncatedSeries
     if args.samples < 1:
         raise ParameterDomainError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         raise ParameterDomainError(f"--seed must be nonnegative, got {args.seed}")
-    r_grid = grid(0.0, 1.0, R_POINTS)
+    r_grid = np.asarray(grid(0.0, 1.0, R_POINTS))
     max_expr = max(float(theorem4_expression(rows[:, None], 1.0 / SQRT2, r_grid).max())
                    for rows in np.split(THEOREM4_A_GRID, 8))  # blocks keep temporaries small
 
@@ -161,7 +161,7 @@ def _cmd_theorem5_probe(args) -> int:
     all_positive = True
     for scale in scales:
         ratio, a, r = best_test_ratio(scale)
-        bound = scale / float(np.sqrt(1.0 - scale * scale))
+        bound = scale / math.sqrt(1.0 - scale * scale)
         gap = bound - ratio
         all_positive = all_positive and gap > 0.0
         entries.append({"R": scale, "bound": bound, "best_ratio": ratio,
@@ -174,12 +174,12 @@ def _cmd_theorem5_probe(args) -> int:
 
 def _cmd_bombieri(args) -> int:
     from .bounds import bombieri_m_infty, mobius_majorant_sup
-    radii = [args.r] if args.r is not None else np.linspace(1 / 3, 1 / SQRT2, BOMBIERI_RADII)
+    radii = [args.r] if args.r is not None else grid(1 / 3, 1 / SQRT2, BOMBIERI_RADII)
     entries = []
     for r in radii:
         closed = bombieri_m_infty(r)
         realized = mobius_majorant_sup(r)
-        cauchy = 1.0 / float(np.sqrt(1.0 - r * r))
+        cauchy = 1.0 / math.sqrt(1.0 - r * r)
         entries.append({"r": r, "m_infty": closed, "mobius_sup": realized,
                         "cauchy_bound": cauchy})
     report = {"command": "bombieri", "entries": entries}
@@ -211,10 +211,8 @@ def _cmd_weight_check(args) -> int:
 
 
 def _cmd_h_profile(args) -> int:
-    table = h_profile(args.r0, n_points=args.n)
-    report = {"command": "h-profile", "r0": args.r0,
-              "columns": ["r", "omega1", "omega2", "h"],
-              "rows": [[float(v) for v in row] for row in table]}
+    report = {"command": "h-profile", "r0": args.r0, "columns": ["r", "omega1", "omega2", "h"],
+              "rows": h_profile(args.r0, n_points=args.n)}
     _render(args, report, report["columns"], report["rows"])
     return 0
 

@@ -11,22 +11,22 @@ For a weight that passes the admissibility criterion at r0 the weighted
 majorant side peaks exactly at r0; the weighted sup side peaks there too,
 and the sharpness identity holds, only when omega(r)/omega(r0) stays below
 the reciprocal circle maximum beyond r0, which the criterion does not imply.
-``verify_sharpness`` computes both suprema.
+``verify_sharpness`` computes both suprema, on floats: only the functions
+that build or read a series import numpy and ``series``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (DivergenceRegionError, ParameterDomainError, PoleError,
                      PreconditionError)
-from .search import radii, scan_polish
-from .series import DEFAULT_ORDER, TruncatedSeries, _check_certified, derivative, _horner
+from .search import mapped, radii, scan_polish
 from .weights import CRITERION_R_POINTS, SQRT2, Weight, _check_r0, _with_point, criterion_check
 
 _C = 0.5 * SQRT2  # 1/sqrt(2) correctly rounded; 1/SQRT2 is one ulp low
+DEFAULT_ORDER = 256  # truncation of ``extremal_coefficients``
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ class ExtremalSpec:
         _check_r0(self.r0)
         if self.truncation < 1:
             raise ParameterDomainError("truncation order must be >= 1")
-        if not np.isfinite(self.phi):
+        if not math.isfinite(self.phi):
             raise ParameterDomainError(f"rotation phi must be finite, got {self.phi}")
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * np.pi))
+        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,7 @@ class SharpnessReport:
 
 def extremal_eval(spec: ExtremalSpec, z):
     """Closed-form value of the extremal Mobius map at z (scalar or array)."""
+    import numpy as np
     z = np.asarray(z, dtype=complex)
     rot = np.exp(1j * spec.phi)
     den = 1.0 - np.conj(rot) * z / (SQRT2 * spec.r0)
@@ -86,6 +87,8 @@ def extremal_coefficients(spec: ExtremalSpec) -> TruncatedSeries:
     tail ratio is 1/(sqrt(2) r0); at r0 = 1/sqrt(2) exactly that ratio is 1
     and no tail certificate can be attached.
     """
+    import numpy as np
+    from .series import TruncatedSeries
     n = spec.truncation
     rot = np.exp(1j * spec.phi)
     q = np.conj(rot) / (SQRT2 * spec.r0)
@@ -104,35 +107,31 @@ def extremal_sup_modulus(r0: float, r):
     A = (x + 1/sqrt(2)) / (1 + x/sqrt(2)), at theta = pi + phi, is the
     maximum up to r0; B = |x - 1/sqrt(2)| / |1 - x/sqrt(2)|, at theta = phi,
     is the maximum beyond it (at r0 = 0.8, r = 0.85: 1.42901, where A is the
-    circle minimum 1.01045).  The value does not depend on phi.
+    circle minimum 1.01045).  The value does not depend on phi.  Mapped.
     """
-    _check_r0(r0)
-    r = np.asarray(r, dtype=float)
-    if not np.all(r >= 0.0):
-        raise ParameterDomainError("radius must be nonnegative")
-    den = r0 - _C * r
-    if np.any(den == 0.0):
-        raise PoleError(f"circle through the pole at r = sqrt(2) r0 = {SQRT2 * r0:.6g}")
-    out = np.maximum((r + _C * r0) / (r0 + _C * r), np.abs(r - _C * r0) / np.abs(den))
-    if r.ndim == 0:
-        return float(out)
-    return out
+    r0 = _check_r0(r0)
+    def sup_modulus(x: float) -> float:
+        if not x >= 0.0:
+            raise ParameterDomainError("radius must be nonnegative")
+        den = r0 - _C * x
+        if den == 0.0:
+            raise PoleError(f"circle through the pole at r = sqrt(2) r0 = {SQRT2 * r0:.6g}")
+        return max((x + _C * r0) / (r0 + _C * x), abs(x - _C * r0) / abs(den))
+    return mapped(sup_modulus, r)
 
 
 def extremal_majorant_sum(r0: float, r):
-    """sum |a_n| (r/sqrt(2))^n = (1/sqrt(2)) / (1 - r/(2 r0)) for r < 2 r0."""
-    _check_r0(r0)
-    r = np.asarray(r, dtype=float)
-    if not np.all(r >= 0.0):
-        raise ParameterDomainError("radius must be nonnegative")
-    if np.any(r == 2.0 * r0):
-        raise PoleError(f"majorant sum has a pole at r = 2 r0 = {2.0 * r0:.6g}")
-    if not np.all(r < 2.0 * r0):
-        raise DivergenceRegionError("majorant sum diverges past r = 2 r0")
-    out = _C / (1.0 - r / (2.0 * r0))
-    if r.ndim == 0:
-        return float(out)
-    return out
+    """sum |a_n| (r/sqrt(2))^n = (1/sqrt(2)) / (1 - r/(2 r0)) for r < 2 r0, mapped."""
+    r0 = _check_r0(r0)
+    def majorant_sum(x: float) -> float:
+        if not x >= 0.0:
+            raise ParameterDomainError("radius must be nonnegative")
+        if x == 2.0 * r0:
+            raise PoleError(f"majorant sum has a pole at r = 2 r0 = {2.0 * r0:.6g}")
+        if not x < 2.0 * r0:
+            raise DivergenceRegionError("majorant sum diverges past r = 2 r0")
+        return _C / (1.0 - x / (2.0 * r0))
+    return mapped(majorant_sum, r)
 
 
 def blaschke_degree(s: TruncatedSeries, r0: float) -> float:
@@ -142,6 +141,8 @@ def blaschke_degree(s: TruncatedSeries, r0: float) -> float:
     degree-d product the value is the integer d.  The coefficient tail must
     be certified at r0.
     """
+    import numpy as np
+    from .series import _check_certified
     if r0 <= 0.0:
         raise ParameterDomainError("composition radius must be positive")
     if not s.has_tail:
@@ -158,6 +159,8 @@ def blaschke_degree_montecarlo(s: TruncatedSeries, r0: float,
     Independent oracle for ``blaschke_degree``: uniform points on the disc,
     averaging |r0 f'(r0 z)|^2.
     """
+    import numpy as np
+    from .series import _check_certified, _horner, derivative
     if r0 <= 0.0:
         raise ParameterDomainError("composition radius must be positive")
     _check_certified(s, r0, "Monte-Carlo degree")
@@ -186,16 +189,19 @@ def verify_sharpness(w: Weight, r0: float,
             f"(worst margin {report.worst_margin:.3g} at "
             f"r = {report.violation_witness})")
 
-    lhs = lambda r: np.asarray(w(r)) / SQRT2 * extremal_majorant_sum(r0, r)
-    rhs = lambda r: np.asarray(w(r)) * extremal_sup_modulus(r0, r)
+    lhs = lambda omega, majorant: omega / SQRT2 * majorant
+    rhs = lambda omega, sup: omega * sup
     lhs_slope = rhs_slope = None
     if w.slope is not None:
         lhs_slope = lambda r: (w.slope(r) + w(r) / (2.0 * r0 - r)) * r0 / (2.0 * r0 - r)
         rhs_slope = lambda r: (w.slope(r) * extremal_sup_modulus(r0, r) + w(r) * 0.5
-                               * r0 / (r0 + np.where(r <= r0, _C, -_C) * r) ** 2)
+                               * r0 / (r0 + (_C if r <= r0 else -_C) * r) ** 2)
     rs = _with_point(radii(r_points), r0)
-    lhs_wit, lhs_sup = scan_polish(lhs, rs, slope=lhs_slope, kink=r0)
-    rhs_wit, rhs_sup = scan_polish(rhs, rs, slope=rhs_slope, kink=r0)
+    (lhs_wit, lhs_sup), (rhs_wit, rhs_sup) = (
+        scan_polish(lambda r: side(w(r), closed(r0, r)), rs,
+                    list(map(side, w(rs), closed(r0, rs))), slope=slope, kink=r0)
+        for side, closed, slope in ((lhs, extremal_majorant_sum, lhs_slope),
+                                    (rhs, extremal_sup_modulus, rhs_slope)))
     gap = abs(lhs_sup - rhs_sup) / max(lhs_sup, rhs_sup)
     return SharpnessReport(lhs_sup=lhs_sup, rhs_sup=rhs_sup,
                            lhs_witness_r=lhs_wit, rhs_witness_r=rhs_wit,

@@ -103,8 +103,7 @@ def _radial_sup(rs: np.ndarray, rough: np.ndarray, weights: np.ndarray,
     if circle_slope is not None and w.slope is not None:
         def slope(r: float) -> float:
             sup, theta = circle(r)
-            return (float(w.slope(np.asarray(r))) * sup
-                    + float(w(r)) * circle_slope(r, theta))
+            return w.slope(r) * sup + w(r) * circle_slope(r, theta)
 
     r, v = scan_polish(weighted, rs, weights * rough, rescore=True, slope=slope,
                        kink=w.kink)
@@ -141,7 +140,7 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight,
     theta*, so a weight with a slope polishes the radius at a root of
     w' M + w M', each side of a weight kink on its own.
     """
-    rs = radii(r_points)
+    rs = np.asarray(radii(r_points))
     _check_certified(s, R_MAX, "radial scan")
     weights = np.asarray(w(rs))
     rough = (coefficient_sum(s, rs) if s.is_nonnegative
@@ -206,7 +205,7 @@ def weighted_radial_sup(evaluator: Callable, w: Weight,
     radial bracket is polished monotonically; ties report the smallest
     witness radius.
     """
-    rs = radii(r_points)
+    rs = np.asarray(radii(r_points))
     angles = np.linspace(0.0, 2.0 * np.pi, THETA_POINTS, endpoint=False)
     rough = np.empty(rs.size)
     chunk = max(1, 2_000_000 // angles.size)

@@ -12,17 +12,18 @@ the angle circle the bracket wraps around; elsewhere it is clipped to the grid.
 Root-finding is bracketed bisection with an explicit sign-change check,
 converging on the residual rather than the bracket width (``bisect_root``);
 a pass/fail threshold is bisected on the verdict alone (``bisect_flag``).
+Grids are lists of floats and all of this runs without numpy.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Callable
-
-import numpy as np
 
 from .errors import ConvergenceError, NoSignChangeError, ParameterDomainError
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: default radial sample count, the number of angles of a circle scan, and
 #: the outer radius of every radial scan
@@ -31,20 +32,31 @@ THETA_POINTS = 4096
 R_MAX = 1.0 - 1e-6
 
 
-def grid(lo: float, hi: float, n_points: int) -> np.ndarray:
-    """``n_points`` uniform points covering [lo, hi]; a scan needs at least 2."""
+def grid(lo: float, hi: float, n_points: int) -> list[float]:
+    """``n_points`` uniform points covering [lo, hi] (a scan needs at least 2):
+    lo + i step, the last one hi itself, bit for bit ``np.linspace``'s."""
     if n_points < 2:
         raise ParameterDomainError(f"a scan needs at least 2 points, got {n_points}")
-    return np.linspace(lo, hi, n_points)
+    step = (hi - lo) / (n_points - 1)
+    return [lo + i * step for i in range(n_points - 1)] + [hi]
 
 
-def radii(r_points: int) -> np.ndarray:
+def radii(r_points: int) -> list[float]:
     """``r_points`` uniform radii covering [0, ``R_MAX``]."""
     return grid(0.0, R_MAX, r_points)
 
 
-def _feval(f: Callable, x: float) -> float:
-    return float(np.asarray(f(x)))
+def mapped(body: Callable, x):
+    """``body`` (written on floats) at a number x, and at each element, as a float,
+    of a list (a list back) or an array (an ndarray back; numpy imported then)."""
+    if isinstance(x, list):
+        return list(map(body, map(float, x)))
+    if isinstance(x, (float, int)):
+        return body(float(x))
+    import numpy as np
+    arr = np.asarray(x, dtype=float)
+    out = np.array(list(map(body, arr.ravel().tolist())), dtype=float)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def golden_max(f: Callable, lo: float, hi: float) -> tuple[float, float]:
@@ -55,23 +67,23 @@ def golden_max(f: Callable, lo: float, hi: float) -> tuple[float, float]:
     """
     a, b = float(lo), float(hi)
     if not b > a:
-        return a, _feval(f, a)
+        return a, float(f(a))
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = _feval(f, c), _feval(f, d)
+    fc, fd = float(f(c)), float(f(d))
     for _ in range(200):
         if b - a <= 1e-12:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = _feval(f, c)
+            fc = float(f(c))
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = _feval(f, d)
+            fd = float(f(d))
     x = 0.5 * (a + b)
-    fx = _feval(f, x)
+    fx = float(f(x))
     # never report worse than an interior probe
     for xe, fe in ((c, fc), (d, fd)):
         if fe > fx:
@@ -87,7 +99,7 @@ def falsi_peak(f: Callable, slope: Callable, lo: float, hi: float) -> tuple:
     end; x is the probe of least |slope|.  No such root: (None, -inf)."""
     a, b, ga, gb = lo, hi, slope(lo), slope(hi)
     if not ga > 0.0 > gb:
-        return None, -np.inf
+        return None, -math.inf
     best, side = min((ga, a), (-gb, b)), 0
     for _ in range(100):
         if b - a <= 1e-12 or best[0] == 0.0:
@@ -101,7 +113,7 @@ def falsi_peak(f: Callable, slope: Callable, lo: float, hi: float) -> tuple:
             a, ga, gb, side = x, gx, (0.5 * gb if side > 0 else gb), 1
         else:
             b, gb, ga, side = x, gx, (0.5 * ga if side < 0 else ga), -1
-    return best[1], _feval(f, best[1])
+    return best[1], float(f(best[1]))
 
 
 def trisect_min(f: Callable, lo: float, hi: float) -> tuple[float, float]:
@@ -110,8 +122,8 @@ def trisect_min(f: Callable, lo: float, hi: float) -> tuple[float, float]:
     Returns the best (argmin, min) among all probed points.
     """
     a, b = float(lo), float(hi)
-    best_x, best_f = a, _feval(f, a)
-    fb = _feval(f, b)
+    best_x, best_f = a, float(f(a))
+    fb = float(f(b))
     if fb < best_f:
         best_x, best_f = b, fb
     for _ in range(300):
@@ -119,7 +131,7 @@ def trisect_min(f: Callable, lo: float, hi: float) -> tuple[float, float]:
             break
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
-        f1, f2 = _feval(f, m1), _feval(f, m2)
+        f1, f2 = float(f(m1)), float(f(m2))
         if f1 < best_f:
             best_x, best_f = m1, f1
         if f2 < best_f:
@@ -140,24 +152,24 @@ def bisect_root(g: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
     if the bracket collapses to machine width before the residual drops.
     """
     a, b = float(lo), float(hi)
-    ga, gb = _feval(g, a), _feval(g, b)
+    ga, gb = float(g(a)), float(g(b))
     if ga == 0.0:
         return a
     if gb == 0.0:
         return b
-    if np.sign(ga) == np.sign(gb):
+    if (ga > 0.0) == (gb > 0.0):
         raise NoSignChangeError(
             f"no sign change on [{a}, {b}]: g(lo)={ga:.6g}, g(hi)={gb:.6g}")
     for _ in range(max_iter):
         mid = 0.5 * (a + b)
-        gm = _feval(g, mid)
+        gm = float(g(mid))
         if abs(gm) <= abs_tol:
             return mid
-        if np.sign(gm) == np.sign(ga):
+        if (gm > 0.0) == (ga > 0.0):
             a, ga = mid, gm
         else:
             b, gb = mid, gm
-        if b - a <= np.finfo(float).eps * max(abs(a), abs(b)):
+        if b - a <= sys.float_info.epsilon * max(abs(a), abs(b)):
             raise ConvergenceError(
                 f"bracket exhausted at {mid} with residual {gm:.3g} > {abs_tol:.3g}")
     raise ConvergenceError(f"no convergence to |g| <= {abs_tol:.3g} in {max_iter} iterations")
@@ -184,16 +196,16 @@ def bisect_flag(test: Callable, lo: float, hi: float, found, tol: float,
     return hi, found
 
 
-def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = False,
+def scan_polish(f: Callable, xs, values=None, *, minimize: bool = False,
                 period: float | None = None, rescore: bool = False,
                 slope: Callable | None = None,
                 kink: float | None = None) -> tuple[float, float]:
     """Best point of f on the uniform grid ``xs``, polished; returns (x, value).
 
-    ``values`` are f already computed on ``xs`` (else f is called on the whole
-    array).  The grid winner is the argmax (argmin when ``minimize``), ties
-    going to the smallest argument; with ``rescore`` the values are only a
-    cheap stand-in (an unpolished profile) and f scores the winner.  Its
+    ``values`` are f already computed on ``xs`` (else f is called on all of
+    it), both lists or arrays.  The grid winner is the argmax (argmin when
+    ``minimize``), ties going to the smallest argument; with ``rescore`` the
+    values are only a cheap stand-in (an unpolished profile) and f scores the winner.  Its
     bracket of one step either side wraps around when ``xs`` covers one
     ``period`` (the witness then reduced to [0, period)) and is clipped to
     the grid otherwise.  ``golden_max`` (``trisect_min``) polishes it to a
@@ -205,10 +217,13 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
     """
     if len(xs) < 2:
         raise ParameterDomainError(f"a scan needs at least 2 points, got {len(xs)}")
-    vals = np.asarray(f(xs) if values is None else values, dtype=float)
-    i = int(np.argmin(vals) if minimize else np.argmax(vals))
+    vals = f(xs) if values is None else values
+    if isinstance(vals, list):
+        i = vals.index(min(vals) if minimize else max(vals))
+    else:
+        i = int(vals.argmin() if minimize else vals.argmax())
     best_x = float(xs[i])
-    best_f = _feval(f, best_x) if rescore else float(vals[i])
+    best_f = float(f(best_x)) if rescore else float(vals[i])
     if period is None:
         a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
     else:
@@ -220,9 +235,9 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
         elif slope is None:
             x, fx = golden_max(f, a, b)
         elif kink is not None and a <= kink <= b:
-            x, fx = max((falsi_peak(f, slope, a, float(np.nextafter(kink, a))),
-                         (kink, _feval(f, kink)),
-                         falsi_peak(f, slope, float(np.nextafter(kink, b)), b)),
+            x, fx = max((falsi_peak(f, slope, a, math.nextafter(kink, a)),
+                         (kink, float(f(kink))),
+                         falsi_peak(f, slope, math.nextafter(kink, b), b)),
                         key=lambda p: p[1])
         else:
             x, fx = falsi_peak(f, slope, a, b)
@@ -233,4 +248,5 @@ def scan_polish(f: Callable, xs: np.ndarray, values=None, *, minimize: bool = Fa
 
 def grid_golden_max(f: Callable, lo: float, hi: float, n_points: int) -> tuple[float, float]:
     """Maximize an array-accepting f on [lo, hi]: an n-point ``scan_polish``."""
-    return scan_polish(f, grid(lo, hi, n_points))
+    import numpy as np
+    return scan_polish(f, np.asarray(grid(lo, hi, n_points)))

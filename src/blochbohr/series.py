@@ -26,9 +26,6 @@ from .search import THETA_POINTS, scan_polish
 #: largest |z| at which a series without tail data may be evaluated
 UNCERTIFIED_RADIUS = 0.9
 
-#: default truncation order for series derived from rational functions
-DEFAULT_ORDER = 256
-
 #: elements per inverse FFT of the angle-grid scans: 2 MiB buffers, below the
 #: 4 MiB from which numpy asks for transparent huge pages, which at 2^18
 #: elements raised a norms op's peak RSS by about 4 MB and slowed the
@@ -340,12 +337,13 @@ def circle_sup(s: TruncatedSeries, r: float) -> tuple[float, float]:
 
     FFT scan of ``THETA_POINTS`` angles (raised to cover the degree); the best
     bracket, wrapping around the 0/2 pi seam, is polished at the root of
-    d/dtheta |f|^2 = 2 Im(f conj(z f')), f and f' from one scalar Horner pass
-    (without a root the grid winner stays).  A plateau, |f| constant up to
-    rounding (c z^n, or r = 0), reports theta = 0.  Real coefficients make |f|
-    even in theta, so only [0, pi] is scanned; real nonnegative ones peak at
-    theta = 0 (the coefficient sum).  A negative or non-finite radius, or a
-    scanned modulus past the float range, is a ParameterDomainError."""
+    d/dtheta |f|^2 = 2 Im(f conj(z f')), f and f' from one scalar Horner pass,
+    each times one power of two near 1/max |f| so that the product cannot
+    overflow (without a root the grid winner stays).  A plateau, |f| constant
+    up to rounding (c z^n, or r = 0), reports theta = 0.  Real coefficients
+    make |f| even in theta, so only [0, pi] is scanned; real nonnegative ones
+    peak at theta = 0 (the coefficient sum).  A negative or non-finite radius,
+    or a scanned modulus past the float range, is a ParameterDomainError."""
     _check_certified(s, r, "circle scan")
     if s.is_nonnegative:
         return coefficient_sum(s, r), 0.0
@@ -357,11 +355,12 @@ def circle_sup(s: TruncatedSeries, r: float) -> tuple[float, float]:
     if np.ptp(mags) <= 4.0 * count.bit_length() * np.finfo(float).eps * mags.max():
         return float(mags[0]), 0.0  # a plateau: |f| is constant up to rounding
 
-    def at(th: float, cs: list = s.coeffs.tolist()) -> tuple[float, float]:
-        """|f| and Im(f conj(z f')) at z = r e^{i th}."""
+    def at(th: float, cs: list = s.coeffs.tolist(),
+           scale: float = math.ldexp(1.0, -max(math.frexp(mags.max())[1], -1000))) -> tuple:
+        """|f| and Im(f conj(z f')) times scale^2 (at most 2^2000) at z = r e^{i th}."""
         z = complex(r * math.cos(th), r * math.sin(th))
         f, d = _horner_pair(cs, z)
-        return abs(f), (f * (z * d).conjugate()).imag
+        return abs(f), (f * scale * (z * d * scale).conjugate()).imag
 
     theta, sup = scan_polish(lambda th: at(th)[0], angles[:mags.size], mags,
                              period=2.0 * np.pi if mags.size == count else None,

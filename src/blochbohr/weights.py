@@ -6,20 +6,22 @@ an anchor r0 in [1/sqrt(2), 1] when omega(r)/omega(r0) stays below their
 pointwise minimum h(r) for every r in [0, 1).  h equals omega2 left of r0
 and omega1 right of it, and is decreasing and convex on [0, r0).  Its corner
 at r0 is too sharp for a weight differentiable there, so an anchor below 1
-can only be admissible at a kink of the weight.
+can only be admissible at a kink of the weight.  Weights, slopes and h are
+written on floats and mapped over lists and arrays: no numpy is loaded here.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Optional
 
-import numpy as np
-
 from .errors import ParameterDomainError, ZeroDenominatorError
-from .search import R_MAX, radii, scan_polish
+from .search import R_MAX, mapped, radii, scan_polish
 
-SQRT2 = float(np.sqrt(2.0))
+SQRT2 = math.sqrt(2.0)
 R0_MIN = 1.0 / SQRT2
 
 #: default radial sample count of criterion checks
@@ -36,11 +38,12 @@ PROFILE_POINTS = 512
 class Weight:
     """A nonnegative radial weight on [0, 1).
 
-    ``fn`` must be vectorized over numpy arrays.  Calls at exactly r = 1 are
-    answered with ``limit_at_one`` when that limit is finite and rejected
-    otherwise; the open-interval domain is the contract everywhere else.
-    ``slope``, when known, is omega' on [0, 1), vectorized like ``fn``; at a
-    ``kink`` (a radius where omega' jumps) it may take either one-sided
+    ``fn`` and ``slope`` take a float; the weight, and each built-in slope,
+    maps lists and arrays element by element.  Calls at exactly r = 1 are
+    answered with ``limit_at_one`` when that limit is finite (an infinite one
+    fails the criterion) and rejected otherwise; the open-interval domain is
+    the contract everywhere else.  ``slope``, when known, is omega' on [0, 1);
+    at a ``kink`` (a radius where omega' jumps) it may take either one-sided
     value, so polishes evaluate it only off the kink.  Radial sups of a
     series polish at a root of the weighted slope when it is given.  The
     kink is also the only anchor below 1 that ``find_admissible_r0`` tries.
@@ -49,34 +52,27 @@ class Weight:
     name: str
     fn: Callable = field(repr=False)
     params: Mapping[str, float] = field(default_factory=dict)
-    limit_at_one: float = np.inf
+    limit_at_one: float = math.inf
     slope: Optional[Callable] = field(default=None, repr=False)
     kink: Optional[float] = None
 
     def __call__(self, r):
-        """omega(r).  A float r in [0, 1) skips the domain checks, but ``fn``
-        still gets the 0-d array of the general path, so the bits agree."""
-        if isinstance(r, float) and 0.0 <= r < 1.0:
-            return float(self.fn(np.asarray(r)))
-        arr = np.asarray(r, dtype=float)
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):
-            raise ParameterDomainError(f"weight {self.name} is defined on [0, 1)")
-        if np.any(arr == 1.0) and not np.isfinite(self.limit_at_one):
-            raise ParameterDomainError(
-                f"weight {self.name} has no finite limit at r = 1")
-        at_one = arr == 1.0
-        inner = np.where(at_one, 0.0, arr)
-        out = np.asarray(self.fn(inner), dtype=float)
-        out = np.where(at_one, self.limit_at_one, out)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        """omega(r) at a number, element by element over a list or an array."""
+        def value(x: float) -> float:
+            if 0.0 <= x < 1.0:
+                return float(self.fn(x))
+            if x != 1.0:
+                raise ParameterDomainError(f"weight {self.name} is defined on [0, 1)")
+            if not self.limit_at_one < math.inf:
+                raise ParameterDomainError(f"weight {self.name} has no finite limit at r = 1")
+            return self.limit_at_one
+        return mapped(value, r)
 
     def scaled(self, c: float) -> "Weight":
         """The weight multiplied by a positive finite constant."""
-        if not 0.0 < c < np.inf:
+        if not 0.0 < c < math.inf:
             raise ParameterDomainError("scale must be positive and finite")
-        slope = None if self.slope is None else lambda r: c * self.slope(r)
+        slope = None if self.slope is None else partial(mapped, lambda r: c * self.slope(r))
         return Weight(name=f"{c}*{self.name}", fn=lambda r: c * self.fn(r),
                       params=dict(self.params),
                       limit_at_one=c * self.limit_at_one, slope=slope, kink=self.kink)
@@ -110,12 +106,12 @@ def builtin_weight(kind: str, **params) -> Weight:
         if params:
             raise ParameterDomainError("standard weight takes no parameters")
         return Weight(name="standard", fn=lambda r: 1.0 - r * r, limit_at_one=0.0,
-                      slope=lambda r: -2.0 * r)
+                      slope=partial(mapped, lambda r: -2.0 * r))
     if kind == "constant":
         if params:
             raise ParameterDomainError("constant weight takes no parameters")
-        return Weight(name="constant", fn=lambda r: np.ones_like(np.asarray(r, float)),
-                      limit_at_one=1.0, slope=lambda r: np.zeros_like(np.asarray(r, float)))
+        return Weight(name="constant", fn=lambda r: 1.0, limit_at_one=1.0,
+                      slope=partial(mapped, lambda r: 0.0))
     if kind in ("example2", "example3"):
         if "r0" not in params:
             raise ParameterDomainError("example weights need r0")
@@ -126,26 +122,23 @@ def builtin_weight(kind: str, **params) -> Weight:
         if not R0_MIN - 1e-12 <= r0 < 1.0:
             raise ParameterDomainError(
                 f"example weights need r0 in [1/sqrt(2), 1), got {r0}")
-        if not 1.0 <= alpha < np.inf:
+        if not 1.0 <= alpha < math.inf:
             raise ParameterDomainError(
                 f"example weights need a finite alpha >= 1, got {alpha}")
         if kind == "example2":
-            fn = lambda r: np.where(r <= r0, 1.0, ((1.0 - r) / (1.0 - r0)) ** alpha)
-            slope = lambda r: np.where(r <= r0, 0.0, -alpha / (1.0 - r0)
-                                       * ((1.0 - r) / (1.0 - r0)) ** (alpha - 1.0))
+            fn = lambda r: 1.0 if r <= r0 else ((1.0 - r) / (1.0 - r0)) ** alpha
+            slope = lambda r: 0.0 if r <= r0 else -alpha / (1.0 - r0) * (
+                (1.0 - r) / (1.0 - r0)) ** (alpha - 1.0)
         else:
-            fn = lambda r: (1.0 - np.abs((r - r0) / (1.0 - r0 * r))) ** alpha
-            slope = lambda r: _example3_slope(r, r0, alpha)
+            fn = lambda r: (1.0 - abs((r - r0) / (1.0 - r0 * r))) ** alpha
+            def slope(r: float) -> float:
+                """fn' with u = (r - r0)/(1 - r0 r) and du/dr = (1 - r0^2)/(1 - r0 r)^2."""
+                u = (r - r0) / (1.0 - r0 * r)
+                return (-alpha * (1.0 - abs(u)) ** (alpha - 1.0) * ((u > 0.0) - (u < 0.0))
+                        * (1.0 - r0 * r0) / (1.0 - r0 * r) ** 2)
         return Weight(name=kind, fn=fn, params={"r0": r0, "alpha": alpha},
-                      limit_at_one=0.0, slope=slope, kink=r0)
+                      limit_at_one=0.0, slope=partial(mapped, slope), kink=r0)
     raise ParameterDomainError(f"unknown weight kind {kind!r}")
-
-
-def _example3_slope(r, r0: float, alpha: float):
-    """d/dr (1 - |u|)^alpha with u = (r - r0)/(1 - r0 r), du/dr = (1 - r0^2)/(1 - r0 r)^2."""
-    u = (r - r0) / (1.0 - r0 * r)
-    return (-alpha * (1.0 - np.abs(u)) ** (alpha - 1.0) * np.sign(u)
-            * (1.0 - r0 * r0) / (1.0 - r0 * r) ** 2)
 
 
 def weight_from_token(token: str) -> Weight:
@@ -177,30 +170,18 @@ def _check_r0(r0: float) -> float:
     return float(r0)
 
 
-def _omegas(r, r0: float):
-    return 2.0 - r / r0, (SQRT2 * r0 + r) / (SQRT2 * r + r0)
+def _omegas(r0: float) -> Callable:  # r -> (omega1(r), omega2(r)) at the anchor r0
+    return lambda r: (2.0 - r / r0, (SQRT2 * r0 + r) / (SQRT2 * r + r0))
 
 
 def criterion_bound(r, r0: float):
-    """h(r) = min(2 - r/r0, (sqrt(2) r0 + r)/(sqrt(2) r + r0)).
-
-    A float r in [0, 1] takes plain float arithmetic: the same IEEE bits."""
-    r0 = _check_r0(r0)
-    if isinstance(r, float) and 0.0 <= r <= 1.0:
-        return float(min(_omegas(r, r0)))
-    arr = np.asarray(r, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ParameterDomainError("criterion bound is evaluated on [0, 1)")
-    out = np.minimum(*_omegas(arr, r0))
-    if arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def _check_tol(tol: float) -> float:
-    if not tol >= 0.0:
-        raise ParameterDomainError(f"tolerance must be >= 0, got {tol}")
-    return tol
+    """h(r) = min(2 - r/r0, (sqrt(2) r0 + r)/(sqrt(2) r + r0)) on [0, 1], mapped."""
+    omegas = _omegas(_check_r0(r0))
+    def h(x: float) -> float:
+        if not 0.0 <= x <= 1.0:
+            raise ParameterDomainError("criterion bound is evaluated on [0, 1)")
+        return min(omegas(x))
+    return mapped(h, r)
 
 
 def criterion_check(w: Weight, r0: float, r_points: int = CRITERION_R_POINTS,
@@ -208,44 +189,46 @@ def criterion_check(w: Weight, r0: float, r_points: int = CRITERION_R_POINTS,
     """Scan h(r) - omega(r)/omega(r0) over [0, 1) and report the worst margin.
 
     The minimum over ``r_points`` radii is polished by trisection to a 1e-12
-    width.  A zero weight value at the anchor raises ZeroDenominatorError;
-    an infinite one is rejected as a parameter-domain error.
+    width; the margin's limit h(1) - ``limit_at_one``/omega(r0) at r = 1 is
+    one more candidate, so anchors past the last radius see h < 1 on (r0, 1).
+    A zero weight value at the anchor raises ZeroDenominatorError; an
+    infinite one is rejected as a parameter-domain error.
     """
     rs = radii(r_points)
     r0 = _check_r0(r0)
-    tol = _check_tol(tol)
-    w0 = float(w(r0))
+    if not tol >= 0.0:
+        raise ParameterDomainError(f"tolerance must be >= 0, got {tol}")
+    w0 = w(r0)
     if w0 == 0.0:
         raise ZeroDenominatorError(f"weight {w.name} vanishes at r0 = {r0}")
-    if not np.isfinite(w0):
+    if not math.isfinite(w0):
         raise ParameterDomainError(f"weight {w.name} is not finite at r0 = {r0}")
 
-    def margin(r):
-        return criterion_bound(r, r0) - w(r) / w0
-
-    worst_r, worst = scan_polish(margin, rs, minimize=True)
+    margin = lambda h, omega: h - omega / w0
+    worst_r, worst = scan_polish(lambda r: margin(criterion_bound(r, r0), w(r)), rs,
+                                 list(map(margin, criterion_bound(rs, r0), w(rs))),
+                                 minimize=True)
+    worst, worst_r = min((worst, worst_r), (margin(criterion_bound(1.0, r0), w.limit_at_one), 1.0))
     passed = worst >= -tol
     return CriterionReport(r0=r0, passed=passed, worst_margin=worst,
                            violation_witness=None if passed else worst_r)
 
 
-def _with_point(xs: np.ndarray, x: float) -> np.ndarray:
-    """The sorted, distinct ``xs`` with ``x`` in its place (``np.union1d``
-    without loading ``numpy.ma``)."""
-    i = int(np.searchsorted(xs, x))
-    return xs if i < xs.size and xs[i] == x else np.insert(xs, i, x)
+def _with_point(xs: list, x: float) -> list:
+    """The sorted, distinct ``xs`` with ``x`` in its place (a new list if added)."""
+    i = bisect_left(xs, x)
+    return xs if i < len(xs) and xs[i] == x else xs[:i] + [x] + xs[i:]
 
 
 def find_admissible_r0(w: Weight) -> Optional[tuple[float, CriterionReport]]:
     """The first of the weight's ``kink`` and 1 where the criterion passes.
 
-    h has a corner at r0: its slope is -(3 - 2 sqrt(2))/r0 left of it and
-    -1/r0 right of it.  rho = omega/omega(r0) touches h there, so rho passes
+    h has a corner at r0, where rho = omega/omega(r0) touches it: rho passes
     only if rho'(r0-) >= -(3 - 2 sqrt(2))/r0 and rho'(r0+) <= -1/r0, which no
-    weight differentiable at r0 < 1 does: every admissible anchor below 1 is
-    a kink.  A hand-built weight must declare its ``kink`` to be found there.
-    An anchor where the weight vanishes fails.  Returns (r0, report), or None
-    when both anchors fail.
+    weight differentiable at r0 < 1 does, so every admissible anchor below 1
+    is a kink; a hand-built weight must declare its ``kink`` to be found
+    there.  An anchor where the weight vanishes fails.  Returns (r0, report),
+    or None.
     """
     anchors = [1.0]
     if w.kink is not None and R0_MIN - 1e-12 <= w.kink < 1.0:
@@ -260,16 +243,15 @@ def find_admissible_r0(w: Weight) -> Optional[tuple[float, CriterionReport]]:
     return None
 
 
-def h_profile(r0: float, n_points: int = PROFILE_POINTS) -> np.ndarray:
+def h_profile(r0: float, n_points: int = PROFILE_POINTS) -> list[list[float]]:
     """Tabulate (r, omega1, omega2, h) for plotting.
 
-    Returns the rows over ``radii(n_points)`` plus the anchor r0 when it
-    lies there, so the h(r0) = 1 corner is present.  h is decreasing
-    everywhere and convex left of r0.
+    Returns the rows (lists of floats) over ``radii(n_points)`` plus the
+    anchor r0 when it lies there, so the h(r0) = 1 corner is present.  h is
+    decreasing everywhere and convex left of r0.
     """
     r0 = _check_r0(r0)
     rs = radii(n_points)
     if r0 <= R_MAX:
         rs = _with_point(rs, r0)
-    w1, w2 = _omegas(rs, r0)
-    return np.column_stack([rs, w1, w2, np.minimum(w1, w2)])
+    return [[r, *omegas, min(omegas)] for r, omegas in zip(rs, map(_omegas(r0), rs))]

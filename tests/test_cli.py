@@ -336,7 +336,7 @@ class TestOptionDefaults:
         (("weight-check", "--weight", "standard", "--r0", "0.8"),
          lambda: _criterion_report("standard", 0.8)),
         (("weight-check", "--weight", EX2), lambda: _admissible_report(TestOptionDefaults.EX2)),
-        (("h-profile", "--r0", "0.8"), lambda: {"rows": h_profile(0.8).tolist()}),
+        (("h-profile", "--r0", "0.8"), lambda: {"rows": np.asarray(h_profile(0.8)).tolist()}),
         (("sharpness", "--weight", EX2, "--r0", "0.8"),
          lambda: vars(verify_sharpness(weight_from_token(TestOptionDefaults.EX2), 0.8))),
         (("norms", "--coeffs", "0,1,-0.5"), lambda: _norms_report([0.0, 1.0, -0.5])),

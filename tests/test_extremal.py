@@ -2,6 +2,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blochbohr import (DivergenceRegionError, ExtremalSpec,
                        ParameterDomainError, PoleError, PreconditionError,
@@ -170,6 +172,24 @@ class TestMajorantSum:
             extremal_majorant_sum(0.8, r)
 
 
+@given(r=st.floats(min_value=0.0, max_value=1.4), r0=st.floats(min_value=0.5 * SQRT2,
+                                                                max_value=1.0))
+@example(r=0.8, r0=0.8)
+@example(r=0.0, r0=0.5 * SQRT2)
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_give_the_same_bits_for_floats_and_arrays(r, r0):
+    # the closed forms are written on floats and mapped over arrays
+    for closed in (extremal_sup_modulus, extremal_majorant_sum):
+        try:
+            fast = closed(r0, r)
+        except (PoleError, DivergenceRegionError):
+            continue
+        assert type(fast) is float
+        for other in (closed(r0, np.asarray(r)), closed(r0, np.array([r]))[0],
+                      closed(r0, [r])[0]):
+            assert np.float64(other).tobytes() == np.float64(fast).tobytes()
+
+
 class TestBlaschkeDegree:
     def test_extremal_is_degree_one(self):
         for r0 in (0.75, 0.8, 0.9):
@@ -270,7 +290,7 @@ class TestVerifySharpness:
     def test_weight_without_a_slope(self):
         # a hand-built weight polishes by golden section and finds the same sup
         ex2 = builtin_weight("example2", r0=0.8, alpha=1)
-        bare = Weight("bare", ex2.fn)
+        bare = Weight("bare", ex2.fn, limit_at_one=ex2.limit_at_one)
         rep = verify_sharpness(bare, 0.8)
         assert rep.rhs_sup == pytest.approx(1.0736870584245609, rel=1e-15)
         assert rep.rhs_witness_r == pytest.approx(0.8587638524630434, abs=1e-7)

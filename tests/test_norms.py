@@ -41,11 +41,12 @@ class TestBlochNorm:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_homogeneity(self, std):
-        # at 1e150 the slopes' products f conj(f') approach the float range
+        # from 1e160 on the angle slope's product f conj(z f') would pass the
+        # float range unscaled, and the polish would keep the grid angle
         rng = np.random.default_rng(21)
         s = random_polynomial(rng)
         base = weighted_bloch_norm(s, std, LEAN)
-        for c in (0.25, 3.0, 117.0, 1e150):
+        for c in (0.25, 3.0, 117.0, 1e150, 1e160, 1e300):
             scaled = TruncatedSeries.polynomial(c * s.coeffs)
             assert weighted_bloch_norm(scaled, std, LEAN) == pytest.approx(
                 c * base, rel=1e-12)
@@ -195,7 +196,7 @@ class TestRadialWitnessAtSlopeRoot:
 
 def _golden_radial_sup(s, w, r_points):
     """The radial sup polished by golden section: ``_radial_sup`` without a slope."""
-    rs = radii(r_points)
+    rs = np.asarray(radii(r_points))
     weights = np.asarray(w(rs))
     rough = (coefficient_sum(s, rs) if s.is_nonnegative
              else _batch_circle_max(s, rs, THETA_POINTS, weights))

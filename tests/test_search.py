@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from blochbohr import (ConvergenceError, NoSignChangeError,
                        ParameterDomainError, bisect_root, golden_max, grid_golden_max,
                        trisect_min)
-from blochbohr.search import R_MAX, R_POINTS, bisect_flag, falsi_peak, radii, scan_polish
+from blochbohr.search import (R_MAX, R_POINTS, bisect_flag, falsi_peak, grid, radii,
+                              scan_polish)
 
 
 def test_golden_max_quadratic():
@@ -226,5 +231,33 @@ def test_radii():
         with pytest.raises(ParameterDomainError, match=f"got {r_points}$"):
             radii(r_points)
     rs = radii(11)
-    assert rs[0] == 0.0 and rs[-1] == R_MAX and rs.size == 11
+    assert rs[0] == 0.0 and rs[-1] == R_MAX and len(rs) == 11
     assert np.array_equal(radii(R_POINTS), np.linspace(0.0, 1.0 - 1e-6, 2048))
+
+
+def _bits(xs) -> bytes:
+    return np.asarray(xs, dtype=float).tobytes()
+
+
+@given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.integers(2, 4096))
+@example(0.0, R_MAX, R_POINTS)
+@example(1.0 / 3.0, 1.0 / math.sqrt(2.0), 20)
+@settings(max_examples=300, deadline=None)
+def test_grid_is_linspace_bit_for_bit(lo, hi, n):
+    # np.linspace takes another route only when the step underflows to 0
+    assume((hi - lo) / (n - 1) != 0.0 or hi == lo)
+    xs = grid(lo, hi, n)
+    assert type(xs) is list and all(type(x) is float for x in xs)
+    assert _bits(xs) == _bits(np.linspace(lo, hi, n))
+
+
+def test_library_grids_are_linspace_bit_for_bit():
+    from blochbohr.bounds import A_MAX, THEOREM4_A_GRID
+    from blochbohr.cli import BOMBIERI_RADII
+    from blochbohr.weights import SQRT2
+    for n in range(2, 5000):
+        assert _bits(radii(n)) == _bits(np.linspace(0.0, R_MAX, n)), n
+    assert _bits(THEOREM4_A_GRID) == _bits(np.linspace(1e-6, A_MAX - 1e-9, 200))
+    assert _bits(grid(0.0, 1.0, R_POINTS)) == _bits(np.linspace(0.0, 1.0, R_POINTS))
+    assert _bits(grid(1 / 3, 1 / SQRT2, BOMBIERI_RADII)) == _bits(
+        np.linspace(1 / 3, 1 / SQRT2, BOMBIERI_RADII))

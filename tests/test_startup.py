@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import blochbohr
+
 
 def run_python(*args: str) -> str:
     """stdout of ``python *args`` importing this checkout's blochbohr."""
@@ -58,11 +61,29 @@ def test_dir_lists_exports_and_unknown_names_raise():
     assert out == "module 'blochbohr' has no attribute 'no_such_name'\n"
 
 
-def test_criterion_subcommands_load_four_layers():
-    for argv in (["weight-check", "--weight", "standard"],
-                 ["h-profile", "--r0", "0.8", "--n", "8"]):
-        loaded = loaded_after(f"from blochbohr.cli import main; main({argv!r})")
-        assert loaded["layers"] == ["cli", "errors", "search", "weights"], argv
+#: the criterion commands of the README: weight-check with and without --r0,
+#: h-profile, and a sharpness PASS and FAIL
+CRITERION_ARGV = [
+    ["weight-check", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8"],
+    ["weight-check", "--weight", "example3:r0=0.75,alpha=1"],
+    ["weight-check", "--weight", "standard"],
+    ["h-profile", "--r0", "0.8", "--n", "8"],
+    ["sharpness", "--weight", "example2:r0=0.8,alpha=2", "--r0", "0.8"],
+    ["sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8"],
+]
+
+
+@pytest.mark.parametrize("argv", CRITERION_ARGV, ids=" ".join)
+def test_criterion_commands_run_without_numpy(argv):
+    loaded = loaded_after(f"from blochbohr.cli import main; main({argv!r})")
+    layers = ["cli", "errors", "search", "weights"]
+    if argv[0] == "sharpness":
+        layers = ["cli", "errors", "extremal", "search", "weights"]
+    assert loaded == {"numpy": False, "layers": layers}
+    # with numpy made unimportable the output is the same
+    code = f"from blochbohr.cli import main\nmain({argv!r})\n"
+    plain = run_python("-c", code)
+    assert plain and run_python("-c", 'import sys; sys.modules["numpy"] = None\n' + code) == plain
 
 
 def test_bounds_subcommand_and_help_load_what_they_call():
@@ -73,17 +94,3 @@ def test_bounds_subcommand_and_help_load_what_they_call():
         "    try:\n        main(['theorem4', '--help'])\n"
         "    except SystemExit:\n        pass")
     assert loaded["layers"] == ["cli", "errors", "search", "weights"]
-
-
-def test_anchor_search_and_profile_leave_numpy_ma_unloaded():
-    # np.union1d imports numpy.ma, about 18 ms on its first call
-    for argv in (["weight-check", "--weight", "example2:r0=0.8,alpha=2"],
-                 ["h-profile", "--r0", "0.8", "--n", "8"]):
-        out = run_python(
-            "-c",
-            "import io, sys\n"
-            "from contextlib import redirect_stdout\n"
-            "from blochbohr.cli import main\n"
-            f"with redirect_stdout(io.StringIO()):\n    main({argv!r})\n"
-            "print('numpy.ma' in sys.modules)\n")
-        assert out == "False\n", argv

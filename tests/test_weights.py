@@ -131,6 +131,21 @@ class TestCriterionCheck:
         with pytest.raises(ZeroDenominatorError):
             criterion_check(builtin_weight("standard"), 1.0)
 
+    @pytest.mark.parametrize("r0", [0.999999, 0.9999995, 1.0 - 1e-9])
+    def test_anchor_past_the_scan_meets_the_limit_at_one(self, r0):
+        # the scan ends at R_MAX, before (r0, 1), where h < 1; the margin's
+        # limit at r = 1, h(1) - 1 = 1 - 1/r0, is its infimum
+        rep = criterion_check(builtin_weight("constant"), r0)
+        assert not rep.passed and rep.violation_witness == 1.0
+        assert rep.worst_margin == pytest.approx(1.0 - 1.0 / r0, rel=1e-6)
+
+    def test_infinite_limit_at_one_fails(self):
+        ex2 = builtin_weight("example2", r0=0.8, alpha=1)
+        assert criterion_check(ex2, 0.8).passed
+        rep = criterion_check(Weight(name="undeclared", fn=ex2.fn), 0.8)
+        assert not rep.passed
+        assert (rep.worst_margin, rep.violation_witness) == (-np.inf, 1.0)
+
     def test_anchor_domain(self):
         with pytest.raises(ParameterDomainError):
             criterion_check(builtin_weight("constant"), 0.5)
@@ -188,6 +203,8 @@ class TestFindAdmissibleAnchor:
         r0, rep = find_admissible_r0(builtin_weight("constant"))
         assert r0 == 1.0
         assert rep.passed
+        # the infimum of h - 1, reached at r = 1: h(1) = 1 exactly
+        assert rep.worst_margin == 0.0
 
     def test_standard_returns_none(self):
         assert find_admissible_r0(builtin_weight("standard")) is None
@@ -293,6 +310,10 @@ def _weights(r0, alpha):
             builtin_weight("example3", r0=r0, alpha=alpha), example2.scaled(3.0)]
 
 
+def _same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 anchors = st.floats(min_value=R0_MIN, max_value=0.99)
 alphas = st.floats(min_value=1.0, max_value=6.0)
@@ -311,10 +332,9 @@ class TestOnlyKinksAreAdmissible:
     @settings(max_examples=100, deadline=None)
     def test_criterion_fails_off_the_kink(self, pick, anchor, r0, alpha):
         w = _weights(r0, alpha)[pick]
-        # a constant weight's last scanned margin is 1 - R_MAX/anchor,
-        # which is within rounding of 0 only at the scan's end
-        near = R_MAX if w.name == "constant" else w.kink
-        if near is None or abs(anchor - near) > 1e-9:
+        # a constant weight fails at every anchor below 1: the margin's limit
+        # at r = 1 is 1 - 1/anchor
+        if w.kink is None or abs(anchor - w.kink) > 1e-9:
             assert not criterion_check(w, anchor).passed, (w.name, anchor)
 
 
@@ -325,13 +345,16 @@ class TestScalarFastPaths:
     @example(x=np.nextafter(1.0, 0.0), r0=0.99, alpha=6.0)
     @settings(max_examples=200, deadline=None)
     def test_weight_float_is_bit_identical_to_array(self, x, r0, alpha):
+        # arrays are mapped through the float body: numpy's power loop, which
+        # can round the last bit differently (x=0, r0=0.734375, alpha=3.0625
+        # for example3), never sees them
         for w in _weights(r0, alpha):
-            fast = w(x)
-            assert type(fast) is float
-            # the fast path's reference is the 0-d array: numpy's power loop
-            # for a 1-element array may round differently (x=0, r0=0.734375,
-            # alpha=3.0625 differs in the last bit for example3)
-            assert fast == w(np.asarray(x))
+            for call in (w, w.slope):
+                fast = call(x)
+                assert type(fast) is float
+                assert _same_bits(fast, call(np.asarray(x)))
+                assert _same_bits(fast, call(np.array([x]))[0])
+                assert _same_bits(fast, call([x])[0])
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=R0_MIN, max_value=1.0))
     @example(x=1.0, r0=1.0)
@@ -341,8 +364,8 @@ class TestScalarFastPaths:
     def test_criterion_bound_float_is_bit_identical_to_array(self, x, r0):
         fast = criterion_bound(x, r0)
         assert type(fast) is float
-        assert fast == criterion_bound(np.asarray(x), r0)
-        assert fast == criterion_bound(np.array([x]), r0)[0]
+        assert _same_bits(fast, criterion_bound(np.asarray(x), r0))
+        assert _same_bits(fast, criterion_bound(np.array([x]), r0)[0])
 
     def test_edge_radii_keep_their_results(self):
         for w in _weights(0.8, 2.0):
@@ -361,18 +384,18 @@ class TestScalarFastPaths:
 
 class TestHProfile:
     def test_anchor_row_is_all_ones(self):
-        table = h_profile(0.8, n_points=257)
+        table = np.asarray(h_profile(0.8, n_points=257))
         i = int(np.argmin(np.abs(table[:, 0] - 0.8)))
         np.testing.assert_allclose(table[i], [0.8, 1.0, 1.0, 1.0], atol=1e-12)
 
     def test_second_bound_at_origin(self):
         for r0 in (0.75, 0.9, 1.0):
-            table = h_profile(r0, n_points=64)
+            table = np.asarray(h_profile(r0, n_points=64))
             assert table[0, 2] == pytest.approx(SQRT2, abs=1e-14)
 
     def test_h_decreasing_and_convex_left_of_anchor(self):
         r0 = 0.8
-        table = h_profile(r0, n_points=2048)
+        table = np.asarray(h_profile(r0, n_points=2048))
         r, h = table[:, 0], table[:, 3]
         assert np.all(np.diff(h) <= 1e-15)
         left = r < r0
@@ -382,12 +405,12 @@ class TestHProfile:
         assert np.all(second >= -1e-9)
 
     def test_grid_ends_where_radial_scans_end(self):
-        assert h_profile(0.8, n_points=3)[:, 0].tolist() == [0.0, 0.4999995, 0.8, 1.0 - 1e-6]
+        assert np.asarray(h_profile(0.8, n_points=3))[:, 0].tolist() == [0.0, 0.4999995, 0.8, 1.0 - 1e-6]
         # an anchor beyond the grid end adds no row
-        assert h_profile(1.0, n_points=3)[:, 0].tolist() == [0.0, 0.4999995, 1.0 - 1e-6]
+        assert np.asarray(h_profile(1.0, n_points=3))[:, 0].tolist() == [0.0, 0.4999995, 1.0 - 1e-6]
 
     def test_column_order(self):
-        table = h_profile(0.9, n_points=16)
+        table = np.asarray(h_profile(0.9, n_points=16))
         np.testing.assert_allclose(table[:, 3],
                                    np.minimum(table[:, 1], table[:, 2]), atol=0)
         assert table.shape[1] == 4
