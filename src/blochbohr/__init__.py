@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": """ScanReport avkhadiev_coefficients avkhadiev_eval avkhadiev_majorant_closed_form
         best_test_ratio bombieri_m_infty cauchy_chain_check mobius_majorant_sum
-        mobius_majorant_sup mobius_series theorem1_optimize theorem1_root theorem4_expression
-        theorem4_sup theorem4_upper_bound theorem5_ratios""",
+        mobius_majorant_sup theorem1_optimize theorem1_root theorem4_expression theorem4_sup
+        theorem4_upper_bound""",
     "errors": """BlochBohrError ConvergenceError DivergenceRegionError EvaluatorDomainError
         NoSignChangeError ParameterDomainError PoleError PreconditionError ZeroDenominatorError""",
     "extremal": """ExtremalSpec SharpnessReport blaschke_degree blaschke_degree_montecarlo

@@ -17,7 +17,7 @@
 * ``theorem4_*``: the upper-bound certificate via that test function; its
   scaled majorant T4 = R (1-r^2) sum |a_n| (Rr)^n exceeds 1 for suitable
   (a, R), e.g. a = 0.35 and R = 0.769; its sup over r is exact at the
-  roots of a quintic in r (``_stationary_sups``).
+  roots of a quintic in r, solved on floats (``theorem4_sup``).
 * ``bombieri_m_infty`` / ``mobius_majorant_sup``: the closed form
   (3 - sqrt(8(1-r^2)))/r of the bounded-function majorant supremum on
   [1/3, 1/sqrt(2)], and its independent realization by the Mobius family
@@ -28,7 +28,8 @@
   an a grid, the best a polished at a root of the envelope slope.  For f with
   f' = g_a (``avkhadiev_eval``) the majorant-to-function Bloch seminorm ratio
   is exactly ``theorem4_sup(a, R)``, because the majorant of g_a has nonnegative
-  coefficients.  ``theorem5_ratios`` computes it for any series by seminorm scans.
+  coefficients.  All of this runs on floats; only series and array inputs
+  import numpy and ``series``.
 """
 
 from __future__ import annotations
@@ -36,37 +37,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DivergenceRegionError, ParameterDomainError, PoleError
-from .search import bisect_flag, bisect_root, grid, scan_polish
-from .series import TruncatedSeries, circle_norms, coefficient_sum, majorant, scale_argument
+from .search import bisect_flag, bisect_root, grid, mapped, scan_polish
 
 #: exponents s ``theorem1_root`` accepts; the root is ill conditioned beyond them
 S_RANGE = (1e-4, 1.0 - 1e-4)
 
 #: the Theorem 4 test function g_a takes a in (0, A_MAX)
-A_MAX = 1.0 / np.sqrt(3.0)
-_COEF = float(1.5 * np.sqrt(3.0))  # 3 sqrt(3) / 2
+A_MAX = 1.0 / math.sqrt(3.0)
+_COEF = 1.5 * math.sqrt(3.0)  # 3 sqrt(3) / 2
 
 #: "exceeds 1" means strictly above this, to avoid rounding-false positives
 EXCEED_THRESHOLD = 1.0 + 1e-9
-
-#: radial samples of the seminorms in ``theorem5_ratios`` (margins there are large)
-PROBE_R_POINTS = 1024
 
 #: radius bracket and residual tolerance of the Theorem 1 root solves
 THEOREM1_BRACKET = (1e-6, 1.0 - 1e-6)
 THEOREM1_TOL = 1e-10
 
 #: the a values of the Theorem 4 scans; scale bracket and tolerance of ``theorem4_upper_bound``
-THEOREM4_A_GRID = np.asarray(grid(1e-6, A_MAX - 1e-9, 200))
-THEOREM4_BRACKET = (1.0 / np.sqrt(2.0), 0.7691)
+THEOREM4_A_GRID = grid(1e-6, A_MAX - 1e-9, 200)
+THEOREM4_BRACKET = (1.0 / math.sqrt(2.0), 0.7691)
 THEOREM4_TOL = 1e-5
 
 
 def _check_solver_tol(tol: float) -> float:
-    if not 0.0 < tol < np.inf:
+    if not 0.0 < tol < math.inf:
         raise ParameterDomainError(f"tol must be positive and finite, got {tol}")
     return tol
 
@@ -74,7 +69,7 @@ def _check_solver_tol(tol: float) -> float:
 @dataclass(frozen=True)
 class ScanReport:
     """Certificate (R, value, a, r) a threshold search found, and the number of
-    sups over r it took on the a grid, ``THEOREM4_A_GRID.size`` per scale tried."""
+    sups over r it took on the a grid, ``len(THEOREM4_A_GRID)`` per scale tried."""
 
     upper_bound: float
     best_value: float
@@ -134,22 +129,31 @@ def cauchy_chain_check(s: TruncatedSeries, w: Weight, scale: float,
     v1 = w(r) R sum |a_n| (R r)^n, v2 = w(r) ||f||_L2(r) R/sqrt(1-R^2),
     v3 = w(r) ||f||_Linf(r) R/sqrt(1-R^2), the sup on the default angle grid.
     """
+    from .series import circle_norms, coefficient_sum
     scale = _check_scale(scale)
     norms = circle_norms(s, r)
     wr = float(w(float(r)))
-    multiplier = float(scale / np.sqrt(1.0 - scale * scale))
+    multiplier = scale / math.sqrt(1.0 - scale * scale)
     v1 = wr * scale * coefficient_sum(s, scale * r)
     v2 = wr * norms.l2_norm * multiplier
     v3 = wr * norms.sup_norm * multiplier
     return v1, v2, v3
 
 
+def _lift(*xs):
+    """(xs, all, any): floats and ``bool`` if all are numbers, else numpy's (imported then)."""
+    if all(isinstance(x, (float, int)) for x in xs):
+        return [float(x) for x in xs], bool, bool
+    import numpy as np
+    return [np.asarray(x, dtype=float) for x in xs], np.all, np.any
+
+
 def _check_a(a):
-    arr = np.asarray(a, dtype=float)
-    if not np.all((0.0 < arr) & (arr < A_MAX)):
+    (a,), every, _ = _lift(a)
+    if not every((0.0 < a) & (a < A_MAX)):
         raise ParameterDomainError(
             f"parameter a must lie in (0, 1/sqrt(3)) = (0, {A_MAX:.6f})")
-    return float(arr) if arr.ndim == 0 else arr
+    return float(a) if getattr(a, "ndim", 0) == 0 else a
 
 
 def avkhadiev_eval(a: float, z):
@@ -158,6 +162,7 @@ def avkhadiev_eval(a: float, z):
     Under the standard weight, sup_z (1 - |z|^2) |f(z)| = 1 for every
     a in (0, 1/sqrt(3)).
     """
+    import numpy as np
     a = _check_a(float(a))
     z = np.asarray(z, dtype=complex)
     den = 1.0 - a * z
@@ -177,6 +182,8 @@ def avkhadiev_coefficients(a: float, n_terms: int = 257) -> TruncatedSeries:
     n >= 1 exactly when 0 < a < 1/sqrt(3).  Outside that range positivity
     fails and the parameter is rejected.
     """
+    import numpy as np
+    from .series import TruncatedSeries
     a = _check_a(float(a))
     if n_terms < 2:
         raise ParameterDomainError("need at least 2 coefficient terms")
@@ -191,70 +198,112 @@ def avkhadiev_coefficients(a: float, n_terms: int = 257) -> TruncatedSeries:
     return TruncatedSeries(coeffs.astype(complex), rho, m)
 
 
+def _majorant(a, x):
+    u = 1.0 - a * x
+    return _COEF * (1.0 - a * a) * ((x - a) / (u * u * u) + 2.0 * a)
+
+
+def _t4(a, scale, r):
+    """The body of ``theorem4_expression``, unchecked, on floats and arrays alike."""
+    return scale * (1.0 - r * r) * _majorant(a, scale * r)
+
+
+def _check_majorant(a, x):
+    """(a, x) as floats, or as arrays if either is one, checked for the majorant sum."""
+    (a, x), every, some = _lift(_check_a(a), x)
+    if not every(x >= 0.0):
+        raise ParameterDomainError("majorant argument must be nonnegative")
+    if some(a * x == 1.0):
+        raise PoleError("pole at x = 1/a")
+    if some(a * x > 1.0):
+        raise DivergenceRegionError("majorant sum diverges past x = 1/a")
+    return a, x
+
+
 def avkhadiev_majorant_closed_form(a, x):
     """sum |a_n| x^n = (3 sqrt(3)(1-a^2)/2) ((x-a)/(1-ax)^3 + 2a) for x >= 0.
 
-    Broadcasts over both arguments; the cube is a product, so scalars and
-    arrays get the same bits at every SIMD level.
+    Floats give a float; an array in either argument broadcasts.  The cube
+    is a product, so scalars and arrays get the same bits at every SIMD level.
     """
-    a = _check_a(a)
-    x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0.0):
-        raise ParameterDomainError("majorant argument must be nonnegative")
-    if np.any(a * x == 1.0):
-        raise PoleError("pole at x = 1/a")
-    if np.any(a * x > 1.0):
-        raise DivergenceRegionError("majorant sum diverges past x = 1/a")
-    u = 1.0 - a * x
-    out = _COEF * (1.0 - a * a) * ((x - a) / (u * u * u) + 2.0 * a)
-    return float(out) if np.ndim(out) == 0 else out
+    out = _majorant(*_check_majorant(a, x))
+    return float(out) if getattr(out, "ndim", 0) == 0 else out
 
 
 def theorem4_expression(a, scale: float, r):
     """R (1-r^2) (3 sqrt(3)(1-a^2)/2) ((Rr-a)/(1-aRr)^3 + 2a) on r in [0, 1].
 
-    Broadcasts over a and r.  R >= 1 is allowed (a pole may then lie on the disc).
+    Floats give a float, arrays broadcast.  R >= 1 is allowed (a pole may then lie on the disc).
     """
     scale = float(scale)
-    if not 0.0 <= scale < np.inf:
+    if not 0.0 <= scale < math.inf:
         raise ParameterDomainError("the scale R must be nonnegative and finite")
-    r = np.asarray(r, dtype=float)
-    if not np.all((r >= 0.0) & (r <= 1.0)):
+    (r,), every, _ = _lift(r)
+    if not every((r >= 0.0) & (r <= 1.0)):
         raise ParameterDomainError("radius must lie in [0, 1]")
-    out = scale * (1.0 - r * r) * avkhadiev_majorant_closed_form(a, scale * r)
-    return float(out) if np.ndim(out) == 0 else out
+    a, _ = _check_majorant(a, scale * r)
+    out = _t4(a, scale, r)
+    return float(out) if getattr(out, "ndim", 0) == 0 else out
 
 
-def _stationary_sups(a: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sups over r in [0, 1] of T4 at each a of a 1-D array, aR < 1 -> (values, radii).
+def _horner(coeffs: tuple, t: float) -> tuple[float, float]:
+    """The polynomial with ``coeffs`` (highest degree first) and its slope at t."""
+    value = slope = 0.0
+    for c in coeffs:
+        slope = slope * t + value
+        value = value * t + c
+    return value, slope
 
-    dT4/dr has the sign of P(r) = R(1-3a^2) + 2a(R^2-1) r + R(17a^2-3) r^2
-    - 24a^3R^2 r^3 + 16a^4R^3 r^4 - 4a^5R^4 r^5, in t = aRr of the monic quintic
-    t^5 - 4t^4 + 6t^3 + (3-17a^2)/(4a^2) t^2 + (1-R^2)/2 t - R^2(1-3a^2)/4, which
-    does not underflow; its powers are products, so its companion eigenvalues
-    keep their bits at every SIMD level.  The sup is the best T4 at r = 0 (first,
-    so it wins ties) and at the real parts of the roots clipped to [0, 1].
-    """
-    ar = a * scale
-    if not np.all((a >= 1e-150) & (ar >= 1e-300)):
-        raise ParameterDomainError("the stationarity quintic needs a >= 1e-150 and aR >= 1e-300")
-    a2, r2 = a * a, scale * scale
-    companion = np.zeros((a.size, 5, 5))
-    companion[:, range(1, 5), range(4)] = 1.0
-    companion[:, 0] = np.transpose(np.broadcast_arrays(
-        4.0, -6.0, (17.0 * a2 - 3.0) / (4.0 * a2), 0.5 * (r2 - 1.0), 0.25 * r2 * (1.0 - 3.0 * a2)))
-    t = np.clip(np.linalg.eigvals(companion).real, 0.0, ar[:, None])
-    radii = np.concatenate((np.zeros((a.size, 1)), t / ar[:, None]), axis=1)
-    values = theorem4_expression(a[:, None], scale, radii)
-    best = np.arange(a.size), np.argmax(values, axis=1)
-    return values[best], radii[best]
+
+def _monotone_root(f: tuple, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """The root of the polynomial f on [lo, hi], where it is monotone and changes
+    sign: Newton steps from the secant point, bisecting when one leaves the
+    bracket, until a step is a few ulps or no float is left inside the bracket."""
+    below = flo < 0.0
+    x = lo - flo * (hi - lo) / (fhi - flo)
+    for _ in range(200):
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx, dfx = _horner(f, x)
+        if (fx < 0.0) == below:
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+        nx = x - fx / dfx if dfx != 0.0 else lo
+        if abs(nx - x) <= 4e-16 * x:  # a step of a few ulps: converged
+            return nx if lo <= nx <= hi else x
+        x = nx
+    return lo if abs(flo) < abs(fhi) else hi
 
 
 def theorem4_sup(a: float, scale: float) -> tuple[float, float]:
-    """sup over r in [0, 1] of ``theorem4_expression`` -> (value, witness_r),
-    exact up to rounding (``_stationary_sups``).  A pole on the disc raises."""
+    """sup over r in [0, 1] of ``theorem4_expression`` -> (value, witness_r), on floats.
+
+    dT4/dr has the sign of P(r) = R(1-3a^2) + 2a(R^2-1) r + R(17a^2-3) r^2
+    - 24a^3R^2 r^3 + 16a^4R^3 r^4 - 4a^5R^4 r^5 = -(4/R) q(t), t = aRr, for the
+    monic quintic q = t^5 - 4t^4 + 6t^3 + (3-17a^2)/(4a^2) t^2 + (1-R^2)/2 t
+    - R^2(1-3a^2)/4 (for a >= 1e-150 and aR >= 1e-300).  q''' = 12(5t-3)(t-1)
+    has the fixed roots 3/5 and 1, so q'' is monotone between them, q' between
+    the roots of q'' and q between those of q', each solved on its monotone
+    pieces of [0, aR] in turn.  The sup is the best T4 at r = 0 (first, so it
+    wins ties) and at the roots of q.  A pole on the disc raises.
+    """
     theorem4_expression(a, scale, 1.0)  # the domain, pole and divergence checks
-    return tuple(float(v[0]) for v in _stationary_sups(np.array([float(a)]), float(scale)))
+    a, scale = float(a), float(scale)
+    ar, a2, r2 = a * scale, a * a, scale * scale
+    if not (a >= 1e-150 and ar >= 1e-300):
+        raise ParameterDomainError("the stationarity quintic needs a >= 1e-150 and aR >= 1e-300")
+    c2, c1 = (3.0 - 17.0 * a2) / (4.0 * a2), 0.5 * (1.0 - r2)
+    breaks = [0.0, *(t for t in (0.6, 1.0) if t < ar), ar]
+    for f in ((20.0, -48.0, 36.0, 2.0 * c2), (5.0, -16.0, 18.0, 2.0 * c2, c1),
+              (1.0, -4.0, 6.0, c2, c1, -0.25 * r2 * (1.0 - 3.0 * a2))):
+        fs = [f[-1], *(_horner(f, t)[0] for t in breaks[1:])]
+        breaks = [0.0, *(_monotone_root(f, lo, hi, flo, fhi) for lo, hi, flo, fhi
+                         in zip(breaks, breaks[1:], fs, fs[1:]) if (flo < 0.0) != (fhi < 0.0)),
+                  ar]
+    return max(((_t4(a, scale, t / ar), t / ar) for t in breaks[:-1]), key=lambda p: p[0])
 
 
 def best_test_ratio(scale: float) -> tuple[float, float, float]:
@@ -275,7 +324,7 @@ def best_test_ratio(scale: float) -> tuple[float, float, float]:
         return (-2.0 * a * ((x - a) / (u * u * u) + 2.0 * a)
                 + (1.0 - a * a) * ((3.0 * x * (x - a) - u) / (u * u * u * u) + 2.0))
 
-    values, _ = _stationary_sups(THEOREM4_A_GRID, scale)
+    values = [theorem4_sup(a, scale)[0] for a in THEOREM4_A_GRID]
     a_star, _ = scan_polish(lambda a: theorem4_sup(a, scale)[0], THEOREM4_A_GRID, values,
                             slope=slope)
     value, r_star = theorem4_sup(a_star, scale)
@@ -297,7 +346,7 @@ def theorem4_upper_bound(tol: float = THEOREM4_TOL) -> ScanReport:
 
     def exceeds(scale: float) -> tuple[float, float, float] | None:
         nonlocal samples
-        samples += THEOREM4_A_GRID.size
+        samples += len(THEOREM4_A_GRID)
         found = best_test_ratio(scale)
         return found if found[0] > EXCEED_THRESHOLD else None
 
@@ -314,27 +363,27 @@ def theorem4_upper_bound(tol: float = THEOREM4_TOL) -> ScanReport:
 
 
 def bombieri_m_infty(r):
-    """m_infty(r) = (3 - sqrt(8 (1 - r^2))) / r on [1/3, 1/sqrt(2)].
+    """m_infty(r) = (3 - sqrt(8 (1 - r^2))) / r on [1/3, 1/sqrt(2)], mapped.
 
     Endpoint values: 1 at r = 1/3 and sqrt(2) at r = 1/sqrt(2).
     """
-    arr = np.asarray(r, dtype=float)
-    if not np.all((arr >= 1.0 / 3.0 - 1e-12) & (arr <= 1.0 / np.sqrt(2.0) + 1e-12)):
-        raise ParameterDomainError(
-            "the closed form holds for r in [1/3, 1/sqrt(2)] only")
-    out = (3.0 - np.sqrt(8.0 * (1.0 - arr * arr))) / arr
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    def m_infty(x: float) -> float:
+        if not 1.0 / 3.0 - 1e-12 <= x <= 1.0 / math.sqrt(2.0) + 1e-12:
+            raise ParameterDomainError(
+                "the closed form holds for r in [1/3, 1/sqrt(2)] only")
+        return (3.0 - math.sqrt(8.0 * (1.0 - x * x))) / x
+    return mapped(m_infty, r)
 
 
-def mobius_majorant_sum(a, r):
-    """Majorant sum of (a - z)/(1 - az) at radius r: a + (1 - a^2) r / (1 - ar)."""
-    a = np.asarray(a, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(a * r == 1.0):
-        raise PoleError("pole at ar = 1")
-    return a + (1.0 - a * a) * r / (1.0 - a * r)
+def mobius_majorant_sum(a: float, r):
+    """Majorant sum of (a - z)/(1 - az) at radius r: a + (1 - a^2) r / (1 - ar),
+    mapped over r."""
+    a = float(a)
+    def majorant_sum(x: float) -> float:
+        if a * x == 1.0:
+            raise PoleError("pole at ar = 1")
+        return a + (1.0 - a * a) * x / (1.0 - a * x)
+    return mapped(majorant_sum, r)
 
 
 def mobius_majorant_sup(r: float) -> float:
@@ -349,30 +398,7 @@ def mobius_majorant_sup(r: float) -> float:
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ParameterDomainError("radius must lie in (0, 1)")
-    a = min(1.0, (4.0 - float(np.sqrt(8.0 * (1.0 - r * r)))) / (4.0 * r))
-    return float(mobius_majorant_sum(a, r))
-
-
-def mobius_series(alpha: float, n_terms: int = 257) -> TruncatedSeries:
-    """Coefficients of the disc automorphism (alpha - z)/(1 - alpha z).
-
-    c_0 = alpha and c_n = -(1 - alpha^2) alpha^{n-1} for n >= 1, with a
-    geometric tail of ratio alpha.
-    """
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ParameterDomainError("alpha must lie in [0, 1)")
-    if n_terms < 2:
-        raise ParameterDomainError("need at least 2 coefficient terms")
-    coeffs = np.empty(n_terms, dtype=complex)
-    coeffs[0] = alpha
-    # alpha^k as repeated products: numpy's SIMD ** rounds by CPU
-    powers = np.full(n_terms - 1, alpha)
-    powers[0] = 1.0
-    coeffs[1:] = -(1.0 - alpha * alpha) * np.cumprod(powers)
-    if alpha == 0.0:
-        return TruncatedSeries.polynomial(coeffs[:2])
-    return TruncatedSeries(coeffs, alpha, (1.0 - alpha * alpha) / alpha)
+    return mobius_majorant_sum(min(1.0, (4.0 - math.sqrt(8.0 * (1.0 - r * r))) / (4.0 * r)), r)
 
 
 @dataclass
@@ -390,30 +416,3 @@ class ProbeFunction:
             from .norms import weighted_bloch_seminorm
             self._norms[key] = weighted_bloch_seminorm(self.series, w, r_points)
         return self._norms[key]
-
-
-def theorem5_ratios(scale: float, family) -> dict[str, float]:
-    """Majorant-to-function Bloch seminorm ratio per member of ``family``.
-
-    The ratio uses the gradient seminorm sup omega |f'| on both sides:
-    with the |a_0| term included, constants alone would push the ratio to 1
-    and the strict bound could not hold for small scales.  Members must
-    have positive seminorm.  This is the generic route for any series; for
-    the Theorem 4 test functions ``best_test_ratio`` gives the ratio in
-    closed form.
-    """
-    from .norms import weighted_bloch_seminorm
-    from .weights import builtin_weight
-    scale = _check_scale(scale)
-    std = builtin_weight("standard")
-    ratios = {}
-    for member in family:
-        denominator = member.bloch_seminorm(std, PROBE_R_POINTS)
-        if denominator <= 0.0:
-            raise ParameterDomainError(
-                f"probe member {member.name} has zero Bloch seminorm")
-        scaled = scale_argument(majorant(member.series), scale)
-        numerator = weighted_bloch_seminorm(scaled, std, PROBE_R_POINTS)
-        ratios[member.name] = numerator / denominator
-    return ratios
-

@@ -7,7 +7,7 @@ CSV floats carry 9 significant digits (plot feeds); JSON floats use full
 round-trip precision (regression feeds).  Exit code 0 means no error record;
 domain and solver failures exit nonzero with a message on stderr.  Scans and
 solvers run at the library defaults.  Each handler imports the layers it calls,
-so a subcommand loads no other; weight-check, h-profile and sharpness: no numpy.
+so a subcommand loads no other; only theorem2-check and norms load numpy.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def _cmd_theorem2_check(args) -> int:
         raise ParameterDomainError(f"--seed must be nonnegative, got {args.seed}")
     r_grid = np.asarray(grid(0.0, 1.0, R_POINTS))
     max_expr = max(float(theorem4_expression(rows[:, None], 1.0 / SQRT2, r_grid).max())
-                   for rows in np.split(THEOREM4_A_GRID, 8))  # blocks keep temporaries small
+                   for rows in np.split(np.asarray(THEOREM4_A_GRID), 8))  # small temporaries
 
     rng = np.random.default_rng(args.seed)
     weights = [weight_from_token(t) for t in

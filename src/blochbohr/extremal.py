@@ -197,9 +197,10 @@ def verify_sharpness(w: Weight, r0: float,
         rhs_slope = lambda r: (w.slope(r) * extremal_sup_modulus(r0, r) + w(r) * 0.5
                                * r0 / (r0 + (_C if r <= r0 else -_C) * r) ** 2)
     rs = _with_point(radii(r_points), r0)
+    ws = w(rs)  # one weight pass, shared by both sides
     (lhs_wit, lhs_sup), (rhs_wit, rhs_sup) = (
         scan_polish(lambda r: side(w(r), closed(r0, r)), rs,
-                    list(map(side, w(rs), closed(r0, rs))), slope=slope, kink=r0)
+                    list(map(side, ws, closed(r0, rs))), slope=slope, kink=r0)
         for side, closed, slope in ((lhs, extremal_majorant_sum, lhs_slope),
                                     (rhs, extremal_sup_modulus, rhs_slope)))
     gap = abs(lhs_sup - rhs_sup) / max(lhs_sup, rhs_sup)

@@ -156,7 +156,7 @@ def weighted_bloch_seminorm(s: TruncatedSeries, w: Weight,
 
     This is the gradient part of the Bloch norm; constants have seminorm
     zero.  The majorant-ratio bound R/sqrt(1-R^2) controls exactly this
-    quantity, which is why ``bounds.theorem5_ratios`` divides seminorms.
+    quantity, which is why the strictness probe divides seminorms.
     """
     sup, _, _ = _series_radial_sup(derivative(s), w, r_points)
     return sup

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blochbohr import TruncatedSeries, builtin_weight
+from blochbohr import ParameterDomainError, TruncatedSeries, builtin_weight
 
 
 @pytest.fixture
@@ -29,3 +29,25 @@ def trig_quadrature_l2(coeffs, r, n_angles=512):
     for c in coeffs[::-1]:
         vals = vals * z + c
     return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
+
+
+def mobius_series(alpha: float, n_terms: int = 257) -> TruncatedSeries:
+    """Coefficients of the disc automorphism (alpha - z)/(1 - alpha z).
+
+    c_0 = alpha and c_n = -(1 - alpha^2) alpha^{n-1} for n >= 1, with a
+    geometric tail of ratio alpha.
+    """
+    alpha = float(alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise ParameterDomainError("alpha must lie in [0, 1)")
+    if n_terms < 2:
+        raise ParameterDomainError("need at least 2 coefficient terms")
+    coeffs = np.empty(n_terms, dtype=complex)
+    coeffs[0] = alpha
+    # alpha^k as repeated products: numpy's SIMD ** rounds by CPU
+    powers = np.full(n_terms - 1, alpha)
+    powers[0] = 1.0
+    coeffs[1:] = -(1.0 - alpha * alpha) * np.cumprod(powers)
+    if alpha == 0.0:
+        return TruncatedSeries.polynomial(coeffs[:2])
+    return TruncatedSeries(coeffs, alpha, (1.0 - alpha * alpha) / alpha)

@@ -1,4 +1,7 @@
-from dataclasses import asdict
+import json
+import math
+import random
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -7,13 +10,13 @@ from blochbohr import (DivergenceRegionError, NoSignChangeError, ParameterDomain
                        TruncatedSeries, avkhadiev_coefficients,
                        best_test_ratio, bombieri_m_infty, builtin_weight,
                        cauchy_chain_check, coefficient_sum, majorant,
-                       mobius_majorant_sum, mobius_majorant_sup, mobius_series,
+                       mobius_majorant_sum, mobius_majorant_sup, scale_argument,
                        theorem1_optimize, theorem1_root, theorem4_expression,
-                       theorem4_sup, theorem4_upper_bound, theorem5_ratios)
+                       theorem4_sup, theorem4_upper_bound, weighted_bloch_seminorm)
 from blochbohr import bounds
-from blochbohr.bounds import (_COEF, A_MAX, S_RANGE, THEOREM4_A_GRID, ProbeFunction,
-                              _stationary_sups, _t1_residual, avkhadiev_majorant_closed_form)
-from conftest import random_polynomial
+from blochbohr.bounds import (_COEF, A_MAX, S_RANGE, THEOREM4_A_GRID, ProbeFunction, ScanReport,
+                              _t1_residual, avkhadiev_majorant_closed_form)
+from conftest import mobius_series, random_polynomial
 
 SQRT2 = np.sqrt(2.0)
 
@@ -180,7 +183,15 @@ class TestTheorem4:
         scan = theorem4_upper_bound()
         assert best_test_ratio(scan.upper_bound) \
             == (scan.best_value, scan.witness_a, scan.witness_r)
-        assert scan.samples % THEOREM4_A_GRID.size == 0
+        assert scan.samples % len(THEOREM4_A_GRID) == 0
+
+    def test_report_fields_have_their_declared_types(self):
+        scan = theorem4_upper_bound()
+        for f in fields(ScanReport):
+            assert type(getattr(scan, f.name)) is {"float": float, "int": int}[f.type], f.name
+        # the bytes theorem4 --search prints for the bound
+        assert json.dumps(asdict(scan)["upper_bound"]) == "0.7683659494354365"
+        assert scan.samples == 3000
 
     @pytest.mark.parametrize("bracket,end", [((0.5, 0.6), "high end"),
                                              ((0.77, 0.8), "low end")])
@@ -264,6 +275,29 @@ def antiderivative_of_test_function(a):
     coeffs = np.concatenate(([0.0], g.coeffs / k))
     # |b_k|/(k+1) <= M rho^k = (M/rho) rho^(k+1)
     return TruncatedSeries(coeffs, g.tail_rho, g.tail_m / g.tail_rho)
+
+
+def theorem5_ratios(scale, family):
+    """Majorant-to-function Bloch seminorm ratio per member of ``family``.
+
+    The ratio uses the gradient seminorm sup omega |f'| on both sides:
+    with the |a_0| term included, constants alone would push the ratio to 1
+    and the strict bound could not hold for small scales.  Members must
+    have positive seminorm.  This is the generic route for any series; for
+    the Theorem 4 test functions ``best_test_ratio`` gives the ratio in
+    closed form.
+    """
+    std = builtin_weight("standard")
+    ratios = {}
+    for member in family:
+        denominator = member.bloch_seminorm(std, 1024)
+        if denominator <= 0.0:
+            raise ParameterDomainError(
+                f"probe member {member.name} has zero Bloch seminorm")
+        scaled = scale_argument(majorant(member.series), scale)
+        numerator = weighted_bloch_seminorm(scaled, std, 1024)
+        ratios[member.name] = numerator / denominator
+    return ratios
 
 
 class TestTheorem5:
@@ -366,11 +400,107 @@ class TestQuinticSup:
         with pytest.raises(ParameterDomainError):
             theorem4_sup(a, scale)
 
-    @pytest.mark.parametrize("scale", [0.3, 0.5, 0.7, 0.769, 0.9, 0.99])
-    def test_batch_matches_single_sups(self, scale):
-        values, radii = _stationary_sups(THEOREM4_A_GRID, scale)
-        for a, v, r in zip(THEOREM4_A_GRID.tolist(), values.tolist(), radii.tolist()):
-            assert theorem4_sup(a, scale) == (v, r)
+
+EPS = 2.0 ** -53
+
+#: seeded (a, R) across the grid's a-range and R in (0, 1), then the edges: the
+#: smallest a the quintic takes, R near 0 and 1, a next to 1/sqrt(3), R in
+#: [1, sqrt(3)) with 3/5 < aR < 1 (the third derivative of the quintic changes
+#: sign inside [0, aR]), the pin's interior root near r = 0.085 and the README's
+#: certificate
+_rng = random.Random(24)
+ORACLE_CASES = [(_rng.uniform(1e-6, A_MAX - 1e-9), _rng.uniform(1e-3, 1.0 - 1e-3))
+                for _ in range(40)] + [
+    (1e-150, 0.01), (1e-150, 0.5), (1e-150, 0.99), (0.3, 0.01), (0.3, 0.99),
+    (A_MAX - 1e-9, 0.01), (A_MAX - 1e-9, 0.99), (0.4, 1.6), (0.45, 1.7), (0.55, 1.5),
+    (0.57, 1.7), (0.5, 0.3), (0.35, 0.769)]
+
+
+def _mp_t4(mp, a, scale, r):
+    return scale * (1 - r * r) * 3 * mp.sqrt(3) / 2 * (1 - a * a) * (
+        (scale * r - a) / (1 - a * scale * r) ** 3 + 2 * a)
+
+
+def _mp_sup(mp, a, scale):
+    """The 40-digit sup over r of T4 -> (value, witness): T4 at r = 0 and at the
+    roots of P(r) in [0, 1], each bracketed by a sign change on a 1001-point grid
+    and solved by mpmath's Anderson-Bjorck (independent of the float cascade)."""
+    P = [-4 * a**5 * scale**4, 16 * a**4 * scale**3, -24 * a**3 * scale**2,
+         scale * (17 * a * a - 3), 2 * a * (scale * scale - 1), scale * (1 - 3 * a * a)]
+    best = (_mp_t4(mp, a, scale, mp.mpf(0)), mp.mpf(0))
+    rs = [mp.mpf(k) / 1000 for k in range(1001)]
+    ps = [mp.polyval(P, r) for r in rs]
+    for lo, hi, plo, phi in zip(rs, rs[1:], ps, ps[1:]):
+        if plo == 0 or (plo < 0) != (phi < 0):
+            r = lo if plo == 0 else mp.findroot(lambda x: mp.polyval(P, x), (lo, hi),
+                                                solver="anderson")
+            if _mp_t4(mp, a, scale, r) > best[0]:
+                best = (_mp_t4(mp, a, scale, r), r)
+    return best
+
+
+def _t4_rounding_bound(mp, a, scale, r):
+    """First-order bound on the rounding error of the float T4 body at (a, R, r):
+    eps |v dT4/dv| summed over its intermediates v.  The eight products and
+    differences that T4 is proportional to give 8 |T4|, 1 - a^2 and 1 - r^2 their
+    cancellation, and the sum S = D + 2a, D = (x - a)/u^3, u = 1 - a x, x = Rr,
+    passes on the errors of D, of u (cubed) and of x relative to |S|."""
+    x = scale * r
+    ax, t4 = a * x, _mp_t4(mp, a, scale, r)
+    u = 1 - ax
+    d = (x - a) / u**3
+    rel = 8 + a * a / (1 - a * a) + r * r / (1 - r * r)
+    rel += (abs(d) * (6 + 6 * ax / u) + abs(x / u**3)) / abs(d + 2 * a)
+    return EPS * rel * abs(t4)
+
+
+def _root_error_bound(mp, a, scale, r):
+    """Twice the first-order error of the root t = aRr of the float quintic:
+    the float coefficients' distance from the exact ones plus Horner's rounding
+    (at most 10 eps sum |c_i| t^i for degree 5), over |q'(t)|, back in r."""
+    a2, r2 = float(a) ** 2, float(scale) ** 2
+    floats = [1.0, -4.0, 6.0, (3.0 - 17.0 * a2) / (4.0 * a2), 0.5 * (1.0 - r2),
+              -0.25 * r2 * (1.0 - 3.0 * a2)]
+    exact = [1, -4, 6, (3 - 17 * a * a) / (4 * a * a), (1 - scale * scale) / 2,
+             -scale * scale * (1 - 3 * a * a) / 4]
+    t = a * scale * r
+    powers = [t ** (5 - i) for i in range(6)]
+    slope = sum((5 - i) * c * t ** (4 - i) for i, c in enumerate(exact[:5]))
+    err = sum((abs(mp.mpf(f) - c) + 10 * EPS * abs(f)) * w
+              for f, c, w in zip(floats, exact, powers))
+    return 2 * err / abs(slope) / (a * scale)
+
+
+@pytest.mark.parametrize("a,scale", ORACLE_CASES, ids=lambda v: f"{v:.6g}")
+def test_quintic_sup_against_mpmath(a, scale):
+    """``theorem4_sup`` against a 40-digit mpmath sup.
+
+    The value is within 2 ulp of the exact sup plus the rounding bound of the
+    float T4 body at the witness: that body rounds a dozen times and its sum
+    (Rr - a)/u^3 + 2a cancels, so it alone is up to about 5 ulp off (the solver's
+    own loss at an accurate root is second order, far below 1 ulp).  The witness
+    is within 2 ulp plus twice the first-order error of the quintic's root in
+    floats (``_root_error_bound``), unless the float witness is r = 0 and T4(0)
+    ties the sup within 1 ulp: at a = 1/sqrt(3) - 1e-9, R = 0.01, the root near
+    r = 3e-11 is higher than T4(0) by about 1e-19 relative, which no float shows.
+    """
+    mp = pytest.importorskip("mpmath")
+    value, r = theorem4_sup(a, scale)
+    with mp.workdps(40):
+        ma, ms = mp.mpf(a), mp.mpf(scale)
+        sup, witness = _mp_sup(mp, ma, ms)
+        ulp = math.ulp(float(sup))
+        assert abs(value - sup) <= 2 * ulp + _t4_rounding_bound(mp, ma, ms, mp.mpf(r))
+        if r == 0.0 and sup - _mp_t4(mp, ma, ms, mp.mpf(0)) <= ulp:
+            return
+        assert witness > 0
+        assert abs(r - witness) <= (2 * math.ulp(float(witness))
+                                    + _root_error_bound(mp, ma, ms, witness))
+
+
+def test_readme_certificate_pinned():
+    # mpmath at 40 digits: sup 1.00086002450361704..., witness 0.56531139659036183224...
+    assert theorem4_sup(0.35, 0.769) == (1.000860024503617, 0.5653113965903618)
 
 
 class TestBestTestRatio:

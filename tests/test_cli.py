@@ -304,7 +304,7 @@ def _admissible_report(token):
 
 def _table_max_at_sqrt2():
     # one broadcast over the whole table; the CLI takes it in blocks of a rows
-    return float(theorem4_expression(THEOREM4_A_GRID[:, None], 1.0 / SQRT2,
+    return float(theorem4_expression(np.asarray(THEOREM4_A_GRID)[:, None], 1.0 / SQRT2,
                                      grid(0.0, 1.0, R_POINTS)).max())
 
 

@@ -295,6 +295,23 @@ class TestVerifySharpness:
         assert rep.rhs_sup == pytest.approx(1.0736870584245609, rel=1e-15)
         assert rep.rhs_witness_r == pytest.approx(0.8587638524630434, abs=1e-7)
 
+    def test_one_weight_pass_serves_both_sides(self):
+        # the criterion scans the weight on its grid once, and both sides share
+        # one pass over the same grid with r0 added: two grid passes, not three
+        passes = []
+
+        class GridCountingWeight(Weight):
+            def __call__(self, r):
+                if isinstance(r, list):
+                    passes.append(len(r))
+                return super().__call__(r)
+
+        ex2 = builtin_weight("example2", r0=0.8, alpha=2)
+        counting = GridCountingWeight("counting", ex2.fn, ex2.params, ex2.limit_at_one,
+                                      ex2.slope, ex2.kink)
+        assert verify_sharpness(counting, 0.8) == verify_sharpness(ex2, 0.8)
+        assert passes == [10_000, 10_001]
+
     def test_standard_weight_rejected(self):
         with pytest.raises(PreconditionError):
             verify_sharpness(builtin_weight("standard"), 0.8)

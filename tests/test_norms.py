@@ -16,7 +16,7 @@ from blochbohr.norms import _batch_circle_max, _radial_sup, _series_radial_sup
 from blochbohr.search import R_MAX, THETA_POINTS, radii
 from blochbohr.series import _angle_count, _angle_grid_values
 from blochbohr.weights import Weight, builtin_weight
-from conftest import random_polynomial
+from conftest import mobius_series, random_polynomial
 
 A_MAX = 1.0 / np.sqrt(3.0)
 COEF = 1.5 * np.sqrt(3.0)
@@ -144,7 +144,6 @@ class TestRadialWitnessAtSlopeRoot:
         # (alpha - z)/(1 - alpha z) peaks on |z| = r at z = -r, so the sup is
         # max (1 - r^2)(alpha + r)/(1 + alpha r); its derivative's weighted
         # sup (1 - r^2)(1 - alpha^2)/(1 - alpha r)^2 is 1, at r = alpha
-        from blochbohr import mobius_series
         s = mobius_series(0.9)
         value, r, theta = _series_radial_sup(s, std)
         assert abs(r - 0.088345568515427321) <= 1e-12
@@ -331,7 +330,6 @@ class TestExtremalSeriesNorms:
 class TestSeminormClosedForms:
     def test_mobius_seminorm_is_one(self, std):
         # sup (1-r^2)(1-alpha^2)/(1-alpha r)^2 = 1 exactly, at r = alpha
-        from blochbohr import mobius_series
         for alpha in (0.3, 0.5, 0.9):
             s = mobius_series(alpha)
             assert weighted_bloch_seminorm(s, std) == pytest.approx(1.0,

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from blochbohr.bounds import mobius_series
 from blochbohr.series import TruncatedSeries
+from conftest import mobius_series
 from pins import DATA, cli_stdout, expected_outputs, regenerate
 
 EXPECTED = DATA / "norms_pin.txt"

@@ -86,9 +86,36 @@ def test_criterion_commands_run_without_numpy(argv):
     assert plain and run_python("-c", 'import sys; sys.modules["numpy"] = None\n' + code) == plain
 
 
-def test_bounds_subcommand_and_help_load_what_they_call():
-    loaded = loaded_after("from blochbohr.cli import main; main(['theorem1', '--s', '0.5'])")
-    assert loaded["layers"] == ["bounds", "cli", "errors", "search", "series", "weights"]
+#: the bounds commands of the README that run on floats
+BOUNDS_ARGV = [
+    ["theorem1", "--optimize"],
+    ["theorem1", "--s", "0.5"],
+    ["theorem4", "--a", "0.35", "--R", "0.769"],
+    ["theorem4", "--search"],
+    ["theorem5-probe"],
+    ["bombieri", "--r", "0.70710678"],
+    ["bombieri"],
+]
+
+
+@pytest.mark.parametrize("argv", BOUNDS_ARGV, ids=" ".join)
+def test_bounds_commands_run_without_numpy(argv):
+    loaded = loaded_after(f"from blochbohr.cli import main; main({argv!r})")
+    assert loaded == {"numpy": False, "layers": ["bounds", "cli", "errors", "search", "weights"]}
+    code = f"from blochbohr.cli import main\nmain({argv!r})\n"
+    plain = run_python("-c", code)
+    assert plain and run_python("-c", 'import sys; sys.modules["numpy"] = None\n' + code) == plain
+
+
+def test_theorem2_check_loads_numpy_and_series():
+    # its PCG64 sample stream and its 200 x R_POINTS table stay on numpy
+    loaded = loaded_after(
+        "from blochbohr.cli import main; main(['theorem2-check', '--samples', '3'])")
+    assert loaded == {"numpy": True,
+                      "layers": ["bounds", "cli", "errors", "search", "series", "weights"]}
+
+
+def test_help_loads_no_handler_layer():
     loaded = loaded_after(
         "from blochbohr.cli import main\n"
         "    try:\n        main(['theorem4', '--help'])\n"
