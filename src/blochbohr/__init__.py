@@ -13,6 +13,7 @@ golden-section or derivative-root polish and report their witness points.
 
 Importing the package loads no layer and not numpy: each exported name is imported
 from its submodule on first access (PEP 562), so a subcommand loads only its layers.
+The result records are NamedTuples, so no layer loads ``dataclasses`` either.
 """
 
 import importlib

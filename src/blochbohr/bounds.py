@@ -35,7 +35,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DivergenceRegionError, ParameterDomainError, PoleError
 from .search import bisect_flag, bisect_root, grid, mapped, scan_polish
@@ -66,8 +66,7 @@ def _check_solver_tol(tol: float) -> float:
     return tol
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Certificate (R, value, a, r) a threshold search found, and the number of
     sups over r it took on the a grid, ``len(THEOREM4_A_GRID)`` per scale tried."""
 
@@ -401,14 +400,12 @@ def mobius_majorant_sup(r: float) -> float:
     return mobius_majorant_sum(min(1.0, (4.0 - math.sqrt(8.0 * (1.0 - r * r))) / (4.0 * r)), r)
 
 
-@dataclass
 class ProbeFunction:
     """A named test function with a per-weight, per-scan-size cache of its
     Bloch seminorm."""
 
-    name: str
-    series: TruncatedSeries
-    _norms: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, name: str, series: TruncatedSeries):
+        self.name, self.series, self._norms = name, series, {}
 
     def bloch_seminorm(self, w: Weight, r_points: int) -> float:
         key = (w.name, tuple(sorted(w.params.items())), r_points)

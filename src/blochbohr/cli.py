@@ -7,7 +7,9 @@ CSV floats carry 9 significant digits (plot feeds); JSON floats use full
 round-trip precision (regression feeds).  Exit code 0 means no error record;
 domain and solver failures exit nonzero with a message on stderr.  Scans and
 solvers run at the library defaults.  Each handler imports the layers it calls,
-so a subcommand loads no other; only theorem2-check and norms load numpy.
+so a subcommand loads no other: the parser's defaults come from ``search``, and
+only theorem2-check and norms load numpy.  Reports are NamedTuples, read with
+``_asdict``, so no subcommand loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .errors import BlochBohrError, ParameterDomainError
-from .search import R_POINTS, grid
-from .weights import (PROFILE_POINTS, SQRT2, criterion_check, find_admissible_r0, h_profile,
-                      weight_from_token)
+from .search import PROFILE_POINTS, R_POINTS, SQRT2, grid
 
 #: the CLI's own values: the ``theorem5-probe`` scales without --R, the radii of
 #: the ``bombieri`` table without --r, the largest chain violation of a
@@ -103,7 +102,7 @@ def _cmd_theorem4(args) -> int:
     from .bounds import EXCEED_THRESHOLD, theorem4_sup, theorem4_upper_bound
     if args.search:
         scan = theorem4_upper_bound()
-        report = dict(command="theorem4", search=True, **asdict(scan))
+        report = dict(command="theorem4", search=True, **scan._asdict())
         _render(args, report,
                 ["upper_bound", "best_value", "witness_a", "witness_r", "samples"])
         return 0
@@ -121,6 +120,7 @@ def _cmd_theorem2_check(args) -> int:
     import numpy as np
     from .bounds import EXCEED_THRESHOLD, THEOREM4_A_GRID, cauchy_chain_check, theorem4_expression
     from .series import TruncatedSeries
+    from .weights import weight_from_token
     if args.samples < 1:
         raise ParameterDomainError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
@@ -188,6 +188,7 @@ def _cmd_bombieri(args) -> int:
 
 
 def _cmd_weight_check(args) -> int:
+    from .weights import criterion_check, find_admissible_r0, weight_from_token
     w = weight_from_token(args.weight)
     if args.r0 is not None:
         rep = criterion_check(w, args.r0)
@@ -211,6 +212,7 @@ def _cmd_weight_check(args) -> int:
 
 
 def _cmd_h_profile(args) -> int:
+    from .weights import h_profile
     report = {"command": "h-profile", "r0": args.r0, "columns": ["r", "omega1", "omega2", "h"],
               "rows": h_profile(args.r0, n_points=args.n)}
     _render(args, report, report["columns"], report["rows"])
@@ -219,6 +221,7 @@ def _cmd_h_profile(args) -> int:
 
 def _cmd_sharpness(args) -> int:
     from .extremal import verify_sharpness
+    from .weights import weight_from_token
     w = weight_from_token(args.weight)
     rep = verify_sharpness(w, args.r0)
     passed = rep.relative_gap <= SHARPNESS_GAP
@@ -228,7 +231,7 @@ def _cmd_sharpness(args) -> int:
         f"sharpness {verdict}: witnesses {_fmt9(rep.lhs_witness_r)} "
         f"{_fmt9(rep.rhs_witness_r)} (anchor {_fmt9(rep.r0)}, "
         f"relative gap {rep.relative_gap:.3e})\n")
-    report = dict(asdict(rep), command="sharpness", weight=args.weight,
+    report = dict(rep._asdict(), command="sharpness", weight=args.weight,
                   passed=passed)
     _render(args, report,
             ["weight", "r0", "lhs_sup", "rhs_sup", "lhs_witness_r",
@@ -253,12 +256,13 @@ def _read_series(args) -> TruncatedSeries:
 
 def _cmd_norms(args) -> int:
     from .norms import RadialSupReport, _series_radial_sup, weighted_bloch_norm
+    from .weights import weight_from_token
     series = _read_series(args)
     w = weight_from_token(args.weight)
     norm = weighted_bloch_norm(series, w)
     sup = RadialSupReport(*_series_radial_sup(series, w))
     report = {"command": "norms", "weight": args.weight, "bloch_norm": norm,
-              "radial_sup": asdict(sup)}
+              "radial_sup": sup._asdict()}
     _render(args, report,
             ["weight", "bloch_norm", "sup_value", "witness_r", "witness_theta"],
             [[args.weight, norm, sup.value, sup.witness_r, sup.witness_theta]])

@@ -18,36 +18,39 @@ that build or read a series import numpy and ``series``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (DivergenceRegionError, ParameterDomainError, PoleError,
                      PreconditionError)
-from .search import mapped, radii, scan_polish
-from .weights import CRITERION_R_POINTS, SQRT2, Weight, _check_r0, _with_point, criterion_check
+from .search import SQRT2, mapped, radii, scan_polish
+from .weights import CRITERION_R_POINTS, Weight, _check_r0, _with_point, criterion_check
 
 _C = 0.5 * SQRT2  # 1/sqrt(2) correctly rounded; 1/SQRT2 is one ulp low
 DEFAULT_ORDER = 256  # truncation of ``extremal_coefficients``
 
 
-@dataclass(frozen=True)
-class ExtremalSpec:
-    """Parameters of the extremal: anchor radius, rotation, truncation order."""
-
+class _ExtremalSpec(NamedTuple):
     r0: float
     phi: float = 0.0
     truncation: int = DEFAULT_ORDER
 
-    def __post_init__(self) -> None:
-        _check_r0(self.r0)
-        if self.truncation < 1:
+
+class ExtremalSpec(_ExtremalSpec):
+    """Parameters of the extremal: anchor radius, rotation, truncation order."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
+    def __new__(cls, r0: float, phi: float = 0.0, truncation: int = DEFAULT_ORDER):
+        _check_r0(r0)
+        if truncation < 1:
             raise ParameterDomainError("truncation order must be >= 1")
-        if not math.isfinite(self.phi):
-            raise ParameterDomainError(f"rotation phi must be finite, got {self.phi}")
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
+        if not math.isfinite(phi):
+            raise ParameterDomainError(f"rotation phi must be finite, got {phi}")
+        return super().__new__(cls, r0, float(phi) % (2.0 * math.pi), truncation)
 
 
-@dataclass(frozen=True)
-class SharpnessReport:
+class SharpnessReport(NamedTuple):
     """Both sides of the sharpness identity with their witness radii.
 
     ``lhs_sup`` is sup_r omega(r)/sqrt(2) * sum |a_n| (r/sqrt(2))^n,

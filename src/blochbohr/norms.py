@@ -14,8 +14,7 @@ rigorous bound on its circle maximum stays below the best score so far.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,8 +32,7 @@ _STRIDES = (256, 16, 1)
 _EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class RadialSupReport:
+class RadialSupReport(NamedTuple):
     """Result of a weighted radial supremum scan with its witness point."""
 
     value: float

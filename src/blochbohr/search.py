@@ -1,4 +1,4 @@
-"""Scan sizes and 1-D search primitives.
+"""Scan sizes, the constant sqrt(2), and 1-D search primitives.
 
 Every grid supremum in the library (and the worst criterion margin, an
 infimum) goes through one primitive, ``scan_polish``: a uniform grid scan
@@ -12,7 +12,9 @@ the angle circle the bracket wraps around; elsewhere it is clipped to the grid.
 Root-finding is bracketed bisection with an explicit sign-change check,
 converging on the residual rather than the bracket width (``bisect_root``);
 a pass/fail threshold is bisected on the verdict alone (``bisect_flag``).
-Grids are lists of floats and all of this runs without numpy.
+Grids are lists of floats and all of this runs without numpy.  The scan
+sizes (``R_POINTS``, ``THETA_POINTS``, ``PROFILE_POINTS``) and ``SQRT2`` live
+here, so the CLI's parser reads its defaults without loading ``weights``.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ from typing import Callable
 from .errors import ConvergenceError, NoSignChangeError, ParameterDomainError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+SQRT2 = math.sqrt(2.0)
 
-#: default radial sample count, the number of angles of a circle scan, and
-#: the outer radius of every radial scan
+#: default radial sample count, the number of angles of a circle scan, the
+#: default sample count of ``weights.h_profile``, and the outer radius of
+#: every radial scan
 R_POINTS = 2048
 THETA_POINTS = 4096
+PROFILE_POINTS = 512
 R_MAX = 1.0 - 1e-6
 
 

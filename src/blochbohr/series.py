@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,35 +32,39 @@ UNCERTIFIED_RADIUS = 0.9
 _FFT_CHUNK = 1 << 17
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class _TruncatedSeries(NamedTuple):
+    coeffs: np.ndarray
+    tail_rho: Optional[float] = None
+    tail_m: Optional[float] = None
+
+
+class TruncatedSeries(_TruncatedSeries):
     """Coefficients a_0..a_N plus an optional geometric tail bound.
 
     ``tail_rho``/``tail_m`` certify |a_n| <= tail_m * tail_rho**n for n > N.
     """
 
-    coeffs: np.ndarray
-    tail_rho: Optional[float] = None
-    tail_m: Optional[float] = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=complex)
+    def __new__(cls, coeffs, tail_rho: Optional[float] = None, tail_m: Optional[float] = None):
+        c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ParameterDomainError("coeffs must be a nonempty 1-D sequence")
         if not np.all(np.isfinite(c)):
             raise ParameterDomainError("coefficients must be finite")
         c = c.copy()
         c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-        if (self.tail_rho is None) != (self.tail_m is None):
+        if (tail_rho is None) != (tail_m is None):
             raise ParameterDomainError("tail_rho and tail_m must be given together")
-        if self.tail_rho is not None:
-            if not 0.0 <= self.tail_rho < 1.0:
+        if tail_rho is not None:
+            if not 0.0 <= tail_rho < 1.0:
                 raise ParameterDomainError("tail ratio must lie in [0, 1)")
-            if self.tail_m < 0.0:
+            if tail_m < 0.0:
                 raise ParameterDomainError("tail constant must be nonnegative")
-            if not self.tail_m < np.inf:
+            if not tail_m < np.inf:
                 raise ParameterDomainError("tail constant must be finite")
+        return super().__new__(cls, c, tail_rho, tail_m)
 
     @classmethod
     def polynomial(cls, coeffs) -> "TruncatedSeries":
@@ -101,8 +104,7 @@ class TruncatedSeries:
         return cls(coeffs, float(tail["rho"]), float(tail["M"]))
 
 
-@dataclass(frozen=True)
-class SeriesValue:
+class SeriesValue(NamedTuple):
     """A partial-sum evaluation plus its truncation bound.
 
     ``tail_bound`` is None when the series carries no tail certificate, in
@@ -117,8 +119,7 @@ class SeriesValue:
         return self.tail_bound is not None
 
 
-@dataclass(frozen=True)
-class CircleNorms:
+class CircleNorms(NamedTuple):
     """Norms of f on the circle |z| = r.
 
     ``l2_norm`` is the angle-averaged L2 norm sqrt(sum |a_n|^2 r^{2n})

@@ -7,21 +7,21 @@ pointwise minimum h(r) for every r in [0, 1).  h equals omega2 left of r0
 and omega1 right of it, and is decreasing and convex on [0, r0).  Its corner
 at r0 is too sharp for a weight differentiable there, so an anchor below 1
 can only be admissible at a kink of the weight.  Weights, slopes and h are
-written on floats and mapped over lists and arrays: no numpy is loaded here.
+written on floats and mapped over lists and arrays: no numpy is loaded here,
+and the records are NamedTuples, so neither is ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import ParameterDomainError, ZeroDenominatorError
-from .search import R_MAX, mapped, radii, scan_polish
+from .search import PROFILE_POINTS, R_MAX, SQRT2, mapped, radii, scan_polish
 
-SQRT2 = math.sqrt(2.0)
 R0_MIN = 1.0 / SQRT2
 
 #: default radial sample count of criterion checks
@@ -30,12 +30,8 @@ CRITERION_R_POINTS = 10_000
 #: equality in the criterion is admissible, so passing tolerates tiny rounding
 CRITERION_TOL = 1e-12
 
-#: default sample count of ``h_profile``
-PROFILE_POINTS = 512
 
-
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """A nonnegative radial weight on [0, 1).
 
     ``fn`` and ``slope`` take a float; the weight, and each built-in slope,
@@ -47,13 +43,14 @@ class Weight:
     value, so polishes evaluate it only off the kink.  Radial sups of a
     series polish at a root of the weighted slope when it is given.  The
     kink is also the only anchor below 1 that ``find_admissible_r0`` tries.
+    ``params`` is a read-only mapping of the values the built-in ``fn`` closes over.
     """
 
     name: str
-    fn: Callable = field(repr=False)
-    params: Mapping[str, float] = field(default_factory=dict)
+    fn: Callable
+    params: Mapping[str, float] = MappingProxyType({})
     limit_at_one: float = math.inf
-    slope: Optional[Callable] = field(default=None, repr=False)
+    slope: Optional[Callable] = None
     kink: Optional[float] = None
 
     def __call__(self, r):
@@ -68,18 +65,8 @@ class Weight:
             return self.limit_at_one
         return mapped(value, r)
 
-    def scaled(self, c: float) -> "Weight":
-        """The weight multiplied by a positive finite constant."""
-        if not 0.0 < c < math.inf:
-            raise ParameterDomainError("scale must be positive and finite")
-        slope = None if self.slope is None else partial(mapped, lambda r: c * self.slope(r))
-        return Weight(name=f"{c}*{self.name}", fn=lambda r: c * self.fn(r),
-                      params=dict(self.params),
-                      limit_at_one=c * self.limit_at_one, slope=slope, kink=self.kink)
 
-
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """Verdict of the admissibility inequality at an anchor radius r0.
 
     ``worst_margin`` is the minimum over the scan of h(r) - omega(r)/omega(r0);
@@ -136,7 +123,7 @@ def builtin_weight(kind: str, **params) -> Weight:
                 u = (r - r0) / (1.0 - r0 * r)
                 return (-alpha * (1.0 - abs(u)) ** (alpha - 1.0) * ((u > 0.0) - (u < 0.0))
                         * (1.0 - r0 * r0) / (1.0 - r0 * r) ** 2)
-        return Weight(name=kind, fn=fn, params={"r0": r0, "alpha": alpha},
+        return Weight(name=kind, fn=fn, params=MappingProxyType({"r0": r0, "alpha": alpha}),
                       limit_at_one=0.0, slope=partial(mapped, slope), kink=r0)
     raise ParameterDomainError(f"unknown weight kind {kind!r}")
 

@@ -320,7 +320,7 @@ class TestOptionDefaults:
          lambda: dict(zip(("s_star", "r_star"), theorem1_optimize()))),
         (("theorem4", "--search"),
          lambda: dict(zip(("upper_bound", "best_value", "witness_a", "witness_r", "samples"),
-                          vars(theorem4_upper_bound()).values()))),
+                          theorem4_upper_bound()._asdict().values()))),
         (("theorem4", "--a", "0.35", "--R", "0.769"),
          lambda: dict(zip(("sup_r", "witness_r"), theorem4_sup(0.35, 0.769)))),
         (("theorem2-check", "--samples", "3"),
@@ -338,7 +338,7 @@ class TestOptionDefaults:
         (("weight-check", "--weight", EX2), lambda: _admissible_report(TestOptionDefaults.EX2)),
         (("h-profile", "--r0", "0.8"), lambda: {"rows": np.asarray(h_profile(0.8)).tolist()}),
         (("sharpness", "--weight", EX2, "--r0", "0.8"),
-         lambda: vars(verify_sharpness(weight_from_token(TestOptionDefaults.EX2), 0.8))),
+         lambda: verify_sharpness(weight_from_token(TestOptionDefaults.EX2), 0.8)._asdict()),
         (("norms", "--coeffs", "0,1,-0.5"), lambda: _norms_report([0.0, 1.0, -0.5])),
         (("norms", "--coeffs", "0.3,0.7,0.45", "--weight", EX2),
          lambda: _norms_report([0.3, 0.7, 0.45], TestOptionDefaults.EX2)),

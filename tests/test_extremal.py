@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +22,8 @@ class TestExtremalSpec:
             ExtremalSpec(r0=1.1)
         with pytest.raises(ParameterDomainError):
             ExtremalSpec(r0=0.8, truncation=0)
+        with pytest.raises(ParameterDomainError):
+            ExtremalSpec(r0=0.8)._replace(r0=0.5)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
@@ -34,6 +34,7 @@ class TestExtremalSpec:
     def test_phase_normalized(self):
         spec = ExtremalSpec(r0=0.8, phi=2.0 * np.pi + 0.5)
         assert spec.phi == pytest.approx(0.5, abs=1e-12)
+        assert spec._replace(phi=2.0 * np.pi + 0.25).phi == pytest.approx(0.25, abs=1e-12)
 
 
 class TestExtremalEval:
@@ -318,7 +319,7 @@ class TestVerifySharpness:
 
     def test_report_serialization(self):
         rep = verify_sharpness(builtin_weight("constant"), 1.0)
-        d = asdict(rep)
+        d = rep._asdict()
         assert d["relative_gap"] == rep.relative_gap
         assert set(d) == {"lhs_sup", "rhs_sup", "lhs_witness_r", "rhs_witness_r",
                           "relative_gap", "r0"}

@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -132,7 +130,7 @@ class TestRadialSup:
 
     def test_report_serialization(self, const):
         rep = weighted_radial_sup(lambda z: z, const, 16)
-        assert set(asdict(rep)) == {"value", "witness_r", "witness_theta"}
+        assert set(rep._asdict()) == {"value", "witness_r", "witness_theta"}
 
 
 class TestRadialWitnessAtSlopeRoot:

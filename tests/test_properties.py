@@ -7,6 +7,7 @@ from blochbohr import (TruncatedSeries, builtin_weight,
                        cauchy_chain_check, circle_norms, criterion_check,
                        eval_series, majorant, scale_argument,
                        weighted_bloch_norm)
+from conftest import scaled
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -69,7 +70,7 @@ def test_bloch_norm_homogeneous(pairs, c):
 @settings(max_examples=20, deadline=None)
 def test_criterion_invariant_under_positive_scaling(c, kind, r0):
     w = builtin_weight(kind, r0=r0, alpha=1)
-    assert criterion_check(w.scaled(c), r0, r_points=2000).passed == \
+    assert criterion_check(scaled(w, c), r0, r_points=2000).passed == \
         criterion_check(w, r0, r_points=2000).passed
 
 

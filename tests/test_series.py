@@ -51,6 +51,8 @@ class TestConstruction:
                 TruncatedSeries([1.0], 0.5, m)
         with pytest.raises(ParameterDomainError):
             TruncatedSeries.loads('{"coeffs": [[1.0, 0.0]], "tail": {"rho": 0.5, "M": NaN}}')
+        with pytest.raises(ParameterDomainError, match="tail ratio"):
+            TruncatedSeries.polynomial([1.0])._replace(tail_rho=1.0)
 
     def test_immutable(self):
         s = TruncatedSeries.polynomial([1.0, 2.0])

@@ -21,20 +21,29 @@ def run_python(*args: str) -> str:
     return proc.stdout
 
 
+#: modules a scalar command has no use for: numpy, and ``dataclasses`` with the
+#: ``inspect`` it pulls in
+HEAVY = ("numpy", "dataclasses", "inspect")
+#: a preamble that makes each of them unimportable
+WITHOUT_HEAVY = f"import sys; sys.modules.update(dict.fromkeys({HEAVY!r}))\n"
+
+
 def loaded_after(statement: str) -> dict:
-    """Which of numpy and the blochbohr layers ``statement`` leaves loaded."""
+    """Which of ``HEAVY`` and the blochbohr layers ``statement`` leaves loaded."""
     out = run_python(
         "-c",
         "import io, json, sys\n"
         "from contextlib import redirect_stdout\n"
         f"with redirect_stdout(io.StringIO()):\n    {statement}\n"
-        "print(json.dumps({'numpy': 'numpy' in sys.modules, 'layers': sorted(\n"
-        "    n.split('.', 1)[1] for n in sys.modules if n.startswith('blochbohr.'))}))\n")
+        f"loaded = {{n: n in sys.modules for n in {HEAVY!r}}}\n"
+        "print(json.dumps(dict(loaded, layers=sorted(\n"
+        "    n.split('.', 1)[1] for n in sys.modules if n.startswith('blochbohr.')))))\n")
     return json.loads(out)
 
 
 def test_bare_import_loads_no_layer_and_not_numpy():
-    assert loaded_after("import blochbohr") == {"numpy": False, "layers": []}
+    assert loaded_after("import blochbohr") == {
+        "numpy": False, "dataclasses": False, "inspect": False, "layers": []}
 
 
 def test_every_export_resolves_and_star_import_binds_it():
@@ -79,11 +88,11 @@ def test_criterion_commands_run_without_numpy(argv):
     layers = ["cli", "errors", "search", "weights"]
     if argv[0] == "sharpness":
         layers = ["cli", "errors", "extremal", "search", "weights"]
-    assert loaded == {"numpy": False, "layers": layers}
-    # with numpy made unimportable the output is the same
+    assert loaded == {"numpy": False, "dataclasses": False, "inspect": False, "layers": layers}
+    # with numpy, dataclasses and inspect made unimportable the output is the same
     code = f"from blochbohr.cli import main\nmain({argv!r})\n"
     plain = run_python("-c", code)
-    assert plain and run_python("-c", 'import sys; sys.modules["numpy"] = None\n' + code) == plain
+    assert plain and run_python("-c", WITHOUT_HEAVY + code) == plain
 
 
 #: the bounds commands of the README that run on floats
@@ -101,18 +110,19 @@ BOUNDS_ARGV = [
 @pytest.mark.parametrize("argv", BOUNDS_ARGV, ids=" ".join)
 def test_bounds_commands_run_without_numpy(argv):
     loaded = loaded_after(f"from blochbohr.cli import main; main({argv!r})")
-    assert loaded == {"numpy": False, "layers": ["bounds", "cli", "errors", "search", "weights"]}
+    assert loaded == {"numpy": False, "dataclasses": False, "inspect": False,
+                      "layers": ["bounds", "cli", "errors", "search"]}
     code = f"from blochbohr.cli import main\nmain({argv!r})\n"
     plain = run_python("-c", code)
-    assert plain and run_python("-c", 'import sys; sys.modules["numpy"] = None\n' + code) == plain
+    assert plain and run_python("-c", WITHOUT_HEAVY + code) == plain
 
 
 def test_theorem2_check_loads_numpy_and_series():
     # its PCG64 sample stream and its 200 x R_POINTS table stay on numpy
     loaded = loaded_after(
         "from blochbohr.cli import main; main(['theorem2-check', '--samples', '3'])")
-    assert loaded == {"numpy": True,
-                      "layers": ["bounds", "cli", "errors", "search", "series", "weights"]}
+    assert loaded["numpy"] and loaded["layers"] == [
+        "bounds", "cli", "errors", "search", "series", "weights"]
 
 
 def test_help_loads_no_handler_layer():
@@ -120,4 +130,5 @@ def test_help_loads_no_handler_layer():
         "from blochbohr.cli import main\n"
         "    try:\n        main(['theorem4', '--help'])\n"
         "    except SystemExit:\n        pass")
-    assert loaded["layers"] == ["cli", "errors", "search", "weights"]
+    assert loaded == {"numpy": False, "dataclasses": False, "inspect": False,
+                      "layers": ["cli", "errors", "search"]}

@@ -9,6 +9,7 @@ from blochbohr import (ParameterDomainError, Weight, ZeroDenominatorError,
                        builtin_weight, criterion_bound, criterion_check,
                        find_admissible_r0, h_profile, weight_from_token)
 from blochbohr.search import R_MAX
+from conftest import scaled
 
 SQRT2 = np.sqrt(2.0)
 R0_MIN = 1.0 / SQRT2
@@ -61,6 +62,19 @@ class TestBuiltinWeights:
     def test_vectorized(self):
         w = builtin_weight("example2", r0=0.8, alpha=1)
         np.testing.assert_allclose(w(np.array([0.0, 0.8, 0.9])), [1.0, 1.0, 0.5])
+
+    def test_params_are_read_only(self):
+        # fn and kink captured r0 = 0.8: params must not be able to say otherwise
+        w = builtin_weight("example2", r0=0.8, alpha=2)
+        with pytest.raises(TypeError):
+            w.params["r0"] = 0.9
+        assert w.params == {"r0": 0.8, "alpha": 2.0} and w.kink == 0.8
+        assert w(0.85) == pytest.approx(0.5625)  # ((1 - 0.85)/(1 - 0.8))^2
+        # the default is one empty mapping shared by every weight, so it is read-only too
+        for plain in (builtin_weight("standard"), Weight(name="w", fn=lambda r: 1.0)):
+            with pytest.raises(TypeError):
+                plain.params["r0"] = 0.9
+            assert plain.params == {}
 
     def test_tokens(self):
         assert weight_from_token("standard").name == "standard"
@@ -160,15 +174,15 @@ class TestCriterionCheck:
     @pytest.mark.parametrize("c", [0.0, -1.0, np.inf, np.nan])
     def test_scale_must_be_positive_and_finite(self, c):
         with pytest.raises(ParameterDomainError, match="positive and finite"):
-            builtin_weight("standard").scaled(c)
+            scaled(builtin_weight("standard"), c)
 
     def test_positive_scaling_invariance(self):
         w = builtin_weight("example2", r0=0.8, alpha=1)
         for c in (1e-3, 0.5, 7.0, 1e3):
-            assert criterion_check(w.scaled(c), 0.8).passed
+            assert criterion_check(scaled(w, c), 0.8).passed
         std = builtin_weight("standard")
         for c in (0.1, 10.0):
-            assert not criterion_check(std.scaled(c), 0.8).passed
+            assert not criterion_check(scaled(std, c), 0.8).passed
 
 
 def _gapped(base, lo, hi):
@@ -222,8 +236,8 @@ class TestFindAdmissibleAnchor:
 
     @pytest.mark.parametrize("w,expected", [
         *((weight_from_token(token), r0) for token, r0 in SWEEP_CASES),
-        (builtin_weight("example2", r0=0.8, alpha=1).scaled(7.0), 0.8),
-        (builtin_weight("standard").scaled(0.1), None),
+        (scaled(builtin_weight("example2", r0=0.8, alpha=1), 7.0), 0.8),
+        (scaled(builtin_weight("standard"), 0.1), None),
         (_gapped(builtin_weight("example2", r0=0.85, alpha=2), 0.74, 0.78), 0.85),
         (_gapped(builtin_weight("constant"), 0.9, 1.0), 1.0),
     ], ids=[token for token, _ in SWEEP_CASES]
@@ -307,7 +321,7 @@ class TestFindAdmissibleAnchor:
 def _weights(r0, alpha):
     example2 = builtin_weight("example2", r0=r0, alpha=alpha)
     return [builtin_weight("standard"), builtin_weight("constant"), example2,
-            builtin_weight("example3", r0=r0, alpha=alpha), example2.scaled(3.0)]
+            builtin_weight("example3", r0=r0, alpha=alpha), scaled(example2, 3.0)]
 
 
 def _same_bits(a, b) -> bool:
