@@ -7,8 +7,8 @@ exactly 1 under 1 - r^2, yet its scaled majorant
 
 exceeds 1 for suitable (a, R) - e.g. a = 0.35, R = 0.769 - so the Bohr
 radius of the Bloch space is at most 0.769.  Combined with the sqrt(2)/2
-lower bound this traps it in [0.7071..., 0.769...].  Bisecting on R finds
-the least grid scale with a certificate.
+lower bound this traps it in [0.7071..., 0.769...].  Newton's method on R
+finds the least scale with a certificate.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ for scale in (1.0 / np.sqrt(2.0), 0.73, 0.75, 0.769):
     flag = "EXCEEDS 1" if value > 1.0 + 1e-9 else "below 1"
     print(f"R = {scale:.6f}: sup_r = {value:.7f} at r = {witness:.4f}  ({flag})")
 
-# the least certifying scale on a bisection grid
+# the least certifying scale, a Newton root on R
 scan = theorem4_upper_bound()
 print(f"\nleast certifying scale: R = {scan.upper_bound:.6f} "
       f"(witness a = {scan.witness_a:.4f}, r = {scan.witness_r:.4f})")

@@ -23,12 +23,12 @@
   [1/3, 1/sqrt(2)], and its independent realization by the Mobius family
   a + (1-a^2) r / (1-ar).
 * ``best_test_ratio``: the best Theorem 4 test-function ratio at a scale,
-  which ``theorem4_upper_bound`` drives past 1 and the strictness probe of
-  m_Bloch(R) < R/sqrt(1-R^2) subtracts from the bound: the quintic sups on
-  an a grid, the best a polished at a root of the envelope slope.  For f with
-  f' = g_a (``avkhadiev_eval``) the majorant-to-function Bloch seminorm ratio
-  is exactly ``theorem4_sup(a, R)``, because the majorant of g_a has nonnegative
-  coefficients.  All of this runs on floats; only series and array inputs
+  which ``theorem4_upper_bound`` drives past 1 by Newton's method on R, and
+  which the strictness probe of m_Bloch(R) < R/sqrt(1-R^2) subtracts from
+  the bound: the quintic sups on an a grid, the best a polished at a root
+  of the envelope slope.  For f with f' = g_a (``avkhadiev_eval``) the
+  majorant-to-function Bloch seminorm ratio is exactly ``theorem4_sup(a, R)``,
+  because the majorant of g_a has nonnegative coefficients.  All of this runs on floats; only series and array inputs
   import numpy and ``series``.
 """
 
@@ -37,8 +37,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DivergenceRegionError, ParameterDomainError, PoleError
-from .search import bisect_flag, bisect_root, grid, mapped, scan_polish
+from .errors import ConvergenceError, DivergenceRegionError, ParameterDomainError, PoleError
+from .search import bisect_root, grid, mapped, scan_polish
 
 #: exponents s ``theorem1_root`` accepts; the root is ill conditioned beyond them
 S_RANGE = (1e-4, 1.0 - 1e-4)
@@ -54,10 +54,9 @@ EXCEED_THRESHOLD = 1.0 + 1e-9
 THEOREM1_BRACKET = (1e-6, 1.0 - 1e-6)
 THEOREM1_TOL = 1e-10
 
-#: the a values of the Theorem 4 scans; scale bracket and tolerance of ``theorem4_upper_bound``
+#: the a values of the Theorem 4 scans; the scale bracket of ``theorem4_upper_bound``
 THEOREM4_A_GRID = grid(1e-6, A_MAX - 1e-9, 200)
 THEOREM4_BRACKET = (1.0 / math.sqrt(2.0), 0.7691)
-THEOREM4_TOL = 1e-5
 
 
 def _check_solver_tol(tol: float) -> float:
@@ -67,8 +66,8 @@ def _check_solver_tol(tol: float) -> float:
 
 
 class ScanReport(NamedTuple):
-    """Certificate (R, value, a, r) a threshold search found, and the number of
-    sups over r it took on the a grid, ``len(THEOREM4_A_GRID)`` per scale tried."""
+    """Certificate (R, value, a, r) the Newton search on R found, and the number
+    of sups over r it took on the a grid, ``len(THEOREM4_A_GRID)`` per scale tried."""
 
     upper_bound: float
     best_value: float
@@ -330,35 +329,42 @@ def best_test_ratio(scale: float) -> tuple[float, float, float]:
     return value, a_star, r_star
 
 
-def theorem4_upper_bound(tol: float = THEOREM4_TOL) -> ScanReport:
-    """Least scale R (by bisection) at which ``best_test_ratio`` exceeds 1.
+def theorem4_upper_bound() -> ScanReport:
+    """Least scale R at which ``best_test_ratio`` exceeds ``EXCEED_THRESHOLD``.
 
-    Any such R is an upper bound for the Bloch-space Bohr radius.  The
-    expression grows monotonically in R, so bisection on the exceedance
-    flag is valid; ``THEOREM4_BRACKET`` is halved until it is within tol,
-    at most 200 times.  Each scale tried adds the ``THEOREM4_A_GRID`` sups
-    over r to the ``samples`` count.  The report carries the certificate at
-    the returned scale upper_bound: the expression value and witness (a, r).
+    Any such R is an upper bound for the Bloch-space Bohr radius.  The root
+    of best_test_ratio(R) = ``EXCEED_THRESHOLD`` (not 1, so the certificate
+    agrees with the ``exceeded`` flag of a single ``theorem4`` check) is
+    found by Newton's method on R from ``THEOREM4_BRACKET``'s high end.  By
+    the envelope theorem the ratio's slope is dT4/dR at its witness (a, r),
+    (1-r^2) (3 sqrt(3)/2)(1-a^2) [g(x) + x g'(x)] with x = Rr and g the
+    majorant's bracket (x-a)/(1-ax)^3 + 2a.  The ratio rises and is convex
+    on the bracket, so the iterates descend and each one exceeds.  A step
+    of a few ulps ends the search; the report carries the least evaluated
+    scale that exceeds, with that call's value and witness (a, r), and
+    ``len(THEOREM4_A_GRID)`` sups over r in ``samples`` per scale tried.
     """
-    tol = _check_solver_tol(tol)
-    samples = 0
-
-    def exceeds(scale: float) -> tuple[float, float, float] | None:
-        nonlocal samples
-        samples += len(THEOREM4_A_GRID)
-        found = best_test_ratio(scale)
-        return found if found[0] > EXCEED_THRESHOLD else None
-
-    lo, hi = THEOREM4_BRACKET
-    if exceeds(lo) is not None:
-        raise ParameterDomainError(
-            f"bracket low end {lo} already exceeds 1; lower it")
-    found = exceeds(hi)
-    if found is None:
-        raise ParameterDomainError(
-            f"bracket high end {hi} does not exceed 1; raise it")
-    hi, (value, a, r) = bisect_flag(exceeds, lo, hi, found, tol, 200)
-    return ScanReport(hi, value, a, r, samples)
+    lo, scale = THEOREM4_BRACKET
+    found = []
+    for calls in range(1, 9):
+        value, a, r = best_test_ratio(scale)
+        if value > EXCEED_THRESHOLD:
+            found.append((scale, value, a, r))
+        elif not found:
+            raise ParameterDomainError(
+                f"bracket high end {scale} does not exceed 1; raise it")
+        x = scale * r
+        u = 1.0 - a * x
+        dg = (1.0 + 2.0 * a * x - 3.0 * a * a) / (u * u * u * u)  # g'(x)
+        slope = (1.0 - r * r) * _COEF * (1.0 - a * a) * ((x - a) / (u * u * u) + 2.0 * a + x * dg)
+        step = (value - EXCEED_THRESHOLD) / slope
+        if abs(step) <= 4e-16 * scale:  # a step of a few ulps: converged
+            return ScanReport(*min(found), len(THEOREM4_A_GRID) * calls)
+        scale -= step
+        if scale <= lo:
+            raise ParameterDomainError(
+                f"bracket low end {lo} already exceeds 1; lower it")
+    raise ConvergenceError(f"no Newton convergence on R in 8 steps, last at {scale}")
 
 
 def bombieri_m_infty(r):

@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, help="test-function parameter in (0, 1/sqrt(3))")
     p.add_argument("--R", type=float, help="majorant scale")
     p.add_argument("--search", action="store_true",
-                   help="bisect for the least scale exceeding 1")
+                   help="Newton root on R for the least scale exceeding 1")
     p.set_defaults(handler=_cmd_theorem4)
 
     p = sub.add_parser("theorem2-check", parents=[shared],

@@ -10,8 +10,7 @@ the radial sups of ``norms`` and ``extremal.verify_sharpness`` over r,
 (``falsi_peak``), which fixes the witness to about eps, not sqrt(eps).  On
 the angle circle the bracket wraps around; elsewhere it is clipped to the grid.
 Root-finding is bracketed bisection with an explicit sign-change check,
-converging on the residual rather than the bracket width (``bisect_root``);
-a pass/fail threshold is bisected on the verdict alone (``bisect_flag``).
+converging on the residual rather than the bracket width (``bisect_root``).
 Grids are lists of floats and all of this runs without numpy.  The scan
 sizes (``R_POINTS``, ``THETA_POINTS``, ``PROFILE_POINTS``) and ``SQRT2`` live
 here, so the CLI's parser reads its defaults without loading ``weights``.
@@ -178,27 +177,6 @@ def bisect_root(g: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
             raise ConvergenceError(
                 f"bracket exhausted at {mid} with residual {gm:.3g} > {abs_tol:.3g}")
     raise ConvergenceError(f"no convergence to |g| <= {abs_tol:.3g} in {max_iter} iterations")
-
-
-def bisect_flag(test: Callable, lo: float, hi: float, found, tol: float,
-                max_iter: int):
-    """Sharpen a pass/fail threshold on [lo, hi] by bisection on the verdict.
-
-    ``test(x)`` returns a result when x passes and None when it fails; lo
-    must fail and hi must pass with result ``found``.  Halves the bracket
-    until ``hi - lo <= tol`` or ``max_iter`` halvings, and returns the
-    passing end with its result, (hi, result).
-    """
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        result = test(mid)
-        if result is None:
-            lo = mid
-        else:
-            hi, found = mid, result
-    return hi, found
 
 
 def scan_polish(f: Callable, xs, values=None, *, minimize: bool = False,

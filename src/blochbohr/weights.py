@@ -69,8 +69,8 @@ class Weight(NamedTuple):
 class CriterionReport(NamedTuple):
     """Verdict of the admissibility inequality at an anchor radius r0.
 
-    ``worst_margin`` is the minimum over the scan of h(r) - omega(r)/omega(r0);
-    the check passes when it is >= -tolerance.  On failure
+    ``worst_margin`` is the minimum of h(r) - omega(r)/omega(r0) over the scan,
+    r0 and r = 1; the check passes when it is >= -tolerance.  On failure
     ``violation_witness`` holds a radius where the inequality breaks.
     """
 
@@ -176,8 +176,11 @@ def criterion_check(w: Weight, r0: float, r_points: int = CRITERION_R_POINTS,
     """Scan h(r) - omega(r)/omega(r0) over [0, 1) and report the worst margin.
 
     The minimum over ``r_points`` radii is polished by trisection to a 1e-12
-    width; the margin's limit h(1) - ``limit_at_one``/omega(r0) at r = 1 is
-    one more candidate, so anchors past the last radius see h < 1 on (r0, 1).
+    width.  Two named candidates join it: r0, where h(r0) = 1 =
+    omega(r0)/omega(r0) makes the margin exactly 0, so a passing anchor
+    reports its true minimum; and the margin's limit h(1) -
+    ``limit_at_one``/omega(r0) at r = 1, so anchors past the last radius see
+    h < 1 on (r0, 1).
     A zero weight value at the anchor raises ZeroDenominatorError; an
     infinite one is rejected as a parameter-domain error.
     """
@@ -195,7 +198,8 @@ def criterion_check(w: Weight, r0: float, r_points: int = CRITERION_R_POINTS,
     worst_r, worst = scan_polish(lambda r: margin(criterion_bound(r, r0), w(r)), rs,
                                  list(map(margin, criterion_bound(rs, r0), w(rs))),
                                  minimize=True)
-    worst, worst_r = min((worst, worst_r), (margin(criterion_bound(1.0, r0), w.limit_at_one), 1.0))
+    worst, worst_r = min((worst, worst_r), (0.0, r0),
+                         (margin(criterion_bound(1.0, r0), w.limit_at_one), 1.0))
     passed = worst >= -tol
     return CriterionReport(r0=r0, passed=passed, worst_margin=worst,
                            violation_witness=None if passed else worst_r)

@@ -6,16 +6,17 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from blochbohr import (DivergenceRegionError, NoSignChangeError, ParameterDomainError, PoleError,
-                       TruncatedSeries, avkhadiev_coefficients,
+from blochbohr import (ConvergenceError, DivergenceRegionError, NoSignChangeError,
+                       ParameterDomainError, PoleError, TruncatedSeries, avkhadiev_coefficients,
                        best_test_ratio, bombieri_m_infty, builtin_weight,
                        cauchy_chain_check, coefficient_sum, majorant,
                        mobius_majorant_sum, mobius_majorant_sup, scale_argument,
                        theorem1_optimize, theorem1_root, theorem4_expression,
                        theorem4_sup, theorem4_upper_bound, weighted_bloch_seminorm)
 from blochbohr import bounds
-from blochbohr.bounds import (_COEF, A_MAX, S_RANGE, THEOREM4_A_GRID, ProbeFunction, ScanReport,
-                              _t1_residual, avkhadiev_majorant_closed_form)
+from blochbohr.bounds import (_COEF, A_MAX, EXCEED_THRESHOLD, S_RANGE, THEOREM4_A_GRID,
+                              ProbeFunction, ScanReport, _t1_residual,
+                              avkhadiev_majorant_closed_form)
 from conftest import mobius_series, random_polynomial
 
 SQRT2 = np.sqrt(2.0)
@@ -191,9 +192,42 @@ class TestTheorem4:
         assert list(hints) == list(ScanReport._fields)
         for name, declared in hints.items():
             assert declared in (float, int) and type(getattr(scan, name)) is declared, name
-        # the bytes theorem4 --search prints for the bound
-        assert json.dumps(scan._asdict()["upper_bound"]) == "0.7683659494354365"
-        assert scan.samples == 3000
+        # the bytes theorem4 --search prints for the bound: four Newton scales
+        assert json.dumps(scan._asdict()["upper_bound"]) == "0.7683632200962442"
+        assert scan.samples == 4 * len(THEOREM4_A_GRID) == 800
+
+    def test_upper_bound_is_the_mpmath_root_at_the_threshold(self):
+        # the stationarity system dT4/da = dT4/dr = 0, T4 = EXCEED_THRESHOLD in
+        # (a, r, R), solved at 40 digits from the float certificate
+        mp = pytest.importorskip("mpmath")
+        scan = theorem4_upper_bound()
+        assert scan.upper_bound == 0.7683632200962442
+        with mp.workdps(40):
+            coef = mp.mpf(3) * mp.sqrt(3) / 2
+
+            def t4(a, r, R):
+                x = R * r
+                return R * (1 - r * r) * coef * (1 - a * a) * ((x - a) / (1 - a * x) ** 3 + 2 * a)
+
+            _, _, root = mp.findroot(
+                lambda a, r, R: [mp.diff(lambda t: t4(t, r, R), a),
+                                 mp.diff(lambda t: t4(a, t, R), r),
+                                 t4(a, r, R) - mp.mpf(EXCEED_THRESHOLD)],
+                (scan.witness_a, scan.witness_r, scan.upper_bound))
+            assert abs(root - scan.upper_bound) <= 4 * math.ulp(scan.upper_bound)
+
+    def test_upper_bound_is_the_least_certifying_scale(self):
+        scan = theorem4_upper_bound()
+        assert best_test_ratio(scan.upper_bound - 1e-12)[0] <= EXCEED_THRESHOLD
+        # the witness a alone certifies the bound: its sup over r exceeds
+        assert theorem4_sup(scan.witness_a, scan.upper_bound)[0] > EXCEED_THRESHOLD
+
+    def test_upper_bound_without_convergence_raises(self, monkeypatch):
+        # a ratio that never reaches the threshold's root: each step is ~1e-6
+        monkeypatch.setattr(bounds, "best_test_ratio",
+                            lambda scale: (EXCEED_THRESHOLD + 1e-6, 0.337, 0.565))
+        with pytest.raises(ConvergenceError, match="no Newton convergence"):
+            theorem4_upper_bound()
 
     @pytest.mark.parametrize("bracket,end", [((0.5, 0.6), "high end"),
                                              ((0.77, 0.8), "low end")])
@@ -565,9 +599,8 @@ class TestClosedFormFloatPath:
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-@pytest.mark.parametrize("solve", [lambda tol: theorem1_root(0.5, tol), theorem1_optimize,
-                                   theorem4_upper_bound],
-                         ids=["theorem1_root", "theorem1_optimize", "theorem4_upper_bound"])
+@pytest.mark.parametrize("solve", [lambda tol: theorem1_root(0.5, tol), theorem1_optimize],
+                         ids=["theorem1_root", "theorem1_optimize"])
 def test_solver_tol_must_be_positive_and_finite(solve, tol):
     with pytest.raises(ParameterDomainError):
         solve(tol)

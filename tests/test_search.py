@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from blochbohr import (ConvergenceError, NoSignChangeError,
                        ParameterDomainError, bisect_root, golden_max, grid_golden_max,
                        trisect_min)
-from blochbohr.search import (R_MAX, R_POINTS, bisect_flag, falsi_peak, grid, radii,
-                              scan_polish)
+from blochbohr.search import R_MAX, R_POINTS, falsi_peak, grid, radii, scan_polish
 
 
 def test_golden_max_quadratic():
@@ -88,39 +87,6 @@ def test_bisect_root_exact_endpoint():
 def test_bisect_root_convergence_cap():
     with pytest.raises(ConvergenceError):
         bisect_root(lambda x: x - 0.123456, 0.0, 1.0, abs_tol=1e-18, max_iter=4)
-
-
-def _threshold_test(threshold, calls):
-    def test(x):
-        calls.append(x)
-        return ("pass", x) if x >= threshold else None
-    return test
-
-
-def test_bisect_flag_finds_threshold_within_tol():
-    calls = []
-    hi, result = bisect_flag(_threshold_test(0.3, calls), 0.0, 1.0, ("pass", 1.0),
-                             tol=1e-9, max_iter=200)
-    assert 0.3 <= hi <= 0.3 + 1e-9
-    # the result is the one test() returned at the passing end
-    assert result == ("pass", hi)
-    assert len(calls) == 30  # ceil(log2(1 / 1e-9)) halvings
-
-
-def test_bisect_flag_honours_max_iter():
-    calls = []
-    hi, result = bisect_flag(_threshold_test(0.3, calls), 0.0, 1.0, ("pass", 1.0),
-                             tol=1e-12, max_iter=5)
-    # 0.5 pass, 0.25 fail, 0.375 pass, 0.3125 pass, 0.28125 fail
-    assert calls == [0.5, 0.25, 0.375, 0.3125, 0.28125]
-    assert hi == 0.3125 and result == ("pass", 0.3125)
-
-
-def test_bisect_flag_tight_bracket_keeps_found():
-    calls = []
-    hi, result = bisect_flag(_threshold_test(0.3, calls), 0.3, 0.3 + 1e-13, "given",
-                             tol=1e-12, max_iter=60)
-    assert calls == [] and hi == 0.3 + 1e-13 and result == "given"
 
 
 def test_grid_golden_max_vectorized():

@@ -131,6 +131,26 @@ class TestCriterionCheck:
         rep = criterion_check(w, r0)
         assert rep.passed, (kind, r0, alpha, rep.worst_margin)
 
+    @pytest.mark.parametrize("token,r0", [("example2:r0=0.8,alpha=1", 0.8),
+                                          ("example3:r0=0.9413,alpha=3.518", 0.9413),
+                                          ("example3:r0=0.9606,alpha=2.703", 0.9606),
+                                          ("example3:r0=0.75,alpha=1", 0.75)])
+    def test_passing_anchor_reports_the_zero_margin_at_r0(self, token, r0):
+        # h(r0) = 1 = omega(r0)/omega(r0): the infimum of the margin is 0, at r0,
+        # where the scan and its polish stop 1e-14 to 1e-12 above it
+        rep = criterion_check(weight_from_token(token), r0)
+        assert rep.passed and rep.worst_margin == 0.0 and rep.violation_witness is None
+
+    @pytest.mark.parametrize("token,r0,margin,witness", [
+        ("example2:r0=0.8,alpha=1", 0.75, -0.0666666666666551, 0.7999999999999913),
+        ("example3:r0=0.75,alpha=1", 0.8, -0.13172632034953402, 0.7499999999999237),
+        ("constant", 0.75, -0.33333333333333326, 1.0),
+        ("standard", 0.9, -3.8942692345465453, 0.08267783038366858)])
+    def test_failing_anchor_keeps_its_margin_and_witness(self, token, r0, margin, witness):
+        rep = criterion_check(weight_from_token(token), r0)
+        assert not rep.passed
+        assert (rep.worst_margin, rep.violation_witness) == (margin, witness)
+
     @pytest.mark.parametrize("r0", [R0_MIN, 0.8, 0.9, 0.97])
     def test_standard_weight_fails_with_witness(self, r0):
         rep = criterion_check(builtin_weight("standard"), r0)
