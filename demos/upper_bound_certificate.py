@@ -13,18 +13,18 @@ finds the least scale with a certificate.
 
 import numpy as np
 
-from blochbohr import (avkhadiev_coefficients, avkhadiev_eval, builtin_weight,
-                       theorem4_sup, theorem4_upper_bound, weighted_radial_sup)
+from blochbohr import (avkhadiev_coefficients, builtin_weight, theorem4_sup,
+                       theorem4_upper_bound, weighted_radial_sup)
 
 std = builtin_weight("standard")
 
 # the test function is normalized: weighted radial sup = 1
-rep = weighted_radial_sup(lambda z: avkhadiev_eval(0.35, z), std)
+series = avkhadiev_coefficients(0.35)
+rep = weighted_radial_sup(series, std)
 print(f"weighted sup of the test function (a=0.35): {rep.value:.12f}")
 
 # one negative then all-positive coefficients mean the majorant sum has the
 # displayed closed form
-series = avkhadiev_coefficients(0.35)
 print("first coefficients:", np.round(series.coeffs[:5].real, 6))
 
 # the sup of the scaled majorant over r at the certificate point

@@ -8,8 +8,8 @@ bound computations (root-finding lower bound, test-function upper bound,
 the bounded-function majorant supremum, and a strictness probe that reuses
 the upper bound's test functions).
 
-Everything is pure and deterministic; suprema are grid scans with a
-golden-section or derivative-root polish and report their witness points.
+Everything is pure and deterministic; suprema are grid scans polished at a
+root of their slope (golden section without one) and report their witnesses.
 
 Importing the package loads no layer and not numpy: each exported name is imported
 from its submodule on first access (PEP 562), so a subcommand loads only its layers.
@@ -26,8 +26,8 @@ _EXPORTS = {
         best_test_ratio bombieri_m_infty cauchy_chain_check mobius_majorant_sum
         mobius_majorant_sup theorem1_optimize theorem1_root theorem4_expression theorem4_sup
         theorem4_upper_bound""",
-    "errors": """BlochBohrError ConvergenceError DivergenceRegionError EvaluatorDomainError
-        NoSignChangeError ParameterDomainError PoleError PreconditionError ZeroDenominatorError""",
+    "errors": """BlochBohrError ConvergenceError DivergenceRegionError NoSignChangeError
+        ParameterDomainError PoleError PreconditionError ZeroDenominatorError""",
     "extremal": """ExtremalSpec SharpnessReport blaschke_degree blaschke_degree_montecarlo
         extremal_coefficients extremal_eval extremal_majorant_sum extremal_sup_modulus
         verify_sharpness""",

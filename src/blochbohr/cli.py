@@ -255,12 +255,12 @@ def _read_series(args) -> TruncatedSeries:
 
 
 def _cmd_norms(args) -> int:
-    from .norms import RadialSupReport, _series_radial_sup, weighted_bloch_norm
+    from .norms import _series_radial_sup, weighted_bloch_norm
     from .weights import weight_from_token
     series = _read_series(args)
     w = weight_from_token(args.weight)
     norm = weighted_bloch_norm(series, w)
-    sup = RadialSupReport(*_series_radial_sup(series, w))
+    sup = _series_radial_sup(series, w)
     report = {"command": "norms", "weight": args.weight, "bloch_norm": norm,
               "radial_sup": sup._asdict()}
     _render(args, report,

@@ -29,9 +29,5 @@ class ConvergenceError(BlochBohrError, RuntimeError):
     """An iteration cap was reached before the tolerance was met."""
 
 
-class EvaluatorDomainError(BlochBohrError, ValueError):
-    """A user-supplied evaluator failed or produced non-finite values."""
-
-
 class PreconditionError(BlochBohrError, ValueError):
     """A documented operation precondition does not hold."""

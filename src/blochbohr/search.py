@@ -3,12 +3,12 @@
 Every grid supremum in the library (and the worst criterion margin, an
 infimum) goes through one primitive, ``scan_polish``: a uniform grid scan
 (radial scans start at 0), then a polish of the best grid point's bracket
-to a 1e-12 width: golden-section search for a maximum, trisection for a
-minimum, or, given an analytic slope (``series.circle_sup`` over the angle,
-the radial sups of ``norms`` and ``extremal.verify_sharpness`` over r,
-``bounds.best_test_ratio`` over a), Illinois regula falsi on its root
-(``falsi_peak``), which fixes the witness to about eps, not sqrt(eps).  On
-the angle circle the bracket wraps around; elsewhere it is clipped to the grid.
+to a 1e-12 width.  A maximum with an analytic slope (``series.circle_sup``
+over the angle, the radial sups of ``norms`` and ``extremal.verify_sharpness``
+over r, ``bounds.best_test_ratio`` over a) is polished by Illinois regula
+falsi on its root (``falsi_peak``), to about eps, not sqrt(eps); one under a
+weight without a slope by golden section, the worst criterion margin by
+trisection.  On the angle circle the bracket wraps; elsewhere it is clipped.
 Root-finding is bracketed bisection with an explicit sign-change check,
 converging on the residual rather than the bracket width (``bisect_root``).
 Grids are lists of floats and all of this runs without numpy.  The scan

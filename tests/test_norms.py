@@ -3,14 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochbohr import (EvaluatorDomainError, ExtremalSpec, ParameterDomainError,
-                       PoleError, TruncatedSeries, avkhadiev_coefficients,
+from blochbohr import (DivergenceRegionError, ExtremalSpec, ParameterDomainError,
+                       PoleError, RadialSupReport, TruncatedSeries, avkhadiev_coefficients,
                        avkhadiev_eval, avkhadiev_majorant_closed_form, circle_sup,
                        coefficient_sum, derivative, eval_series, extremal_coefficients,
-                       extremal_eval, extremal_sup_modulus, majorant,
+                       extremal_sup_modulus, majorant,
                        weight_from_token, weighted_bloch_norm,
                        weighted_bloch_seminorm, weighted_radial_sup)
-from blochbohr.norms import _batch_circle_max, _radial_sup, _series_radial_sup
+from blochbohr.norms import _batch_circle_max, _series_radial_sup
 from blochbohr.search import R_MAX, THETA_POINTS, radii
 from blochbohr.series import _angle_count, _angle_grid_values
 from blochbohr.weights import Weight, builtin_weight
@@ -76,7 +76,7 @@ class TestBlochNorm:
 
 class TestRadialSup:
     def test_constant_function(self, const):
-        rep = weighted_radial_sup(lambda z: np.ones_like(z), const)
+        rep = weighted_radial_sup(TruncatedSeries.polynomial([1.0]), const)
         assert rep.value == pytest.approx(1.0, abs=1e-12)
 
     def test_extremal_witness_at_anchor(self):
@@ -84,7 +84,7 @@ class TestRadialSup:
         # threshold (1 + sqrt(2))^2 (1 - r0) / r0 = 1.457..., and the weighted
         # sup of the extremal is then 1, attained at r0
         spec = ExtremalSpec(r0=0.8)
-        f = lambda z: extremal_eval(spec, z)
+        f = extremal_coefficients(spec)
         rep = weighted_radial_sup(f, weight_from_token("example2:r0=0.8,alpha=2"))
         assert abs(rep.witness_r - 0.8) < 1e-9
         assert rep.value == pytest.approx(1.0, abs=1e-12)
@@ -94,7 +94,7 @@ class TestRadialSup:
         assert rep.witness_r == pytest.approx(0.859, abs=1e-3)
         # strictly below r0 the circle maximum sits at theta = pi
         # (at r0 itself |f| is constant 1 on the circle, so theta is a plateau)
-        sup, theta = circle_sup(extremal_coefficients(spec), 0.6)
+        sup, theta = circle_sup(f, 0.6)
         assert sup == pytest.approx(extremal_sup_modulus(0.8, 0.6), abs=1e-12)
         assert abs(theta - np.pi) < 1e-6
 
@@ -103,7 +103,7 @@ class TestRadialSup:
         ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False))
         rough = max(std(r) * np.abs(avkhadiev_eval(a, r * ring)).max() for r in radii(1024))
         assert rough == pytest.approx(1.0, abs=1e-4)
-        refined = weighted_radial_sup(lambda z: avkhadiev_eval(a, z), std, 1024)
+        refined = weighted_radial_sup(avkhadiev_coefficients(a), std, 1024)
         assert refined.value == pytest.approx(1.0, abs=1e-8)
 
     def test_majorant_dominates(self, std):
@@ -111,26 +111,26 @@ class TestRadialSup:
         for _ in range(5):
             s = random_polynomial(rng)
             m = majorant(s)
-            sup_f = weighted_radial_sup(lambda z: eval_series(s, z).value, std, 64)
-            sup_m = weighted_radial_sup(lambda z: eval_series(m, z).value, std, 64)
+            sup_f = weighted_radial_sup(s, std, 64)
+            sup_m = weighted_radial_sup(m, std, 64)
             assert sup_m.value >= sup_f.value - 1e-10
 
-    def test_scalar_evaluator_fallback(self, const):
-        def scalar_only(z):
-            if isinstance(z, np.ndarray):
-                raise TypeError("scalar only")
-            return complex(z)
-
-        rep = weighted_radial_sup(scalar_only, const, 2)
-        assert rep.value == pytest.approx(1.0 - 1e-6, abs=1e-12)
-
-    def test_nonfinite_evaluator_rejected(self, const):
-        with pytest.raises(EvaluatorDomainError):
-            weighted_radial_sup(lambda z: np.full_like(z, np.nan), const, 2)
-
     def test_report_serialization(self, const):
-        rep = weighted_radial_sup(lambda z: z, const, 16)
+        rep = weighted_radial_sup(TruncatedSeries.polynomial([0.0, 1.0]), const, 16)
         assert set(rep._asdict()) == {"value", "witness_r", "witness_theta"}
+
+    def test_public_name_is_the_series_route(self, std):
+        # one implementation: the public sup is the series scan, bit for bit
+        s = mobius_series(0.9)
+        rep = weighted_radial_sup(s, std, 256)
+        assert isinstance(rep, RadialSupReport)
+        assert rep == _series_radial_sup(s, std, 256)
+
+    def test_uncertified_series_rejected(self, std):
+        # a series without a tail bound is trusted only up to |z| = 0.9, short
+        # of the scan radius
+        with pytest.raises(DivergenceRegionError):
+            weighted_radial_sup(TruncatedSeries([1.0, 1.0]), std)
 
 
 class TestRadialWitnessAtSlopeRoot:
@@ -192,12 +192,8 @@ class TestRadialWitnessAtSlopeRoot:
 
 
 def _golden_radial_sup(s, w, r_points):
-    """The radial sup polished by golden section: ``_radial_sup`` without a slope."""
-    rs = np.asarray(radii(r_points))
-    weights = np.asarray(w(rs))
-    rough = (coefficient_sum(s, rs) if s.is_nonnegative
-             else _batch_circle_max(s, rs, THETA_POINTS, weights))
-    return _radial_sup(rs, rough, weights, lambda r: circle_sup(s, r), w)
+    """The radial sup polished by golden section: the weight without its slope."""
+    return _series_radial_sup(s, w._replace(slope=None), r_points)
 
 
 def test_root_polish_never_below_golden_polish():
@@ -345,7 +341,7 @@ class TestSeminormClosedForms:
 
     def test_radial_sup_dominates_grid_samples(self, std):
         from blochbohr import avkhadiev_eval
-        rep = weighted_radial_sup(lambda z: avkhadiev_eval(0.3, z), std, 128)
+        rep = weighted_radial_sup(avkhadiev_coefficients(0.3), std, 128)
         theta = np.linspace(0.0, 2.0 * np.pi, THETA_POINTS, endpoint=False)
         for r in radii(128)[::16]:
             sampled = std(float(r)) * np.abs(

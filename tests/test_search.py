@@ -131,7 +131,8 @@ def _scan_size_calls():
             lambda n: weighted_bloch_norm(TruncatedSeries.polynomial([0.0, 1.0]), std, n),
         "weighted_bloch_norm-signed":
             lambda n: weighted_bloch_norm(TruncatedSeries.polynomial([1.0, -2.0, 3.0]), std, n),
-        "weighted_radial_sup": lambda n: weighted_radial_sup(lambda z: z, std, r_points=n),
+        "weighted_radial_sup": lambda n: weighted_radial_sup(
+            TruncatedSeries.polynomial([0.0, 1.0]), std, n),
         "ProbeFunction.bloch_seminorm": lambda n: ProbeFunction(
             "z", TruncatedSeries.polynomial([0.0, 1.0])).bloch_seminorm(std, n),
         "criterion_check": lambda n: criterion_check(std, 0.8, r_points=n),

@@ -132,3 +132,10 @@ def test_help_loads_no_handler_layer():
         "    except SystemExit:\n        pass")
     assert loaded == {"numpy": False, "dataclasses": False, "inspect": False,
                       "layers": ["cli", "errors", "search"]}
+
+
+def test_norms_loads_numpy_and_series_but_no_bounds_layer():
+    # its rough radial scan runs on numpy FFTs; neither bounds nor extremal loads
+    loaded = loaded_after("from blochbohr.cli import main; main(['norms', '--coeffs', '0,1,0.5'])")
+    assert loaded["numpy"] and loaded["layers"] == [
+        "cli", "errors", "norms", "search", "series", "weights"]
