@@ -11,8 +11,9 @@ For a weight that passes the admissibility criterion at r0 the weighted
 majorant side peaks exactly at r0; the weighted sup side peaks there too,
 and the sharpness identity holds, only when omega(r)/omega(r0) stays below
 the reciprocal circle maximum beyond r0, which the criterion does not imply.
-``verify_sharpness`` computes both suprema, on floats: only the functions
-that build or read a series import numpy and ``series``.
+``verify_sharpness`` computes both suprema, on floats, scanning each closed
+form by branch-and-bound on ``interval`` boxes: only the functions that build
+or read a series import numpy and ``series``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from typing import NamedTuple
 
 from .errors import (DivergenceRegionError, ParameterDomainError, PoleError,
                      PreconditionError)
-from .search import SQRT2, mapped, radii, scan_polish
-from .weights import CRITERION_R_POINTS, Weight, _check_r0, _with_point, criterion_check
+from .interval import Radii
+from .search import SQRT2, mapped, scan_polish
+from .weights import CRITERION_R_POINTS, Weight, _check_r0, criterion_check
 
 _C = 0.5 * SQRT2  # 1/sqrt(2) correctly rounded; 1/SQRT2 is one ulp low
 DEFAULT_ORDER = 256  # truncation of ``extremal_coefficients``
@@ -104,6 +106,16 @@ def extremal_coefficients(spec: ExtremalSpec) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
+def _sup_modulus(r0: float, x):
+    """max(A, B) of ``extremal_sup_modulus`` at a float or an Interval x."""
+    if not x >= 0.0:
+        raise ParameterDomainError("radius must be nonnegative")
+    den = r0 - _C * x
+    if den == 0.0:
+        raise PoleError(f"circle through the pole at r = sqrt(2) r0 = {SQRT2 * r0:.6g}")
+    return max((x + _C * r0) / (r0 + _C * x), abs(x - _C * r0) / abs(den))
+
+
 def extremal_sup_modulus(r0: float, r):
     """max_theta |f(r e^{i theta})| = max(A, B), with x = r/r0.
 
@@ -113,28 +125,24 @@ def extremal_sup_modulus(r0: float, r):
     circle minimum 1.01045).  The value does not depend on phi.  Mapped.
     """
     r0 = _check_r0(r0)
-    def sup_modulus(x: float) -> float:
-        if not x >= 0.0:
-            raise ParameterDomainError("radius must be nonnegative")
-        den = r0 - _C * x
-        if den == 0.0:
-            raise PoleError(f"circle through the pole at r = sqrt(2) r0 = {SQRT2 * r0:.6g}")
-        return max((x + _C * r0) / (r0 + _C * x), abs(x - _C * r0) / abs(den))
-    return mapped(sup_modulus, r)
+    return mapped(lambda x: _sup_modulus(r0, x), r)
+
+
+def _majorant_sum(r0: float, x):
+    """``extremal_majorant_sum`` at a float or an Interval x."""
+    if not x >= 0.0:
+        raise ParameterDomainError("radius must be nonnegative")
+    if x == 2.0 * r0:
+        raise PoleError(f"majorant sum has a pole at r = 2 r0 = {2.0 * r0:.6g}")
+    if not x < 2.0 * r0:
+        raise DivergenceRegionError("majorant sum diverges past r = 2 r0")
+    return _C / (1.0 - x / (2.0 * r0))
 
 
 def extremal_majorant_sum(r0: float, r):
     """sum |a_n| (r/sqrt(2))^n = (1/sqrt(2)) / (1 - r/(2 r0)) for r < 2 r0, mapped."""
     r0 = _check_r0(r0)
-    def majorant_sum(x: float) -> float:
-        if not x >= 0.0:
-            raise ParameterDomainError("radius must be nonnegative")
-        if x == 2.0 * r0:
-            raise PoleError(f"majorant sum has a pole at r = 2 r0 = {2.0 * r0:.6g}")
-        if not x < 2.0 * r0:
-            raise DivergenceRegionError("majorant sum diverges past r = 2 r0")
-        return _C / (1.0 - x / (2.0 * r0))
-    return mapped(majorant_sum, r)
+    return mapped(lambda x: _majorant_sum(r0, x), r)
 
 
 def blaschke_degree(s: TruncatedSeries, r0: float) -> float:
@@ -180,10 +188,10 @@ def verify_sharpness(w: Weight, r0: float,
 
     Requires the weight to pass the admissibility criterion at r0
     (PreconditionError otherwise).  Each side is a closed form scanned on
-    ``radii(r_points)`` plus r0, a kink of both, and polished at a root of
-    its slope (golden section for a weight without ``slope``).  The sup
-    side's slope is omega' M + omega M' with M' = r0/(2 (r0 +- r/sqrt(2))^2),
-    + up to r0 and - beyond it.
+    ``radii(r_points)`` plus r0, a kink of both, by branch-and-bound, and
+    polished at a root of its slope (golden section for a weight without
+    ``slope``).  The sup side's slope is omega' M + omega M' with
+    M' = r0/(2 (r0 +- r/sqrt(2))^2), + up to r0 and - beyond it.
     """
     report = criterion_check(w, r0, r_points)
     if not report.passed:
@@ -192,20 +200,18 @@ def verify_sharpness(w: Weight, r0: float,
             f"(worst margin {report.worst_margin:.3g} at "
             f"r = {report.violation_witness})")
 
-    lhs = lambda omega, majorant: omega / SQRT2 * majorant
-    rhs = lambda omega, sup: omega * sup
+    omega = lambda r: w.fn(r) if r < 1.0 else w(r)  # fn takes boxes; w(1.0) the limit
+    lhs = lambda r: omega(r) / SQRT2 * _majorant_sum(r0, r)
+    rhs = lambda r: omega(r) * _sup_modulus(r0, r)
     lhs_slope = rhs_slope = None
     if w.slope is not None:
         lhs_slope = lambda r: (w.slope(r) + w(r) / (2.0 * r0 - r)) * r0 / (2.0 * r0 - r)
-        rhs_slope = lambda r: (w.slope(r) * extremal_sup_modulus(r0, r) + w(r) * 0.5
+        rhs_slope = lambda r: (w.slope(r) * _sup_modulus(r0, r) + w(r) * 0.5
                                * r0 / (r0 + (_C if r <= r0 else -_C) * r) ** 2)
-    rs = _with_point(radii(r_points), r0)
-    ws = w(rs)  # one weight pass, shared by both sides
+    rs = Radii(r_points, r0)
     (lhs_wit, lhs_sup), (rhs_wit, rhs_sup) = (
-        scan_polish(lambda r: side(w(r), closed(r0, r)), rs,
-                    list(map(side, ws, closed(r0, rs))), slope=slope, kink=r0)
-        for side, closed, slope in ((lhs, extremal_majorant_sum, lhs_slope),
-                                    (rhs, extremal_sup_modulus, rhs_slope)))
+        scan_polish(side, rs, slope=slope, kink=r0)
+        for side, slope in ((lhs, lhs_slope), (rhs, rhs_slope)))
     gap = abs(lhs_sup - rhs_sup) / max(lhs_sup, rhs_sup)
     return SharpnessReport(lhs_sup=lhs_sup, rhs_sup=rhs_sup,
                            lhs_witness_r=lhs_wit, rhs_witness_r=rhs_wit,

@@ -2,7 +2,8 @@
 
 Every grid supremum in the library (and the worst criterion margin, an
 infimum) goes through one primitive, ``scan_polish``: a uniform grid scan
-(radial scans start at 0), then a polish of the best grid point's bracket
+(radial scans start at 0), by branch-and-bound on ``interval`` boxes where no
+values come precomputed, then a polish of the best grid point's bracket
 to a 1e-12 width.  A maximum with an analytic slope (``series.circle_sup``
 over the angle, the radial sups of ``norms`` and ``extremal.verify_sharpness``
 over r, ``bounds.best_test_ratio`` over a) is polished by Illinois regula
@@ -185,8 +186,10 @@ def scan_polish(f: Callable, xs, values=None, *, minimize: bool = False,
                 kink: float | None = None) -> tuple[float, float]:
     """Best point of f on the uniform grid ``xs``, polished; returns (x, value).
 
-    ``values`` are f already computed on ``xs`` (else f is called on all of
-    it), both lists or arrays.  The grid winner is the argmax (argmin when
+    ``values`` are f already computed on ``xs``, both lists or arrays; without
+    them ``interval.grid_best`` finds the winner of ``list(map(f, xs))``,
+    evaluating f (on floats, and on Interval boxes) only where a box bound
+    cannot exclude it.  The grid winner is the argmax (argmin when
     ``minimize``), ties going to the smallest argument; with ``rescore`` the
     values are only a cheap stand-in (an unpolished profile) and f scores the winner.  Its
     bracket of one step either side wraps around when ``xs`` covers one
@@ -200,13 +203,17 @@ def scan_polish(f: Callable, xs, values=None, *, minimize: bool = False,
     """
     if len(xs) < 2:
         raise ParameterDomainError(f"a scan needs at least 2 points, got {len(xs)}")
-    vals = f(xs) if values is None else values
-    if isinstance(vals, list):
-        i = vals.index(min(vals) if minimize else max(vals))
+    if values is None:
+        from .interval import grid_best
+        i, best_f = grid_best(f, xs, minimize)
     else:
-        i = int(vals.argmin() if minimize else vals.argmax())
+        if isinstance(values, list):
+            i = values.index(min(values) if minimize else max(values))
+        else:
+            i = int(values.argmin() if minimize else values.argmax())
+        best_f = values[i]
     best_x = float(xs[i])
-    best_f = float(f(best_x)) if rescore else float(vals[i])
+    best_f = float(f(best_x) if rescore else best_f)
     if period is None:
         a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
     else:

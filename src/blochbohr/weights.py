@@ -8,7 +8,8 @@ and omega1 right of it, and is decreasing and convex on [0, r0).  Its corner
 at r0 is too sharp for a weight differentiable there, so an anchor below 1
 can only be admissible at a kink of the weight.  Weights, slopes and h are
 written on floats and mapped over lists and arrays: no numpy is loaded here,
-and the records are NamedTuples, so neither is ``dataclasses``.
+and the records are NamedTuples, so neither is ``dataclasses``.  The margin's
+scan takes the same bodies on ``interval`` boxes.
 """
 
 from __future__ import annotations
@@ -35,10 +36,12 @@ class Weight(NamedTuple):
     """A nonnegative radial weight on [0, 1).
 
     ``fn`` and ``slope`` take a float; the weight, and each built-in slope,
-    maps lists and arrays element by element.  Calls at exactly r = 1 are
-    answered with ``limit_at_one`` when that limit is finite (an infinite one
-    fails the criterion) and rejected otherwise; the open-interval domain is
-    the contract everywhere else.  ``slope``, when known, is omega' on [0, 1);
+    maps lists and arrays element by element.  Criterion and sharpness scans
+    may pass ``fn`` an ``interval.Interval`` box instead; a body that cannot
+    take one raises, and the scan evaluates those radii one by one.  Calls at
+    exactly r = 1 are answered with ``limit_at_one`` when that limit is finite
+    (an infinite one fails the criterion) and rejected otherwise; the
+    open-interval domain is the contract everywhere else.  ``slope``, when known, is omega' on [0, 1);
     at a ``kink`` (a radius where omega' jumps) it may take either one-sided
     value, so polishes evaluate it only off the kink.  Radial sups of a
     series polish at a root of the weighted slope when it is given.  The
@@ -175,16 +178,15 @@ def criterion_check(w: Weight, r0: float, r_points: int = CRITERION_R_POINTS,
                     tol: float = CRITERION_TOL) -> CriterionReport:
     """Scan h(r) - omega(r)/omega(r0) over [0, 1) and report the worst margin.
 
-    The minimum over ``r_points`` radii is polished by trisection to a 1e-12
-    width.  Two named candidates join it: r0, where h(r0) = 1 =
-    omega(r0)/omega(r0) makes the margin exactly 0, so a passing anchor
-    reports its true minimum; and the margin's limit h(1) -
-    ``limit_at_one``/omega(r0) at r = 1, so anchors past the last radius see
-    h < 1 on (r0, 1).
+    The minimum over ``r_points`` radii, found by branch-and-bound on boxes,
+    is polished by trisection to a 1e-12 width.  Two named candidates join
+    it: r0, where h(r0) = 1 = omega(r0)/omega(r0) makes the margin exactly 0,
+    so a passing anchor reports its true minimum; and the margin's limit
+    h(1) - ``limit_at_one``/omega(r0) at r = 1, so anchors past the last
+    radius see h < 1 on (r0, 1).
     A zero weight value at the anchor raises ZeroDenominatorError; an
     infinite one is rejected as a parameter-domain error.
     """
-    rs = radii(r_points)
     r0 = _check_r0(r0)
     if not tol >= 0.0:
         raise ParameterDomainError(f"tolerance must be >= 0, got {tol}")
@@ -194,12 +196,12 @@ def criterion_check(w: Weight, r0: float, r_points: int = CRITERION_R_POINTS,
     if not math.isfinite(w0):
         raise ParameterDomainError(f"weight {w.name} is not finite at r0 = {r0}")
 
-    margin = lambda h, omega: h - omega / w0
-    worst_r, worst = scan_polish(lambda r: margin(criterion_bound(r, r0), w(r)), rs,
-                                 list(map(margin, criterion_bound(rs, r0), w(rs))),
+    from .interval import Radii  # loaded only where a scan runs
+    omegas = _omegas(r0)
+    worst_r, worst = scan_polish(lambda r: min(omegas(r)) - w.fn(r) / w0, Radii(r_points),
                                  minimize=True)
     worst, worst_r = min((worst, worst_r), (0.0, r0),
-                         (margin(criterion_bound(1.0, r0), w.limit_at_one), 1.0))
+                         (min(omegas(1.0)) - w.limit_at_one / w0, 1.0))
     passed = worst >= -tol
     return CriterionReport(r0=r0, passed=passed, worst_margin=worst,
                            violation_witness=None if passed else worst_r)

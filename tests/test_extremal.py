@@ -296,9 +296,9 @@ class TestVerifySharpness:
         assert rep.rhs_sup == pytest.approx(1.0736870584245609, rel=1e-15)
         assert rep.rhs_witness_r == pytest.approx(0.8587638524630434, abs=1e-7)
 
-    def test_one_weight_pass_serves_both_sides(self):
-        # the criterion scans the weight on its grid once, and both sides share
-        # one pass over the same grid with r0 added: two grid passes, not three
+    def test_scans_make_no_weight_grid_pass(self):
+        # the criterion and both sides bound boxes of radii by branch-and-bound,
+        # so no scan maps the weight over its 10 000-point grid any more
         passes = []
 
         class GridCountingWeight(Weight):
@@ -311,7 +311,7 @@ class TestVerifySharpness:
         counting = GridCountingWeight("counting", ex2.fn, ex2.params, ex2.limit_at_one,
                                       ex2.slope, ex2.kink)
         assert verify_sharpness(counting, 0.8) == verify_sharpness(ex2, 0.8)
-        assert passes == [10_000, 10_001]
+        assert passes == []
 
     def test_standard_weight_rejected(self):
         with pytest.raises(PreconditionError):

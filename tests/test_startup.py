@@ -80,6 +80,9 @@ CRITERION_ARGV = [
     ["sharpness", "--weight", "example2:r0=0.8,alpha=2", "--r0", "0.8"],
     ["sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8"],
 ]
+#: those that run no criterion scan, so load no ``interval``: the standard
+#: weight vanishes at its only anchor, 1, and h-profile only tabulates h
+SCANLESS_ARGV = [CRITERION_ARGV[2], CRITERION_ARGV[3]]
 
 
 @pytest.mark.parametrize("argv", CRITERION_ARGV, ids=" ".join)
@@ -87,7 +90,9 @@ def test_criterion_commands_run_without_numpy(argv):
     loaded = loaded_after(f"from blochbohr.cli import main; main({argv!r})")
     layers = ["cli", "errors", "search", "weights"]
     if argv[0] == "sharpness":
-        layers = ["cli", "errors", "extremal", "search", "weights"]
+        layers.insert(2, "extremal")
+    if argv not in SCANLESS_ARGV:
+        layers.insert(-2, "interval")
     assert loaded == {"numpy": False, "dataclasses": False, "inspect": False, "layers": layers}
     # with numpy, dataclasses and inspect made unimportable the output is the same
     code = f"from blochbohr.cli import main\nmain({argv!r})\n"
