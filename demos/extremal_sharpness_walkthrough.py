@@ -39,7 +39,8 @@ print("degree (coefficient formula):", blaschke_degree(series, 0.8))
 print("degree (Monte-Carlo oracle): ",
       blaschke_degree_montecarlo(series, 0.8, samples=200_000))
 
-# both sides of the sharpness identity, each a closed form polished at a
+# both sides of the sharpness identity: the majorant side taken at r0, where
+# the criterion puts its sup, and the sup side, a closed form polished at a
 # root of its slope with r0 as a candidate.  example2 passes the criterion
 # at r0 = 0.8 for every alpha >= 1, but the sup side peaks at r0 only for
 # alpha >= (1 + sqrt(2))^2 (1 - r0)/r0

@@ -8,12 +8,13 @@ circle maximum is a closed form (``extremal_sup_modulus``), and its majorant
 sum at radius r/sqrt(2) is (1/sqrt(2)) / (1 - r/(2 r0)).
 
 For a weight that passes the admissibility criterion at r0 the weighted
-majorant side peaks exactly at r0; the weighted sup side peaks there too,
-and the sharpness identity holds, only when omega(r)/omega(r0) stays below
-the reciprocal circle maximum beyond r0, which the criterion does not imply.
-``verify_sharpness`` computes both suprema, on floats, scanning each closed
-form by branch-and-bound on ``interval`` boxes: only the functions that build
-or read a series import numpy and ``series``.
+majorant side, omega(r) r0/(2 r0 - r) = omega(r0) rho(r)/omega1(r) with
+rho = omega/omega(r0) <= h <= omega1 = 2 - r/r0, peaks at r0, where
+``verify_sharpness`` takes it.  The weighted sup side peaks there too, and
+the sharpness identity holds, only when rho stays below the reciprocal
+circle maximum beyond r0, which the criterion does not imply; it is scanned
+on floats by branch-and-bound on ``interval`` boxes.  Only the functions
+that build or read a series import numpy and ``series``.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ class ExtremalSpec(_ExtremalSpec):
 class SharpnessReport(NamedTuple):
     """Both sides of the sharpness identity with their witness radii.
 
-    ``lhs_sup`` is sup_r omega(r)/sqrt(2) * sum |a_n| (r/sqrt(2))^n,
-    ``rhs_sup`` is sup_r omega(r) * max_theta |f(r e^{i theta})|, and
-    ``relative_gap`` = |lhs - rhs| / max(lhs, rhs); ``r0`` is echoed.  The
-    identity holds when the gap vanishes up to rounding, and then both
-    witnesses are r0.
+    ``lhs_sup`` is sup_r omega(r)/sqrt(2) * sum |a_n| (r/sqrt(2))^n, which the
+    criterion at r0 puts at r0 (so ``lhs_witness_r`` is r0), ``rhs_sup`` is
+    sup_r omega(r) * max_theta |f(r e^{i theta})|, and ``relative_gap`` =
+    |lhs - rhs| / max(lhs, rhs); ``r0`` is echoed.  The identity holds when
+    the gap vanishes up to rounding, and then both witnesses are r0.
     """
 
     lhs_sup: float
@@ -128,21 +129,18 @@ def extremal_sup_modulus(r0: float, r):
     return mapped(lambda x: _sup_modulus(r0, x), r)
 
 
-def _majorant_sum(r0: float, x):
-    """``extremal_majorant_sum`` at a float or an Interval x."""
-    if not x >= 0.0:
-        raise ParameterDomainError("radius must be nonnegative")
-    if x == 2.0 * r0:
-        raise PoleError(f"majorant sum has a pole at r = 2 r0 = {2.0 * r0:.6g}")
-    if not x < 2.0 * r0:
-        raise DivergenceRegionError("majorant sum diverges past r = 2 r0")
-    return _C / (1.0 - x / (2.0 * r0))
-
-
 def extremal_majorant_sum(r0: float, r):
     """sum |a_n| (r/sqrt(2))^n = (1/sqrt(2)) / (1 - r/(2 r0)) for r < 2 r0, mapped."""
     r0 = _check_r0(r0)
-    return mapped(lambda x: _majorant_sum(r0, x), r)
+    def majorant_sum(x: float) -> float:
+        if not x >= 0.0:
+            raise ParameterDomainError("radius must be nonnegative")
+        if x == 2.0 * r0:
+            raise PoleError(f"majorant sum has a pole at r = 2 r0 = {2.0 * r0:.6g}")
+        if not x < 2.0 * r0:
+            raise DivergenceRegionError("majorant sum diverges past r = 2 r0")
+        return _C / (1.0 - x / (2.0 * r0))
+    return mapped(majorant_sum, r)
 
 
 def blaschke_degree(s: TruncatedSeries, r0: float) -> float:
@@ -187,11 +185,12 @@ def verify_sharpness(w: Weight, r0: float,
     """Compare both weighted suprema of the sharpness identity at anchor r0.
 
     Requires the weight to pass the admissibility criterion at r0
-    (PreconditionError otherwise).  Each side is a closed form scanned on
-    ``radii(r_points)`` plus r0, a kink of both, by branch-and-bound, and
-    polished at a root of its slope (golden section for a weight without
-    ``slope``).  The sup side's slope is omega' M + omega M' with
-    M' = r0/(2 (r0 +- r/sqrt(2))^2), + up to r0 and - beyond it.
+    (PreconditionError otherwise), which bounds the majorant side by its
+    value at r0 up to a relative 1.71 ``CRITERION_TOL``: that side is taken
+    there, witness r0.  The sup side is scanned on ``radii(r_points)`` plus
+    r0, its kink, by branch-and-bound and polished at a root of its slope
+    omega' M + omega M', M' = r0/(2 (r0 +- r/sqrt(2))^2) (+ up to r0, -
+    beyond it), or by golden section for a weight without ``slope``.
     """
     report = criterion_check(w, r0, r_points)
     if not report.passed:
@@ -200,19 +199,14 @@ def verify_sharpness(w: Weight, r0: float,
             f"(worst margin {report.worst_margin:.3g} at "
             f"r = {report.violation_witness})")
 
+    lhs_sup = w(r0) / SQRT2 * extremal_majorant_sum(r0, r0)
     omega = lambda r: w.fn(r) if r < 1.0 else w(r)  # fn takes boxes; w(1.0) the limit
-    lhs = lambda r: omega(r) / SQRT2 * _majorant_sum(r0, r)
-    rhs = lambda r: omega(r) * _sup_modulus(r0, r)
-    lhs_slope = rhs_slope = None
-    if w.slope is not None:
-        lhs_slope = lambda r: (w.slope(r) + w(r) / (2.0 * r0 - r)) * r0 / (2.0 * r0 - r)
-        rhs_slope = lambda r: (w.slope(r) * _sup_modulus(r0, r) + w(r) * 0.5
-                               * r0 / (r0 + (_C if r <= r0 else -_C) * r) ** 2)
-    rs = Radii(r_points, r0)
-    (lhs_wit, lhs_sup), (rhs_wit, rhs_sup) = (
-        scan_polish(side, rs, slope=slope, kink=r0)
-        for side, slope in ((lhs, lhs_slope), (rhs, rhs_slope)))
+    rhs_slope = None if w.slope is None else (
+        lambda r: (w.slope(r) * _sup_modulus(r0, r) + w(r) * 0.5
+                   * r0 / (r0 + (_C if r <= r0 else -_C) * r) ** 2))
+    rhs_wit, rhs_sup = scan_polish(lambda r: omega(r) * _sup_modulus(r0, r),
+                                   Radii(r_points, r0), slope=rhs_slope, kink=r0)
     gap = abs(lhs_sup - rhs_sup) / max(lhs_sup, rhs_sup)
     return SharpnessReport(lhs_sup=lhs_sup, rhs_sup=rhs_sup,
-                           lhs_witness_r=lhs_wit, rhs_witness_r=rhs_wit,
+                           lhs_witness_r=r0, rhs_witness_r=rhs_wit,
                            relative_gap=gap, r0=r0)

@@ -237,6 +237,5 @@ def scan_polish(f: Callable, xs, values=None, *, minimize: bool = False,
 
 
 def grid_golden_max(f: Callable, lo: float, hi: float, n_points: int) -> tuple[float, float]:
-    """Maximize an array-accepting f on [lo, hi]: an n-point ``scan_polish``."""
-    import numpy as np
-    return scan_polish(f, np.asarray(grid(lo, hi, n_points)))
+    """Maximize f on [lo, hi]: an n-point ``scan_polish`` of the float ``grid``."""
+    return scan_polish(f, grid(lo, hi, n_points))

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DivergenceRegionError, ParameterDomainError
-from .search import THETA_POINTS, scan_polish
+from .search import THETA_POINTS, mapped, scan_polish
 
 #: largest |z| at which a series without tail data may be evaluated
 UNCERTIFIED_RADIUS = 0.9
@@ -225,7 +225,8 @@ def tail_bound(s: TruncatedSeries, radius):
     x = s.tail_rho * r
     if np.any(x >= 1.0):
         raise DivergenceRegionError(f"tail diverges at |z|={np.max(r):.6g}")
-    out = s.tail_m * x ** (s.order + 1) / (1.0 - x)
+    # libm's pow at each radius: numpy's array ** rounds by SIMD level
+    out = s.tail_m * mapped(lambda v: v ** (s.order + 1), x) / (1.0 - x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -251,7 +252,7 @@ def eval_series(s: TruncatedSeries, z) -> SeriesValue:
         # a geometric tail can equal this bound, so add the complex Horner
         # rounding bound gamma_{4(N+1)} sum |a_n| |z|^n (4 u = 2 eps)
         k = 2.0 * s.coeffs.size * np.finfo(float).eps
-        bound = bound + k / (1.0 - k) * _horner(np.abs(s.coeffs), np.abs(z)).real
+        bound = bound + k / (1.0 - k) * _modulus_horner(s, np.abs(z), False, "rounding bound")
     if z.ndim == 0:
         bound = float(bound)
     return SeriesValue(value, bound)

@@ -27,6 +27,21 @@ def scaled(w: Weight, c: float) -> Weight:
                       limit_at_one=c * w.limit_at_one, slope=slope)
 
 
+def hand_built(rs: list) -> dict:
+    """Weights a box cannot bound everywhere, each an example2 base changed
+    away from its anchor 0.8; "zero-band" and "step" pass the criterion there."""
+    base = builtin_weight("example2", r0=0.8, alpha=2)
+    return {
+        "spike": lambda r: base.fn(r) + 9.0 * (abs(r - 0.3) < 2e-4),
+        "zero-band": lambda r: 0.0 if 0.5 <= r <= 0.6 else base.fn(r),
+        "step": lambda r: base.fn(r) if r < 0.85 else 0.5 * base.fn(r),
+        "exp": lambda r: math.exp(-3.0 * r),
+        "int": lambda r: 1 if r < 0.9 else 2,
+        "grid-point": lambda r: 3.0 if r == rs[9000] else base.fn(r),
+        "numpy": lambda r: np.where(np.abs(r - 0.5) < 0.01, 2.0, 1.0 - r * r),
+    }
+
+
 def random_polynomial(rng, max_degree=16, scale=1.0):
     degree = int(rng.integers(1, max_degree + 1))
     coeffs = scale * (rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +11,12 @@ from blochbohr import (DivergenceRegionError, ExtremalSpec,
                        TruncatedSeries, Weight, blaschke_degree,
                        blaschke_degree_montecarlo, builtin_weight, circle_norms,
                        eval_series, extremal_coefficients, extremal_eval,
-                       extremal_majorant_sum, extremal_sup_modulus,
-                       verify_sharpness)
+                       criterion_bound, extremal_majorant_sum,
+                       extremal_sup_modulus, interval, verify_sharpness)
+from blochbohr.interval import Radii
+from blochbohr.search import radii, scan_polish
+from blochbohr.weights import CRITERION_R_POINTS, CRITERION_TOL, R0_MIN
+from conftest import hand_built
 
 SQRT2 = np.sqrt(2.0)
 
@@ -297,7 +304,7 @@ class TestVerifySharpness:
         assert rep.rhs_witness_r == pytest.approx(0.8587638524630434, abs=1e-7)
 
     def test_scans_make_no_weight_grid_pass(self):
-        # the criterion and both sides bound boxes of radii by branch-and-bound,
+        # the criterion and the sup side bound boxes of radii by branch-and-bound,
         # so no scan maps the weight over its 10 000-point grid any more
         passes = []
 
@@ -323,3 +330,69 @@ class TestVerifySharpness:
         assert d["relative_gap"] == rep.relative_gap
         assert set(d) == {"lhs_sup", "rhs_sup", "lhs_witness_r", "rhs_witness_r",
                           "relative_gap", "r0"}
+
+
+def majorant_side_scan(w: Weight, r0: float, r_points: int = CRITERION_R_POINTS) -> tuple:
+    """Reference for the majorant side: omega(r)/sqrt(2) times the majorant sum
+    scanned on ``Radii(r_points, r0)`` and polished at a root of its slope
+    (golden section without one), r0 the kink.  Returns (witness, sup)."""
+    root2 = math.sqrt(2.0)
+    omega = lambda r: w.fn(r) if r < 1.0 else w(r)
+    side = lambda r: omega(r) / root2 * (0.5 * root2 / (1.0 - r / (2.0 * r0)))
+    slope = None
+    if w.slope is not None:
+        slope = lambda r: (w.slope(r) + w(r) / (2.0 * r0 - r)) * r0 / (2.0 * r0 - r)
+    return scan_polish(side, Radii(r_points, r0), slope=slope, kink=r0)
+
+
+class TestMajorantSide:
+    """The criterion at r0 puts the majorant side's sup at r0, where
+    ``verify_sharpness`` evaluates it instead of scanning it."""
+
+    def test_value_at_the_anchor_is_the_scan_bit_for_bit(self):
+        rng = random.Random(29)
+        cases = [(builtin_weight("constant"), 1.0)]
+        for _ in range(40):
+            w = builtin_weight(rng.choice(["example2", "example3"]),
+                               r0=rng.uniform(R0_MIN, 0.99), alpha=rng.uniform(1.0, 12.0))
+            cases.append((w, w.kink))
+        for w, r0 in cases:
+            rep = verify_sharpness(w, r0)
+            assert repr((rep.lhs_witness_r, rep.lhs_sup)) == repr(majorant_side_scan(w, r0))
+
+    def test_slopeless_weights_agree_within_the_criterion_tolerance(self):
+        # omega(r) r0/(2 r0 - r) = omega(r0) rho(r)/omega1(r) with rho <= h + tol and
+        # omega1 >= 2 - sqrt(2): the scan can exceed the value at r0 by 1.71 tol
+        base = builtin_weight("example2", r0=0.8, alpha=2)
+        h = lambda r: min(2.0 - r / 0.8, (math.sqrt(2.0) * 0.8 + r) / (math.sqrt(2.0) * r + 0.8))
+        fns = dict(hand_built(radii(CRITERION_R_POINTS)), **{
+            "h": h,
+            "small-spike": lambda r: base.fn(r) + 0.1 * (abs(r - 0.3) < 2e-4),
+            "spike-to-h": lambda r: h(r) if abs(r - 0.9) < 2e-4 else base.fn(r),
+        })
+        passed = []
+        for name, fn in fns.items():
+            w = Weight(name, fn, limit_at_one=0.0, kink=0.8)
+            try:
+                rep = verify_sharpness(w, 0.8)
+            except PreconditionError:
+                continue
+            passed.append(name)
+            _, sup = majorant_side_scan(w, 0.8)
+            assert rep.lhs_witness_r == 0.8
+            assert abs(sup - rep.lhs_sup) <= 2.0 * CRITERION_TOL * rep.lhs_sup
+        assert passed == ["zero-band", "step", "h", "small-spike", "spike-to-h"]
+        assert h(0.8) == 1.0 and criterion_bound(0.9, 0.8) == h(0.9)
+
+    def test_one_scan_besides_the_criterion(self, monkeypatch):
+        scanned = []
+        real = interval.grid_best
+
+        def counting(f, xs, minimize=False):
+            scanned.append(minimize)
+            return real(f, xs, minimize)
+
+        monkeypatch.setattr(interval, "grid_best", counting)
+        verify_sharpness(builtin_weight("example3", r0=0.9413, alpha=3.518), 0.9413)
+        # the criterion's margin (a minimum), then the sup side
+        assert scanned == [True, False]

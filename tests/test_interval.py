@@ -14,6 +14,7 @@ from blochbohr.errors import BlochBohrError, ParameterDomainError
 from blochbohr.interval import Interval, Radii, Undecided, grid_best
 from blochbohr.search import R_MAX, radii
 from blochbohr.weights import R0_MIN, _with_point
+from conftest import hand_built
 
 
 def random_weight(rng: random.Random) -> Weight:
@@ -142,21 +143,6 @@ class TestComparisons:
             np.exp(box)
         with pytest.raises(TypeError):
             box ** Interval(1.0, 2.0)
-
-
-def hand_built(rs: list) -> dict:
-    """Weights a box cannot bound everywhere, each an example2 base changed
-    away from its anchor 0.8, so that most pass the criterion there."""
-    base = builtin_weight("example2", r0=0.8, alpha=2)
-    return {
-        "spike": lambda r: base.fn(r) + 9.0 * (abs(r - 0.3) < 2e-4),
-        "zero-band": lambda r: 0.0 if 0.5 <= r <= 0.6 else base.fn(r),
-        "step": lambda r: base.fn(r) if r < 0.85 else 0.5 * base.fn(r),
-        "exp": lambda r: math.exp(-3.0 * r),
-        "int": lambda r: 1 if r < 0.9 else 2,
-        "grid-point": lambda r: 3.0 if r == rs[9000] else base.fn(r),
-        "numpy": lambda r: np.where(np.abs(r - 0.5) < 0.01, 2.0, 1.0 - r * r),
-    }
 
 
 class TestScan:

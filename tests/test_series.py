@@ -218,6 +218,28 @@ class TestEval:
         np.testing.assert_allclose(out.value, [1.0, 2.0])
         np.testing.assert_array_equal(out.tail_bound, [0.0, 0.0])
 
+    def test_float_and_array_give_the_same_bound_bits(self):
+        # the tail power and the rounding term's moduli are libm's at each
+        # radius, not numpy's SIMD pow and complex abs
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n = int(rng.integers(1, 200))
+            q = rng.uniform(0.1, 0.99)
+            c = (rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)) * q ** np.arange(n + 1)
+            s = TruncatedSeries(c, q, float(np.max(np.abs(c))) + 1.0)
+            z = rng.uniform(0.0, 0.99 / q, 9) * np.exp(2j * np.pi * rng.random(9))
+            bounds = eval_series(s, z).tail_bound
+            assert [float(b).hex() for b in bounds] \
+                == [eval_series(s, complex(x)).tail_bound.hex() for x in z]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z", [0.9, np.array([0.1, 0.9])], ids=["scalar", "array"])
+    def test_overflowing_rounding_bound_rejected(self, z):
+        # the value 1e308 - 0.9e308 is finite, sum |a_n| |z|^n is not
+        s = TruncatedSeries([1e308, -1e308], 0.5, 1.0)
+        with pytest.raises(ParameterDomainError, match="rounding bound overflows"):
+            eval_series(s, z)
+
 
 class TestCoefficientSum:
     def test_matches_majorant_eval(self):

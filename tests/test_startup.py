@@ -71,7 +71,8 @@ def test_dir_lists_exports_and_unknown_names_raise():
 
 
 #: the criterion commands of the README: weight-check with and without --r0,
-#: h-profile, and a sharpness PASS and FAIL
+#: h-profile, and a sharpness PASS and FAIL; and a sharpness PASS at the anchor
+#: 1, past R_MAX, where the majorant side reads the weight's limit_at_one
 CRITERION_ARGV = [
     ["weight-check", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8"],
     ["weight-check", "--weight", "example3:r0=0.75,alpha=1"],
@@ -79,6 +80,7 @@ CRITERION_ARGV = [
     ["h-profile", "--r0", "0.8", "--n", "8"],
     ["sharpness", "--weight", "example2:r0=0.8,alpha=2", "--r0", "0.8"],
     ["sharpness", "--weight", "example2:r0=0.8,alpha=1", "--r0", "0.8"],
+    ["sharpness", "--weight", "constant", "--r0", "1"],
 ]
 #: those that run no criterion scan, so load no ``interval``: the standard
 #: weight vanishes at its only anchor, 1, and h-profile only tabulates h
@@ -120,6 +122,17 @@ def test_bounds_commands_run_without_numpy(argv):
     code = f"from blochbohr.cli import main\nmain({argv!r})\n"
     plain = run_python("-c", code)
     assert plain and run_python("-c", WITHOUT_HEAVY + code) == plain
+
+
+def test_grid_golden_max_runs_without_numpy():
+    # it scans the float list ``grid`` by branch-and-bound; in ``search`` only
+    # an array handed to ``mapped`` loads numpy
+    call = ("from blochbohr.search import grid_golden_max; "
+            "print(*grid_golden_max(lambda x: 1.0 - (x - 0.3) ** 2, 0.0, 1.0, 64))")
+    assert loaded_after(call) == {"numpy": False, "dataclasses": False, "inspect": False,
+                                  "layers": ["errors", "interval", "search"]}
+    plain = run_python("-c", call)
+    assert plain.split()[1] == "1.0" and run_python("-c", WITHOUT_HEAVY + call) == plain
 
 
 def test_theorem2_check_loads_numpy_and_series():
