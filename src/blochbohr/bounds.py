@@ -25,11 +25,11 @@
 * ``best_test_ratio``: the best Theorem 4 test-function ratio at a scale,
   which ``theorem4_upper_bound`` drives past 1 by Newton's method on R, and
   which the strictness probe of m_Bloch(R) < R/sqrt(1-R^2) subtracts from
-  the bound: the quintic sups on an a grid, the best a polished at a root
-  of the envelope slope.  For f with f' = g_a (``avkhadiev_eval``) the
+  the bound: the quintic sups on an a grid, R checked once, the best a polished
+  at a root of the envelope slope.  For f with f' = g_a (``avkhadiev_eval``) the
   majorant-to-function Bloch seminorm ratio is exactly ``theorem4_sup(a, R)``,
-  because the majorant of g_a has nonnegative coefficients.  All of this runs on floats; only series and array inputs
-  import numpy and ``series``.
+  because the majorant of g_a has nonnegative coefficients.  All of this runs
+  on floats; only series and array inputs import numpy and ``series``.
 """
 
 from __future__ import annotations
@@ -244,15 +244,6 @@ def theorem4_expression(a, scale: float, r):
     return float(out) if getattr(out, "ndim", 0) == 0 else out
 
 
-def _horner(coeffs: tuple, t: float) -> tuple[float, float]:
-    """The polynomial with ``coeffs`` (highest degree first) and its slope at t."""
-    value = slope = 0.0
-    for c in coeffs:
-        slope = slope * t + value
-        value = value * t + c
-    return value, slope
-
-
 def _monotone_root(f: tuple, lo: float, hi: float, flo: float, fhi: float) -> float:
     """The root of the polynomial f on [lo, hi], where it is monotone and changes
     sign: Newton steps from the secant point, bisecting when one leaves the
@@ -264,7 +255,10 @@ def _monotone_root(f: tuple, lo: float, hi: float, flo: float, fhi: float) -> fl
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
                 break
-        fx, dfx = _horner(f, x)
+        fx = dfx = 0.0
+        for c in f:  # Horner's rule, highest degree first, for f and its slope
+            dfx = dfx * x + fx
+            fx = fx * x + c
         if (fx < 0.0) == below:
             lo, flo = x, fx
         else:
@@ -276,6 +270,30 @@ def _monotone_root(f: tuple, lo: float, hi: float, flo: float, fhi: float) -> fl
     return lo if abs(flo) < abs(fhi) else hi
 
 
+def _quintic_sup(a: float, scale: float) -> tuple[float, float]:
+    """``theorem4_sup`` without its checks, for floats a and R that pass them."""
+    ar, a2, r2 = a * scale, a * a, scale * scale
+    c2, c1 = (3.0 - 17.0 * a2) / (4.0 * a2), 0.5 * (1.0 - r2)
+    breaks = [0.0, 0.6, 1.0, ar] if ar > 1.0 else [0.0, 0.6, ar] if ar > 0.6 else [0.0, ar]
+    for f in ((20.0, -48.0, 36.0, 2.0 * c2), (5.0, -16.0, 18.0, 2.0 * c2, c1),
+              (1.0, -4.0, 6.0, c2, c1, -0.25 * r2 * (1.0 - 3.0 * a2))):
+        roots, lo, flo = [0.0], 0.0, f[-1]
+        for hi in breaks[1:]:
+            fhi = 0.0
+            for c in f:
+                fhi = fhi * hi + c
+            if (flo < 0.0) != (fhi < 0.0):
+                roots.append(_monotone_root(f, lo, hi, flo, fhi))
+            lo, flo = hi, fhi
+        breaks = roots + [ar]
+    value, witness = _t4(a, scale, 0.0), 0.0
+    for t in breaks[1:-1]:
+        v = _t4(a, scale, t / ar)
+        if v > value:
+            value, witness = v, t / ar
+    return value, witness
+
+
 def theorem4_sup(a: float, scale: float) -> tuple[float, float]:
     """sup over r in [0, 1] of ``theorem4_expression`` -> (value, witness_r), on floats.
 
@@ -285,23 +303,14 @@ def theorem4_sup(a: float, scale: float) -> tuple[float, float]:
     - R^2(1-3a^2)/4 (for a >= 1e-150 and aR >= 1e-300).  q''' = 12(5t-3)(t-1)
     has the fixed roots 3/5 and 1, so q'' is monotone between them, q' between
     the roots of q'' and q between those of q', each solved on its monotone
-    pieces of [0, aR] in turn.  The sup is the best T4 at r = 0 (first, so it
-    wins ties) and at the roots of q.  A pole on the disc raises.
+    pieces of [0, aR] in turn by the float kernel ``_quintic_sup``.  The sup is the best T4
+    at r = 0 (first, so it wins ties) and at the roots of q.  Inputs are checked; a pole raises.
     """
     theorem4_expression(a, scale, 1.0)  # the domain, pole and divergence checks
     a, scale = float(a), float(scale)
-    ar, a2, r2 = a * scale, a * a, scale * scale
-    if not (a >= 1e-150 and ar >= 1e-300):
+    if not (a >= 1e-150 and a * scale >= 1e-300):
         raise ParameterDomainError("the stationarity quintic needs a >= 1e-150 and aR >= 1e-300")
-    c2, c1 = (3.0 - 17.0 * a2) / (4.0 * a2), 0.5 * (1.0 - r2)
-    breaks = [0.0, *(t for t in (0.6, 1.0) if t < ar), ar]
-    for f in ((20.0, -48.0, 36.0, 2.0 * c2), (5.0, -16.0, 18.0, 2.0 * c2, c1),
-              (1.0, -4.0, 6.0, c2, c1, -0.25 * r2 * (1.0 - 3.0 * a2))):
-        fs = [f[-1], *(_horner(f, t)[0] for t in breaks[1:])]
-        breaks = [0.0, *(_monotone_root(f, lo, hi, flo, fhi) for lo, hi, flo, fhi
-                         in zip(breaks, breaks[1:], fs, fs[1:]) if (flo < 0.0) != (fhi < 0.0)),
-                  ar]
-    return max(((_t4(a, scale, t / ar), t / ar) for t in breaks[:-1]), key=lambda p: p[0])
+    return _quintic_sup(a, scale)
 
 
 def best_test_ratio(scale: float) -> tuple[float, float, float]:
@@ -311,21 +320,23 @@ def best_test_ratio(scale: float) -> tuple[float, float, float]:
     the a slope if its bracket holds one: the majorant-to-function Bloch
     seminorm ratio of the best f' = g_a.  Up to about R = 1/2 it is R, at the
     last a and r = 0 up to rounding: T4(a, 0) = R (3 sqrt(3)/2) a (1 - a^2)
-    peaks at exactly R at a = 1/sqrt(3).
+    peaks at exactly R at a = 1/sqrt(3).  R is checked once, by the sup at the least a.
     """
     scale = _check_scale(scale)
 
     def slope(a: float) -> float:
         # the sign of d/da sup_r T4: d[(1 - a^2) g(x)]/da at x = R r* (envelope theorem)
-        x = scale * theorem4_sup(a, scale)[1]
+        x = scale * _quintic_sup(a, scale)[1]
         u = 1.0 - a * x
         return (-2.0 * a * ((x - a) / (u * u * u) + 2.0 * a)
                 + (1.0 - a * a) * ((3.0 * x * (x - a) - u) / (u * u * u * u) + 2.0))
 
-    values = [theorem4_sup(a, scale)[0] for a in THEOREM4_A_GRID]
-    a_star, _ = scan_polish(lambda a: theorem4_sup(a, scale)[0], THEOREM4_A_GRID, values,
+    # the other a lie in the grid's range, in (0, 1/sqrt(3)) with aR < 1: unchecked sups
+    values = [theorem4_sup(THEOREM4_A_GRID[0], scale)[0]]
+    values += [_quintic_sup(a, scale)[0] for a in THEOREM4_A_GRID[1:]]
+    a_star, _ = scan_polish(lambda a: _quintic_sup(a, scale)[0], THEOREM4_A_GRID, values,
                             slope=slope)
-    value, r_star = theorem4_sup(a_star, scale)
+    value, r_star = _quintic_sup(a_star, scale)
     return value, a_star, r_star
 
 

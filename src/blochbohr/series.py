@@ -237,12 +237,15 @@ def eval_series(s: TruncatedSeries, z) -> SeriesValue:
     the largest modulus present.  Without tail data the result is flagged
     uncertified (tail_bound None) and |z| must stay within 0.9.  With a
     nonzero tail the bound also covers the rounding of the partial sum, so
-    value +- tail_bound encloses f(z); polynomials report 0.
+    value +- tail_bound encloses f(z); polynomials report 0.  An overflow raises.
     """
     z = np.asarray(z, dtype=complex)
     radius = float(np.max(np.abs(z))) if z.size else 0.0
     _check_certified(s, radius)
-    value = _horner(s.coeffs, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _horner(s.coeffs, z)
+    if not np.all(np.isfinite(value)):
+        raise ParameterDomainError("partial sum overflows")
     if z.ndim == 0:
         value = complex(value)
     bound = tail_bound(s, np.abs(z))

@@ -17,6 +17,7 @@ from blochbohr import bounds
 from blochbohr.bounds import (_COEF, A_MAX, EXCEED_THRESHOLD, S_RANGE, THEOREM4_A_GRID,
                               ProbeFunction, ScanReport, _t1_residual,
                               avkhadiev_majorant_closed_form)
+from blochbohr.search import scan_polish
 from conftest import mobius_series, random_polynomial
 
 SQRT2 = np.sqrt(2.0)
@@ -570,6 +571,122 @@ class TestBestTestRatio:
     def test_scale_domain(self, scale):
         with pytest.raises(ParameterDomainError, match=r"lie in \(0, 1\)"):
             best_test_ratio(scale)
+
+    def test_tiny_scale_fails_the_quintic_check(self):
+        # aR = 1e-306 at the least a of the grid: the checked sup there raises
+        with pytest.raises(ParameterDomainError,
+                           match=r"^the stationarity quintic needs a >= 1e-150 and aR >= 1e-300$"):
+            best_test_ratio(1e-300)
+
+    @pytest.mark.parametrize("scale", [0.3, 0.769])
+    def test_scale_is_checked_once(self, monkeypatch, scale):
+        calls = []
+        checked = bounds.theorem4_expression
+        monkeypatch.setattr(bounds, "theorem4_expression",
+                            lambda *args: calls.append(args) or checked(*args))
+        best_test_ratio(scale)
+        assert len(calls) <= 1
+
+
+def _reference_horner(coeffs, t):
+    value = slope = 0.0
+    for c in coeffs:
+        slope = slope * t + value
+        value = value * t + c
+    return value, slope
+
+
+def _reference_monotone_root(f, lo, hi, flo, fhi):
+    below = flo < 0.0
+    x = lo - flo * (hi - lo) / (fhi - flo)
+    for _ in range(200):
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx, dfx = _reference_horner(f, x)
+        if (fx < 0.0) == below:
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+        nx = x - fx / dfx if dfx != 0.0 else lo
+        if abs(nx - x) <= 4e-16 * x:
+            return nx if lo <= nx <= hi else x
+        x = nx
+    return lo if abs(flo) < abs(fhi) else hi
+
+
+def _reference_theorem4_sup(a, scale):
+    """The quintic sup as first written: a Horner helper and a generator cascade."""
+    theorem4_expression(a, scale, 1.0)
+    a, scale = float(a), float(scale)
+    ar, a2, r2 = a * scale, a * a, scale * scale
+    if not (a >= 1e-150 and ar >= 1e-300):
+        raise ParameterDomainError("the stationarity quintic needs a >= 1e-150 and aR >= 1e-300")
+    c2, c1 = (3.0 - 17.0 * a2) / (4.0 * a2), 0.5 * (1.0 - r2)
+    breaks = [0.0, *(t for t in (0.6, 1.0) if t < ar), ar]
+    for f in ((20.0, -48.0, 36.0, 2.0 * c2), (5.0, -16.0, 18.0, 2.0 * c2, c1),
+              (1.0, -4.0, 6.0, c2, c1, -0.25 * r2 * (1.0 - 3.0 * a2))):
+        fs = [f[-1], *(_reference_horner(f, t)[0] for t in breaks[1:])]
+        breaks = [0.0, *(_reference_monotone_root(f, lo, hi, flo, fhi) for lo, hi, flo, fhi
+                         in zip(breaks, breaks[1:], fs, fs[1:]) if (flo < 0.0) != (fhi < 0.0)),
+                  ar]
+    return max(((bounds._t4(a, scale, t / ar), t / ar) for t in breaks[:-1]),
+               key=lambda p: p[0])
+
+
+def _reference_best_test_ratio(scale):
+    """``best_test_ratio`` composed of checked reference sups, one per a."""
+    def slope(a):
+        x = scale * _reference_theorem4_sup(a, scale)[1]
+        u = 1.0 - a * x
+        return (-2.0 * a * ((x - a) / (u * u * u) + 2.0 * a)
+                + (1.0 - a * a) * ((3.0 * x * (x - a) - u) / (u * u * u * u) + 2.0))
+
+    values = [_reference_theorem4_sup(a, scale)[0] for a in THEOREM4_A_GRID]
+    a_star, _ = scan_polish(lambda a: _reference_theorem4_sup(a, scale)[0], THEOREM4_A_GRID,
+                            values, slope=slope)
+    value, r_star = _reference_theorem4_sup(a_star, scale)
+    return value, a_star, r_star
+
+
+def _outcome(sup, a, scale):
+    try:
+        return sup(a, scale)
+    except Exception as exc:  # any error: its type and message are compared
+        return type(exc), str(exc)
+
+
+_SEEDED_SCALES = [random.Random(32).uniform(0.0, 1.0) for _ in range(50)]
+
+
+class TestQuinticKernelOracle:
+    """The float kernel gives the reference sup's bits, and its errors where it raises."""
+
+    def test_whole_a_grid(self):
+        rng = random.Random(30)
+        for _ in range(100):
+            scale = rng.uniform(0.0, 1.0)
+            for a in THEOREM4_A_GRID:
+                assert bounds._quintic_sup(a, scale) == _reference_theorem4_sup(a, scale), \
+                    (a, scale)
+
+    def test_seeded_parameters_with_errors(self):
+        rng = random.Random(31)
+        raised = 0
+        for _ in range(20_000):
+            a, scale = 10.0 ** rng.uniform(-150.0, math.log10(0.6)), rng.uniform(0.0, 2.5)
+            expected = _outcome(_reference_theorem4_sup, a, scale)
+            assert _outcome(theorem4_sup, a, scale) == expected, (a, scale)
+            if isinstance(expected[0], type):
+                raised += 1
+            else:
+                assert bounds._quintic_sup(a, scale) == expected, (a, scale)
+        assert 0 < raised < 20_000  # both sides of the checks were reached
+
+    @pytest.mark.parametrize("scale", [0.3, 0.5, 1.0 / SQRT2, 0.9] + _SEEDED_SCALES)
+    def test_best_test_ratio(self, scale):
+        assert best_test_ratio(scale) == _reference_best_test_ratio(float(scale))
 
 
 class TestClosedFormFloatPath:

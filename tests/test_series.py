@@ -240,6 +240,20 @@ class TestEval:
         with pytest.raises(ParameterDomainError, match="rounding bound overflows"):
             eval_series(s, z)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z", [0.9, np.array([0.1, 0.9]), np.array([[0.9j, 0.9]])],
+                             ids=["scalar", "array", "2-d"])
+    def test_overflowing_partial_sum_rejected(self, z):
+        # finite coefficients whose partial sum 1e308 + 0.9e308 is not: the
+        # library's error, not inf with a RuntimeWarning
+        with pytest.raises(ParameterDomainError, match="partial sum overflows"):
+            eval_series(TruncatedSeries.polynomial([1e308, 1e308]), z)
+
+    def test_partial_sum_near_the_float_range_kept(self):
+        # 1e308 + 0.9e308 j: large but finite, so it is returned as it is
+        out = eval_series(TruncatedSeries.polynomial([1e308, 1e308]), 0.9j)
+        assert out.value == complex(1e308, 0.9e308)
+
 
 class TestCoefficientSum:
     def test_matches_majorant_eval(self):
