@@ -16,17 +16,15 @@ import numpy as np
 
 from blochbohr import theorem1_optimize, theorem1_root
 
-tol = 1e-12
-
 print("radius as a function of the exponent:")
 for s in (0.15, 0.25, 0.333771, 0.45, 0.5, 0.7):
-    print(f"  s = {s:<9} r(s) = {theorem1_root(s, tol):.9f}")
+    print(f"  s = {s:<9} r(s) = {theorem1_root(s):.9f}")
 
-s_star, r_star = theorem1_optimize(tol)
+s_star, r_star = theorem1_optimize()
 print(f"\nbest exponent  s* = {s_star:.6f}")
 print(f"best radius    r* = {r_star:.6f}")
 
-old = theorem1_root(0.5, tol)
+old = theorem1_root(0.5)
 print(f"\ns = 1/2 root       {old:.6f}  (the previously known constant)")
 print(f"improvement        {r_star - old:.6f}")
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DivergenceRegionError, ParameterDomainError, PoleError
+from .errors import DivergenceRegionError, ParameterDomainError, PoleError
 from .search import bisect_root, grid, mapped, scan_polish
 
 #: exponents s ``theorem1_root`` accepts; the root is ill conditioned beyond them
@@ -50,24 +50,17 @@ _COEF = 1.5 * math.sqrt(3.0)  # 3 sqrt(3) / 2
 #: "exceeds 1" means strictly above this, to avoid rounding-false positives
 EXCEED_THRESHOLD = 1.0 + 1e-9
 
-#: radius bracket and residual tolerance of the Theorem 1 root solves
+#: radius bracket of the Theorem 1 root solves
 THEOREM1_BRACKET = (1e-6, 1.0 - 1e-6)
-THEOREM1_TOL = 1e-10
 
 #: the a values of the Theorem 4 scans; the scale bracket of ``theorem4_upper_bound``
 THEOREM4_A_GRID = grid(1e-6, A_MAX - 1e-9, 200)
 THEOREM4_BRACKET = (1.0 / math.sqrt(2.0), 0.7691)
 
 
-def _check_solver_tol(tol: float) -> float:
-    if not 0.0 < tol < math.inf:
-        raise ParameterDomainError(f"tol must be positive and finite, got {tol}")
-    return tol
-
-
 class ScanReport(NamedTuple):
-    """Certificate (R, value, a, r) the Newton search on R found, and the number
-    of sups over r it took on the a grid, ``len(THEOREM4_A_GRID)`` per scale tried."""
+    """Certificate (R, value, a, r) the root search on R found, and the sups over r
+    it took, ``len(THEOREM4_A_GRID)`` per scale evaluated (bracket ends included)."""
 
     upper_bound: float
     best_value: float
@@ -76,25 +69,26 @@ class ScanReport(NamedTuple):
     samples: int
 
 
-def _t1_residual(r, s):
-    return math.log(1.0 - r ** (2.0 * s)) - 1.0 + r ** (-2.0 * (1.0 - s))
+def _t1_residual(r: float, s: float) -> tuple[float, float]:
+    """(F, F_r) of ``theorem1_root`` at r."""
+    p, q = r ** (2.0 * s), r ** (-2.0 * (1.0 - s))
+    return math.log(1.0 - p) - 1.0 + q, -2.0 * (s * p / (1.0 - p) + (1.0 - s) * q) / r
 
 
-def theorem1_root(s: float, tol: float = THEOREM1_TOL) -> float:
-    """Radius solving log(1 - r^{2s}) - 1 + r^{-2(1-s)} = 0 for s in (0, 1).
+def theorem1_root(s: float) -> float:
+    """Radius solving F(r) = log(1 - r^{2s}) - 1 + r^{-2(1-s)} = 0 for s in (0, 1).
 
-    Bisection on ``THEOREM1_BRACKET`` with sign-change verification, at most
-    200 halvings; the residual is driven below tol.  s must lie in ``S_RANGE``
-    = [1e-4, 1 - 1e-4], where the equation is well conditioned.
+    ``bisect_root`` on ``THEOREM1_BRACKET`` with the slope F_r = -2s r^{2s-1}/(1 - r^{2s})
+    - 2(1-s) r^{-2(1-s)-1}, to a Newton step of a few ulps.  s must lie in
+    ``S_RANGE`` = [1e-4, 1 - 1e-4], where the equation is well conditioned.
     """
-    tol = _check_solver_tol(tol)
     s = float(s)
     if not S_RANGE[0] <= s <= S_RANGE[1]:
         raise ParameterDomainError(f"exponent s must lie in [1e-4, 1 - 1e-4], got {s}")
-    return bisect_root(lambda r: _t1_residual(r, s), *THEOREM1_BRACKET, abs_tol=tol)
+    return bisect_root(lambda r: _t1_residual(r, s), *THEOREM1_BRACKET)
 
 
-def theorem1_optimize(tol: float = THEOREM1_TOL) -> tuple[float, float]:
+def theorem1_optimize() -> tuple[float, float]:
     """Maximize the radius of ``theorem1_root`` over the exponent s.
 
     Write F(r, s) = log(1 - r^{2s}) - 1 + r^{-2(1-s)}, so that r(s) solves
@@ -103,12 +97,11 @@ def theorem1_optimize(tol: float = THEOREM1_TOL) -> tuple[float, float]:
     1 - r^{2s} = r^2.  Substituting r^{2s} = 1 - r^2 into F = 0 leaves
     g(r) = 2 ln r + r^{-2} - 2 = 0; g' = 2(r^2 - 1)/r^3 < 0 on (0, 1), so
     the root r* is unique, and s* = ln(1 - r*^2)/(2 ln r*).  F(r*, s*)
-    equals g(r*), driven below tol by bisection on ``THEOREM1_BRACKET``.
-    Returns (s_star, r_star).
+    equals g(r*), whose root ``bisect_root`` finds on ``THEOREM1_BRACKET`` to
+    a Newton step of a few ulps.  Returns (s_star, r_star).
     """
-    tol = _check_solver_tol(tol)
-    r_star = bisect_root(lambda r: 2.0 * math.log(r) + r ** -2.0 - 2.0, *THEOREM1_BRACKET,
-                         abs_tol=tol)
+    r_star = bisect_root(lambda r: (2.0 * math.log(r) + r ** -2.0 - 2.0,
+                                    2.0 * (r * r - 1.0) / (r * r * r)), *THEOREM1_BRACKET)
     s_star = math.log(1.0 - r_star * r_star) / (2.0 * math.log(r_star))
     return s_star, r_star
 
@@ -246,8 +239,8 @@ def theorem4_expression(a, scale: float, r):
 
 def _monotone_root(f: tuple, lo: float, hi: float, flo: float, fhi: float) -> float:
     """The root of the polynomial f on [lo, hi], where it is monotone and changes
-    sign: Newton steps from the secant point, bisecting when one leaves the
-    bracket, until a step is a few ulps or no float is left inside the bracket."""
+    sign, by ``bisect_root``'s iteration with Horner's rule inlined: kept apart, since
+    a callback per step (same bits) makes ``best_test_ratio`` a fifth to a third slower."""
     below = flo < 0.0
     x = lo - flo * (hi - lo) / (fhi - flo)
     for _ in range(200):
@@ -346,36 +339,29 @@ def theorem4_upper_bound() -> ScanReport:
     Any such R is an upper bound for the Bloch-space Bohr radius.  The root
     of best_test_ratio(R) = ``EXCEED_THRESHOLD`` (not 1, so the certificate
     agrees with the ``exceeded`` flag of a single ``theorem4`` check) is
-    found by Newton's method on R from ``THEOREM4_BRACKET``'s high end.  By
-    the envelope theorem the ratio's slope is dT4/dR at its witness (a, r),
+    found by ``bisect_root`` on ``THEOREM4_BRACKET``, whose ends must fall
+    on either side of it (NoSignChangeError otherwise).  By the envelope
+    theorem the ratio's slope is dT4/dR at its witness (a, r),
     (1-r^2) (3 sqrt(3)/2)(1-a^2) [g(x) + x g'(x)] with x = Rr and g the
     majorant's bracket (x-a)/(1-ax)^3 + 2a.  The ratio rises and is convex
-    on the bracket, so the iterates descend and each one exceeds.  A step
-    of a few ulps ends the search; the report carries the least evaluated
-    scale that exceeds, with that call's value and witness (a, r), and
-    ``len(THEOREM4_A_GRID)`` sups over r in ``samples`` per scale tried.
+    on the bracket, so the secant point falls short of the root and every
+    Newton iterate after it exceeds.  The report carries the least evaluated
+    scale that exceeds, with that call's value and witness (a, r).
     """
-    lo, scale = THEOREM4_BRACKET
-    found = []
-    for calls in range(1, 9):
+    tried = []
+
+    def excess(scale: float) -> tuple[float, float]:
         value, a, r = best_test_ratio(scale)
-        if value > EXCEED_THRESHOLD:
-            found.append((scale, value, a, r))
-        elif not found:
-            raise ParameterDomainError(
-                f"bracket high end {scale} does not exceed 1; raise it")
+        tried.append((scale, value, a, r))
         x = scale * r
         u = 1.0 - a * x
         dg = (1.0 + 2.0 * a * x - 3.0 * a * a) / (u * u * u * u)  # g'(x)
         slope = (1.0 - r * r) * _COEF * (1.0 - a * a) * ((x - a) / (u * u * u) + 2.0 * a + x * dg)
-        step = (value - EXCEED_THRESHOLD) / slope
-        if abs(step) <= 4e-16 * scale:  # a step of a few ulps: converged
-            return ScanReport(*min(found), len(THEOREM4_A_GRID) * calls)
-        scale -= step
-        if scale <= lo:
-            raise ParameterDomainError(
-                f"bracket low end {lo} already exceeds 1; lower it")
-    raise ConvergenceError(f"no Newton convergence on R in 8 steps, last at {scale}")
+        return value - EXCEED_THRESHOLD, slope
+
+    bisect_root(excess, *THEOREM4_BRACKET)
+    return ScanReport(*min(t for t in tried if t[1] > EXCEED_THRESHOLD),
+                      len(THEOREM4_A_GRID) * len(tried))
 
 
 def bombieri_m_infty(r):

@@ -71,22 +71,27 @@ def test_trisect_min_quadratic():
 
 
 def test_bisect_root_cosine():
-    root = bisect_root(np.cos, 0.0, 3.0, abs_tol=1e-12)
-    assert abs(root - np.pi / 2) < 1e-11
+    root = bisect_root(lambda x: (math.cos(x), -math.sin(x)), 0.0, 3.0)
+    assert abs(root - math.pi / 2) <= math.ulp(math.pi / 2)
 
 
 def test_bisect_root_requires_sign_change():
     with pytest.raises(NoSignChangeError):
-        bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        bisect_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0)
 
 
 def test_bisect_root_exact_endpoint():
-    assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
+    assert bisect_root(lambda x: (x, 1.0), 0.0, 1.0) == 0.0
 
 
 def test_bisect_root_convergence_cap():
+    # the misleading slope throws every Newton step out of the bracket, and
+    # bisection from [0, 1] toward 1e-300 needs about 1000 halvings
+    g = lambda x: (x - 1e-300, 1e-300)
     with pytest.raises(ConvergenceError):
-        bisect_root(lambda x: x - 0.123456, 0.0, 1.0, abs_tol=1e-18, max_iter=4)
+        bisect_root(g, -1.0, 1.0)
+    # on [0, 1] the secant point is the root itself
+    assert bisect_root(g, 0.0, 1.0) == 1e-300
 
 
 def test_grid_golden_max_vectorized():
