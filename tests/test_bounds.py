@@ -39,6 +39,16 @@ class TestTheorem1Root:
             assert 0.0 < r < 1.0
             assert abs(_t1_residual(r, s)[0]) <= 1e-11
 
+    @pytest.mark.parametrize("s", [1e-4, 0.2, 0.333771, 0.5, 0.8, 1.0 - 1e-4])
+    def test_residual_slope_is_the_derivative(self, s):
+        # the Newton step's closed-form F_r against a central difference, at
+        # the root and at both sides of it
+        root = theorem1_root(s)
+        for r in (0.5 * root, root, 0.5 * (1.0 + root)):
+            h = 1e-6 * r
+            diff = (_t1_residual(r + h, s)[0] - _t1_residual(r - h, s)[0]) / (2.0 * h)
+            assert _t1_residual(r, s)[1] == pytest.approx(diff, rel=1e-6), r
+
     def test_bracket_sign_change(self):
         s = 0.333771
         assert _t1_residual(0.01, s)[0] > 0.0 > _t1_residual(0.99, s)[0]
@@ -247,11 +257,13 @@ class TestTheorem4:
         with pytest.raises(NoSignChangeError):
             theorem4_upper_bound()
 
-    @pytest.mark.parametrize("bracket", [(0.5, 0.6), (0.77, 0.8)],
-                             ids=["high end below", "low end above"])
-    def test_upper_bound_bad_bracket(self, monkeypatch, bracket):
+    @pytest.mark.parametrize("bracket,end", [((0.5, 0.6), "high end"),
+                                             ((0.77, 0.8), "low end")])
+    def test_upper_bound_bad_bracket(self, monkeypatch, bracket, end):
+        # the high end falls short of the threshold, or the low end exceeds it
         monkeypatch.setattr(bounds, "THEOREM4_BRACKET", bracket)
-        with pytest.raises(NoSignChangeError):
+        match = r"g\(hi\)=-" if end == "high end" else r"g\(lo\)=\d"
+        with pytest.raises(NoSignChangeError, match=match):
             theorem4_upper_bound()
 
 

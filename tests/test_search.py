@@ -94,6 +94,37 @@ def test_bisect_root_convergence_cap():
     assert bisect_root(g, 0.0, 1.0) == 1e-300
 
 
+@pytest.mark.parametrize("g,lo,hi,root", [
+    (lambda x: (x * x - 2.0, 2.0 * x), 1.0, 2.0, math.sqrt(2.0)),
+    (lambda x: (math.exp(x) - 2.0, math.exp(x)), 0.0, 1.0, math.log(2.0)),
+    (lambda x: (x ** 3 - 3.0, 3.0 * x * x), 1.0, 2.0, 3.0 ** (1.0 / 3.0)),
+    (lambda x: (1.0 / x - 3.0, -1.0 / (x * x)), 0.1, 1.0, 1.0 / 3.0),
+    (lambda x: (math.sin(x), math.cos(x)), 3.0, 3.5, math.pi),
+    (lambda x: (x * math.exp(x) - 1.0, (1.0 + x) * math.exp(x)), 0.0, 1.0,
+     0.56714329040978387),  # the omega constant W(1)
+], ids=["sqrt2", "log2", "cbrt3", "falling", "pi", "omega"])
+def test_bisect_root_to_the_last_ulp(g, lo, hi, root):
+    # no tolerance to set: the Newton step stops at a few ulps, rising or
+    # falling, and every probe stays inside the bracket
+    probes = []
+
+    def traced(x):
+        probes.append(x)
+        return g(x)
+
+    assert abs(bisect_root(traced, lo, hi) - root) <= math.ulp(root)
+    assert all(lo <= x <= hi for x in probes) and len(probes) <= 12
+
+
+def test_bisect_root_with_no_float_left_returns_the_end_of_smaller_residual():
+    # the root lies between two adjacent floats, and a zero slope leaves
+    # only bisection, which finds no float inside the bracket
+    lo = 0.5
+    hi = math.nextafter(lo, 1.0)
+    for frac, end in ((0.25, lo), (0.75, hi)):
+        assert bisect_root(lambda x: ((x - lo) / (hi - lo) - frac, 0.0), lo, hi) == end
+
+
 def test_grid_golden_max_vectorized():
     f = lambda x: np.sin(np.asarray(x))
     x, fx = grid_golden_max(f, 0.0, 3.0, 64)
