@@ -17,7 +17,7 @@ print("polynomial value:", out.value, " truncation bound:", out.tail_bound)
 
 # A truncated geometric series carries the honest certificate (q, 1).
 q = 0.5
-geo = TruncatedSeries.with_geometric_tail(q ** np.arange(41), q, 1.0)
+geo = TruncatedSeries(q ** np.arange(41), q, 1.0)
 out = eval_series(geo, 0.9)
 closed = 1.0 / (1.0 - q * 0.9)
 print(f"geometric at 0.9: value {out.value.real:.15f}")

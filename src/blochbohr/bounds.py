@@ -404,15 +404,14 @@ def mobius_majorant_sup(r: float) -> float:
 
 
 class ProbeFunction:
-    """A named test function with a per-weight, per-scan-size cache of its
-    Bloch seminorm."""
+    """A named test function with a per-weight cache of its Bloch seminorm."""
 
     def __init__(self, name: str, series: TruncatedSeries):
         self.name, self.series, self._norms = name, series, {}
 
-    def bloch_seminorm(self, w: Weight, r_points: int) -> float:
-        key = (w.name, tuple(sorted(w.params.items())), r_points)
+    def bloch_seminorm(self, w: Weight) -> float:
+        key = (w.name, tuple(sorted(w.params.items())))
         if key not in self._norms:
             from .norms import weighted_bloch_seminorm
-            self._norms[key] = weighted_bloch_seminorm(self.series, w, r_points)
+            self._norms[key] = weighted_bloch_seminorm(self.series, w)
         return self._norms[key]

@@ -6,9 +6,10 @@ output: ``theorem1``, ``theorem4``, ``theorem2-check``, ``theorem5-probe``,
 CSV floats carry 9 significant digits (plot feeds); JSON floats use full
 round-trip precision (regression feeds).  Exit code 0 means no error record;
 domain and solver failures exit nonzero with a message on stderr.  Scans and
-solvers run at the library defaults.  Each handler imports the layers it calls,
-so a subcommand loads no other: the parser's defaults come from ``search``, and
-only theorem2-check and norms load numpy.  Reports are NamedTuples, read with
+solvers run at the library's fixed sizes and tolerances; only ``h-profile
+--n`` sets a size.  Each handler imports the layers it calls, so a subcommand
+loads no other: the parser's defaults come from ``search``, and only
+theorem2-check and norms load numpy.  Reports are NamedTuples, read with
 ``_asdict``, so no subcommand loads ``dataclasses``.
 """
 

@@ -180,19 +180,18 @@ def blaschke_degree_montecarlo(s: TruncatedSeries, r0: float,
     return float(np.mean(np.abs(r0 * vals) ** 2))
 
 
-def verify_sharpness(w: Weight, r0: float,
-                     r_points: int = CRITERION_R_POINTS) -> SharpnessReport:
+def verify_sharpness(w: Weight, r0: float) -> SharpnessReport:
     """Compare both weighted suprema of the sharpness identity at anchor r0.
 
     Requires the weight to pass the admissibility criterion at r0
     (PreconditionError otherwise), which bounds the majorant side by its
     value at r0 up to a relative 1.71 ``CRITERION_TOL``: that side is taken
-    there, witness r0.  The sup side is scanned on ``radii(r_points)`` plus
-    r0, its kink, by branch-and-bound and polished at a root of its slope
-    omega' M + omega M', M' = r0/(2 (r0 +- r/sqrt(2))^2) (+ up to r0, -
-    beyond it), or by golden section for a weight without ``slope``.
+    there, witness r0.  The sup side is scanned on ``radii(CRITERION_R_POINTS)``
+    plus r0, its kink, by branch-and-bound and polished at a root of its
+    slope omega' M + omega M', M' = r0/(2 (r0 +- r/sqrt(2))^2) (+ up to r0,
+    - beyond it), or by golden section for a weight without ``slope``.
     """
-    report = criterion_check(w, r0, r_points)
+    report = criterion_check(w, r0)
     if not report.passed:
         raise PreconditionError(
             f"weight {w.name} fails the sharpness criterion at r0 = {r0} "
@@ -205,7 +204,8 @@ def verify_sharpness(w: Weight, r0: float,
         lambda r: (w.slope(r) * _sup_modulus(r0, r) + w(r) * 0.5
                    * r0 / (r0 + (_C if r <= r0 else -_C) * r) ** 2))
     rhs_wit, rhs_sup = scan_polish(lambda r: omega(r) * _sup_modulus(r0, r),
-                                   Radii(r_points, r0), slope=rhs_slope, kink=r0)
+                                   Radii(CRITERION_R_POINTS, r0), slope=rhs_slope,
+                                   kink=r0)
     gap = abs(lhs_sup - rhs_sup) / max(lhs_sup, rhs_sup)
     return SharpnessReport(lhs_sup=lhs_sup, rhs_sup=rhs_sup,
                            lhs_witness_r=r0, rhs_witness_r=rhs_wit,

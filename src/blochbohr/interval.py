@@ -17,7 +17,7 @@ from bisect import bisect_left
 from heapq import heappop, heappush
 
 from .errors import BlochBohrError
-from .search import R_MAX, grid
+from .search import R_MAX
 
 #: a range of at most this many grid points is evaluated point by point
 LEAF = 4
@@ -144,8 +144,6 @@ class Radii:
     already, as a sequence that computes each point when it is read."""
 
     def __init__(self, n: int, extra: float | None = None):
-        if n < 2:
-            grid(0.0, R_MAX, n)  # raises the scans' error
         # ``at`` is the index of ``extra``; n, past the end, while there is none
         self.n, self.last, self.step, self.at = n, n - 1, R_MAX / (n - 1), n
         if extra is not None:

@@ -86,29 +86,28 @@ def _modulus_slope(cs: list, r: float, theta: float) -> float:
     return (f.conjugate() / m * e * d).real if m else abs(d)
 
 
-def _series_radial_sup(s: TruncatedSeries, w: Weight,
-                       r_points: int = R_POINTS) -> RadialSupReport:
+def _series_radial_sup(s: TruncatedSeries, w: Weight) -> RadialSupReport:
     """sup_r w(r) max_theta |f(r e^{i theta})| with its witness point.
 
     The circle maximum M(r) and its witness angle come from ``circle_sup``,
-    once per radius.  Ties resolve to the smallest witness radius.  The
-    rough scan picks the bracket: for real nonnegative coefficients the
-    majorant sum (the circle maximum, at theta = 0); else it transforms the
-    radii level by level, every ``_STRIDES``-th one (the first level with
-    the last radius), and radius r only if w(r) u(r) >= best, the best
-    weighted row scanned so far.  Here u(r) = (1 + eps) maj(r) with maj(r) = sum |a_k| r^k, or, when
-    pi n < count (degree n, FFT size count), the smaller Bernstein bound
-    (rough(r_c) + eps maj(r_c)) / (1 - pi n / count) + eps maj(r): M(r) =
-    max_theta |f| grows with r and is within pi n M / count of the samples
-    at the next scanned radius r_c above.  eps = 1e-9 dwarfs the FFT's
-    rounding, so u bounds the computed rough(r) and each skipped row (0.0)
-    scores below best: the argmax is that of the full scan.  By the
-    envelope theorem M'(r) = d/dr |f(r e^{i theta*})| at the angle witness
-    theta*, so a weight with a slope polishes the radius at a root of
+    once per radius of ``radii(R_POINTS)``.  Ties resolve to the smallest
+    witness radius.  The rough scan picks the bracket: for real nonnegative
+    coefficients the majorant sum (the circle maximum, at theta = 0); else it
+    transforms the radii level by level, every ``_STRIDES``-th one (the first
+    level with the last radius), and radius r only if w(r) u(r) >= best, the
+    best weighted row scanned so far.  Here u(r) = (1 + eps) maj(r) with
+    maj(r) = sum |a_k| r^k, or, when pi n < count (degree n, FFT size count),
+    the smaller Bernstein bound (rough(r_c) + eps maj(r_c)) / (1 - pi n /
+    count) + eps maj(r): M(r) = max_theta |f| grows with r and is within pi n
+    M / count of the samples at the next scanned radius r_c above.  eps = 1e-9
+    dwarfs the FFT's rounding, so u bounds the computed rough(r) and each
+    skipped row (0.0) scores below best: the argmax is that of the full scan.
+    By the envelope theorem M'(r) = d/dr |f(r e^{i theta*})| at the angle
+    witness theta*, so a weight with a slope polishes the radius at a root of
     w' M + w M' (``scan_polish`` with the weight's kink), each side of the
     kink on its own; a weight without a slope polishes it by golden section.
     """
-    rs = np.asarray(radii(r_points))
+    rs = np.asarray(radii(R_POINTS))
     _check_certified(s, R_MAX, "radial scan")
     weights = np.asarray(w(rs))
     rough = (coefficient_sum(s, rs) if s.is_nonnegative
@@ -130,33 +129,30 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight,
     return RadialSupReport(v, r, circle(r)[1])
 
 
-def weighted_bloch_seminorm(s: TruncatedSeries, w: Weight,
-                            r_points: int = R_POINTS) -> float:
+def weighted_bloch_seminorm(s: TruncatedSeries, w: Weight) -> float:
     """sup_r omega(r) max_theta |f'(r e^{i theta})| (the norm without |a_0|).
 
     This is the gradient part of the Bloch norm; constants have seminorm
     zero.  The majorant-ratio bound R/sqrt(1-R^2) controls exactly this
     quantity, which is why the strictness probe divides seminorms.
     """
-    sup, _, _ = _series_radial_sup(derivative(s), w, r_points)
+    sup, _, _ = _series_radial_sup(derivative(s), w)
     return sup
 
 
-def weighted_bloch_norm(s: TruncatedSeries, w: Weight,
-                        r_points: int = R_POINTS) -> float:
+def weighted_bloch_norm(s: TruncatedSeries, w: Weight) -> float:
     """|a_0| + sup_r omega(r) max_theta |f'(r e^{i theta})|.
 
     The series must be certified up to the scan radius (polynomials always
     are), else DivergenceRegionError; a norm past the float range raises too.
     """
-    norm = float(abs(s.coeffs[0])) + weighted_bloch_seminorm(s, w, r_points)
+    norm = float(abs(s.coeffs[0])) + weighted_bloch_seminorm(s, w)
     if not norm < np.inf:
         raise ParameterDomainError("the Bloch norm |a_0| + seminorm overflows")
     return norm
 
 
-def weighted_radial_sup(s: TruncatedSeries, w: Weight,
-                        r_points: int = R_POINTS) -> RadialSupReport:
+def weighted_radial_sup(s: TruncatedSeries, w: Weight) -> RadialSupReport:
     """sup_r omega(r) max_theta |f(r e^{i theta})| of a series, with its witness
     point; the series must be certified up to the scan radius."""
-    return _series_radial_sup(s, w, r_points)
+    return _series_radial_sup(s, w)

@@ -27,9 +27,9 @@ from .errors import ConvergenceError, NoSignChangeError, ParameterDomainError
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT2 = math.sqrt(2.0)
 
-#: default radial sample count, the number of angles of a circle scan, the
-#: default sample count of ``weights.h_profile``, and the outer radius of
-#: every radial scan
+#: the radial sample count of the series sups and of theorem2-check's table,
+#: the number of angles of a circle scan, the default sample count of
+#: ``weights.h_profile``, and the outer radius of every radial scan
 R_POINTS = 2048
 THETA_POINTS = 4096
 PROFILE_POINTS = 512
@@ -45,9 +45,9 @@ def grid(lo: float, hi: float, n_points: int) -> list[float]:
     return [lo + i * step for i in range(n_points - 1)] + [hi]
 
 
-def radii(r_points: int) -> list[float]:
-    """``r_points`` uniform radii covering [0, ``R_MAX``]."""
-    return grid(0.0, R_MAX, r_points)
+def radii(n_points: int) -> list[float]:
+    """``n_points`` uniform radii covering [0, ``R_MAX``]."""
+    return grid(0.0, R_MAX, n_points)
 
 
 def mapped(body: Callable, x):

@@ -41,7 +41,8 @@ class _TruncatedSeries(NamedTuple):
 class TruncatedSeries(_TruncatedSeries):
     """Coefficients a_0..a_N plus an optional geometric tail bound.
 
-    ``tail_rho``/``tail_m`` certify |a_n| <= tail_m * tail_rho**n for n > N.
+    ``tail_rho``/``tail_m`` certify |a_n| <= tail_m * tail_rho**n for n > N;
+    given, they are stored as floats.
     """
 
     __slots__ = ()
@@ -58,6 +59,7 @@ class TruncatedSeries(_TruncatedSeries):
         if (tail_rho is None) != (tail_m is None):
             raise ParameterDomainError("tail_rho and tail_m must be given together")
         if tail_rho is not None:
+            tail_rho, tail_m = float(tail_rho), float(tail_m)
             if not 0.0 <= tail_rho < 1.0:
                 raise ParameterDomainError("tail ratio must lie in [0, 1)")
             if tail_m < 0.0:
@@ -70,10 +72,6 @@ class TruncatedSeries(_TruncatedSeries):
     def polynomial(cls, coeffs) -> "TruncatedSeries":
         """A polynomial: the stored coefficients are all there is (tail 0)."""
         return cls(np.asarray(coeffs, dtype=complex), 0.0, 0.0)
-
-    @classmethod
-    def with_geometric_tail(cls, coeffs, rho: float, m: float) -> "TruncatedSeries":
-        return cls(np.asarray(coeffs, dtype=complex), float(rho), float(m))
 
     @property
     def order(self) -> int:

@@ -7,16 +7,16 @@ pointwise minimum h(r) for every r in [0, 1).  h equals omega2 left of r0
 and omega1 right of it, and is decreasing and convex on [0, r0).  Its corner
 at r0 is too sharp for a weight differentiable there, so an anchor below 1
 can only be admissible at a kink of the weight.  Weights, slopes and h are
-written on floats and mapped over lists and arrays: no numpy is loaded here,
-and the records are NamedTuples, so neither is ``dataclasses``.  The margin's
-scan takes the same bodies on ``interval`` boxes.
+written on floats, and weights and h are mapped over lists and arrays: no
+numpy is loaded here, and the records are NamedTuples, so neither is
+``dataclasses``.  The margin's scan takes the same bodies on ``interval``
+boxes.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -25,7 +25,7 @@ from .search import PROFILE_POINTS, R_MAX, SQRT2, mapped, radii, scan_polish
 
 R0_MIN = 1.0 / SQRT2
 
-#: default radial sample count of criterion checks
+#: radial sample count of criterion checks and sharpness scans
 CRITERION_R_POINTS = 10_000
 
 #: equality in the criterion is admissible, so passing tolerates tiny rounding
@@ -35,18 +35,19 @@ CRITERION_TOL = 1e-12
 class Weight(NamedTuple):
     """A nonnegative radial weight on [0, 1).
 
-    ``fn`` and ``slope`` take a float; the weight, and each built-in slope,
-    maps lists and arrays element by element.  Criterion and sharpness scans
-    may pass ``fn`` an ``interval.Interval`` box instead; a body that cannot
-    take one raises, and the scan evaluates those radii one by one.  Calls at
-    exactly r = 1 are answered with ``limit_at_one`` when that limit is finite
-    (an infinite one fails the criterion) and rejected otherwise; the
-    open-interval domain is the contract everywhere else.  ``slope``, when known, is omega' on [0, 1);
-    at a ``kink`` (a radius where omega' jumps) it may take either one-sided
-    value, so polishes evaluate it only off the kink.  Radial sups of a
-    series polish at a root of the weighted slope when it is given.  The
-    kink is also the only anchor below 1 that ``find_admissible_r0`` tries.
-    ``params`` is a read-only mapping of the values the built-in ``fn`` closes over.
+    ``fn`` and ``slope`` take a float; the weight maps lists and arrays
+    element by element.  Criterion and sharpness scans may pass ``fn`` an
+    ``interval.Interval`` box instead; a body that cannot take one raises,
+    and the scan evaluates those radii one by one.  Calls at exactly r = 1
+    are answered with ``limit_at_one`` when that limit is finite (an
+    infinite one fails the criterion) and rejected otherwise; the
+    open-interval domain is the contract everywhere else.  ``slope``, when
+    known, is omega' on [0, 1); at a ``kink`` (a radius where omega' jumps)
+    it may take either one-sided value, so polishes evaluate it only off the
+    kink.  Radial sups of a series polish at a root of the weighted slope
+    when it is given.  The kink is also the only anchor below 1 that
+    ``find_admissible_r0`` tries.  ``params`` is a read-only mapping of the
+    values the built-in ``fn`` closes over.
     """
 
     name: str
@@ -72,9 +73,10 @@ class Weight(NamedTuple):
 class CriterionReport(NamedTuple):
     """Verdict of the admissibility inequality at an anchor radius r0.
 
-    ``worst_margin`` is the minimum of h(r) - omega(r)/omega(r0) over the scan,
-    r0 and r = 1; the check passes when it is >= -tolerance.  On failure
-    ``violation_witness`` holds a radius where the inequality breaks.
+    ``worst_margin`` is the minimum of h(r) - omega(r)/omega(r0) over the
+    scan, r0 and r = 1; the check passes when it is >= -``CRITERION_TOL``.
+    On failure ``violation_witness`` holds a radius where the inequality
+    breaks.
     """
 
     r0: float
@@ -96,12 +98,12 @@ def builtin_weight(kind: str, **params) -> Weight:
         if params:
             raise ParameterDomainError("standard weight takes no parameters")
         return Weight(name="standard", fn=lambda r: 1.0 - r * r, limit_at_one=0.0,
-                      slope=partial(mapped, lambda r: -2.0 * r))
+                      slope=lambda r: -2.0 * r)
     if kind == "constant":
         if params:
             raise ParameterDomainError("constant weight takes no parameters")
         return Weight(name="constant", fn=lambda r: 1.0, limit_at_one=1.0,
-                      slope=partial(mapped, lambda r: 0.0))
+                      slope=lambda r: 0.0)
     if kind in ("example2", "example3"):
         if "r0" not in params:
             raise ParameterDomainError("example weights need r0")
@@ -127,7 +129,7 @@ def builtin_weight(kind: str, **params) -> Weight:
                 return (-alpha * (1.0 - abs(u)) ** (alpha - 1.0) * ((u > 0.0) - (u < 0.0))
                         * (1.0 - r0 * r0) / (1.0 - r0 * r) ** 2)
         return Weight(name=kind, fn=fn, params=MappingProxyType({"r0": r0, "alpha": alpha}),
-                      limit_at_one=0.0, slope=partial(mapped, slope), kink=r0)
+                      limit_at_one=0.0, slope=slope, kink=r0)
     raise ParameterDomainError(f"unknown weight kind {kind!r}")
 
 
@@ -174,22 +176,19 @@ def criterion_bound(r, r0: float):
     return mapped(h, r)
 
 
-def criterion_check(w: Weight, r0: float, r_points: int = CRITERION_R_POINTS,
-                    tol: float = CRITERION_TOL) -> CriterionReport:
+def criterion_check(w: Weight, r0: float) -> CriterionReport:
     """Scan h(r) - omega(r)/omega(r0) over [0, 1) and report the worst margin.
 
-    The minimum over ``r_points`` radii, found by branch-and-bound on boxes,
-    is polished by trisection to a 1e-12 width.  Two named candidates join
-    it: r0, where h(r0) = 1 = omega(r0)/omega(r0) makes the margin exactly 0,
-    so a passing anchor reports its true minimum; and the margin's limit
-    h(1) - ``limit_at_one``/omega(r0) at r = 1, so anchors past the last
-    radius see h < 1 on (r0, 1).
+    The minimum over ``radii(CRITERION_R_POINTS)``, found by branch-and-bound
+    on boxes, is polished by trisection to a 1e-12 width.  Two named
+    candidates join it: r0, where h(r0) = 1 = omega(r0)/omega(r0) makes the
+    margin exactly 0, so a passing anchor reports its true minimum; and the
+    margin's limit h(1) - ``limit_at_one``/omega(r0) at r = 1, so anchors
+    past the last radius see h < 1 on (r0, 1).
     A zero weight value at the anchor raises ZeroDenominatorError; an
     infinite one is rejected as a parameter-domain error.
     """
     r0 = _check_r0(r0)
-    if not tol >= 0.0:
-        raise ParameterDomainError(f"tolerance must be >= 0, got {tol}")
     w0 = w(r0)
     if w0 == 0.0:
         raise ZeroDenominatorError(f"weight {w.name} vanishes at r0 = {r0}")
@@ -198,11 +197,11 @@ def criterion_check(w: Weight, r0: float, r_points: int = CRITERION_R_POINTS,
 
     from .interval import Radii  # loaded only where a scan runs
     omegas = _omegas(r0)
-    worst_r, worst = scan_polish(lambda r: min(omegas(r)) - w.fn(r) / w0, Radii(r_points),
-                                 minimize=True)
+    worst_r, worst = scan_polish(lambda r: min(omegas(r)) - w.fn(r) / w0,
+                                 Radii(CRITERION_R_POINTS), minimize=True)
     worst, worst_r = min((worst, worst_r), (0.0, r0),
                          (min(omegas(1.0)) - w.limit_at_one / w0, 1.0))
-    passed = worst >= -tol
+    passed = worst >= -CRITERION_TOL
     return CriterionReport(r0=r0, passed=passed, worst_margin=worst,
                            violation_witness=None if passed else worst_r)
 

@@ -1,11 +1,9 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 
 from blochbohr import ParameterDomainError, TruncatedSeries, Weight, builtin_weight
-from blochbohr.search import mapped
 
 
 @pytest.fixture
@@ -22,7 +20,7 @@ def scaled(w: Weight, c: float) -> Weight:
     """The weight ``w`` multiplied by a positive finite constant, kink and params kept."""
     if not 0.0 < c < math.inf:
         raise ParameterDomainError("scale must be positive and finite")
-    slope = None if w.slope is None else partial(mapped, lambda r: c * w.slope(r))
+    slope = None if w.slope is None else lambda r: c * w.slope(r)
     return w._replace(name=f"{c}*{w.name}", fn=lambda r: c * w.fn(r),
                       limit_at_one=c * w.limit_at_one, slope=slope)
 

@@ -164,7 +164,7 @@ def test_criterion_09_avkhadiev_checks():
     ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False))
     rough = max(std(r) * np.abs(avkhadiev_eval(0.35, r * ring)).max() for r in radii(2048))
     assert abs(rough - 1.0) <= 1e-4
-    refined = weighted_radial_sup(avkhadiev_coefficients(0.35), std, 2048)
+    refined = weighted_radial_sup(avkhadiev_coefficients(0.35), std)
     assert abs(refined.value - 1.0) <= 1e-8
     s = avkhadiev_coefficients(0.35)
     worst = max(abs(coefficient_sum(majorant(s), x)

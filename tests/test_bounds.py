@@ -134,7 +134,7 @@ class TestCauchyChain:
         # Cauchy-Schwarz is equality iff |a_n| r^n is proportional to R^n
         scale, r = 0.3, 0.5
         coeffs = (scale / r) ** np.arange(61)
-        s = TruncatedSeries.with_geometric_tail(coeffs, scale / r, 1.0)
+        s = TruncatedSeries(coeffs, scale / r, 1.0)
         v1, v2, v3 = cauchy_chain_check(s, const, scale, r)
         assert v1 == pytest.approx(v2, rel=1e-12)
         assert v2 <= v3 + 1e-12
@@ -356,12 +356,12 @@ def theorem5_ratios(scale, family):
     std = builtin_weight("standard")
     ratios = {}
     for member in family:
-        denominator = member.bloch_seminorm(std, 1024)
+        denominator = member.bloch_seminorm(std)
         if denominator <= 0.0:
             raise ParameterDomainError(
                 f"probe member {member.name} has zero Bloch seminorm")
         scaled = scale_argument(majorant(member.series), scale)
-        numerator = weighted_bloch_seminorm(scaled, std, 1024)
+        numerator = weighted_bloch_seminorm(scaled, std)
         ratios[member.name] = numerator / denominator
     return ratios
 

@@ -11,16 +11,13 @@ from blochbohr import (DivergenceRegionError, ExtremalSpec, ParameterDomainError
                        weight_from_token, weighted_bloch_norm,
                        weighted_bloch_seminorm, weighted_radial_sup)
 from blochbohr.norms import _batch_circle_max, _series_radial_sup
-from blochbohr.search import R_MAX, THETA_POINTS, radii
+from blochbohr.search import R_MAX, R_POINTS, THETA_POINTS, radii
 from blochbohr.series import _angle_count, _angle_grid_values
 from blochbohr.weights import Weight, builtin_weight
 from conftest import mobius_series, random_polynomial
 
 A_MAX = 1.0 / np.sqrt(3.0)
 COEF = 1.5 * np.sqrt(3.0)
-
-#: radial samples of the lean scans
-LEAN = 512
 
 
 class TestBlochNorm:
@@ -43,17 +40,17 @@ class TestBlochNorm:
         # float range unscaled, and the polish would keep the grid angle
         rng = np.random.default_rng(21)
         s = random_polynomial(rng)
-        base = weighted_bloch_norm(s, std, LEAN)
+        base = weighted_bloch_norm(s, std)
         for c in (0.25, 3.0, 117.0, 1e150, 1e160, 1e300):
             scaled = TruncatedSeries.polynomial(c * s.coeffs)
-            assert weighted_bloch_norm(scaled, std, LEAN) == pytest.approx(
+            assert weighted_bloch_norm(scaled, std) == pytest.approx(
                 c * base, rel=1e-12)
 
     def test_seminorm_relation(self, std):
         rng = np.random.default_rng(22)
         s = random_polynomial(rng)
-        norm = weighted_bloch_norm(s, std, LEAN)
-        semi = weighted_bloch_seminorm(s, std, LEAN)
+        norm = weighted_bloch_norm(s, std)
+        semi = weighted_bloch_seminorm(s, std)
         assert norm == pytest.approx(abs(s.coeffs[0]) + semi, abs=1e-14)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -103,7 +100,7 @@ class TestRadialSup:
         ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False))
         rough = max(std(r) * np.abs(avkhadiev_eval(a, r * ring)).max() for r in radii(1024))
         assert rough == pytest.approx(1.0, abs=1e-4)
-        refined = weighted_radial_sup(avkhadiev_coefficients(a), std, 1024)
+        refined = weighted_radial_sup(avkhadiev_coefficients(a), std)
         assert refined.value == pytest.approx(1.0, abs=1e-8)
 
     def test_majorant_dominates(self, std):
@@ -111,20 +108,20 @@ class TestRadialSup:
         for _ in range(5):
             s = random_polynomial(rng)
             m = majorant(s)
-            sup_f = weighted_radial_sup(s, std, 64)
-            sup_m = weighted_radial_sup(m, std, 64)
+            sup_f = weighted_radial_sup(s, std)
+            sup_m = weighted_radial_sup(m, std)
             assert sup_m.value >= sup_f.value - 1e-10
 
     def test_report_serialization(self, const):
-        rep = weighted_radial_sup(TruncatedSeries.polynomial([0.0, 1.0]), const, 16)
+        rep = weighted_radial_sup(TruncatedSeries.polynomial([0.0, 1.0]), const)
         assert set(rep._asdict()) == {"value", "witness_r", "witness_theta"}
 
     def test_public_name_is_the_series_route(self, std):
         # one implementation: the public sup is the series scan, bit for bit
         s = mobius_series(0.9)
-        rep = weighted_radial_sup(s, std, 256)
+        rep = weighted_radial_sup(s, std)
         assert isinstance(rep, RadialSupReport)
-        assert rep == _series_radial_sup(s, std, 256)
+        assert rep == _series_radial_sup(s, std)
 
     def test_uncertified_series_rejected(self, std):
         # a series without a tail bound is trusted only up to |z| = 0.9, short
@@ -167,17 +164,19 @@ class TestRadialWitnessAtSlopeRoot:
         assert theta == 0.0 and value == pytest.approx(0.5, rel=1e-15)
 
     def test_zero_constant_term_at_the_origin(self):
-        # the bracket of the grid winner 0.25 starts at r = 0, where f = iz
-        # vanishes and the envelope slope is 0/0; the right derivative
-        # |f'(0)| takes its place.  sup_r r e^{-50 r} is at r = 1/50
-        w = Weight("exp", lambda r: np.exp(-50.0 * r),
-                   slope=lambda r: -50.0 * np.exp(-50.0 * r))
-        value, r, _ = _series_radial_sup(TruncatedSeries.polynomial([0.0, 1.0j]), w, 5)
-        assert abs(r - 0.02) <= 1e-12
-        assert value == pytest.approx(0.02 * np.exp(-1.0), rel=1e-14)
+        # sup_r r e^{-k r} is at r = 1/k, below the first nonzero radius
+        # R_MAX/2047 for k = 5000, so the bracket of the grid winner starts at
+        # r = 0, where f = iz vanishes and the envelope slope is 0/0; the right
+        # derivative |f'(0)| takes its place
+        k = 5000.0
+        assert 1.0 / k < radii(R_POINTS)[1]
+        w = Weight("exp", lambda r: np.exp(-k * r), slope=lambda r: -k * np.exp(-k * r))
+        value, r, _ = _series_radial_sup(TruncatedSeries.polynomial([0.0, 1.0j]), w)
+        assert abs(r - 1.0 / k) <= 1e-12
+        assert value == pytest.approx(np.exp(-1.0) / k, rel=1e-14)
         # under a constant weight the sup of 2z is the bracket end R_MAX
         value, r, _ = _series_radial_sup(TruncatedSeries.polynomial([0.0, 2.0]),
-                                         builtin_weight("constant"), 3)
+                                         builtin_weight("constant"))
         assert (value, r) == (2.0 * R_MAX, R_MAX)
 
     def test_slopeless_weight_keeps_golden_section(self, std):
@@ -191,9 +190,9 @@ class TestRadialWitnessAtSlopeRoot:
         assert value == pytest.approx(root_value, rel=1e-13)
 
 
-def _golden_radial_sup(s, w, r_points):
+def _golden_radial_sup(s, w):
     """The radial sup polished by golden section: the weight without its slope."""
-    return _series_radial_sup(s, w._replace(slope=None), r_points)
+    return _series_radial_sup(s, w._replace(slope=None))
 
 
 def test_root_polish_never_below_golden_polish():
@@ -211,8 +210,8 @@ def test_root_polish_never_below_golden_polish():
         params = ({} if kind in ("standard", "constant")
                   else {"r0": float(rng.uniform(0.71, 0.99)), "alpha": float(rng.uniform(1.0, 4.0))})
         w = builtin_weight(kind, **params)
-        value, r, _ = _series_radial_sup(s, w, LEAN)
-        golden, golden_r, _ = _golden_radial_sup(s, w, LEAN)
+        value, r, _ = _series_radial_sup(s, w)
+        golden, golden_r, _ = _golden_radial_sup(s, w)
         gamma = 2.0 * s.coeffs.size * np.finfo(float).eps
         slack = gamma / (1.0 - gamma) * w(golden_r) * coefficient_sum(s, golden_r)
         assert value >= golden - slack, (i, kind, params)
@@ -341,7 +340,7 @@ class TestSeminormClosedForms:
 
     def test_radial_sup_dominates_grid_samples(self, std):
         from blochbohr import avkhadiev_eval
-        rep = weighted_radial_sup(avkhadiev_coefficients(0.3), std, 128)
+        rep = weighted_radial_sup(avkhadiev_coefficients(0.3), std)
         theta = np.linspace(0.0, 2.0 * np.pi, THETA_POINTS, endpoint=False)
         for r in radii(128)[::16]:
             sampled = std(float(r)) * np.abs(

@@ -31,20 +31,19 @@ def _extremal(r0: float, phi: float, order: int) -> TruncatedSeries:
     rot = cmath.exp(1j * phi)
     q = rot.conjugate() / (math.sqrt(2.0) * r0)
     coeffs = [-rot / math.sqrt(2.0)] + [q ** k / (2.0 * r0) for k in range(order)]
-    return TruncatedSeries.with_geometric_tail(coeffs, 1.0 / (math.sqrt(2.0) * r0),
-                                               1.0 / math.sqrt(2.0))
+    return TruncatedSeries(coeffs, 1.0 / (math.sqrt(2.0) * r0), 1.0 / math.sqrt(2.0))
 
 
 def _automorphism(a: complex, order: int) -> TruncatedSeries:
     """(a - z)/(1 - conj(a) z) up to z^order."""
     q = a.conjugate()
     coeffs = [a] + [-(1.0 - abs(a) ** 2) * q ** k for k in range(order)]
-    return TruncatedSeries.with_geometric_tail(coeffs, abs(a), (1.0 - abs(a) ** 2) / abs(a))
+    return TruncatedSeries(coeffs, abs(a), (1.0 - abs(a) ** 2) / abs(a))
 
 
 def _geometric(q: float, order: int) -> TruncatedSeries:
     """1/(1 - q z) up to z^order: every coefficient q^k is nonnegative."""
-    return TruncatedSeries.with_geometric_tail([q ** k for k in range(order + 1)], q, 1.0)
+    return TruncatedSeries([q ** k for k in range(order + 1)], q, 1.0)
 
 
 #: series file name -> series

@@ -154,36 +154,13 @@ def test_scan_needs_two_points(scan):
         scan(lambda x: np.sin(np.asarray(x)))
 
 
-def _scan_size_calls():
-    from blochbohr.bounds import ProbeFunction
-    from blochbohr.extremal import verify_sharpness
-    from blochbohr.norms import weighted_bloch_norm, weighted_radial_sup
-    from blochbohr.series import TruncatedSeries
-    from blochbohr.weights import builtin_weight, criterion_check, h_profile
-    std, const = builtin_weight("standard"), builtin_weight("constant")
-    return {
-        # nonnegative and signed coefficients take different rough radial scans
-        "weighted_bloch_norm-nonneg":
-            lambda n: weighted_bloch_norm(TruncatedSeries.polynomial([0.0, 1.0]), std, n),
-        "weighted_bloch_norm-signed":
-            lambda n: weighted_bloch_norm(TruncatedSeries.polynomial([1.0, -2.0, 3.0]), std, n),
-        "weighted_radial_sup": lambda n: weighted_radial_sup(
-            TruncatedSeries.polynomial([0.0, 1.0]), std, n),
-        "ProbeFunction.bloch_seminorm": lambda n: ProbeFunction(
-            "z", TruncatedSeries.polynomial([0.0, 1.0])).bloch_seminorm(std, n),
-        "criterion_check": lambda n: criterion_check(std, 0.8, r_points=n),
-        "verify_sharpness": lambda n: verify_sharpness(const, 1.0, r_points=n),
-        "h_profile": lambda n: h_profile(0.8, n_points=n),
-    }
-
-
-@pytest.mark.parametrize("name", list(_scan_size_calls()))
 @pytest.mark.parametrize("n", [1, 0, -1])
-def test_scan_size_keywords_share_the_grid_rule(name, n):
-    # every library scan-size keyword goes through ``grid``'s check and message
-    call = _scan_size_calls()[name]
+def test_h_profile_size_shares_the_grid_rule(n):
+    # the one library scan size a caller sets (h-profile --n) goes through
+    # ``grid``'s check and message
+    from blochbohr.weights import h_profile
     with pytest.raises(ParameterDomainError) as exc:
-        call(n)
+        h_profile(0.8, n_points=n)
     assert str(exc.value) == f"a scan needs at least 2 points, got {n}"
 
 
@@ -230,9 +207,9 @@ def test_scan_polish_minimizes_a_kink():
 
 
 def test_radii():
-    for r_points in (1, 0, -1):
-        with pytest.raises(ParameterDomainError, match=f"got {r_points}$"):
-            radii(r_points)
+    for n in (1, 0, -1):
+        with pytest.raises(ParameterDomainError, match=f"got {n}$"):
+            radii(n)
     rs = radii(11)
     assert rs[0] == 0.0 and rs[-1] == R_MAX and len(rs) == 11
     assert np.array_equal(radii(R_POINTS), np.linspace(0.0, 1.0 - 1e-6, 2048))

@@ -20,7 +20,7 @@ SQRT2 = np.sqrt(2.0)
 
 
 def geometric_series(q, n, m=1.0):
-    return TruncatedSeries.with_geometric_tail(m * q ** np.arange(n + 1), q, m)
+    return TruncatedSeries(m * q ** np.arange(n + 1), q, m)
 
 
 def extremal_moduli_oracle(r0, count):
@@ -53,6 +53,12 @@ class TestConstruction:
             TruncatedSeries.loads('{"coeffs": [[1.0, 0.0]], "tail": {"rho": 0.5, "M": NaN}}')
         with pytest.raises(ParameterDomainError, match="tail ratio"):
             TruncatedSeries.polynomial([1.0])._replace(tail_rho=1.0)
+
+    def test_tail_is_stored_as_floats(self):
+        s = TruncatedSeries([1, 2], np.float64(0.5), 3)
+        assert type(s.tail_rho) is float and type(s.tail_m) is float
+        assert (s.tail_rho, s.tail_m) == (0.5, 3.0)
+        assert TruncatedSeries([1.0]).tail_rho is None
 
     def test_immutable(self):
         s = TruncatedSeries.polynomial([1.0, 2.0])
@@ -119,7 +125,7 @@ class TestDerivative:
         assert np.all(true_next <= d.tail_m * d.tail_rho ** n + 1e-300)
 
     def test_constant_with_real_tail_rejected(self):
-        s = TruncatedSeries.with_geometric_tail([1.0], 0.5, 1.0)
+        s = TruncatedSeries([1.0], 0.5, 1.0)
         with pytest.raises(ParameterDomainError):
             derivative(s)
 
@@ -399,7 +405,7 @@ class TestSerialization:
         assert restored.has_tail is False
 
     def test_wire_schema(self):
-        payload = json.loads(TruncatedSeries.with_geometric_tail([1.0, -1.0j], 0.25, 3.0).dumps())
+        payload = json.loads(TruncatedSeries([1.0, -1.0j], 0.25, 3.0).dumps())
         assert payload == {"coeffs": [[1.0, 0.0], [0.0, -1.0]],
                            "tail": {"rho": 0.25, "M": 3.0}}
         assert json.loads(TruncatedSeries([1.0]).dumps())["tail"] is None

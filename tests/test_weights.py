@@ -9,6 +9,7 @@ from blochbohr import (ParameterDomainError, Weight, ZeroDenominatorError,
                        builtin_weight, criterion_bound, criterion_check,
                        find_admissible_r0, h_profile, weight_from_token)
 from blochbohr.search import R_MAX
+from blochbohr.weights import CRITERION_TOL
 from conftest import scaled
 
 SQRT2 = np.sqrt(2.0)
@@ -92,6 +93,29 @@ class TestBuiltinWeights:
                 weight_from_token(token)
 
 
+#: the built-in weights whose slopes are checked, the examples at several (r0, alpha)
+SLOPE_TOKENS = ["standard", "constant"] + [
+    f"{kind}:r0={r0},alpha={alpha}" for kind in ("example2", "example3")
+    for r0, alpha in ((0.7072, 1), (0.8, 2.5), (0.9413, 3.518), (0.99, 6))]
+
+
+@pytest.mark.parametrize("token", SLOPE_TOKENS)
+def test_slope_matches_a_central_difference_of_fn(token):
+    # the slope drives every falsi polish; check it off the kink, on both sides
+    w = weight_from_token(token)
+    rng = np.random.default_rng(11)
+    h = 1e-7
+    if w.kink is None:
+        rs = rng.uniform(0.05, 0.99, 20)
+    else:
+        gap = min(1e-2, (1.0 - w.kink) / 4.0)  # keeps r +- h off the kink and below 1
+        rs = np.concatenate([rng.uniform(0.0, w.kink - gap, 10),
+                             rng.uniform(w.kink + gap, 1.0 - gap, 10)])
+    for r in map(float, rs):
+        central = (w.fn(r + h) - w.fn(r - h)) / (2.0 * h)
+        assert w.slope(r) == pytest.approx(central, rel=1e-6, abs=1e-12), (token, r)
+
+
 class TestCriterionBound:
     def test_equals_one_at_anchor(self):
         for r0 in (R0_MIN, 0.75, 0.9, 1.0):
@@ -117,11 +141,10 @@ class TestCriterionBound:
 
 class TestCriterionCheck:
     def test_constant_passes_at_one(self):
-        for points in (500, 2000, 10_000):
-            rep = criterion_check(builtin_weight("constant"), 1.0, r_points=points)
-            assert rep.passed
-            assert rep.worst_margin >= 0.0
-            assert rep.violation_witness is None
+        rep = criterion_check(builtin_weight("constant"), 1.0)
+        assert rep.passed
+        assert rep.worst_margin >= 0.0
+        assert rep.violation_witness is None
 
     @pytest.mark.parametrize("kind", ["example2", "example3"])
     @pytest.mark.parametrize("r0", [0.75, 0.8, 0.9])
@@ -184,13 +207,6 @@ class TestCriterionCheck:
         with pytest.raises(ParameterDomainError):
             criterion_check(builtin_weight("constant"), 0.5)
 
-    @pytest.mark.parametrize("tol", [-1.0, -1e-15, np.nan, -np.inf])
-    def test_tolerance_domain(self, tol):
-        for kind in ("standard", "constant"):
-            w = builtin_weight(kind)
-            with pytest.raises(ParameterDomainError, match="tolerance"):
-                criterion_check(w, 0.8, tol=tol)
-
     @pytest.mark.parametrize("c", [0.0, -1.0, np.inf, np.nan])
     def test_scale_must_be_positive_and_finite(self, c):
         with pytest.raises(ParameterDomainError, match="positive and finite"):
@@ -250,9 +266,12 @@ class TestFindAdmissibleAnchor:
         r0, rep = found
         assert r0 == 0.75
         assert rep.passed
-        # independent dense-grid confirmation at the nominal anchor
-        dense = criterion_check(w, 0.75, r_points=DENSE)
-        assert dense.passed
+        # independent dense-grid confirmation at the nominal anchor: the margin
+        # h - omega/omega(r0) from the closed forms, omega(r0) = 1
+        r = np.linspace(0.0, R_MAX, DENSE)
+        h = np.minimum(2.0 - r / 0.75, (SQRT2 * 0.75 + r) / (SQRT2 * r + 0.75))
+        omega = 1.0 - np.abs((r - 0.75) / (1.0 - 0.75 * r))
+        assert (h - omega).min() >= -CRITERION_TOL
 
     @pytest.mark.parametrize("w,expected", [
         *((weight_from_token(token), r0) for token, r0 in SWEEP_CASES),
@@ -383,12 +402,11 @@ class TestScalarFastPaths:
         # can round the last bit differently (x=0, r0=0.734375, alpha=3.0625
         # for example3), never sees them
         for w in _weights(r0, alpha):
-            for call in (w, w.slope):
-                fast = call(x)
-                assert type(fast) is float
-                assert _same_bits(fast, call(np.asarray(x)))
-                assert _same_bits(fast, call(np.array([x]))[0])
-                assert _same_bits(fast, call([x])[0])
+            fast = w(x)
+            assert type(fast) is float
+            assert _same_bits(fast, w(np.asarray(x)))
+            assert _same_bits(fast, w(np.array([x]))[0])
+            assert _same_bits(fast, w([x])[0])
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=R0_MIN, max_value=1.0))
     @example(x=1.0, r0=1.0)
