@@ -164,6 +164,68 @@ def test_h_profile_size_shares_the_grid_rule(n):
     assert str(exc.value) == f"a scan needs at least 2 points, got {n}"
 
 
+def _scan_calls():
+    """Each library scan the CLI runs at a fixed size, with that size."""
+    from blochbohr.bounds import ProbeFunction
+    from blochbohr.extremal import verify_sharpness
+    from blochbohr.norms import (_series_radial_sup, weighted_bloch_norm,
+                                 weighted_bloch_seminorm, weighted_radial_sup)
+    from blochbohr.series import TruncatedSeries
+    from blochbohr.weights import CRITERION_R_POINTS, builtin_weight, criterion_check
+    std, const = builtin_weight("standard"), builtin_weight("constant")
+    z = TruncatedSeries.polynomial([0.0, 1.0])
+    signed = TruncatedSeries.polynomial([1.0, -2.0, 3.0])
+    return {
+        # nonnegative and signed coefficients take different rough radial scans
+        "weighted_bloch_norm-nonneg": (lambda **kw: weighted_bloch_norm(z, std, **kw), R_POINTS),
+        "weighted_bloch_norm-signed": (lambda **kw: weighted_bloch_norm(signed, std, **kw),
+                                       R_POINTS),
+        "weighted_bloch_seminorm": (lambda **kw: weighted_bloch_seminorm(signed, std, **kw),
+                                    R_POINTS),
+        "weighted_radial_sup": (lambda **kw: weighted_radial_sup(z, std, **kw), R_POINTS),
+        "_series_radial_sup": (lambda **kw: _series_radial_sup(signed, std, **kw), R_POINTS),
+        "ProbeFunction.bloch_seminorm": (
+            lambda **kw: ProbeFunction("z", z).bloch_seminorm(std, **kw), R_POINTS),
+        "criterion_check": (lambda **kw: criterion_check(std, 0.8, **kw), CRITERION_R_POINTS),
+        "verify_sharpness": (lambda **kw: verify_sharpness(const, 1.0, **kw),
+                             CRITERION_R_POINTS),
+    }
+
+
+@pytest.mark.parametrize("name", list(_scan_calls()))
+def test_scans_run_at_the_library_size(name, monkeypatch):
+    # every grid a scan builds has the library's size, whatever the input
+    from blochbohr import extremal, interval, norms
+    sizes = []
+
+    class Recorded(interval.Radii):
+        def __init__(self, n, extra=None):
+            sizes.append(n)
+            super().__init__(n, extra)
+
+    def recorded_radii(n):
+        sizes.append(n)
+        return radii(n)
+
+    monkeypatch.setattr(interval, "Radii", Recorded)
+    monkeypatch.setattr(extremal, "Radii", Recorded)
+    monkeypatch.setattr(norms, "radii", recorded_radii)
+    call, size = _scan_calls()[name]
+    call()
+    assert sizes and set(sizes) == {size}
+
+
+@pytest.mark.parametrize("name,keyword", [
+    *((name, "r_points") for name in _scan_calls()), ("criterion_check", "tol")])
+def test_scans_take_no_size_or_tolerance_keyword(name, keyword):
+    # the sizes and the criterion tolerance are constants: not even the
+    # library's own value is accepted as an argument
+    from blochbohr.weights import CRITERION_TOL
+    call, size = _scan_calls()[name]
+    with pytest.raises(TypeError, match=keyword):
+        call(**{keyword: CRITERION_TOL if keyword == "tol" else size})
+
+
 def test_scan_polish_periodic_bracket_wraps_below_zero():
     # the maximum sits just below theta = 0, so the grid winner is theta = 0
     # and only a bracket reaching past the seam can find it
