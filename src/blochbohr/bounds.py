@@ -29,7 +29,7 @@
   at a root of the envelope slope.  For f with f' = g_a (``avkhadiev_eval``) the
   majorant-to-function Bloch seminorm ratio is exactly ``theorem4_sup(a, R)``,
   because the majorant of g_a has nonnegative coefficients.  All of this runs
-  on floats; only series and array inputs import numpy and ``series``.
+  on floats, mapped over lists and arrays; only series functions import numpy.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DivergenceRegionError, ParameterDomainError, PoleError
-from .search import bisect_root, grid, mapped, scan_polish
+from .search import R_POINTS, bisect_root, grid, mapped, scan_polish
 
 #: exponents s ``theorem1_root`` accepts; the root is ill conditioned beyond them
 S_RANGE = (1e-4, 1.0 - 1e-4)
@@ -131,20 +131,12 @@ def cauchy_chain_check(s: TruncatedSeries, w: Weight, scale: float,
     return v1, v2, v3
 
 
-def _lift(*xs):
-    """(xs, all, any): floats and ``bool`` if all are numbers, else numpy's (imported then)."""
-    if all(isinstance(x, (float, int)) for x in xs):
-        return [float(x) for x in xs], bool, bool
-    import numpy as np
-    return [np.asarray(x, dtype=float) for x in xs], np.all, np.any
-
-
-def _check_a(a):
-    (a,), every, _ = _lift(a)
-    if not every((0.0 < a) & (a < A_MAX)):
+def _check_a(a: float) -> float:
+    a = float(a)
+    if not 0.0 < a < A_MAX:
         raise ParameterDomainError(
             f"parameter a must lie in (0, 1/sqrt(3)) = (0, {A_MAX:.6f})")
-    return float(a) if getattr(a, "ndim", 0) == 0 else a
+    return a
 
 
 def avkhadiev_eval(a: float, z):
@@ -154,15 +146,13 @@ def avkhadiev_eval(a: float, z):
     a in (0, 1/sqrt(3)).
     """
     import numpy as np
-    a = _check_a(float(a))
+    a = _check_a(a)
     z = np.asarray(z, dtype=complex)
     den = 1.0 - a * z
     if np.any(den == 0.0):
         raise PoleError(f"pole at z = 1/a = {1.0 / a:.6g}")
     out = _COEF * (1.0 - a * a) * (z - a) / den ** 3
-    if z.ndim == 0:
-        return complex(out)
-    return out
+    return complex(out) if z.ndim == 0 else out
 
 
 def avkhadiev_coefficients(a: float, n_terms: int = 257) -> TruncatedSeries:
@@ -175,7 +165,7 @@ def avkhadiev_coefficients(a: float, n_terms: int = 257) -> TruncatedSeries:
     """
     import numpy as np
     from .series import TruncatedSeries
-    a = _check_a(float(a))
+    a = _check_a(a)
     if n_terms < 2:
         raise ParameterDomainError("need at least 2 coefficient terms")
     atil = a * a / (1.0 - a * a)
@@ -194,47 +184,45 @@ def _majorant(a, x):
     return _COEF * (1.0 - a * a) * ((x - a) / (u * u * u) + 2.0 * a)
 
 
-def _t4(a, scale, r):
-    """The body of ``theorem4_expression``, unchecked, on floats and arrays alike."""
+def _t4(a: float, scale: float, r: float) -> float:
+    """The body of ``theorem4_expression``, unchecked; + - * / only, so numpy's bits."""
     return scale * (1.0 - r * r) * _majorant(a, scale * r)
 
 
-def _check_majorant(a, x):
-    """(a, x) as floats, or as arrays if either is one, checked for the majorant sum."""
-    (a, x), every, some = _lift(_check_a(a), x)
-    if not every(x >= 0.0):
+def _check_majorant(a: float, x: float) -> None:
+    """Raise unless the majorant sum of g_a converges at x."""
+    if not x >= 0.0:
         raise ParameterDomainError("majorant argument must be nonnegative")
-    if some(a * x == 1.0):
+    if a * x == 1.0:
         raise PoleError("pole at x = 1/a")
-    if some(a * x > 1.0):
+    if a * x > 1.0:
         raise DivergenceRegionError("majorant sum diverges past x = 1/a")
-    return a, x
 
 
-def avkhadiev_majorant_closed_form(a, x):
-    """sum |a_n| x^n = (3 sqrt(3)(1-a^2)/2) ((x-a)/(1-ax)^3 + 2a) for x >= 0.
+def avkhadiev_majorant_closed_form(a: float, x):
+    """sum |a_n| x^n = (3 sqrt(3)(1-a^2)/2) ((x-a)/(1-ax)^3 + 2a) for x >= 0, mapped over x."""
+    a = _check_a(a)
 
-    Floats give a float; an array in either argument broadcasts.  The cube
-    is a product, so scalars and arrays get the same bits at every SIMD level.
-    """
-    out = _majorant(*_check_majorant(a, x))
-    return float(out) if getattr(out, "ndim", 0) == 0 else out
+    def majorant_sum(x: float) -> float:
+        _check_majorant(a, x)
+        return _majorant(a, x)
+    return mapped(majorant_sum, x)
 
 
-def theorem4_expression(a, scale: float, r):
-    """R (1-r^2) (3 sqrt(3)(1-a^2)/2) ((Rr-a)/(1-aRr)^3 + 2a) on r in [0, 1].
-
-    Floats give a float, arrays broadcast.  R >= 1 is allowed (a pole may then lie on the disc).
-    """
+def theorem4_expression(a: float, scale: float, r):
+    """R (1-r^2) (3 sqrt(3)(1-a^2)/2) ((Rr-a)/(1-aRr)^3 + 2a) on r in [0, 1], mapped
+    over r.  R >= 1 is allowed (a pole may then lie on the disc)."""
     scale = float(scale)
     if not 0.0 <= scale < math.inf:
         raise ParameterDomainError("the scale R must be nonnegative and finite")
-    (r,), every, _ = _lift(r)
-    if not every((r >= 0.0) & (r <= 1.0)):
-        raise ParameterDomainError("radius must lie in [0, 1]")
-    a, _ = _check_majorant(a, scale * r)
-    out = _t4(a, scale, r)
-    return float(out) if getattr(out, "ndim", 0) == 0 else out
+    a = _check_a(a)
+
+    def t4(r: float) -> float:
+        if not 0.0 <= r <= 1.0:
+            raise ParameterDomainError("radius must lie in [0, 1]")
+        _check_majorant(a, scale * r)
+        return _t4(a, scale, r)
+    return mapped(t4, r)
 
 
 def _monotone_root(f: tuple, lo: float, hi: float, flo: float, fhi: float) -> float:
@@ -324,13 +312,27 @@ def best_test_ratio(scale: float) -> tuple[float, float, float]:
         return (-2.0 * a * ((x - a) / (u * u * u) + 2.0 * a)
                 + (1.0 - a * a) * ((3.0 * x * (x - a) - u) / (u * u * u * u) + 2.0))
 
-    # the other a lie in the grid's range, in (0, 1/sqrt(3)) with aR < 1: unchecked sups
-    values = [theorem4_sup(THEOREM4_A_GRID[0], scale)[0]]
-    values += [_quintic_sup(a, scale)[0] for a in THEOREM4_A_GRID[1:]]
-    a_star, _ = scan_polish(lambda a: _quintic_sup(a, scale)[0], THEOREM4_A_GRID, values,
-                            slope=slope)
+    a_star, _ = scan_polish(lambda a: _quintic_sup(a, scale)[0], THEOREM4_A_GRID,
+                            _row_sups(scale), slope=slope)
     value, r_star = _quintic_sup(a_star, scale)
     return value, a_star, r_star
+
+
+def _row_sups(scale: float) -> list[float]:
+    """The sups over r on ``THEOREM4_A_GRID``; the first checks R, the rest are in range."""
+    return [theorem4_sup(THEOREM4_A_GRID[0], scale)[0]] + [
+        _quintic_sup(a, scale)[0] for a in THEOREM4_A_GRID[1:]]
+
+
+def theorem4_grid_max(scale: float) -> float:
+    """max of T4 over ``THEOREM4_A_GRID`` x ``grid(0, 1, R_POINTS)`` at the scale R: whole rows
+    in falling order of their sups (each a bound to a few ulps) until one is 1e-12 (rel) short."""
+    scale, best, rs = _check_scale(scale), -math.inf, grid(0.0, 1.0, R_POINTS)
+    for sup, a in sorted(zip(_row_sups(scale), THEOREM4_A_GRID), reverse=True):
+        if sup < best * (1.0 - 1e-12):
+            break
+        best = max(best, *(_t4(a, scale, r) for r in rs))
+    return best
 
 
 def theorem4_upper_bound() -> ScanReport:

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .errors import BlochBohrError, ParameterDomainError
-from .search import PROFILE_POINTS, R_POINTS, SQRT2, grid
+from .search import PROFILE_POINTS, SQRT2, grid
 
 #: the CLI's own values: the ``theorem5-probe`` scales without --R, the radii of
 #: the ``bombieri`` table without --r, the largest chain violation of a
@@ -119,16 +119,14 @@ def _cmd_theorem4(args) -> int:
 
 def _cmd_theorem2_check(args) -> int:
     import numpy as np
-    from .bounds import EXCEED_THRESHOLD, THEOREM4_A_GRID, cauchy_chain_check, theorem4_expression
+    from .bounds import EXCEED_THRESHOLD, cauchy_chain_check, theorem4_grid_max
     from .series import TruncatedSeries
     from .weights import weight_from_token
     if args.samples < 1:
         raise ParameterDomainError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         raise ParameterDomainError(f"--seed must be nonnegative, got {args.seed}")
-    r_grid = np.asarray(grid(0.0, 1.0, R_POINTS))
-    max_expr = max(float(theorem4_expression(rows[:, None], 1.0 / SQRT2, r_grid).max())
-                   for rows in np.split(np.asarray(THEOREM4_A_GRID), 8))  # small temporaries
+    max_expr = theorem4_grid_max(1.0 / SQRT2)
 
     rng = np.random.default_rng(args.seed)
     weights = [weight_from_token(t) for t in

@@ -1,9 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from blochbohr import ParameterDomainError, TruncatedSeries, Weight, builtin_weight
+
+
+def pytest_runtest_makereport(item, call):
+    # hypothesis explains a failing example through hypothesis.extra._patching,
+    # whose libcst import warns DeprecationWarning; under -W error that ends the
+    # run in an INTERNALERROR, so load it quietly first, and only then
+    if call.when == "teardown" and getattr(item, "_hypothesis_failing_examples", None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture
@@ -77,3 +88,15 @@ def mobius_series(alpha: float, n_terms: int = 257) -> TruncatedSeries:
     if alpha == 0.0:
         return TruncatedSeries.polynomial(coeffs[:2])
     return TruncatedSeries(coeffs, alpha, (1.0 - alpha * alpha) / alpha)
+
+
+def t4_table(a, scale, r):
+    """Independent T4 oracle, broadcast over arrays a and r:
+    R (1 - r^2) (3 sqrt(3)/2)(1 - a^2) ((Rr - a)/(1 - aRr)^3 + 2a), written in
+    numpy with only + - * / and the cube as a product, so each cell is the
+    correctly rounded result of the same operations as a float evaluation."""
+    a, r = np.asarray(a, dtype=float), np.asarray(r, dtype=float)
+    x = scale * r
+    u = 1.0 - a * x
+    return scale * (1.0 - r * r) * (1.5 * math.sqrt(3.0) * (1.0 - a * a)
+                                    * ((x - a) / (u * u * u) + 2.0 * a))

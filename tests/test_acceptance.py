@@ -17,11 +17,12 @@ from blochbohr import (ExtremalSpec, ParameterDomainError,
                        circle_norms, coefficient_sum, criterion_check,
                        eval_series, extremal_coefficients, extremal_eval,
                        majorant, mobius_majorant_sup, theorem1_optimize,
-                       theorem1_root, theorem4_expression, theorem4_sup,
+                       theorem1_root, theorem4_sup,
                        best_test_ratio, theorem4_upper_bound, verify_sharpness,
                        weighted_radial_sup)
+from blochbohr.bounds import theorem4_grid_max
 from blochbohr.search import radii
-from conftest import random_polynomial, trig_quadrature_l2
+from conftest import random_polynomial, t4_table, trig_quadrature_l2
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -66,13 +67,14 @@ def test_criterion_03_theorem4_certificate_and_search():
 
 def test_criterion_04_theorem2_consistency():
     start = time.perf_counter()
+    top = theorem4_grid_max(1.0 / SQRT2)
+    elapsed = time.perf_counter() - start
     a = np.linspace(1e-6, 1.0 / np.sqrt(3.0) - 1e-9, 200)[:, None]
     r = np.linspace(0.0, 1.0, 2048)[None, :]
-    table = theorem4_expression(a, 1.0 / SQRT2, r)
-    elapsed = time.perf_counter() - start
-    assert table.max() <= 1.0 + 1e-9
+    assert top == t4_table(a, 1.0 / SQRT2, r).max()
+    assert top <= 1.0 + 1e-9
     assert elapsed < 30.0
-    report(4, f"max over 200x2048 grid at R=1/sqrt(2) is {table.max():.9f} "
+    report(4, f"max over 200x2048 grid at R=1/sqrt(2) is {top:.9f} "
               f"<= 1+1e-9, {elapsed:.2f}s < 30s")
 
 

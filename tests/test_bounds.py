@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -17,8 +21,8 @@ from blochbohr import bounds
 from blochbohr.bounds import (_COEF, A_MAX, EXCEED_THRESHOLD, S_RANGE, THEOREM4_A_GRID,
                               ProbeFunction, ScanReport, _t1_residual,
                               avkhadiev_majorant_closed_form)
-from blochbohr.search import scan_polish
-from conftest import mobius_series, random_polynomial
+from blochbohr.search import R_POINTS, grid, scan_polish
+from conftest import mobius_series, random_polynomial, t4_table
 
 SQRT2 = np.sqrt(2.0)
 
@@ -175,10 +179,13 @@ class TestTheorem4:
         assert value <= 1.0 + 1e-9
 
     def test_consistency_scan_at_sqrt2(self):
-        a = np.linspace(1e-6, 1 / np.sqrt(3.0) - 1e-9, 200)[:, None]
-        r = np.linspace(0.0, 1.0, 2048)[None, :]
-        table = theorem4_expression(a, 1.0 / SQRT2, r)
+        a = np.linspace(1e-6, 1 / np.sqrt(3.0) - 1e-9, 200)
+        r = np.linspace(0.0, 1.0, 2048)
+        table = t4_table(a[:, None], 1.0 / SQRT2, r[None, :])
         assert table.max() <= 1.0 + 1e-9
+        # the library's row at the table's best a, mapped over r, is the oracle's
+        i = int(np.argmax(table)) // r.size
+        assert theorem4_expression(a[i], 1.0 / SQRT2, r).tolist() == table[i].tolist()
 
     def test_pole(self):
         with pytest.raises(PoleError):
@@ -411,8 +418,8 @@ class TestTheorem5:
 
 
 def dense_sup(a, scale, r_points=100_001):
-    """max of ``theorem4_expression`` on a dense r grid, a lower bound of the sup."""
-    return float(theorem4_expression(a, scale, np.linspace(0.0, 1.0, r_points)).max())
+    """max of T4 (the ``t4_table`` oracle) on a dense r grid, a lower bound of the sup."""
+    return float(t4_table(a, scale, np.linspace(0.0, 1.0, r_points)).max())
 
 
 class TestQuinticSup:
@@ -576,7 +583,7 @@ class TestBestTestRatio:
         # inside; 0.5 takes the end, 0.52 and 0.55 the inside
         a_grid = np.linspace(1e-6, A_MAX - 1e-9, 2001)
         r_grid = np.linspace(0.0, 1.0, 2001)
-        table = theorem4_expression(a_grid[:, None], scale, r_grid[None, :])
+        table = t4_table(a_grid[:, None], scale, r_grid[None, :])
         value, a, r = best_test_ratio(scale)
         assert table.max() <= value * (1.0 + 4 * np.finfo(float).eps)
         assert value - table.max() <= 1e-6
@@ -719,27 +726,79 @@ class TestQuinticKernelOracle:
 
 
 class TestClosedFormFloatPath:
-    def test_float_path_matches_the_array_path(self):
+    """The closed forms take a float a and map over r or x: a list or an array
+    gives the float values, element by element, bit for bit."""
+
+    @staticmethod
+    def assert_mapped(f, xs):
+        floats = [f(x) for x in xs.tolist()]
+        assert all(type(v) is float for v in floats)
+        as_list, as_array = f(xs.tolist()), f(xs)
+        assert type(as_list) is list and isinstance(as_array, np.ndarray)
+        hexes = [v.hex() for v in floats]
+        assert [v.hex() for v in as_list] == hexes
+        assert [v.hex() for v in as_array.tolist()] == hexes
+
+    def test_theorem4_expression_maps_over_r(self):
         rng = np.random.default_rng(14)
-        a = rng.uniform(0.0, A_MAX, 10_000)
-        scale = rng.uniform(0.0, 1.0, 10_000)
-        r = rng.uniform(0.0, 1.0, 10_000)
-        for ak, sk, rk in zip(a.tolist(), scale.tolist(), r.tolist()):
-            fast = theorem4_expression(ak, sk, rk)
-            assert type(fast) is float
-            assert fast == theorem4_expression(np.asarray(ak), sk, np.asarray(rk))
+        for ak, sk in zip(rng.uniform(0.0, A_MAX, 100).tolist(),
+                          rng.uniform(0.0, 1.0, 100).tolist()):
+            self.assert_mapped(lambda r: theorem4_expression(ak, sk, r),
+                               rng.uniform(0.0, 1.0, 100))
 
-    def test_closed_form_float_path_matches_the_array_path(self):
+    def test_closed_form_maps_over_x(self):
         rng = np.random.default_rng(15)
-        a = rng.uniform(0.0, A_MAX, 10_000).tolist()
-        x = (rng.uniform(0.0, 1.0, 10_000) / np.asarray(a)).tolist()
         a_top = float(np.nextafter(A_MAX, 0.0))
-        edges = [(0.35, 0.0), (a_top, 0.0), (a_top, 0.9), (a_top, 1.7),
-                 (0.35, float(np.nextafter(1.0 / 0.35, 0.0)))]
-        for ak, xk in list(zip(a, x)) + edges:
-            assert ak * xk < 1.0
-            fast = avkhadiev_majorant_closed_form(ak, xk)
-            assert type(fast) is float
-            slow = avkhadiev_majorant_closed_form(np.asarray(ak), np.asarray(xk))
-            assert fast.hex() == slow.hex(), (ak, xk)
+        cases = [(ak, rng.uniform(0.0, 1.0, 100) / ak)
+                 for ak in rng.uniform(0.0, A_MAX, 100).tolist()]
+        cases += [(a_top, np.array([0.0, 0.9, 1.7])),
+                  (0.35, np.array([0.0, np.nextafter(1.0 / 0.35, 0.0)]))]
+        for ak, xs in cases:
+            assert np.all(ak * xs < 1.0)
+            self.assert_mapped(lambda x: avkhadiev_majorant_closed_form(ak, x), xs)
 
+    def test_a_list_loads_no_numpy(self):
+        calls = ("theorem4_expression(0.35, 0.769, [0.0, 0.5653113965903618, 1.0])",
+                 "avkhadiev_majorant_closed_form(0.35, [0.0, 0.9, 2.8])")
+        code = ("import sys; sys.modules['numpy'] = None\n"
+                "from blochbohr.bounds import avkhadiev_majorant_closed_form, theorem4_expression\n"
+                + "".join(f"print(repr({call}))\n" for call in calls))
+        env = dict(os.environ, PYTHONPATH=str(Path(bounds.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out == "".join(f"{eval(call)!r}\n" for call in calls)
+
+    def test_an_array_a_is_refused(self):
+        with pytest.raises(TypeError):
+            theorem4_expression(np.array([0.1, 0.2]), 0.5, 0.5)
+        with pytest.raises(TypeError):
+            avkhadiev_majorant_closed_form(np.array([0.1, 0.2]), 0.5)
+
+
+_grid_rng = random.Random(34)
+_GRID_MAX_SCALES = [_grid_rng.uniform(0.01, 0.99) for _ in range(50)]
+
+
+class TestTheorem4GridMax:
+    """theorem2-check's maximum of T4 over ``THEOREM4_A_GRID`` x ``R_POINTS`` radii."""
+
+    @pytest.mark.parametrize("scale", [1.0 / SQRT2] + _GRID_MAX_SCALES)
+    def test_is_the_table_maximum(self, scale):
+        table = t4_table(np.asarray(THEOREM4_A_GRID)[:, None], scale,
+                         np.asarray(grid(0.0, 1.0, R_POINTS)))
+        got = bounds.theorem4_grid_max(scale)
+        assert got.hex() == float(table.max()).hex()
+        assert got <= best_test_ratio(scale)[0] * (1.0 + 4 * np.finfo(float).eps)
+
+    def test_no_row_within_the_margin_is_skipped(self, monkeypatch):
+        # every row's sup reported alike: the rows are visited from the largest a
+        # down, and none may be skipped before the best row, an interior a
+        monkeypatch.setattr(bounds, "_row_sups", lambda scale: [2.0] * len(THEOREM4_A_GRID))
+        table = t4_table(np.asarray(THEOREM4_A_GRID)[:, None], 1.0 / SQRT2,
+                         np.asarray(grid(0.0, 1.0, R_POINTS)))
+        assert bounds.theorem4_grid_max(1.0 / SQRT2) == table.max()
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, float("nan")])
+    def test_scale_domain(self, scale):
+        with pytest.raises(ParameterDomainError, match=r"lie in \(0, 1\)"):
+            bounds.theorem4_grid_max(scale)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from blochbohr.bounds import (THEOREM4_A_GRID, best_test_ratio, theorem1_optimize,
-                              theorem1_root, theorem4_expression, theorem4_sup,
-                              theorem4_upper_bound)
+                              theorem1_root, theorem4_sup, theorem4_upper_bound)
 from blochbohr.cli import BOMBIERI_RADII, main
 from blochbohr.extremal import verify_sharpness
 from blochbohr.norms import _series_radial_sup, weighted_bloch_norm
 from blochbohr.search import R_POINTS, grid
 from blochbohr.series import TruncatedSeries
 from blochbohr.weights import criterion_check, find_admissible_r0, h_profile, weight_from_token
+from conftest import t4_table
 
 SQRT2 = np.sqrt(2.0)
 
@@ -303,9 +303,9 @@ def _admissible_report(token):
 
 
 def _table_max_at_sqrt2():
-    # one broadcast over the whole table; the CLI takes it in blocks of a rows
-    return float(theorem4_expression(np.asarray(THEOREM4_A_GRID)[:, None], 1.0 / SQRT2,
-                                     grid(0.0, 1.0, R_POINTS)).max())
+    # the whole table at once, in the independent numpy oracle
+    return float(t4_table(np.asarray(THEOREM4_A_GRID)[:, None], 1.0 / SQRT2,
+                          np.asarray(grid(0.0, 1.0, R_POINTS))).max())
 
 
 class TestOptionDefaults:

@@ -136,7 +136,7 @@ def test_grid_golden_max_runs_without_numpy():
 
 
 def test_theorem2_check_loads_numpy_and_series():
-    # its PCG64 sample stream and its 200 x R_POINTS table stay on numpy
+    # its PCG64 sample stream and the chain's circle norms stay on numpy
     loaded = loaded_after(
         "from blochbohr.cli import main; main(['theorem2-check', '--samples', '3'])")
     assert loaded["numpy"] and loaded["layers"] == [
