@@ -4,13 +4,8 @@ The Bloch norm of f = sum a_n z^n under a radial weight omega is
 |a_0| + sup_{z in D} omega(|z|) |f'(z)|, so it rests on the radial supremum
 sup_r omega(r) max_theta |g(r e^{i theta})| of the series g = f'.  That
 supremum has one implementation (``_series_radial_sup``, public as
-``weighted_radial_sup``): rough circle maxima on a radial grid, then a
-polish of the best bracket.  The rough scan runs in three levels and skips
-each radius whose weight times a rigorous bound on its circle maximum stays
-below the best score so far.  For a weight with a slope the radius is
-polished at a root of d/dr [omega M] (M the circle maximum, M' by the
-envelope theorem), a weight kink being a candidate of its own; a weight
-without a slope is polished by golden section.
+``weighted_radial_sup``): rough circle maxima on a radial grid, pruned by
+rigorous bounds on the circle maximum, then a polish of the best bracket.
 """
 
 from __future__ import annotations
@@ -43,11 +38,27 @@ class RadialSupReport(NamedTuple):
     witness_theta: float
 
 
+def _circle_max_bound(rs: np.ndarray, out: np.ndarray, scanned: np.ndarray,
+                      maj: np.ndarray, q: float) -> np.ndarray:
+    """u(r) of ``_series_radial_sup`` at the rows of ``rs`` between ``scanned`` ones."""
+    if not q < 1.0:
+        return (1.0 + _EPS) * maj
+    done = np.flatnonzero(scanned)
+    k = np.searchsorted(done, np.arange(rs.size))
+    lo, up = done[np.maximum(k - 1, 0)], done[k]
+    hat = (out + _EPS * maj) / math.sqrt(1.0 - q * q / 2.0)
+    with np.errstate(all="ignore"):  # s = 0 at r_lo = 0; Mh(r_lo) = 0 masked, NaN: the cap
+        s = np.log(rs[up] / rs) / np.log(rs[up] / rs[lo])
+        three = np.exp(s * np.log(hat[lo]) + (1.0 - s) * np.log(hat[up]))
+    return np.fmin((1.0 + _EPS) * maj, _EPS * maj + np.where(hat[lo] > 0.0, three, hat[up]))
+
+
 def _batch_circle_max(s: TruncatedSeries, rs: np.ndarray, theta_points: int,
                       weights: np.ndarray) -> np.ndarray:
-    """max_theta |f(r e^{i theta})| on the raw angle grid at each radius that
-    can hold the argmax of ``weights * out`` (see ``_series_radial_sup``),
-    0.0 elsewhere; negative or non-finite weights get every radius."""
+    """max_theta |f(r e^{i theta})| on the raw angle grid at each radius whose
+    weight times ``_circle_max_bound`` (three circles in r, second order in
+    theta, an eps maj slack) reaches the best row so far, 0.0 elsewhere;
+    negative or non-finite weights get every radius."""
     count = _angle_count(theta_points, s.coeffs.size)
     out = np.zeros(rs.size)
     rows = np.arange(rs.size)
@@ -61,13 +72,8 @@ def _batch_circle_max(s: TruncatedSeries, rs: np.ndarray, theta_points: int,
         if 0.0 < best < np.inf:
             if maj is None:
                 maj = coefficient_sum(s, rs)
-            upper = (1.0 + _EPS) * maj
-            if np.pi * s.order < count:
-                done = rows[scanned]
-                up = done[np.searchsorted(done, rows)]
-                upper = np.minimum(upper, _EPS * maj + (out[up] + _EPS * maj[up])
-                                   / (1.0 - np.pi * s.order / count))
-            level &= weights * upper >= best
+            level &= weights * _circle_max_bound(rs, out, scanned, maj,
+                                                 np.pi * s.order / count) >= best
         todo = rows[level]
         for part, values in _angle_grid_values(s.coeffs, rs[todo], count):
             out[todo[part]] = np.abs(values).max(axis=1)
@@ -95,13 +101,17 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight) -> RadialSupReport:
     coefficients the majorant sum (the circle maximum, at theta = 0); else it
     transforms the radii level by level, every ``_STRIDES``-th one (the first
     level with the last radius), and radius r only if w(r) u(r) >= best, the
-    best weighted row scanned so far.  Here u(r) = (1 + eps) maj(r) with
-    maj(r) = sum |a_k| r^k, or, when pi n < count (degree n, FFT size count),
-    the smaller Bernstein bound (rough(r_c) + eps maj(r_c)) / (1 - pi n /
-    count) + eps maj(r): M(r) = max_theta |f| grows with r and is within pi n
-    M / count of the samples at the next scanned radius r_c above.  eps = 1e-9
-    dwarfs the FFT's rounding, so u bounds the computed rough(r) and each
-    skipped row (0.0) scores below best: the argmax is that of the full scan.
+    best weighted row scanned so far.  u = (1 + eps) maj, maj(r) = sum |a_k|
+    r^k, or, for q = pi n / count < 1 (degree n, FFT size count), the smaller
+    eps maj + H.  As |f|^2 is a trig polynomial of degree n, Bernstein twice
+    bounds its d^2/dtheta^2 by n^2 M^2, and a grid angle lies within pi / count
+    of the maximum: M <= Mh = (rough + eps maj) / sqrt(1 - q^2 / 2).  log M is
+    convex in log r (Hadamard's three circles): between scanned r_lo and r_up,
+    H = Mh(r_lo)^s Mh(r_up)^(1 - s), s = log(r_up / r) / log(r_up / r_lo) (0
+    at r_lo = 0; H = Mh(r_up) where Mh(r_lo) = 0).  eps = 1e-9 dwarfs the
+    FFT's rounding and H's log/exp rounding (near 1e-12 relative at any SIMD
+    level, and H <= maj where it undercuts the cap), so u bounds the computed
+    rough(r), a skipped row (0.0) cannot win, and the argmax is the full scan's.
     By the envelope theorem M'(r) = d/dr |f(r e^{i theta*})| at the angle
     witness theta*, so a weight with a slope polishes the radius at a root of
     w' M + w M' (``scan_polish`` with the weight's kink), each side of the

@@ -693,7 +693,7 @@ def _outcome(sup, a, scale):
         return type(exc), str(exc)
 
 
-_SEEDED_SCALES = [random.Random(32).uniform(0.0, 1.0) for _ in range(50)]
+_SEEDED_SCALES = [rng.uniform(0.0, 1.0) for rng in [random.Random(32)] for _ in range(50)]
 
 
 class TestQuinticKernelOracle:

@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +13,8 @@ from blochbohr import (DivergenceRegionError, ExtremalSpec, ParameterDomainError
                        extremal_sup_modulus, majorant,
                        weight_from_token, weighted_bloch_norm,
                        weighted_bloch_seminorm, weighted_radial_sup)
-from blochbohr.norms import _batch_circle_max, _series_radial_sup
+from blochbohr import norms
+from blochbohr.norms import _EPS, _batch_circle_max, _circle_max_bound, _series_radial_sup
 from blochbohr.search import R_MAX, R_POINTS, THETA_POINTS, radii
 from blochbohr.series import _angle_count, _angle_grid_values
 from blochbohr.weights import Weight, builtin_weight
@@ -445,3 +449,167 @@ def test_pruned_rough_scan_falls_back_on_bad_weights(bad):
     assert not np.all((weights >= 0.0) & (weights < np.inf))
     pruned, full = _check_pruned_scan(coeffs, weights, radii, 256)
     assert np.array_equal(pruned, full)
+
+
+def _check_bound(coeffs, radii, theta_points, scanned):
+    """``_circle_max_bound`` from the full scan's values at the ``scanned`` rows
+    (the first and the last among them) is at least the full scan's value at
+    every other row.  Returns (bound, full, maj, q)."""
+    s = TruncatedSeries.polynomial(coeffs)
+    full = _full_rough(coeffs, radii, theta_points)
+    maj = coefficient_sum(s, radii)
+    q = np.pi * s.order / _angle_count(theta_points, coeffs.size)
+    bound = _circle_max_bound(radii, np.where(scanned, full, 0.0), scanned, maj, q)
+    assert np.all(bound[~scanned] >= full[~scanned])
+    return bound, full, maj, q
+
+
+def _scanned(n_rows, stride, extra=0.0, seed=0):
+    """Every ``stride``-th row and the last, as the rough scan's levels scan
+    them, plus a random share ``extra`` of the others."""
+    rows = np.arange(n_rows)
+    scanned = (rows % stride == 0) | (rows == n_rows - 1)
+    return scanned | (np.random.default_rng(seed).random(n_rows) < extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=_series_coeffs(), r_points=st.integers(3, 600),
+       stride=st.sampled_from([2, 3, 16, 256]), extra=st.sampled_from([0.0, 0.05, 0.5]),
+       seed=st.integers(0, 2 ** 32 - 1), theta_points=st.sampled_from([2, 8, 64, 256, 4096]),
+       r_max=st.one_of(st.just(R_MAX), st.floats(0.05, R_MAX)))
+def test_circle_max_bound_covers_every_skipped_row(coeffs, r_points, stride, extra, seed,
+                                                   theta_points, r_max):
+    _check_bound(np.asarray(coeffs, dtype=complex), np.linspace(0.0, r_max, r_points),
+                 theta_points, _scanned(r_points, stride, extra, seed))
+
+
+def _real_coeffs():
+    return np.random.default_rng(12).normal(size=13).astype(complex)
+
+
+def _aligned_coeffs():
+    # |a_k| e^{i (1 - 0.7 k)}: the circle maximum is the majorant sum, at theta = 0.7
+    rng = np.random.default_rng(13)
+    return rng.uniform(0.1, 2.0, 25) * np.exp(1j * (1.0 - 0.7 * np.arange(25)))
+
+
+def _degree(n):
+    rng = np.random.default_rng(n)
+    return rng.uniform(0.5, 1.0, n + 1) * np.exp(2j * np.pi * rng.random(n + 1))
+
+
+_RADII = np.linspace(0.0, R_MAX, 300)
+_SCANNED = _scanned(_RADII.size, 16)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("coeffs,theta_points", [
+    (_real_coeffs(), 64),
+    # q = 325 pi / 1024 = 0.9971, just below 1: the second-order bounds still apply
+    (_degree(325), 1024)], ids=["real", "q-below-1"])
+def test_circle_max_bound_undercuts_the_cap(coeffs, theta_points):
+    # |f| cancels on the circle, so the bounds come below the majorant sum
+    bound, _, maj, q = _check_bound(coeffs, _RADII, theta_points, _SCANNED)
+    assert q < 1.0 and np.all(bound <= (1.0 + _EPS) * maj)
+    assert np.any(bound[~_SCANNED] < maj[~_SCANNED])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("coeffs,theta_points", [
+    # aligned phases: the majorant sum is the circle maximum, nothing is below it
+    (_aligned_coeffs(), 256),
+    # q = 326 pi / 1024 = 1.0002: the second-order bounds do not apply
+    (_degree(326), 1024)], ids=["aligned", "q-past-1"])
+def test_circle_max_bound_is_the_cap(coeffs, theta_points):
+    bound, _, maj, _ = _check_bound(coeffs, _RADII, theta_points, _SCANNED)
+    assert np.array_equal(bound[~_SCANNED], (1.0 + _EPS) * maj[~_SCANNED])
+
+
+def _monotone(full, maj, q, up):
+    """The bound at the rows below the scanned row ``up``, r_lo = 0 with M(0) = 0:
+    the cap or eps maj + Mh(r_up), whichever is smaller."""
+    hat = (full[up] + _EPS * maj[up]) / math.sqrt(1.0 - q * q / 2.0)
+    return np.minimum((1.0 + _EPS) * maj[1:up], _EPS * maj[1:up] + hat)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_circle_max_bound_is_tight_on_a_monomial():
+    # M(r) = |c| r^n: log M is linear in log r, so Hadamard's bound holds with
+    # equality and only the angle factor 1/sqrt(1 - q^2/2) and the slack stay;
+    # maj, ten times the majorant sum, holds the cap out of the way
+    coeffs = np.zeros(31, dtype=complex)
+    coeffs[30] = cmath.rect(2.5, 1.1)
+    full = _full_rough(coeffs, _RADII, 256)
+    maj = 10.0 * coefficient_sum(TruncatedSeries.polynomial(coeffs), _RADII)
+    q = 30.0 * np.pi / 256.0
+    bound = _circle_max_bound(_RADII, np.where(_SCANNED, full, 0.0), _SCANNED, maj, q)
+    inner = ~_SCANNED & (_RADII > _RADII[16])
+    assert np.allclose(bound[inner], full[inner] / math.sqrt(1.0 - q * q / 2.0),
+                       rtol=1e-7, atol=0.0)
+    # M(0) = 0: below the first nonzero scanned radius the bound is Mh(r_up)
+    assert np.all(bound[1:16] == _monotone(full, maj, q, 16))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_circle_max_bound_next_to_a_zero_centre():
+    # a_0 = 0, so M(0) = 0 at r_lo = 0: log 0 is not taken, and the rows
+    # below the first nonzero scanned radius get the monotone bound
+    coeffs = np.array([0.0, 1.0, -0.5j, 0.25])
+    bound, full, maj, q = _check_bound(coeffs, _RADII, 64, _SCANNED)
+    assert np.all(np.isfinite(bound)) and np.all(bound[1:16] == _monotone(full, maj, q, 16))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_circle_max_bound_of_the_zero_series():
+    # every circle maximum and majorant is 0: the bound is 0, with no warning
+    bound, _, _, _ = _check_bound(np.zeros(6, dtype=complex), _RADII, 64, _SCANNED)
+    assert np.all(bound == 0.0)
+
+
+def _automorphism(a: complex, order: int) -> TruncatedSeries:
+    """(a - z)/(1 - conj(a) z) to order ``order``, with its geometric tail."""
+    coeffs = [a] + [-(1.0 - abs(a) ** 2) * a.conjugate() ** k for k in range(order)]
+    return TruncatedSeries(np.array(coeffs), abs(a), (1.0 - abs(a) ** 2) / abs(a))
+
+
+#: the norms command's four series shapes with their rough rows and
+#: ``circle_sup`` polish calls over the norm and the radial sup, both counted
+#: under the first-order bounds (M(r) <= M(r_up), Bernstein's 1/(1 - q))
+_NORMS_SHAPES = {
+    "automorphism-8-standard": (lambda: _automorphism(cmath.rect(0.6, 0.7), 8),
+                                lambda: builtin_weight("standard"), 338, 15),
+    "extremal-40-example2": (lambda: extremal_coefficients(ExtremalSpec(0.85, 2.0, 40)),
+                             lambda: builtin_weight("example2", r0=0.9, alpha=2.5), 76, 12),
+    "automorphism-60-example3": (lambda: _automorphism(cmath.rect(0.75, -2.2), 60),
+                                 lambda: builtin_weight("example3", r0=0.8, alpha=1.7), 103, 12),
+    "signed-4-standard": (lambda: TruncatedSeries.polynomial([0.3, 0.7, -0.4, 0.2, -0.9]),
+                          lambda: builtin_weight("standard"), 411, 14),
+}
+
+
+def test_second_order_bounds_halve_the_rough_rows(monkeypatch):
+    # the rough scan transforms fewer radii than under the first-order bounds,
+    # half as many over the four shapes, and the polish calls circle_sup as often
+    rows, calls = [], []
+    grid, sup = norms._angle_grid_values, norms.circle_sup
+
+    def recorded_grid(coeffs, radii, count):
+        rows.append(radii.size)
+        return grid(coeffs, radii, count)
+
+    def recorded_sup(s, r):
+        calls.append(r)
+        return sup(s, r)
+
+    monkeypatch.setattr(norms, "_angle_grid_values", recorded_grid)
+    monkeypatch.setattr(norms, "circle_sup", recorded_sup)
+    total = 0
+    for series, weight, parent_rows, parent_calls in _NORMS_SHAPES.values():
+        rows.clear()
+        calls.clear()
+        s, w = series(), weight()
+        weighted_bloch_norm(s, w)
+        _series_radial_sup(s, w)
+        assert sum(rows) < parent_rows and len(calls) == parent_calls
+        total += sum(rows)
+    assert 2 * total <= sum(shape[2] for shape in _NORMS_SHAPES.values())
