@@ -32,7 +32,6 @@ _EXPORTS = {
         extremal_coefficients extremal_eval extremal_majorant_sum extremal_sup_modulus
         verify_sharpness""",
     "norms": "RadialSupReport weighted_bloch_norm weighted_bloch_seminorm weighted_radial_sup",
-    "search": "bisect_root golden_max grid_golden_max trisect_min",
     "series": """CircleNorms SeriesValue TruncatedSeries circle_norms circle_sup coefficient_sum
         derivative eval_series majorant scale_argument tail_bound""",
     "weights": """CriterionReport Weight builtin_weight criterion_bound criterion_check

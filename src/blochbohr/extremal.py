@@ -24,9 +24,8 @@ from typing import NamedTuple
 
 from .errors import (DivergenceRegionError, ParameterDomainError, PoleError,
                      PreconditionError)
-from .interval import Radii
-from .search import SQRT2, mapped, scan_polish
-from .weights import CRITERION_R_POINTS, Weight, _check_r0, criterion_check
+from .search import CRITERION_R_POINTS, SQRT2, Radii, mapped, scan_polish
+from .weights import Weight, _check_r0, criterion_check
 
 _C = 0.5 * SQRT2  # 1/sqrt(2) correctly rounded; 1/SQRT2 is one ulp low
 DEFAULT_ORDER = 256  # truncation of ``extremal_coefficients``
@@ -186,8 +185,8 @@ def verify_sharpness(w: Weight, r0: float) -> SharpnessReport:
     Requires the weight to pass the admissibility criterion at r0
     (PreconditionError otherwise), which bounds the majorant side by its
     value at r0 up to a relative 1.71 ``CRITERION_TOL``: that side is taken
-    there, witness r0.  The sup side is scanned on ``radii(CRITERION_R_POINTS)``
-    plus r0, its kink, by branch-and-bound and polished at a root of its
+    there, witness r0.  The sup side is scanned on ``Radii(CRITERION_R_POINTS, r0)``
+    (r0 is its kink) by branch-and-bound and polished at a root of its
     slope omega' M + omega M', M' = r0/(2 (r0 +- r/sqrt(2))^2) (+ up to r0,
     - beyond it), or by golden section for a weight without ``slope``.
     """

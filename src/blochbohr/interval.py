@@ -8,16 +8,15 @@ at the ends bound every rounded result inside, with no outward rounding.  libm's
 (interval analysis after Moore, 1966).  A comparison answers only when the boxes
 decide it and raises ``Undecided`` otherwise; ``if box:`` raises ``TypeError``, and
 with no ``__float__``, ``__index__`` or ``__hash__`` so does ``math.exp(box)``.
+It imports only ``errors``, and loads when ``search.scan_polish`` runs a box scan.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from heapq import heappop, heappush
 
 from .errors import BlochBohrError
-from .search import R_MAX
 
 #: a range of at most this many grid points is evaluated point by point
 LEAF = 4
@@ -137,30 +136,6 @@ class Interval:
 def _ulps(x: float, toward: float) -> float:
     """x moved 2 ulps toward ``toward``."""
     return math.nextafter(math.nextafter(x, toward), toward)
-
-
-class Radii:
-    """``search.radii(n)``, with ``extra`` in its place unless it is a point
-    already, as a sequence that computes each point when it is read."""
-
-    def __init__(self, n: int, extra: float | None = None):
-        # ``at`` is the index of ``extra``; n, past the end, while there is none
-        self.n, self.last, self.step, self.at = n, n - 1, R_MAX / (n - 1), n
-        if extra is not None:
-            at = bisect_left(self, extra)
-            if at == n or self[at] != extra:
-                self.n, self.at, self.extra = n + 1, at, extra
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, k: int) -> float:
-        if not 0 <= k < self.n:
-            raise IndexError(k)
-        if k == self.at:
-            return self.extra
-        k -= k > self.at
-        return R_MAX if k == self.last else k * self.step
 
 
 def grid_best(f, xs, minimize: bool = False) -> tuple:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterDomainError
-from .search import R_MAX, R_POINTS, THETA_POINTS, radii, scan_polish
+from .search import R_MAX, R_POINTS, THETA_POINTS, grid, scan_polish
 from .series import (TruncatedSeries, _angle_count, _angle_grid_values, _check_certified,
                      _check_moduli, _horner_pair, circle_sup, coefficient_sum, derivative)
 from .weights import Weight
@@ -96,7 +96,7 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight) -> RadialSupReport:
     """sup_r w(r) max_theta |f(r e^{i theta})| with its witness point.
 
     The circle maximum M(r) and its witness angle come from ``circle_sup``,
-    once per radius of ``radii(R_POINTS)``.  Ties resolve to the smallest
+    once per radius of ``grid(0, R_MAX, R_POINTS)``.  Ties resolve to the smallest
     witness radius.  The rough scan picks the bracket: for real nonnegative
     coefficients the majorant sum (the circle maximum, at theta = 0); else it
     transforms the radii level by level, every ``_STRIDES``-th one (the first
@@ -117,7 +117,7 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight) -> RadialSupReport:
     w' M + w M' (``scan_polish`` with the weight's kink), each side of the
     kink on its own; a weight without a slope polishes it by golden section.
     """
-    rs = np.asarray(radii(R_POINTS))
+    rs = np.asarray(grid(0.0, R_MAX, R_POINTS))
     _check_certified(s, R_MAX, "radial scan")
     weights = np.asarray(w(rs))
     rough = (coefficient_sum(s, rs) if s.is_nonnegative

@@ -12,14 +12,17 @@ weight without a slope by golden section, the worst criterion margin by
 trisection.  On the angle circle the bracket wraps; elsewhere it is clipped.
 The Theorem 1 roots and the least Theorem 4 scale come from ``bisect_root``,
 Newton in a sign-change bracket, to a step of a few ulps, with no tolerance.
-Grids are lists of floats and all of this runs without numpy.  The scan
-sizes (``R_POINTS``, ``THETA_POINTS``, ``PROFILE_POINTS``) and ``SQRT2`` live
-here, so the CLI's parser reads its defaults without loading ``weights``.
+Grids are lists of floats, or ``Radii``, the radial grid with an anchor added
+as a point, computed as it is read; all of this runs without numpy.  The scan
+sizes (``R_POINTS``, ``THETA_POINTS``, ``PROFILE_POINTS``, ``CRITERION_R_POINTS``)
+and ``SQRT2`` live here, so the CLI's parser reads its defaults without loading
+``weights``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable
 
 from .errors import ConvergenceError, NoSignChangeError, ParameterDomainError
@@ -29,10 +32,12 @@ SQRT2 = math.sqrt(2.0)
 
 #: the radial sample count of the series sups and of theorem2-check's table,
 #: the number of angles of a circle scan, the default sample count of
-#: ``weights.h_profile``, and the outer radius of every radial scan
+#: ``weights.h_profile``, the radial sample count of criterion checks and
+#: sharpness scans, and the outer radius of every radial scan
 R_POINTS = 2048
 THETA_POINTS = 4096
 PROFILE_POINTS = 512
+CRITERION_R_POINTS = 10_000
 R_MAX = 1.0 - 1e-6
 
 
@@ -45,9 +50,30 @@ def grid(lo: float, hi: float, n_points: int) -> list[float]:
     return [lo + i * step for i in range(n_points - 1)] + [hi]
 
 
-def radii(n_points: int) -> list[float]:
-    """``n_points`` uniform radii covering [0, ``R_MAX``]."""
-    return grid(0.0, R_MAX, n_points)
+class Radii:
+    """``grid(0, R_MAX, n)``, bit for bit, with ``extra`` in its place unless it
+    is a point already, as a sequence that computes each point when it is read."""
+
+    def __init__(self, n: int, extra: float | None = None):
+        if n < 2:
+            raise ParameterDomainError(f"a scan needs at least 2 points, got {n}")
+        # ``at`` is the index of ``extra``; n, past the end, while there is none
+        self.n, self.last, self.step, self.at = n, n - 1, R_MAX / (n - 1), n
+        if extra is not None:
+            at = bisect_left(self, extra)
+            if at == n or self[at] != extra:
+                self.n, self.at, self.extra = n + 1, at, extra
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, k: int) -> float:
+        if not 0 <= k < self.n:
+            raise IndexError(k)
+        if k == self.at:
+            return self.extra
+        k -= k > self.at
+        return R_MAX if k == self.last else k * self.step
 
 
 def mapped(body: Callable, x):

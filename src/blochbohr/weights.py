@@ -16,17 +16,14 @@ boxes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import ParameterDomainError, ZeroDenominatorError
-from .search import PROFILE_POINTS, R_MAX, SQRT2, mapped, radii, scan_polish
+from .search import (CRITERION_R_POINTS, PROFILE_POINTS, R_MAX, SQRT2, Radii, mapped,
+                     scan_polish)
 
 R0_MIN = 1.0 / SQRT2
-
-#: radial sample count of criterion checks and sharpness scans
-CRITERION_R_POINTS = 10_000
 
 #: equality in the criterion is admissible, so passing tolerates tiny rounding
 CRITERION_TOL = 1e-12
@@ -179,7 +176,7 @@ def criterion_bound(r, r0: float):
 def criterion_check(w: Weight, r0: float) -> CriterionReport:
     """Scan h(r) - omega(r)/omega(r0) over [0, 1) and report the worst margin.
 
-    The minimum over ``radii(CRITERION_R_POINTS)``, found by branch-and-bound
+    The minimum over ``Radii(CRITERION_R_POINTS)``, found by branch-and-bound
     on boxes, is polished by trisection to a 1e-12 width.  Two named
     candidates join it: r0, where h(r0) = 1 = omega(r0)/omega(r0) makes the
     margin exactly 0, so a passing anchor reports its true minimum; and the
@@ -195,7 +192,6 @@ def criterion_check(w: Weight, r0: float) -> CriterionReport:
     if not math.isfinite(w0):
         raise ParameterDomainError(f"weight {w.name} is not finite at r0 = {r0}")
 
-    from .interval import Radii  # loaded only where a scan runs
     omegas = _omegas(r0)
     worst_r, worst = scan_polish(lambda r: min(omegas(r)) - w.fn(r) / w0,
                                  Radii(CRITERION_R_POINTS), minimize=True)
@@ -204,12 +200,6 @@ def criterion_check(w: Weight, r0: float) -> CriterionReport:
     passed = worst >= -CRITERION_TOL
     return CriterionReport(r0=r0, passed=passed, worst_margin=worst,
                            violation_witness=None if passed else worst_r)
-
-
-def _with_point(xs: list, x: float) -> list:
-    """The sorted, distinct ``xs`` with ``x`` in its place (a new list if added)."""
-    i = bisect_left(xs, x)
-    return xs if i < len(xs) and xs[i] == x else xs[:i] + [x] + xs[i:]
 
 
 def find_admissible_r0(w: Weight) -> Optional[tuple[float, CriterionReport]]:
@@ -238,12 +228,10 @@ def find_admissible_r0(w: Weight) -> Optional[tuple[float, CriterionReport]]:
 def h_profile(r0: float, n_points: int = PROFILE_POINTS) -> list[list[float]]:
     """Tabulate (r, omega1, omega2, h) for plotting.
 
-    Returns the rows (lists of floats) over ``radii(n_points)`` plus the
+    Returns the rows (lists of floats) over ``Radii(n_points)`` plus the
     anchor r0 when it lies there, so the h(r0) = 1 corner is present.  h is
     decreasing everywhere and convex left of r0.
     """
     r0 = _check_r0(r0)
-    rs = radii(n_points)
-    if r0 <= R_MAX:
-        rs = _with_point(rs, r0)
+    rs = list(Radii(n_points, r0 if r0 <= R_MAX else None))
     return [[r, *omegas, min(omegas)] for r, omegas in zip(rs, map(_omegas(r0), rs))]

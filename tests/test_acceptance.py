@@ -21,7 +21,7 @@ from blochbohr import (ExtremalSpec, ParameterDomainError,
                        best_test_ratio, theorem4_upper_bound, verify_sharpness,
                        weighted_radial_sup)
 from blochbohr.bounds import theorem4_grid_max
-from blochbohr.search import radii
+from blochbohr.search import R_MAX, grid
 from conftest import random_polynomial, t4_table, trig_quadrature_l2
 
 SQRT2 = float(np.sqrt(2.0))
@@ -164,7 +164,8 @@ def test_criterion_09_avkhadiev_checks():
         avkhadiev_coefficients(0.6)
     std = builtin_weight("standard")
     ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False))
-    rough = max(std(r) * np.abs(avkhadiev_eval(0.35, r * ring)).max() for r in radii(2048))
+    rough = max(std(r) * np.abs(avkhadiev_eval(0.35, r * ring)).max()
+                for r in grid(0.0, R_MAX, 2048))
     assert abs(rough - 1.0) <= 1e-4
     refined = weighted_radial_sup(avkhadiev_coefficients(0.35), std)
     assert abs(refined.value - 1.0) <= 1e-8

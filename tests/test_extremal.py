@@ -13,9 +13,8 @@ from blochbohr import (DivergenceRegionError, ExtremalSpec,
                        eval_series, extremal_coefficients, extremal_eval,
                        criterion_bound, extremal_majorant_sum,
                        extremal_sup_modulus, interval, verify_sharpness)
-from blochbohr.interval import Radii
-from blochbohr.search import radii, scan_polish
-from blochbohr.weights import CRITERION_R_POINTS, CRITERION_TOL, R0_MIN
+from blochbohr.search import CRITERION_R_POINTS, R_MAX, Radii, grid, scan_polish
+from blochbohr.weights import CRITERION_TOL, R0_MIN
 from conftest import hand_built
 
 SQRT2 = np.sqrt(2.0)
@@ -365,7 +364,7 @@ class TestMajorantSide:
         # omega1 >= 2 - sqrt(2): the scan can exceed the value at r0 by 1.71 tol
         base = builtin_weight("example2", r0=0.8, alpha=2)
         h = lambda r: min(2.0 - r / 0.8, (math.sqrt(2.0) * 0.8 + r) / (math.sqrt(2.0) * r + 0.8))
-        fns = dict(hand_built(radii(CRITERION_R_POINTS)), **{
+        fns = dict(hand_built(grid(0.0, R_MAX, CRITERION_R_POINTS)), **{
             "h": h,
             "small-spike": lambda r: base.fn(r) + 0.1 * (abs(r - 0.3) < 2e-4),
             "spike-to-h": lambda r: h(r) if abs(r - 0.9) < 2e-4 else base.fn(r),

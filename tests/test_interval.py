@@ -11,9 +11,9 @@ import pytest
 from blochbohr import Weight, builtin_weight, criterion_check, verify_sharpness
 from blochbohr import extremal, interval, search, weights
 from blochbohr.errors import BlochBohrError
-from blochbohr.interval import Interval, Radii, Undecided, grid_best
-from blochbohr.search import R_MAX, radii
-from blochbohr.weights import R0_MIN, _with_point
+from blochbohr.interval import Interval, Undecided, grid_best
+from blochbohr.search import R_MAX, grid
+from blochbohr.weights import R0_MIN
 from conftest import hand_built
 
 
@@ -153,9 +153,9 @@ class TestScan:
             run_both(w, random_anchor(rng, w))
         assert len(scans) >= 400
 
-    @pytest.mark.parametrize("name", list(hand_built(radii(10_000))))
+    @pytest.mark.parametrize("name", list(hand_built(grid(0.0, R_MAX, 10_000))))
     def test_hand_built_weights_match_the_list_scan(self, scans, name):
-        rs = radii(10_000)
+        rs = grid(0.0, R_MAX, 10_000)
         w = Weight(name, hand_built(rs)[name], limit_at_one=0.0, kink=0.8)
         for r0 in (0.8, 0.9, 1.0):
             run_both(w, r0)
@@ -165,13 +165,13 @@ class TestScan:
             assert repr(grid_best(body, xs, minimize)) == repr((i, vals[i]))
 
     def test_a_single_grid_point_is_found(self):
-        rs = radii(10_000)
+        rs = grid(0.0, R_MAX, 10_000)
         f = lambda r: 1.0 if r == rs[9000] else 0.0
         assert grid_best(f, rs) == (9000, 1.0)
         assert grid_best(lambda r: -f(r), rs, minimize=True) == (9000, -1.0)
 
     def test_ties_go_to_the_first_index(self):
-        xs = radii(1000)
+        xs = grid(0.0, R_MAX, 1000)
         # the tie at index 700 is found first, since no box holding it decides
         # r == xs[700], and the one at 0 still wins
         assert grid_best(lambda r: 1.0 if r == xs[700] or r < xs[100] else 0.5,
@@ -181,7 +181,7 @@ class TestScan:
         assert grid_best(lambda r: min(r, 0.5), xs)[0] == xs.index(min(x for x in xs if x >= 0.5))
 
     def test_nan_values_rank_as_the_list_does(self):
-        xs = radii(100)
+        xs = grid(0.0, R_MAX, 100)
         f = lambda r: math.nan if r > 0.5 else r
         vals = list(map(f, xs))
         assert grid_best(f, xs) == (vals.index(max(vals)), max(vals))
@@ -209,21 +209,3 @@ class TestScan:
             run_both(w, random_anchor(rng, w))
         assert len(counts) >= 100
         assert max(map(len, counts)) < 300
-
-
-class TestRadii:
-    def test_points_are_the_radii_list(self):
-        rng = random.Random(6)
-        for n in [2, 3, 7, 100, 10_000] + [rng.randint(2, 5000) for _ in range(20)]:
-            rs = radii(n)
-            for extra in (None, 0.0, R_MAX, 1.0, rs[n // 2], rng.uniform(0.0, 1.0)):
-                want = rs if extra is None else _with_point(rs, extra)
-                got = Radii(n, extra)
-                assert len(got) == len(want)
-                assert np.asarray(list(got)).tobytes() == np.asarray(want).tobytes()
-
-    def test_index_range(self):
-        with pytest.raises(IndexError):
-            Radii(5)[5]
-        with pytest.raises(IndexError):
-            Radii(5)[-1]

@@ -15,7 +15,7 @@ from blochbohr import (DivergenceRegionError, ExtremalSpec, ParameterDomainError
                        weighted_bloch_seminorm, weighted_radial_sup)
 from blochbohr import norms
 from blochbohr.norms import _EPS, _batch_circle_max, _circle_max_bound, _series_radial_sup
-from blochbohr.search import R_MAX, R_POINTS, THETA_POINTS, radii
+from blochbohr.search import R_MAX, R_POINTS, THETA_POINTS, grid
 from blochbohr.series import _angle_count, _angle_grid_values
 from blochbohr.weights import Weight, builtin_weight
 from conftest import mobius_series, random_polynomial
@@ -102,7 +102,8 @@ class TestRadialSup:
     @pytest.mark.parametrize("a", [0.1, 0.2, 0.3, 0.35])
     def test_unit_sup_function(self, a, std):
         ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False))
-        rough = max(std(r) * np.abs(avkhadiev_eval(a, r * ring)).max() for r in radii(1024))
+        rough = max(std(r) * np.abs(avkhadiev_eval(a, r * ring)).max()
+                    for r in grid(0.0, R_MAX, 1024))
         assert rough == pytest.approx(1.0, abs=1e-4)
         refined = weighted_radial_sup(avkhadiev_coefficients(a), std)
         assert refined.value == pytest.approx(1.0, abs=1e-8)
@@ -173,7 +174,7 @@ class TestRadialWitnessAtSlopeRoot:
         # r = 0, where f = iz vanishes and the envelope slope is 0/0; the right
         # derivative |f'(0)| takes its place
         k = 5000.0
-        assert 1.0 / k < radii(R_POINTS)[1]
+        assert 1.0 / k < grid(0.0, R_MAX, R_POINTS)[1]
         w = Weight("exp", lambda r: np.exp(-k * r), slope=lambda r: -k * np.exp(-k * r))
         value, r, _ = _series_radial_sup(TruncatedSeries.polynomial([0.0, 1.0j]), w)
         assert abs(r - 1.0 / k) <= 1e-12
@@ -346,7 +347,7 @@ class TestSeminormClosedForms:
         from blochbohr import avkhadiev_eval
         rep = weighted_radial_sup(avkhadiev_coefficients(0.3), std)
         theta = np.linspace(0.0, 2.0 * np.pi, THETA_POINTS, endpoint=False)
-        for r in radii(128)[::16]:
+        for r in grid(0.0, R_MAX, 128)[::16]:
             sampled = std(float(r)) * np.abs(
                 avkhadiev_eval(0.3, r * np.exp(1j * theta))).max()
             assert rep.value >= sampled - 1e-12

@@ -1,14 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from blochbohr import (ConvergenceError, NoSignChangeError,
-                       ParameterDomainError, bisect_root, golden_max, grid_golden_max,
-                       trisect_min)
-from blochbohr.search import R_MAX, R_POINTS, falsi_peak, grid, radii, scan_polish
+from blochbohr import ConvergenceError, NoSignChangeError, ParameterDomainError
+from blochbohr.search import (CRITERION_R_POINTS, R_MAX, R_POINTS, Radii, bisect_root,
+                              falsi_peak, golden_max, grid, grid_golden_max, scan_polish,
+                              trisect_min)
 
 
 def test_golden_max_quadratic():
@@ -156,8 +157,8 @@ def test_scan_needs_two_points(scan):
 
 @pytest.mark.parametrize("n", [1, 0, -1])
 def test_h_profile_size_shares_the_grid_rule(n):
-    # the one library scan size a caller sets (h-profile --n) goes through
-    # ``grid``'s check and message
+    # the one library scan size a caller sets (h-profile --n) meets ``Radii``'s
+    # check, with ``grid``'s message
     from blochbohr.weights import h_profile
     with pytest.raises(ParameterDomainError) as exc:
         h_profile(0.8, n_points=n)
@@ -171,7 +172,7 @@ def _scan_calls():
     from blochbohr.norms import (_series_radial_sup, weighted_bloch_norm,
                                  weighted_bloch_seminorm, weighted_radial_sup)
     from blochbohr.series import TruncatedSeries
-    from blochbohr.weights import CRITERION_R_POINTS, builtin_weight, criterion_check
+    from blochbohr.weights import builtin_weight, criterion_check
     std, const = builtin_weight("standard"), builtin_weight("constant")
     z = TruncatedSeries.polynomial([0.0, 1.0])
     signed = TruncatedSeries.polynomial([1.0, -2.0, 3.0])
@@ -194,25 +195,21 @@ def _scan_calls():
 
 @pytest.mark.parametrize("name", list(_scan_calls()))
 def test_scans_run_at_the_library_size(name, monkeypatch):
-    # every grid a scan builds has the library's size, whatever the input
-    from blochbohr import extremal, interval, norms
+    # every radial grid a scan hands to ``scan_polish`` has the library's size,
+    # whatever the input; the sharpness sup side adds its anchor, r0 = 1, past R_MAX
+    from blochbohr import extremal, norms, search, weights
     sizes = []
 
-    class Recorded(interval.Radii):
-        def __init__(self, n, extra=None):
-            sizes.append(n)
-            super().__init__(n, extra)
+    def recorded(f, xs, *args, **kw):
+        sizes.append(len(xs))
+        return search.scan_polish(f, xs, *args, **kw)
 
-    def recorded_radii(n):
-        sizes.append(n)
-        return radii(n)
-
-    monkeypatch.setattr(interval, "Radii", Recorded)
-    monkeypatch.setattr(extremal, "Radii", Recorded)
-    monkeypatch.setattr(norms, "radii", recorded_radii)
+    for module in (weights, extremal, norms):
+        monkeypatch.setattr(module, "scan_polish", recorded)
     call, size = _scan_calls()[name]
     call()
-    assert sizes and set(sizes) == {size}
+    want = {size, size + 1} if name == "verify_sharpness" else {size}
+    assert set(sizes) == want
 
 
 @pytest.mark.parametrize("name,keyword", [
@@ -268,13 +265,36 @@ def test_scan_polish_minimizes_a_kink():
     assert 0.0 <= fx < 1e-10
 
 
-def test_radii():
-    for n in (1, 0, -1):
-        with pytest.raises(ParameterDomainError, match=f"got {n}$"):
-            radii(n)
-    rs = radii(11)
-    assert rs[0] == 0.0 and rs[-1] == R_MAX and len(rs) == 11
-    assert np.array_equal(radii(R_POINTS), np.linspace(0.0, 1.0 - 1e-6, 2048))
+class TestRadii:
+    """``Radii(n, x)`` is the sorted union of ``grid(0, R_MAX, n)`` and x."""
+
+    def test_points_are_the_grid_with_the_anchor_added(self):
+        rng = random.Random(6)
+        for n in [2, 3, 7, 100, R_POINTS, CRITERION_R_POINTS] + [
+                rng.randint(2, 5000) for _ in range(20)]:
+            rs = grid(0.0, R_MAX, n)
+            assert _bits(list(Radii(n))) == _bits(rs) and len(Radii(n)) == n
+            # 0.0, R_MAX and a middle radius are grid points; 1 (the anchor of
+            # ``sharpness --r0 1``) lies past R_MAX
+            for x in (0.0, R_MAX, 1.0, rs[n // 2], rng.uniform(0.0, 1.0),
+                      rng.uniform(R_MAX, 1.0)):
+                want = sorted({*rs, x})
+                assert _bits(want) == _bits(np.union1d(np.linspace(0.0, R_MAX, n), [x]))
+                got = Radii(n, x)
+                assert len(got) == len(want) and _bits(list(got)) == _bits(want)
+
+    @pytest.mark.parametrize("x", [None, 0.5, 1.0])
+    def test_index_range(self, x):
+        rs = Radii(5, x)
+        for k in (len(rs), -1):
+            with pytest.raises(IndexError):
+                rs[k]
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_grid_rule(self, n):
+        with pytest.raises(ParameterDomainError) as exc:
+            Radii(n)
+        assert str(exc.value) == f"a scan needs at least 2 points, got {n}"
 
 
 def _bits(xs) -> bytes:
@@ -298,7 +318,7 @@ def test_library_grids_are_linspace_bit_for_bit():
     from blochbohr.cli import BOMBIERI_RADII
     from blochbohr.weights import SQRT2
     for n in range(2, 5000):
-        assert _bits(radii(n)) == _bits(np.linspace(0.0, R_MAX, n)), n
+        assert _bits(grid(0.0, R_MAX, n)) == _bits(np.linspace(0.0, R_MAX, n)), n
     assert _bits(THEOREM4_A_GRID) == _bits(np.linspace(1e-6, A_MAX - 1e-9, 200))
     assert _bits(grid(0.0, 1.0, R_POINTS)) == _bits(np.linspace(0.0, 1.0, R_POINTS))
     assert _bits(grid(1 / 3, 1 / SQRT2, BOMBIERI_RADII)) == _bits(
