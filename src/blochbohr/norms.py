@@ -115,7 +115,7 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight) -> RadialSupReport:
     By the envelope theorem M'(r) = d/dr |f(r e^{i theta*})| at the angle
     witness theta*, so a weight with a slope polishes the radius at a root of
     w' M + w M' (``scan_polish`` with the weight's kink), each side of the
-    kink on its own; a weight without a slope polishes it by golden section.
+    kink on its own; a weight without a slope polishes each by golden section.
     """
     rs = np.asarray(grid(0.0, R_MAX, R_POINTS))
     _check_certified(s, R_MAX, "radial scan")

@@ -8,8 +8,9 @@ to a 1e-12 width.  A maximum with an analytic slope (``series.circle_sup``
 over the angle, the radial sups of ``norms`` and ``extremal.verify_sharpness``
 over r, ``bounds.best_test_ratio`` over a) is polished by Illinois regula
 falsi on its root (``falsi_peak``), to about eps, not sqrt(eps); one under a
-weight without a slope by golden section, the worst criterion margin by
-trisection.  On the angle circle the bracket wraps; elsewhere it is clipped.
+weight without a slope, and the worst criterion margin, by golden section;
+a weight's kink in the bracket is a candidate of every mode, each side of it
+polished apart.  On the angle circle the bracket wraps; elsewhere it is clipped.
 The Theorem 1 roots and the least Theorem 4 scale come from ``bisect_root``,
 Newton in a sign-change bracket, to a step of a few ulps, with no tolerance.
 Grids are lists of floats, or ``Radii``, the radial grid with an anchor added
@@ -147,30 +148,11 @@ def falsi_peak(f: Callable, slope: Callable, lo: float, hi: float) -> tuple:
 
 
 def trisect_min(f: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """Minimize a scalar function on [lo, hi] by trisection to a 1e-12 bracket.
-
-    Returns the best (argmin, min) among all probed points.
-    """
-    a, b = float(lo), float(hi)
-    best_x, best_f = a, float(f(a))
-    fb = float(f(b))
-    if fb < best_f:
-        best_x, best_f = b, fb
-    for _ in range(300):
-        if b - a <= 1e-12:
-            break
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        f1, f2 = float(f(m1)), float(f(m2))
-        if f1 < best_f:
-            best_x, best_f = m1, f1
-        if f2 < best_f:
-            best_x, best_f = m2, f2
-        if f1 <= f2:
-            b = m2
-        else:
-            a = m1
-    return best_x, best_f
+    """(argmin, min) of f on [lo, hi]: ``golden_max`` of -f.  The name stays only
+    because ``perfbench/shim.py`` pins it and ``perfbench/tests`` counts its
+    evaluations (ROADMAP item 1)."""
+    x, fx = golden_max(lambda t: -f(t), lo, hi)
+    return x, -fx
 
 
 def bisect_root(g: Callable, lo: float, hi: float) -> float:
@@ -224,12 +206,12 @@ def scan_polish(f: Callable, xs, values=None, *, minimize: bool = False,
     values are only a cheap stand-in (an unpolished profile) and f scores the winner.  Its
     bracket of one step either side wraps around when ``xs`` covers one
     ``period`` (the witness then reduced to [0, period)) and is clipped to
-    the grid otherwise.  ``golden_max`` (``trisect_min``) polishes it to a
-    1e-12 width, or, given a ``slope`` with the sign of f', ``falsi_peak``.
-    A ``kink`` of f (where f' jumps) in the bracket is then a candidate of its
-    own, and each side of it is polished with the slope taken off the kink,
-    the one-sided slope.  The best candidate, ties going to the smallest
-    argument, is kept only when strictly better, so plateau witnesses stay put.
+    the grid otherwise.  ``golden_max`` (``trisect_min``, golden section on -f)
+    polishes it to a 1e-12 width, or, given a ``slope`` with the sign of f',
+    ``falsi_peak``.  In every mode a ``kink`` of f (where f' jumps) in the
+    bracket is a candidate, each side of it polished apart (a slope off the
+    kink, one-sided).  The best candidate, ties to the smallest argument, is
+    kept only when strictly better, so plateau witnesses stay put.
     """
     if len(xs) < 2:
         raise ParameterDomainError(f"a scan needs at least 2 points, got {len(xs)}")
@@ -250,17 +232,14 @@ def scan_polish(f: Callable, xs, values=None, *, minimize: bool = False,
         step = float(xs[1] - xs[0])
         a, b = best_x - step, best_x + step
     if b > a:
-        if minimize:
-            x, fx = trisect_min(f, a, b)
-        elif slope is None:
-            x, fx = golden_max(f, a, b)
-        elif kink is not None and a <= kink <= b:
-            x, fx = max((falsi_peak(f, slope, a, math.nextafter(kink, a)),
-                         (kink, float(f(kink))),
-                         falsi_peak(f, slope, math.nextafter(kink, b), b)),
-                        key=lambda p: p[1])
+        polish = (trisect_min if minimize else golden_max if slope is None
+                  else lambda g, lo, hi: falsi_peak(g, slope, lo, hi))
+        if kink is not None and a <= kink <= b:
+            x, fx = (min if minimize else max)(
+                (polish(f, a, math.nextafter(kink, a)), (kink, float(f(kink))),
+                 polish(f, math.nextafter(kink, b), b)), key=lambda p: p[1])
         else:
-            x, fx = falsi_peak(f, slope, a, b)
+            x, fx = polish(f, a, b)
         if (fx < best_f) if minimize else (fx > best_f):
             best_x, best_f = (x if period is None else x % period), fx
     return best_x, best_f

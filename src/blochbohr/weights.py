@@ -177,11 +177,12 @@ def criterion_check(w: Weight, r0: float) -> CriterionReport:
     """Scan h(r) - omega(r)/omega(r0) over [0, 1) and report the worst margin.
 
     The minimum over ``Radii(CRITERION_R_POINTS)``, found by branch-and-bound
-    on boxes, is polished by trisection to a 1e-12 width.  Two named
-    candidates join it: r0, where h(r0) = 1 = omega(r0)/omega(r0) makes the
-    margin exactly 0, so a passing anchor reports its true minimum; and the
-    margin's limit h(1) - ``limit_at_one``/omega(r0) at r = 1, so anchors
-    past the last radius see h < 1 on (r0, 1).
+    on boxes, is polished by golden section to a 1e-12 width, the weight's
+    ``kink`` a candidate of the polish.  Two more named candidates join it:
+    r0, where h(r0) = 1 = omega(r0)/omega(r0) makes the margin exactly 0, so
+    a passing anchor reports its true minimum; and the margin's limit
+    h(1) - ``limit_at_one``/omega(r0) at r = 1, so anchors past the last
+    radius see h < 1 on (r0, 1).
     A zero weight value at the anchor raises ZeroDenominatorError; an
     infinite one is rejected as a parameter-domain error.
     """
@@ -194,7 +195,7 @@ def criterion_check(w: Weight, r0: float) -> CriterionReport:
 
     omegas = _omegas(r0)
     worst_r, worst = scan_polish(lambda r: min(omegas(r)) - w.fn(r) / w0,
-                                 Radii(CRITERION_R_POINTS), minimize=True)
+                                 Radii(CRITERION_R_POINTS), minimize=True, kink=w.kink)
     worst, worst_r = min((worst, worst_r), (0.0, r0),
                          (min(omegas(1.0)) - w.limit_at_one / w0, 1.0))
     passed = worst >= -CRITERION_TOL

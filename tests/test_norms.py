@@ -224,6 +224,16 @@ def test_root_polish_never_below_golden_polish():
             assert r == w.kink
 
 
+@pytest.mark.parametrize("token", ["example3:r0=0.8,alpha=1.7", "example2:r0=0.8,alpha=3"])
+def test_slopeless_weight_meets_the_kink_sup(token):
+    # the radial sup sits at the weight's kink, a candidate of every polish, so
+    # golden section on each side of it reports the slope path's sup bit for bit
+    s, w = _automorphism(cmath.rect(0.72, 4.1), 60), weight_from_token(token)
+    value, r, _ = _series_radial_sup(s, w)
+    assert (value, r) == (0.9644670050761411, 0.8)
+    assert _series_radial_sup(s, w._replace(slope=None))[:2] == (value, r)
+
+
 class TestAvkhadievEval:
     def test_zero_at_a(self):
         assert avkhadiev_eval(0.35, 0.35) == 0.0

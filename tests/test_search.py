@@ -265,6 +265,20 @@ def test_scan_polish_minimizes_a_kink():
     assert 0.0 <= fx < 1e-10
 
 
+_KINK = 0.3 + 1e-5 / 3  # off the grid's points
+
+
+@pytest.mark.parametrize("f,kw", [
+    (lambda x: abs(x - _KINK), {"minimize": True}),
+    (lambda x: -abs(x - _KINK), {}),
+    (lambda x: -abs(x - _KINK), {"slope": lambda x: 1.0 if x < _KINK else -1.0}),
+], ids=["minimize", "golden", "slope"])
+def test_scan_polish_takes_the_kink_as_a_candidate(f, kw):
+    # every polish mode splits its bracket at the kink and scores the kink
+    # itself, so an extremum at the kink is reported there exactly
+    assert scan_polish(f, grid(0.0, 1.0, 101), kink=_KINK, **kw) == (_KINK, 0.0)
+
+
 class TestRadii:
     """``Radii(n, x)`` is the sorted union of ``grid(0, R_MAX, n)`` and x."""
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -164,15 +165,31 @@ class TestCriterionCheck:
         rep = criterion_check(weight_from_token(token), r0)
         assert rep.passed and rep.worst_margin == 0.0 and rep.violation_witness is None
 
-    @pytest.mark.parametrize("token,r0,margin,witness", [
-        ("example2:r0=0.8,alpha=1", 0.75, -0.0666666666666551, 0.7999999999999913),
-        ("example3:r0=0.75,alpha=1", 0.8, -0.13172632034953402, 0.7499999999999237),
-        ("constant", 0.75, -0.33333333333333326, 1.0),
-        ("standard", 0.9, -3.8942692345465453, 0.08267783038366858)])
-    def test_failing_anchor_keeps_its_margin_and_witness(self, token, r0, margin, witness):
-        rep = criterion_check(weight_from_token(token), r0)
+    @pytest.mark.parametrize("token,r0,witness", [("example2:r0=0.8,alpha=1", 0.75, 0.8),
+                                                  ("example3:r0=0.75,alpha=1", 0.8, 0.75),
+                                                  ("constant", 0.75, 1.0)])
+    def test_failing_anchor_keeps_its_margin_and_witness(self, token, r0, witness):
+        # the worst margin sits at a named candidate, the weight's kink or r = 1:
+        # the witness is that point exactly, and the margin the float margin there
+        w = weight_from_token(token)
+        rep = criterion_check(w, r0)
+        assert not rep.passed and rep.violation_witness == witness
+        assert rep.worst_margin == criterion_bound(witness, r0) - w(witness) / w(r0)
+
+    def test_failing_smooth_minimum_meets_mpmath(self):
+        # standard at 0.9: the margin omega2(r) - (1 - r^2)/(1 - r0^2) is smooth
+        # left of r0, with its minimum at the root of its slope
+        # 2r/(1 - r0^2) - r0/(sqrt(2) r + r0)^2, solved by mpmath at 40 digits
+        mp = pytest.importorskip("mpmath")
+        r0 = 0.9
+        with mp.workdps(40):
+            x0, s2 = mp.mpf(r0), mp.sqrt(2)
+            root = mp.findroot(lambda r: 2 * r / (1 - x0 ** 2) - x0 / (s2 * r + x0) ** 2, 0.08)
+            low = (s2 * x0 + root) / (s2 * root + x0) - (1 - root ** 2) / (1 - x0 ** 2)
+        rep = criterion_check(builtin_weight("standard"), r0)
         assert not rep.passed
-        assert (rep.worst_margin, rep.violation_witness) == (margin, witness)
+        assert abs(rep.worst_margin - float(low)) <= 2 * math.ulp(float(low))
+        assert abs(rep.violation_witness - float(root)) <= 1e-7
 
     @pytest.mark.parametrize("r0", [R0_MIN, 0.8, 0.9, 0.97])
     def test_standard_weight_fails_with_witness(self, r0):
