@@ -25,10 +25,12 @@ from .errors import BlochBohrError, ParameterDomainError
 from .search import PROFILE_POINTS, SQRT2, grid
 
 #: the CLI's own values: the ``theorem5-probe`` scales without --R, the radii of
-#: the ``bombieri`` table without --r, the largest chain violation of a
-#: ``theorem2-check`` pass and the largest relative gap of a ``sharpness`` PASS
+#: the ``bombieri`` table without --r, the random chain samples of
+#: ``theorem2-check`` and the largest chain violation of its pass, and the
+#: largest relative gap of a ``sharpness`` PASS
 DEFAULT_PROBE_SCALES = (0.3, 0.5, 1.0 / SQRT2, 0.9)
 BOMBIERI_RADII = 20
+CHAIN_SAMPLES = 200
 CHAIN_TOL = 1e-9
 SHARPNESS_GAP = 1e-9
 
@@ -122,8 +124,6 @@ def _cmd_theorem2_check(args) -> int:
     from .bounds import EXCEED_THRESHOLD, cauchy_chain_check, theorem4_grid_max
     from .series import TruncatedSeries
     from .weights import weight_from_token
-    if args.samples < 1:
-        raise ParameterDomainError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         raise ParameterDomainError(f"--seed must be nonnegative, got {args.seed}")
     max_expr = theorem4_grid_max(1.0 / SQRT2)
@@ -133,7 +133,7 @@ def _cmd_theorem2_check(args) -> int:
                ("standard", "constant", "example2:r0=0.8,alpha=2",
                 "example3:r0=0.75,alpha=1")]
     worst = -np.inf
-    for k in range(args.samples):
+    for k in range(CHAIN_SAMPLES):
         degree = int(rng.integers(1, 17))
         coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
         series = TruncatedSeries.polynomial(coeffs)
@@ -145,7 +145,7 @@ def _cmd_theorem2_check(args) -> int:
     passed = bool(max_expr <= EXCEED_THRESHOLD and worst <= CHAIN_TOL)
     report = {"command": "theorem2-check",
               "max_expression_at_sqrt2": max_expr,
-              "chain_samples": args.samples,
+              "chain_samples": CHAIN_SAMPLES,
               "max_chain_violation": float(worst),
               "passed": passed}
     _render(args, report,
@@ -298,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem2-check", parents=[shared],
                        help="consistency of the sqrt(2) lower bound and the "
                             "Cauchy-Schwarz chain")
-    p.add_argument("--samples", type=int, default=200,
-                   help="random chain samples (default %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_theorem2_check)
 

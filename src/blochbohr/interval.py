@@ -138,8 +138,8 @@ def _ulps(x: float, toward: float) -> float:
     return math.nextafter(math.nextafter(x, toward), toward)
 
 
-def grid_best(f, xs, minimize: bool = False) -> tuple:
-    """(i, f(xs[i])) for the first i of the greatest (least) value of f on the
+def grid_best(f, xs) -> tuple:
+    """(i, f(xs[i])) for the first i of the greatest value of f on the
     ascending grid ``xs``, as ``list(map(f, xs))`` gives them.
 
     Best first over index ranges: f on the Interval spanning a range bounds its
@@ -148,18 +148,18 @@ def grid_best(f, xs, minimize: bool = False) -> tuple:
     neither a number nor an Interval is split; one of at most ``LEAF`` points is
     evaluated point by point.  After a NaN value the whole list decides.
     """
-    def bound(i: int, j: int):  # a lower bound of the key on xs[i:j], or -inf
+    def bound(i: int, j: int):  # a lower bound of -f on xs[i:j], or -inf
         try:
             v = f(Interval(float(xs[i]), float(xs[j - 1])))
         except (Undecided, TypeError, ValueError, ArithmeticError, BlochBohrError):
             return -math.inf
         if isinstance(v, Interval):
-            return v.lo if minimize else -v.hi
+            return -v.hi
         if isinstance(v, (int, float)) and v == v:
-            return v if minimize else -v
+            return -v
         return -math.inf
 
-    best = None  # (key, i, value), the key being the value, negated when maximizing
+    best = None  # (-value, i, value)
     heap = [(-math.inf, 0, len(xs))]
     while heap:
         key, i, j = heappop(heap)
@@ -174,9 +174,9 @@ def grid_best(f, xs, minimize: bool = False) -> tuple:
             v = f(xs[k])
             if v != v:
                 vals = list(map(f, xs))
-                k = vals.index(min(vals) if minimize else max(vals))
+                k = vals.index(max(vals))
                 return k, vals[k]
-            point = (v if minimize else -v, k, v)
+            point = (-v, k, v)
             if best is None or point[:2] < best[:2]:
                 best = point
     return best[1], best[2]

@@ -134,8 +134,12 @@ def _series_radial_sup(s: TruncatedSeries, w: Weight) -> RadialSupReport:
             sup, theta = circle(r)
             return w.slope(r) * sup + w(r) * _modulus_slope(cs, r, theta)
 
-    r, v = scan_polish(weighted, rs, weights * rough, rescore=True, slope=slope,
-                       kink=w.kink)
+    # the rough winner scores its polished circle maximum, at least its row (up
+    # to rounding where |f| is constant on the circle), so the winner stays put
+    values = weights * rough
+    i = int(values.argmax())
+    values[i] = weighted(float(rs[i]))
+    r, v = scan_polish(weighted, rs, values, slope=slope, kink=w.kink)
     return RadialSupReport(v, r, circle(r)[1])
 
 

@@ -1,16 +1,16 @@
 """Scan sizes, the constant sqrt(2), and 1-D search primitives.
 
 Every grid supremum in the library (and the worst criterion margin, an
-infimum) goes through one primitive, ``scan_polish``: a uniform grid scan
-(radial scans start at 0), by branch-and-bound on ``interval`` boxes where no
-values come precomputed, then a polish of the best grid point's bracket
-to a 1e-12 width.  A maximum with an analytic slope (``series.circle_sup``
-over the angle, the radial sups of ``norms`` and ``extremal.verify_sharpness``
-over r, ``bounds.best_test_ratio`` over a) is polished by Illinois regula
-falsi on its root (``falsi_peak``), to about eps, not sqrt(eps); one under a
-weight without a slope, and the worst criterion margin, by golden section;
-a weight's kink in the bracket is a candidate of every mode, each side of it
-polished apart.  On the angle circle the bracket wraps; elsewhere it is clipped.
+infimum, as the supremum of its negation) goes through one primitive,
+``scan_polish``: a uniform grid scan (radial scans start at 0), by
+branch-and-bound on ``interval`` boxes where no values come precomputed, then
+a polish of the best grid point's bracket to a 1e-12 width.  A maximum with
+an analytic slope (``series.circle_sup`` over the angle, the radial sups of
+``norms`` and ``extremal.verify_sharpness`` over r, ``bounds.best_test_ratio``
+over a) is polished by Illinois regula falsi on its root (``falsi_peak``), to
+about eps, not sqrt(eps); any other by golden section (``trisect_min`` of -f);
+a weight's kink in the bracket is a candidate, each side of it polished apart.
+On the angle circle the bracket wraps; elsewhere it is clipped.
 The Theorem 1 roots and the least Theorem 4 scale come from ``bisect_root``,
 Newton in a sign-change bracket, to a step of a few ulps, with no tolerance.
 Grids are lists of floats, or ``Radii``, the radial grid with an anchor added
@@ -90,11 +90,12 @@ def mapped(body: Callable, x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def golden_max(f: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """Maximize a scalar function on [lo, hi] by golden-section search to a 1e-12 bracket.
+def trisect_min(f: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """Minimize a scalar function on [lo, hi] by golden-section search to a 1e-12 bracket.
 
     Assumes unimodality on the bracket.  Ties keep the left subinterval, so
-    plateaus drift toward the smaller argument.  Returns (argmax, max).
+    plateaus drift toward the smaller argument.  Returns (argmin, min).  The
+    name stays because ``perfbench/shim.py`` pins it (ROADMAP item 1).
     """
     a, b = float(lo), float(hi)
     if not b > a:
@@ -105,7 +106,7 @@ def golden_max(f: Callable, lo: float, hi: float) -> tuple[float, float]:
     for _ in range(200):
         if b - a <= 1e-12:
             break
-        if fc >= fd:
+        if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
             fc = float(f(c))
@@ -117,7 +118,7 @@ def golden_max(f: Callable, lo: float, hi: float) -> tuple[float, float]:
     fx = float(f(x))
     # never report worse than an interior probe
     for xe, fe in ((c, fc), (d, fd)):
-        if fe > fx:
+        if fe < fx:
             x, fx = xe, fe
     return x, fx
 
@@ -147,11 +148,10 @@ def falsi_peak(f: Callable, slope: Callable, lo: float, hi: float) -> tuple:
     return best[1], float(f(best[1]))
 
 
-def trisect_min(f: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """(argmin, min) of f on [lo, hi]: ``golden_max`` of -f.  The name stays only
-    because ``perfbench/shim.py`` pins it and ``perfbench/tests`` counts its
-    evaluations (ROADMAP item 1)."""
-    x, fx = golden_max(lambda t: -f(t), lo, hi)
+def golden_max(f: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """(argmax, max) of f on [lo, hi]: ``trisect_min`` of -f, so ties keep the
+    left subinterval and plateaus drift toward the smaller argument."""
+    x, fx = trisect_min(lambda t: -f(t), lo, hi)
     return x, -fx
 
 
@@ -192,55 +192,46 @@ def bisect_root(g: Callable, lo: float, hi: float) -> float:
     raise ConvergenceError(f"no convergence in 200 steps on [{a}, {b}]")
 
 
-def scan_polish(f: Callable, xs, values=None, *, minimize: bool = False,
-                period: float | None = None, rescore: bool = False,
+def scan_polish(f: Callable, xs, values=None, *, period: float | None = None,
                 slope: Callable | None = None,
                 kink: float | None = None) -> tuple[float, float]:
-    """Best point of f on the uniform grid ``xs``, polished; returns (x, value).
+    """Greatest point of f on the uniform grid ``xs``, polished; returns (x, value).
 
     ``values`` are f already computed on ``xs``, both lists or arrays; without
     them ``interval.grid_best`` finds the winner of ``list(map(f, xs))``,
     evaluating f (on floats, and on Interval boxes) only where a box bound
-    cannot exclude it.  The grid winner is the argmax (argmin when
-    ``minimize``), ties going to the smallest argument; with ``rescore`` the
-    values are only a cheap stand-in (an unpolished profile) and f scores the winner.  Its
-    bracket of one step either side wraps around when ``xs`` covers one
-    ``period`` (the witness then reduced to [0, period)) and is clipped to
-    the grid otherwise.  ``golden_max`` (``trisect_min``, golden section on -f)
-    polishes it to a 1e-12 width, or, given a ``slope`` with the sign of f',
-    ``falsi_peak``.  In every mode a ``kink`` of f (where f' jumps) in the
-    bracket is a candidate, each side of it polished apart (a slope off the
-    kink, one-sided).  The best candidate, ties to the smallest argument, is
-    kept only when strictly better, so plateau witnesses stay put.
+    cannot exclude it.  The grid winner is the argmax, ties going to the
+    smallest argument.  Its bracket of one step either side wraps around when
+    ``xs`` covers one ``period`` (the witness then reduced to [0, period)) and
+    is clipped to the grid otherwise.  ``golden_max`` polishes it to a 1e-12
+    width, or, given a ``slope`` with the sign of f', ``falsi_peak``.  A
+    ``kink`` of f (where f' jumps) in the bracket is a candidate, each side of
+    it polished apart (a slope off the kink, one-sided).  The best candidate,
+    ties to the smallest argument, is kept only when strictly better, so
+    plateau witnesses stay put.  A minimum is the maximum of -f.
     """
     if len(xs) < 2:
         raise ParameterDomainError(f"a scan needs at least 2 points, got {len(xs)}")
     if values is None:
         from .interval import grid_best
-        i, best_f = grid_best(f, xs, minimize)
+        i, best_f = grid_best(f, xs)
     else:
-        if isinstance(values, list):
-            i = values.index(min(values) if minimize else max(values))
-        else:
-            i = int(values.argmin() if minimize else values.argmax())
+        i = values.index(max(values)) if isinstance(values, list) else int(values.argmax())
         best_f = values[i]
-    best_x = float(xs[i])
-    best_f = float(f(best_x) if rescore else best_f)
+    best_x, best_f = float(xs[i]), float(best_f)
     if period is None:
         a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
     else:
         step = float(xs[1] - xs[0])
         a, b = best_x - step, best_x + step
     if b > a:
-        polish = (trisect_min if minimize else golden_max if slope is None
-                  else lambda g, lo, hi: falsi_peak(g, slope, lo, hi))
+        polish = golden_max if slope is None else lambda g, lo, hi: falsi_peak(g, slope, lo, hi)
         if kink is not None and a <= kink <= b:
-            x, fx = (min if minimize else max)(
-                (polish(f, a, math.nextafter(kink, a)), (kink, float(f(kink))),
-                 polish(f, math.nextafter(kink, b), b)), key=lambda p: p[1])
+            x, fx = max((polish(f, a, math.nextafter(kink, a)), (kink, float(f(kink))),
+                         polish(f, math.nextafter(kink, b), b)), key=lambda p: p[1])
         else:
             x, fx = polish(f, a, b)
-        if (fx < best_f) if minimize else (fx > best_f):
+        if fx > best_f:
             best_x, best_f = (x if period is None else x % period), fx
     return best_x, best_f
 

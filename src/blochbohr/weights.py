@@ -176,9 +176,10 @@ def criterion_bound(r, r0: float):
 def criterion_check(w: Weight, r0: float) -> CriterionReport:
     """Scan h(r) - omega(r)/omega(r0) over [0, 1) and report the worst margin.
 
-    The minimum over ``Radii(CRITERION_R_POINTS)``, found by branch-and-bound
-    on boxes, is polished by golden section to a 1e-12 width, the weight's
-    ``kink`` a candidate of the polish.  Two more named candidates join it:
+    The minimum is the maximum of the negated margin omega(r)/omega(r0) - h(r)
+    over ``Radii(CRITERION_R_POINTS)``, found by branch-and-bound on boxes and
+    polished by golden section to a 1e-12 width, the weight's ``kink`` a
+    candidate of the polish.  Two more named candidates join it:
     r0, where h(r0) = 1 = omega(r0)/omega(r0) makes the margin exactly 0, so
     a passing anchor reports its true minimum; and the margin's limit
     h(1) - ``limit_at_one``/omega(r0) at r = 1, so anchors past the last
@@ -194,9 +195,10 @@ def criterion_check(w: Weight, r0: float) -> CriterionReport:
         raise ParameterDomainError(f"weight {w.name} is not finite at r0 = {r0}")
 
     omegas = _omegas(r0)
-    worst_r, worst = scan_polish(lambda r: min(omegas(r)) - w.fn(r) / w0,
-                                 Radii(CRITERION_R_POINTS), minimize=True, kink=w.kink)
-    worst, worst_r = min((worst, worst_r), (0.0, r0),
+    worst_r, excess = scan_polish(lambda r: w.fn(r) / w0 - min(omegas(r)),
+                                  Radii(CRITERION_R_POINTS), kink=w.kink)
+    # 0.0 - excess, not -excess: an exact zero excess is a margin of 0.0, not -0.0
+    worst, worst_r = min((0.0 - excess, worst_r), (0.0, r0),
                          (min(omegas(1.0)) - w.limit_at_one / w0, 1.0))
     passed = worst >= -CRITERION_TOL
     return CriterionReport(r0=r0, passed=passed, worst_margin=worst,

@@ -340,6 +340,12 @@ class TestMobiusMajorantSup:
         with pytest.raises(ParameterDomainError):
             mobius_majorant_sup(1.0)
 
+    def test_majorant_sum_pole(self):
+        # a r = 1 exactly: 0.5 * 2.0 and 0.25 * 4.0
+        for a in (0.5, 0.25):
+            with pytest.raises(PoleError, match="pole at ar = 1"):
+                mobius_majorant_sum(a, 1.0 / a)
+
 
 def antiderivative_of_test_function(a):
     """f with f(0) = 0 and f' = g_a, the unit-sup test function of Theorem 4."""

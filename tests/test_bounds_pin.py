@@ -22,7 +22,7 @@ RUNS = [
     "theorem5-probe --R 0.01 --R 0.2 --R 0.75 --R 0.99 --format json",
     "theorem5-probe --R 0.5 --R 0.52 --R 0.55 --format json",
     "theorem4 --a 0.5 --R 0.3 --format json",
-    "theorem2-check --samples 3 --format json",
+    "theorem2-check --format json",
 ]
 
 

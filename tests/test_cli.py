@@ -5,7 +5,7 @@ import pytest
 
 from blochbohr.bounds import (THEOREM4_A_GRID, best_test_ratio, theorem1_optimize,
                               theorem1_root, theorem4_sup, theorem4_upper_bound)
-from blochbohr.cli import BOMBIERI_RADII, main
+from blochbohr.cli import BOMBIERI_RADII, CHAIN_SAMPLES, main
 from blochbohr.extremal import verify_sharpness
 from blochbohr.norms import _series_radial_sup, weighted_bloch_norm
 from blochbohr.search import R_POINTS, grid
@@ -77,6 +77,12 @@ class TestTheorem4Command:
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "theorem4", "--a", "0.8", "--R", "0.7")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("argv", [(), ("--a", "0.35"), ("--R", "0.769")],
+                             ids=["neither", "a-only", "R-only"])
+    def test_needs_a_and_R_or_search(self, capsys, argv):
+        message = "error: theorem4 needs --a and --R, or --search\n"
+        assert run(capsys, "theorem4", *argv) == (1, "", message)
 
 
 class TestBombieriCommand:
@@ -240,11 +246,10 @@ class TestProbeCommands:
             assert 0.0 <= e["witness_r"] <= 1.0
 
     def test_theorem2_check(self, capsys):
-        code, out, _ = run(capsys, "theorem2-check", "--samples", "25",
-                           "--format", "json")
+        code, out, _ = run(capsys, "theorem2-check", "--format", "json")
         assert code == 0
         report = json.loads(out)
-        assert report["passed"] is True
+        assert report["passed"] is True and report["chain_samples"] == CHAIN_SAMPLES == 200
         assert report["max_expression_at_sqrt2"] <= 1.0 + 1e-9
 
 
@@ -323,8 +328,7 @@ class TestOptionDefaults:
                           theorem4_upper_bound()._asdict().values()))),
         (("theorem4", "--a", "0.35", "--R", "0.769"),
          lambda: dict(zip(("sup_r", "witness_r"), theorem4_sup(0.35, 0.769)))),
-        (("theorem2-check", "--samples", "3"),
-         lambda: {"max_expression_at_sqrt2": _table_max_at_sqrt2()}),
+        (("theorem2-check",), lambda: {"max_expression_at_sqrt2": _table_max_at_sqrt2()}),
         (("theorem5-probe", "--R", "0.5"),
          lambda: {"entries": [dict(zip(("best_ratio", "witness_a", "witness_r"),
                                        best_test_ratio(0.5)))]}),
@@ -359,7 +363,6 @@ class TestOptionDefaults:
             assert {key: report[key] for key in want} == want
 
     @pytest.mark.parametrize("argv", [
-        ("theorem2-check", "--samples", "0"),
         ("h-profile", "--r0", "0.8", "--n", "0"),
         ("norms", "--coeffs", "0,x"),
         ("norms", "--coeffs", ","),
@@ -380,7 +383,7 @@ class TestOptionDefaults:
         ("theorem4", "--a", "0.35", "--R", "0"),
         ("theorem4", "--a", "1e-200", "--R", "0.5"),
         ("theorem4", "--a", "0.35", "--R", "3"),
-        ("theorem2-check", "--samples", "3", "--seed", "-1"),
+        ("theorem2-check", "--seed", "-1"),
         ("theorem1", "--s", "0.00001"),
         ("theorem1", "--s", "0.99999"),
         ("weight-check", "--weight", "example2:r0=0.8,r0=0.95", "--r0", "0.8"),
@@ -420,10 +423,11 @@ class TestOptionDefaults:
         ("theorem2-check", "--a-points", "200"),
         ("theorem1", "--s", "0.5", "--tol", "1e-10"),
         ("theorem4", "--search", "--tol", "1e-5"),
-        ("theorem2-check", "--samples", "3", "--tol", "1e-9"),
+        ("theorem2-check", "--tol", "1e-9"),
         ("weight-check", "--weight", "standard", "--tol", "1e-12"),
         ("sharpness", "--weight", "constant", "--r0", "1", "--tol", "1e-9"),
-        ("theorem2-check", "--samples", "3", "--grid", "2048"),
+        ("theorem2-check", "--grid", "2048"),
+        ("theorem2-check", "--samples", "3"),
         ("bombieri", "--grid", "20"),
         ("weight-check", "--weight", "standard", "--grid", "10000"),
         ("sharpness", "--weight", "constant", "--r0", "1", "--grid", "10000"),

@@ -219,6 +219,13 @@ class TestBlaschkeDegree:
         with pytest.raises(DivergenceRegionError):
             blaschke_degree(s, 1.2)
 
+    @pytest.mark.parametrize("r0", [0.0, -0.5])
+    def test_composition_radius_must_be_positive(self, r0):
+        s = extremal_coefficients(ExtremalSpec(r0=0.8))
+        for degree in (blaschke_degree, blaschke_degree_montecarlo):
+            with pytest.raises(ParameterDomainError, match="radius must be positive"):
+                degree(s, r0)
+
     def test_montecarlo_oracle(self):
         s = extremal_coefficients(ExtremalSpec(r0=0.8))
         estimate = blaschke_degree_montecarlo(s, 0.8, samples=400_000, seed=1)
@@ -387,11 +394,12 @@ class TestMajorantSide:
         scanned = []
         real = interval.grid_best
 
-        def counting(f, xs, minimize=False):
-            scanned.append(minimize)
-            return real(f, xs, minimize)
+        def counting(f, xs):
+            scanned.append(f.__qualname__.partition(".")[0])
+            return real(f, xs)
 
         monkeypatch.setattr(interval, "grid_best", counting)
         verify_sharpness(builtin_weight("example3", r0=0.9413, alpha=3.518), 0.9413)
-        # the criterion's margin (a minimum), then the sup side
-        assert scanned == [True, False]
+        # the criterion's margin (a minimum, scanned as the maximum of its
+        # negation), then the sup side
+        assert scanned == ["criterion_check", "verify_sharpness"]

@@ -30,13 +30,13 @@ def random_anchor(rng: random.Random, w: Weight) -> float:
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Every scan the criterion and sharpness run, as (body, grid, minimize),
-    each checked against the full list scan before it returns."""
+    """Every scan the criterion and sharpness run, as (body, grid), each
+    checked against the full list scan before it returns."""
     seen = []
 
     def both(f, xs, values=None, **kw):
         assert values is None
-        seen.append((f, xs, kw.get("minimize", False)))
+        seen.append((f, xs))
         full = search.scan_polish(f, xs, list(map(f, xs)), **kw)
         got = search.scan_polish(f, xs, **kw)
         assert list(map(repr, got)) == list(map(repr, full))
@@ -94,8 +94,8 @@ class TestEnclosure:
         for _ in range(60):
             w = random_weight(rng)
             run_both(w, random_anchor(rng, w))
-        assert len({body for body, _, _ in scans}) >= 40
-        for body, _, _ in scans:
+        assert len({body for body, _ in scans}) >= 40
+        for body, _ in scans:
             for _ in range(10):
                 box, xs = sample_box(rng)
                 assert encloses(body, box, xs), box
@@ -134,6 +134,21 @@ class TestComparisons:
         assert point == 0.5 and not point != 0.5 and point == Interval(0.5, 0.5)
         assert min(Interval(2.0, 3.0), box) is box and max(Interval(2.0, 3.0), box).lo == 2.0
 
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "+", "-", "*", "/"])
+    def test_operands_floats_do_not_take_are_refused(self, op):
+        # a str is neither a box nor a number: the operator returns
+        # NotImplemented either way round, and Python ends in TypeError
+        box = Interval(0.0, 1.0)
+        for expr in (f"box {op} other", f"other {op} box"):
+            with pytest.raises(TypeError):
+                eval(expr, {"box": box, "other": "0.5"})
+        # == and != fall back to identity
+        assert (box == "0.5") is False and (box != "0.5") is True
+
+    def test_repr(self):
+        assert repr(Interval(0.25, 1.0)) == "Interval(0.25, 1.0)"
+        assert repr(Interval(-0.0, 0.0)) == "Interval(-0.0, 0.0)"
+
     def test_no_truth_value_number_or_hash(self):
         box = Interval(0.0, 1.0)
         for convert in (bool, float, int, hash, round, math.exp, math.floor, range):
@@ -159,16 +174,19 @@ class TestScan:
         w = Weight(name, hand_built(rs)[name], limit_at_one=0.0, kink=0.8)
         for r0 in (0.8, 0.9, 1.0):
             run_both(w, r0)
-        for body, xs, minimize in scans:
+        for body, xs in scans:
             vals = list(map(body, xs))
-            i = vals.index(min(vals) if minimize else max(vals))
-            assert repr(grid_best(body, xs, minimize)) == repr((i, vals[i]))
+            i = vals.index(max(vals))
+            assert repr(grid_best(body, xs)) == repr((i, vals[i]))
 
     def test_a_single_grid_point_is_found(self):
         rs = grid(0.0, R_MAX, 10_000)
         f = lambda r: 1.0 if r == rs[9000] else 0.0
         assert grid_best(f, rs) == (9000, 1.0)
-        assert grid_best(lambda r: -f(r), rs, minimize=True) == (9000, -1.0)
+        # the least value of g = -f, as the greatest of -g
+        g = lambda r: -f(r)
+        i, v = grid_best(lambda r: -g(r), rs)
+        assert (i, -v) == (9000, -1.0)
 
     def test_ties_go_to_the_first_index(self):
         xs = grid(0.0, R_MAX, 1000)
@@ -192,7 +210,7 @@ class TestScan:
         counts = []
         real = interval.grid_best
 
-        def counting(f, xs, minimize=False):
+        def counting(f, xs):
             points = []
             counts.append(points)
 
@@ -200,7 +218,7 @@ class TestScan:
                 if not isinstance(x, Interval):
                     points.append(x)
                 return f(x)
-            return real(counted, xs, minimize)
+            return real(counted, xs)
 
         monkeypatch.setattr(interval, "grid_best", counting)
         rng = random.Random(5)

@@ -259,6 +259,10 @@ class TestAvkhadievEval:
 
 
 class TestAvkhadievCoefficients:
+    def test_needs_two_terms(self):
+        with pytest.raises(ParameterDomainError, match="at least 2 coefficient terms"):
+            avkhadiev_coefficients(0.35, n_terms=1)
+
     @pytest.mark.parametrize("a", [0.1, 0.35, 0.57])
     def test_sign_pattern(self, a):
         s = avkhadiev_coefficients(a)
@@ -370,6 +374,27 @@ def _full_rough(coeffs, radii, theta_points):
                                            _angle_count(theta_points, coeffs.size)):
         out[rows] = np.abs(values).max(axis=1)
     return out
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "nonnegative"])
+@pytest.mark.parametrize("order", [1, "seeded", 256])
+def test_circle_sup_never_below_its_rough_row(kind, order):
+    # ``_series_radial_sup`` overwrites its rough winner's value with the
+    # polished circle maximum before the polish, which keeps the winner's
+    # index only while that maximum is at least the rough value: the angle
+    # grid row's largest modulus, or sum |a_k| r^k for nonnegative
+    # coefficients; every radius of the rough scan is checked
+    rng = np.random.default_rng(["real", "complex", "nonnegative"].index(kind) + 38)
+    n = int(rng.integers(1, 257)) if order == "seeded" else order
+    coeffs = rng.normal(size=n + 1) + (1j * rng.normal(size=n + 1) if kind == "complex" else 0.0)
+    coeffs[-1] = -abs(coeffs[-1])  # a signed real series takes the scanned route
+    s = TruncatedSeries.polynomial(np.abs(coeffs) if kind == "nonnegative" else coeffs)
+    rs = np.asarray(grid(0.0, R_MAX, R_POINTS))
+    rough = (coefficient_sum(s, rs) if s.is_nonnegative
+             else _full_rough(s.coeffs, rs, THETA_POINTS))
+    assert s.is_nonnegative == (kind == "nonnegative")
+    polished = np.array([circle_sup(s, r)[0] for r in rs.tolist()])
+    assert np.all(polished >= rough)
 
 
 def _check_pruned_scan(coeffs, weights, radii, theta_points):

@@ -7,9 +7,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blochbohr import ConvergenceError, NoSignChangeError, ParameterDomainError
+from blochbohr.interval import grid_best
 from blochbohr.search import (CRITERION_R_POINTS, R_MAX, R_POINTS, Radii, bisect_root,
                               falsi_peak, golden_max, grid, grid_golden_max, scan_polish,
                               trisect_min)
+
+
+def scan_min(f, xs, **kw):
+    """(x, min) of f on ``xs``, scanned and polished as the maximum of -f."""
+    x, v = scan_polish(lambda t: -f(t), xs, **kw)
+    return x, -v
 
 
 def test_golden_max_quadratic():
@@ -71,6 +78,46 @@ def test_trisect_min_quadratic():
     assert abs(fx - 2.0) < 1e-12
 
 
+def _seeded_objectives():
+    """Seeded unimodal, plateau and kinked objectives on their brackets."""
+    rng = random.Random(38)
+    for _ in range(20):
+        c, lo, hi = rng.uniform(-1.0, 2.0), rng.uniform(-2.0, 0.0), rng.uniform(1.0, 3.0)
+        k = rng.uniform(0.5, 4.0)
+        yield lambda x, c=c, k=k: -k * (x - c) ** 2 + math.sin(c), lo, hi
+        yield lambda x, c=c: -math.cosh(x - c), lo, hi
+        # plateaus: flat everywhere, and flat on a band around c
+        yield lambda x, c=c: c, lo, hi
+        yield lambda x, c=c: min(0.0, 1.0 - abs(x - c)), lo, hi
+        # kinks: a tent, one-sided slopes k and 1/k, at c
+        yield lambda x, c=c, k=k: -(k * (c - x) if x < c else (x - c) / k), lo, hi
+
+
+def test_golden_max_is_trisect_min_of_the_negation_bit_for_bit():
+    # one golden-section loop: golden_max is the minimizer on -f, so its
+    # witness and value are the negated minimum's, ties drifting left alike
+    for f, lo, hi in _seeded_objectives():
+        x, v = trisect_min(lambda t: -f(t), lo, hi)
+        got = golden_max(f, lo, hi)
+        assert _bits(got) == _bits((x, -v)) and repr(got) == repr((x, -v))
+    # on a plateau the witness drifts to the left end
+    assert golden_max(lambda x: 1.0, 0.0, 1.0)[0] < 1e-11
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, xs: scan_polish(f, xs, minimize=True),
+    lambda f, xs: scan_polish(f, xs, np.sin(xs), rescore=True),
+    lambda f, xs: grid_best(f, xs.tolist(), True),
+    lambda f, xs: grid_best(f, xs.tolist(), minimize=True),
+], ids=["scan_polish-minimize", "scan_polish-rescore", "grid_best-positional",
+        "grid_best-minimize"])
+def test_scans_take_no_minimize_or_rescore_switch(call):
+    # the primitives only maximize: a minimum is the maximum of -f, and a
+    # caller with a stand-in profile scores its winner before the call
+    with pytest.raises(TypeError):
+        call(np.sin, np.linspace(0.0, 3.0, 16))
+
+
 def test_bisect_root_cosine():
     root = bisect_root(lambda x: (math.cos(x), -math.sin(x)), 0.0, 3.0)
     assert abs(root - math.pi / 2) <= math.ulp(math.pi / 2)
@@ -83,6 +130,7 @@ def test_bisect_root_requires_sign_change():
 
 def test_bisect_root_exact_endpoint():
     assert bisect_root(lambda x: (x, 1.0), 0.0, 1.0) == 0.0
+    assert bisect_root(lambda x: (x - 1.0, 1.0), 0.0, 1.0) == 1.0
 
 
 def test_bisect_root_convergence_cap():
@@ -136,7 +184,7 @@ def test_grid_golden_max_vectorized():
 @pytest.mark.parametrize("scan", [
     lambda f, lo, hi, n: grid_golden_max(f, lo, hi, n),
     lambda f, lo, hi, n: scan_polish(f, np.linspace(lo, hi, n)),
-    lambda f, lo, hi, n: scan_polish(f, np.linspace(lo, hi, n), minimize=True),
+    lambda f, lo, hi, n: scan_min(f, np.linspace(lo, hi, n)),
 ], ids=["grid_golden_max", "scan_polish", "scan_polish_minimize"])
 def test_grid_golden_max_plateau_reports_smallest(scan):
     f = lambda x: np.ones_like(np.asarray(x, dtype=float))
@@ -147,7 +195,7 @@ def test_grid_golden_max_plateau_reports_smallest(scan):
 
 @pytest.mark.parametrize("scan", [
     lambda f: grid_golden_max(f, 0.0, 1.0, 1),
-    lambda f: scan_polish(f, np.array([0.5]), minimize=True),
+    lambda f: scan_min(f, np.array([0.5])),
     lambda f: scan_polish(f, np.array([])),
 ], ids=["grid_golden_max", "scan_polish_minimize", "empty"])
 def test_scan_needs_two_points(scan):
@@ -249,18 +297,23 @@ def test_scan_polish_uses_supplied_values_without_recomputing():
     assert calls and all(ndim == 0 for ndim in calls)
     assert abs(x - np.pi / 2) < 5e-8
     assert abs(fx - 1.0) < 1e-12
-    # a stand-in profile only picks the winner, which f itself then scores:
-    # no stand-in value (all above 1) reaches the polished result
+    # a stand-in profile below f (a rough lower bound, as the rough rows of
+    # ``norms``) picks the winner once the caller has f score it; that score
+    # is never below its row, so the winner keeps its index, and no stand-in
+    # value (all at most 0) reaches the polished result
     calls.clear()
-    x, fx = scan_polish(f, xs, np.sin(xs) + 1.0, rescore=True)
+    rough = np.sin(xs) - 1.0
+    i = int(rough.argmax())
+    rough[i] = f(float(xs[i]))
+    x, fx = scan_polish(f, xs, rough)
     assert calls and all(ndim == 0 for ndim in calls)
     assert fx == np.sin(x) and abs(x - np.pi / 2) < 5e-8
+    assert (x, fx) == scan_polish(f, xs, np.sin(xs))
 
 
 def test_scan_polish_minimizes_a_kink():
     c = 0.3141592
-    x, fx = scan_polish(lambda x: np.abs(np.asarray(x) - c), np.linspace(0.0, 1.0, 11),
-                        minimize=True)
+    x, fx = scan_min(lambda x: np.abs(np.asarray(x) - c), np.linspace(0.0, 1.0, 11))
     assert abs(x - c) < 1e-10
     assert 0.0 <= fx < 1e-10
 
@@ -268,15 +321,15 @@ def test_scan_polish_minimizes_a_kink():
 _KINK = 0.3 + 1e-5 / 3  # off the grid's points
 
 
-@pytest.mark.parametrize("f,kw", [
-    (lambda x: abs(x - _KINK), {"minimize": True}),
-    (lambda x: -abs(x - _KINK), {}),
-    (lambda x: -abs(x - _KINK), {"slope": lambda x: 1.0 if x < _KINK else -1.0}),
+@pytest.mark.parametrize("scan,f,kw", [
+    (scan_min, lambda x: abs(x - _KINK), {}),
+    (scan_polish, lambda x: -abs(x - _KINK), {}),
+    (scan_polish, lambda x: -abs(x - _KINK), {"slope": lambda x: 1.0 if x < _KINK else -1.0}),
 ], ids=["minimize", "golden", "slope"])
-def test_scan_polish_takes_the_kink_as_a_candidate(f, kw):
-    # every polish mode splits its bracket at the kink and scores the kink
+def test_scan_polish_takes_the_kink_as_a_candidate(scan, f, kw):
+    # either polish splits its bracket at the kink and scores the kink
     # itself, so an extremum at the kink is reported there exactly
-    assert scan_polish(f, grid(0.0, 1.0, 101), kink=_KINK, **kw) == (_KINK, 0.0)
+    assert scan(f, grid(0.0, 1.0, 101), kink=_KINK, **kw) == (_KINK, 0.0)
 
 
 class TestRadii:

@@ -138,7 +138,7 @@ def test_grid_golden_max_runs_without_numpy():
 def test_theorem2_check_loads_numpy_and_series():
     # its PCG64 sample stream and the chain's circle norms stay on numpy
     loaded = loaded_after(
-        "from blochbohr.cli import main; main(['theorem2-check', '--samples', '3'])")
+        "from blochbohr.cli import main; main(['theorem2-check'])")
     assert loaded["numpy"] and loaded["layers"] == [
         "bounds", "cli", "errors", "search", "series", "weights"]
 

@@ -49,6 +49,10 @@ class TestBuiltinWeights:
             builtin_weight("nope")
         with pytest.raises(ParameterDomainError):
             builtin_weight("standard", r0=0.8)
+        with pytest.raises(ParameterDomainError, match="constant weight takes no parameters"):
+            builtin_weight("constant", r0=1)
+        with pytest.raises(ParameterDomainError, match=r"unknown parameters \['beta'\]"):
+            builtin_weight("example2", r0=0.8, beta=1)
         for kind in ("example2", "example3"):
             for alpha in (np.nan, np.inf, -np.inf):
                 with pytest.raises(ParameterDomainError, match="finite alpha"):
@@ -164,6 +168,24 @@ class TestCriterionCheck:
         # where the scan and its polish stop 1e-14 to 1e-12 above it
         rep = criterion_check(weight_from_token(token), r0)
         assert rep.passed and rep.worst_margin == 0.0 and rep.violation_witness is None
+
+    def test_passing_anchor_margin_is_a_positive_zero(self, capsys):
+        # the scan maximizes the negated margin; its report takes 0.0 minus that
+        # maximum, so the zero margin of a passing anchor is 0.0, never -0.0,
+        # and the CLI prints it as it did when the scan minimized the margin
+        from blochbohr.cli import main
+        rng = np.random.default_rng(38)
+        anchors = [("constant", 1.0)] + [
+            (f"{kind}:r0={r0!r},alpha={alpha!r}", r0)
+            for kind in ("example2", "example3")
+            for r0, alpha in zip(rng.uniform(R0_MIN, 0.99, 8).tolist(),
+                                 rng.uniform(1.0, 12.0, 8).tolist())]
+        for token, r0 in anchors:
+            rep = criterion_check(weight_from_token(token), r0)
+            assert rep.passed and math.copysign(1.0, rep.worst_margin) == 1.0, token
+            assert main(["weight-check", "--weight", token, "--r0", repr(r0),
+                         "--format", "json"]) == 0
+            assert '"worst_margin": 0.0,' in capsys.readouterr().out, token
 
     @pytest.mark.parametrize("token,r0,witness", [("example2:r0=0.8,alpha=1", 0.75, 0.8),
                                                   ("example3:r0=0.75,alpha=1", 0.8, 0.75),
